@@ -25,7 +25,6 @@ from .bounds import (
 )
 from .effects import (
     Effects,
-    EffectScale,
     average_rd_effects,
     nde_rd_obs,
     nde_rr_obs,

@@ -1,11 +1,11 @@
-"""Percentile bootstrap over weighted records.
+"""Percentile bootstrap over record cell counts.
 
-Resampling respects row weights: a dataset of N unit records grouped into
-weighted rows is resampled by drawing new row counts from a multinomial
-with probabilities proportional to the original counts, which is exactly
-sampling N records with replacement.  Each replicate re-runs estimation
-and the effect (and, optionally, bound) computations; intervals are
-percentile intervals of the replicate statistics.
+A dataset of N records is resampled by drawing new cell counts
+``n[c, a, m, y]`` from a multinomial with probabilities proportional to
+the original counts, which is exactly sampling N records with replacement;
+how the records were grouped into rows does not matter.  Each replicate
+re-runs estimation and the effect (and, optionally, bound) computations;
+intervals are percentile intervals of the replicate statistics.
 
 A replicate that empties a required table cell cannot be evaluated; it is
 redrawn, counted, and reported.  Everything is deterministic given the
@@ -26,6 +26,8 @@ from .tables import RecordTable, estimate_from_records
 #: statistics collected per stratum, in output order
 EFFECT_STATS = ("nde_rr", "nie_rr", "te_rr", "nde_rd", "nie_rd", "te_rd")
 BOUND_STATS = ("nde_rr_lower", "nie_rr_upper", "nde_rd_lower", "nie_rd_upper")
+#: more than this many redraws per requested replicate raises DegenerateResample
+MAX_REDRAW_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -66,13 +68,12 @@ def run_bootstrap(
     *,
     smoothing: float = 0.0,
     spec: SensitivitySpec | None = None,
-    max_redraw_factor: int = 10,
 ) -> BootstrapResult:
     """Percentile bootstrap intervals for observed effects and adjusted bounds.
 
     ``level`` is the two-sided coverage (0.95 gives the 2.5 and 97.5
     percentiles).  Replicates hitting an empty required cell are redrawn;
-    more than ``max_redraw_factor * replicates`` total redraws raises
+    more than ``MAX_REDRAW_FACTOR * replicates`` total redraws raises
     :class:`DegenerateResample`.
     """
     if replicates < 100:
@@ -80,49 +81,32 @@ def run_bootstrap(
     if not 0.0 < level < 1.0:
         raise BadParameter(f"level must be in (0, 1), got {level!r}")
     rng = np.random.default_rng(seed)
-    counts = np.array([row[4] for row in records.rows], dtype=np.int64)
-    total = int(counts.sum())
-    probs = counts / total
+    total = records.total()
+    probs = records.counts.ravel() / total
 
     point = _statistics(records, smoothing, spec)
-    samples: dict[int, dict[str, list[float]]] = {
-        c: {name: [] for name in stats} for c, stats in point.items()
-    }
-
+    draws: list[dict[int, dict[str, float]]] = []
     redraws = 0
-    budget = max_redraw_factor * replicates
-    done = 0
-    while done < replicates:
-        new_counts = rng.multinomial(total, probs)
-        rows = tuple(
-            (a, m, y, c, int(n))
-            for (a, m, y, c, _), n in zip(records.rows, new_counts)
-            if n > 0
-        )
-        replicate = RecordTable(rows=rows, m_card=records.m_card, c_card=records.c_card)
+    budget = MAX_REDRAW_FACTOR * replicates
+    while len(draws) < replicates:
+        replicate = RecordTable(rng.multinomial(total, probs).reshape(records.counts.shape))
         try:
-            stats = _statistics(replicate, smoothing, spec)
+            draws.append(_statistics(replicate, smoothing, spec))
         except EmptyCell:
             redraws += 1
             if redraws > budget:
                 raise DegenerateResample(
                     f"{redraws} degenerate replicates exceeded the redraw budget {budget}"
                 ) from None
-            continue
-        for c, per_stat in stats.items():
-            for name, value in per_stat.items():
-                samples[c][name].append(value)
-        done += 1
 
     lo_q = 100.0 * (1.0 - level) / 2.0
     hi_q = 100.0 - lo_q
     intervals: dict[int, dict[str, tuple[float, float, float]]] = {}
-    for c, per_stat in samples.items():
+    for c, per_stat in point.items():
         intervals[c] = {}
-        for name, values in per_stat.items():
-            arr = np.asarray(values)
-            lo, hi = np.percentile(arr, [lo_q, hi_q])
-            intervals[c][name] = (float(lo), point[c][name], float(hi))
+        for name, value in per_stat.items():
+            lo, hi = np.percentile([draw[c][name] for draw in draws], [lo_q, hi_q])
+            intervals[c][name] = (float(lo), value, float(hi))
     return BootstrapResult(
         replicates=replicates,
         level=level,

@@ -54,7 +54,11 @@ def _parse_param(text: str) -> float:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("MEDSENS_SEED", "0"))
+    text = os.environ.get("MEDSENS_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise MedsensError(f"MEDSENS_SEED must be an integer, got {text!r}") from None
 
 
 def _effect_fields(scale: str) -> tuple[str, ...]:
@@ -65,12 +69,17 @@ def _effect_fields(scale: str) -> tuple[str, ...]:
     return ("nde_rr", "nie_rr", "te_rr", "nde_rd", "nie_rd", "te_rd")
 
 
-def _load_model(args) -> tuple[tables.ConditionalModel, str, list[str]]:
+def _load_records(args) -> tuple[tables.RecordTable, list[str]]:
     records = tables.read_records_csv(args.csv)
     warnings = []
     if args.relabel_exposure:
         records = tables.swap_exposure_records(records)
         warnings.append("exposure codes relabeled (0 <-> 1)")
+    return records, warnings
+
+
+def _load_model(args) -> tuple[tables.ConditionalModel, str, list[str]]:
+    records, warnings = _load_records(args)
     model = tables.estimate_from_records(records, args.smoothing)
     return model, report.digest_file(args.csv), warnings
 
@@ -316,11 +325,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_bootstrap(args) -> int:
     _json_only(args)
-    records = tables.read_records_csv(args.csv)
-    warnings = []
-    if args.relabel_exposure:
-        records = tables.swap_exposure_records(records)
-        warnings.append("exposure codes relabeled (0 <-> 1)")
+    records, warnings = _load_records(args)
     spec = None
     if args.rr_au is not None or args.rr_uy is not None:
         if args.rr_au is None or args.rr_uy is None:
@@ -371,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="swap exposure codes 0 and 1 before any computation")
     common.add_argument("--smoothing", type=float, default=0.0,
                         help="add-k smoothing for estimation from records")
-    common.add_argument("--seed", type=int, default=_default_seed(),
+    common.add_argument("--seed", type=int, default=None,
                         help="random seed (default: MEDSENS_SEED or 0)")
     common.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (default json; sweep/parametric default csv)")
@@ -456,6 +461,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.format is None:
         args.format = args.default_format
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -37,21 +37,6 @@ DECOMP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class EffectScale:
-    """Tag choosing the risk-ratio or risk-difference scale."""
-
-    tag: str
-
-    def __post_init__(self) -> None:
-        if self.tag not in ("risk_ratio", "risk_difference"):
-            raise BadParameter(f"unknown effect scale {self.tag!r}")
-
-
-RISK_RATIO = EffectScale("risk_ratio")
-RISK_DIFFERENCE = EffectScale("risk_difference")
-
-
-@dataclass(frozen=True)
 class Effects:
     """Natural direct/indirect/total effects on both scales for one stratum.
 

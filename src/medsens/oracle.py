@@ -762,6 +762,9 @@ def validity_battery(
     Deterministic given the seed.  ``violations`` counts must be zero for a
     healthy build; the CLI turns nonzero counts into exit code 4.
     """
+    for name, value in (("iterations", iterations), ("u_card", u_card), ("m_card", m_card)):
+        if value < 1:
+            raise BadParameter(f"{name} must be at least 1, got {value}")
     rng = np.random.default_rng(seed)
     floor = 0.0 if extreme else 1e-4
     y_max = 5.0 if mode == "mean" else 1.0

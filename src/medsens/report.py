@@ -4,6 +4,8 @@ Every CLI run produces one document with a versioned schema, the tool
 version, a digest of the inputs, and accumulated warnings.  Serialization
 is byte-deterministic given identical content: keys are sorted, floats use
 their shortest round-trip representation, and no timestamps are embedded.
+Infinities are written as "inf"/"-inf", in JSON as in CSV, so every JSON
+report is strict, standard JSON.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ def _jsonable(value: Any) -> Any:
         return dataclasses.asdict(value)
     if isinstance(value, (tuple, set)):
         return list(value)
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -70,8 +70,19 @@ def document(
 
 
 def to_json(doc: Mapping[str, Any]) -> str:
-    """Deterministic JSON with a trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, default=_jsonable) + "\n"
+    """Deterministic strict JSON with a trailing newline."""
+    text = json.dumps(_finite(doc), sort_keys=True, indent=2, default=_jsonable, allow_nan=False)
+    return text + "\n"
+
+
+def _finite(value: Any) -> Any:
+    if isinstance(value, float) and math.isinf(value):
+        return _cell(value)
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
 
 
 def to_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:

@@ -31,8 +31,11 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Sequence
+
+import numpy as np
 
 from .errors import (
     BadCode,
@@ -50,38 +53,28 @@ MARGIN_TOL = 1e-12
 
 OutcomeMode = Literal["probability", "mean"]
 
-Row = tuple[int, int, int, int, int]  # (a, m, y, c, count)
-
-
-def _check_code(name: str, value: int, card: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise BadCode(f"{name} must be an integer code, got {value!r}")
-    if not 0 <= value < card:
-        raise BadCode(f"{name}={value} outside 0..{card - 1}")
-    return value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecordTable:
-    """Weighted integer-coded records (a, m, y, c, count) with declared cardinalities."""
+    """Record data as cell counts ``counts[c, a, m, y]``.
 
-    rows: tuple[Row, ...]
-    m_card: int
-    c_card: int
+    ``counts`` is a read-only int64 array of shape (c_card, 2, m_card, 2).
+    Every estimator uses record data only through these counts, so row order
+    and the grouping of records into weighted rows do not matter.
+    """
+
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.m_card < 1 or self.c_card < 1:
-            raise BadParameter("cardinalities must be at least 1")
-        for row in self.rows:
-            if len(row) != 5:
-                raise BadParameter(f"record row must have 5 fields, got {row!r}")
-            a, m, y, c, count = row
-            _check_code("a", a, 2)
-            _check_code("m", m, self.m_card)
-            _check_code("y", y, 2)
-            _check_code("c", c, self.c_card)
-            if not isinstance(count, int) or isinstance(count, bool) or count <= 0:
-                raise BadParameter(f"count must be a positive integer, got {count!r}")
+        counts = self.counts
+        if not isinstance(counts, np.ndarray) or not np.issubdtype(counts.dtype, np.integer):
+            raise BadParameter("record counts must be an integer array")
+        counts = counts.astype(np.int64)
+        if counts.ndim != 4 or counts.shape[1::2] != (2, 2) or 0 in counts.shape:
+            raise BadParameter(f"record counts need shape (c_card, 2, m_card, 2): {counts.shape}")
+        if (counts < 0).any() or counts.sum() <= 0:
+            raise BadParameter("record counts must be nonnegative with a positive total")
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_rows(
@@ -90,27 +83,48 @@ class RecordTable:
         m_card: int | None = None,
         c_card: int | None = None,
     ) -> "RecordTable":
-        """Build a table, inferring cardinalities as max code + 1 when not declared."""
-        fixed = tuple(tuple(int(v) for v in row) for row in rows)
-        if not fixed:
-            raise BadParameter("record table needs at least one row")
-        if m_card is None:
-            m_card = max(r[1] for r in fixed) + 1
-        if c_card is None:
-            c_card = max(r[3] for r in fixed) + 1
-        return cls(rows=fixed, m_card=m_card, c_card=c_card)
+        """Collapse ``(a, m, y, c, count)`` rows into cell counts, summing duplicates.
+
+        Cardinalities are inferred as max code + 1 when not declared.
+        """
+        fixed = [tuple(int(v) for v in row) for row in rows]
+        if not fixed or any(len(row) != 5 for row in fixed):
+            raise BadParameter("record table needs one or more rows (a, m, y, c, count)")
+        if sum(row[4] for row in fixed) > np.iinfo(np.int64).max:
+            raise BadParameter("total record count exceeds the int64 range")
+        a, m, y, c, n = np.array(fixed, dtype=np.int64).T
+        m_card = int(m.max()) + 1 if m_card is None else m_card
+        c_card = int(c.max()) + 1 if c_card is None else c_card
+        for name, codes, card in (("a", a, 2), ("m", m, m_card), ("y", y, 2), ("c", c, c_card)):
+            bad = codes[(codes < 0) | (codes >= card)]
+            if bad.size:
+                raise BadCode(f"{name}={bad[0]} outside 0..{card - 1}")
+        if (n <= 0).any():
+            raise BadParameter(f"count must be a positive integer, got {n.min()}")
+        counts = np.zeros((c_card, 2, m_card, 2), dtype=np.int64)
+        np.add.at(counts, (c, a, m, y), n)
+        return cls(counts)
+
+    @property
+    def c_card(self) -> int:
+        return self.counts.shape[0]
+
+    @property
+    def m_card(self) -> int:
+        return self.counts.shape[2]
 
     def total(self) -> int:
-        return sum(r[4] for r in self.rows)
+        return int(self.counts.sum())
 
 
 def read_records_csv(path: str) -> RecordTable:
     """Read records from a CSV file with header ``a,m,y,c`` or ``a,m,y,c,count``.
 
     Integer-coded, comma-separated, UTF-8.  A missing count column means
-    count 1.  Raises :class:`ParseError` naming the offending line.
+    count 1; duplicate rows are summed into their cell.  Raises
+    :class:`ParseError` naming the offending line.
     """
-    rows: list[Row] = []
+    cells: Counter[tuple[int, int, int, int]] = Counter()  # keyed by (c, a, m, y)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -140,19 +154,15 @@ def read_records_csv(path: str) -> RecordTable:
                 raise ParseError(f"{path}: line {lineno}: negative category code")
             if count <= 0:
                 raise ParseError(f"{path}: line {lineno}: count must be positive, got {count}")
-            rows.append((a, m, y, c, count))
-    if not rows:
+            cells[c, a, m, y] += count
+    if not cells:
         raise ParseError(f"{path}: no data rows")
-    return RecordTable.from_rows(rows)
+    return RecordTable.from_rows((a, m, y, c, n) for (c, a, m, y), n in cells.items())
 
 
 def swap_exposure_records(records: RecordTable) -> RecordTable:
-    """Relabel exposure codes 0 <-> 1 in every row."""
-    return RecordTable(
-        rows=tuple((1 - a, m, y, c, n) for a, m, y, c, n in records.rows),
-        m_card=records.m_card,
-        c_card=records.c_card,
-    )
+    """Relabel exposure codes 0 <-> 1."""
+    return RecordTable(records.counts[:, ::-1])
 
 
 @dataclass(frozen=True)
@@ -261,36 +271,35 @@ def estimate_from_records(records: RecordTable, smoothing: float = 0.0) -> Condi
     before normalizing, so k -> infinity shrinks every conditional toward
     the uniform distribution.  With k = 0 the estimate is the plain
     frequency table; cells that downstream formulas weight must then have
-    positive count or :class:`EmptyCell` is raised.
+    positive count or :class:`EmptyCell` is raised.  A stratum code with no
+    records raises :class:`EmptyCell` whatever the smoothing: smoothing
+    alone would report it as a null effect.
     """
     if not (isinstance(smoothing, (int, float)) and math.isfinite(smoothing)) or smoothing < 0:
         raise BadParameter(f"smoothing must be a finite nonnegative real, got {smoothing!r}")
     k = float(smoothing)
     m_card, c_card = records.m_card, records.c_card
-
-    # n[c][a][m][y] accumulated counts
-    n = [[[[0] * 2 for _ in range(m_card)] for _ in range(2)] for _ in range(c_card)]
-    for a, m, y, c, count in records.rows:
-        n[c][a][m][y] += count
+    # plain ints keep every table entry a plain float
+    n = records.counts.tolist()
+    n_cell = records.counts.sum(axis=3).tolist()
+    n_arm = records.counts.sum(axis=(2, 3)).tolist()
 
     strata = []
     for c in range(c_card):
+        if not any(n_arm[c]):
+            raise EmptyCell(f"no records in stratum c={c}")
         m_prob: list[tuple[float, ...]] = []
-        arm_m_counts = []
         for a in (0, 1):
-            counts_m = [n[c][a][m][0] + n[c][a][m][1] for m in range(m_card)]
-            arm_m_counts.append(counts_m)
-            total = sum(counts_m)
-            if total == 0 and k == 0.0:
+            if n_arm[c][a] == 0 and k == 0.0:
                 raise EmptyCell(f"no records for exposure a={a} in stratum c={c}")
-            denom = total + k * m_card
-            m_prob.append(tuple((counts_m[m] + k) / denom for m in range(m_card)))
+            denom = n_arm[c][a] + k * m_card
+            m_prob.append(tuple((n_cell[c][a][m] + k) / denom for m in range(m_card)))
         y_prob: list[tuple[float, ...]] = []
         for a in (0, 1):
             row = []
             for m in range(m_card):
                 needed = m_prob[0][m] > 0.0 or (a == 1 and m_prob[1][m] > 0.0)
-                cell_total = arm_m_counts[a][m]
+                cell_total = n_cell[c][a][m]
                 if cell_total == 0 and k == 0.0:
                     if needed:
                         raise EmptyCell(f"no records for cell a={a}, m={m} in stratum c={c}")
@@ -305,7 +314,7 @@ def estimate_from_records(records: RecordTable, smoothing: float = 0.0) -> Condi
 def expand_to_records(model: ConditionalModel, denominator: int) -> RecordTable:
     """Exact inverse of :func:`estimate_from_records` for rational tables.
 
-    Emits per-cell counts ``denominator * pr(m|a,c) * pr(y|a,m,c)``; every
+    Fills cell counts ``denominator * pr(m|a,c) * pr(y|a,m,c)``; every
     such product must be an integer (within 1e-6), otherwise the model
     cannot be represented by weighted records and :class:`BadParameter`
     is raised.  Only meaningful in probability mode.
@@ -314,8 +323,10 @@ def expand_to_records(model: ConditionalModel, denominator: int) -> RecordTable:
         raise BadParameter("only probability-mode models expand to binary-outcome records")
     if denominator < 1:
         raise BadParameter("denominator must be a positive integer")
-    rows: list[Row] = []
+    counts = np.zeros((len(model.strata), 2, model.m_card, 2), dtype=np.int64)
     for s in model.strata:
+        if not 0 <= s.c < len(model.strata):
+            raise BadCode(f"c={s.c} outside 0..{len(model.strata) - 1}")
         for a in (0, 1):
             for m in range(model.m_card):
                 for y, share in ((1, s.y_prob[a][m]), (0, 1.0 - s.y_prob[a][m])):
@@ -325,6 +336,5 @@ def expand_to_records(model: ConditionalModel, denominator: int) -> RecordTable:
                         raise BadParameter(
                             f"cell a={a},m={m},y={y},c={s.c}: {raw!r} is not an integer count"
                         )
-                    if count > 0:
-                        rows.append((a, m, y, s.c, int(count)))
-    return RecordTable(rows=tuple(rows), m_card=model.m_card, c_card=len(model.strata))
+                    counts[s.c, a, m, y] = count
+    return RecordTable(counts)

@@ -51,6 +51,21 @@ class TestBasics:
         assert result.degenerate_redraws > 0
         assert all(len(v) == 3 for v in result.intervals[0].values())
 
+    def test_grouping_of_rows_does_not_change_results(self):
+        # one population as shuffled unit rows and as one weighted row per cell;
+        # the a=1 arm of stratum 1 is small, so some replicates are redrawn
+        counts = np.array([[[[9, 4], [6, 5]], [[3, 7], [5, 8]]],
+                           [[[8, 6], [7, 4]], [[1, 1], [0, 1]]]])
+        cells = [(a, m, y, c, int(n)) for (c, a, m, y), n in np.ndenumerate(counts) if n]
+        units = [(a, m, y, c, 1) for a, m, y, c, n in cells for _ in range(n)]
+        units = [units[i] for i in np.random.default_rng(0).permutation(len(units))]
+        spec = SensitivitySpec(2.0, 2.0)
+        grouped = run_bootstrap(RecordTable.from_rows(cells), replicates=100, seed=6, spec=spec)
+        unit = run_bootstrap(RecordTable.from_rows(units), replicates=100, seed=6, spec=spec)
+        assert grouped.degenerate_redraws > 0
+        assert unit.degenerate_redraws == grouped.degenerate_redraws
+        assert unit.intervals == grouped.intervals
+
     def test_replicate_floor(self):
         records = RecordTable.from_rows([(1, 0, 1, 0, 5), (0, 0, 1, 0, 5)], m_card=1)
         with pytest.raises(BadParameter):

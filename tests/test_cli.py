@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from medsens.bounds import SensitivitySpec, bound_report, bounding_factor
@@ -30,9 +31,13 @@ def worked_model():
 def write_worked_csv(path, denominator=1000):
     records = expand_to_records(worked_model(), denominator)
     lines = ["a,m,y,c,count"]
-    lines += [f"{a},{m},{y},{c},{n}" for a, m, y, c, n in records.rows]
+    lines += [f"{a},{m},{y},{c},{n}" for (c, a, m, y), n in np.ndenumerate(records.counts) if n]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def reject_constant(token):
+    raise ValueError(f"report is not strict JSON: {token}")
 
 
 def run(capsys, *argv):
@@ -106,8 +111,10 @@ class TestBound:
 
     def test_infinite_parameter_flag(self, capsys, tmp_path):
         csv = write_worked_csv(tmp_path / "d.csv")
-        code, doc = run_json(capsys, "bound", "--csv", csv, "--rr-au", "inf", "--rr-uy", "2.5")
+        code, out = run(capsys, "bound", "--csv", csv, "--rr-au", "inf", "--rr-uy", "2.5")
+        doc = json.loads(out, parse_constant=reject_constant)
         assert doc["result"]["strata"][0]["bf"] == 2.5
+        assert doc["result"]["rr_au"] == "inf"
 
     def test_estimates_only_mode(self, capsys):
         code, doc = run_json(
@@ -241,6 +248,22 @@ class TestOracle:
             "--ratio-iterations", "5", "--sharpness-iterations", "1",
         )
         assert doc["seed"] == 123
+
+    def test_bad_seed_in_environment_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEDSENS_SEED", "abc")
+        code = main(["oracle", "--iterations", "5", "--ratio-iterations", "5",
+                     "--sharpness-iterations", "1"])
+        assert code == 2
+        assert "MEDSENS_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--iterations", "0"), ("--iterations", "-5"), ("--u-card", "0"), ("--m-card", "0"),
+    ])
+    def test_counts_below_one_exit_2(self, capsys, flag, value):
+        code = main(["oracle", "--ratio-iterations", "5", "--sharpness-iterations", "1",
+                     flag, value])
+        assert code == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
 class TestBootstrapCommand:

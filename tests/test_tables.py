@@ -1,7 +1,11 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medsens.errors import (
     BadCode,
@@ -47,11 +51,24 @@ class TestRecordTable:
 
     def test_rejects_bad_codes(self):
         with pytest.raises(BadCode):
-            RecordTable(rows=((2, 0, 0, 0, 1),), m_card=1, c_card=1)
+            RecordTable.from_rows([(2, 0, 0, 0, 1)], m_card=1, c_card=1)
         with pytest.raises(BadCode):
-            RecordTable(rows=((0, 1, 0, 0, 1),), m_card=1, c_card=1)
+            RecordTable.from_rows([(0, 1, 0, 0, 1)], m_card=1, c_card=1)
         with pytest.raises(BadParameter):
-            RecordTable(rows=((0, 0, 0, 0, 0),), m_card=1, c_card=1)
+            RecordTable.from_rows([(0, 0, 0, 0, 0)], m_card=1, c_card=1)
+
+
+    def test_counts_are_checked_and_frozen(self):
+        for bad in (np.zeros((1, 2, 1, 2), int), -np.ones((1, 2, 1, 2), int),
+                    np.ones((1, 3, 1, 2), int), np.ones((2, 1, 2)), np.ones((1, 2, 1, 2))):
+            with pytest.raises(BadParameter):
+                RecordTable(bad)
+        counts = np.ones((1, 2, 1, 2), dtype=np.int32)
+        t = RecordTable(counts)
+        counts[0, 0, 0, 0] = 9
+        assert t.counts.dtype == np.int64 and t.total() == 4
+        with pytest.raises(ValueError):
+            t.counts[0, 0, 0, 0] = 9
 
 
 class TestCsv:
@@ -59,7 +76,8 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("a,m,y,c,count\n1,0,1,0,3\n0,1,0,0,2\n")
         t = read_records_csv(str(p))
-        assert t.rows == ((1, 0, 1, 0, 3), (0, 1, 0, 0, 2))
+        expected = RecordTable.from_rows([(1, 0, 1, 0, 3), (0, 1, 0, 0, 2)])
+        assert np.array_equal(t.counts, expected.counts)
 
     def test_count_defaults_to_one(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -79,11 +97,60 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 2"):
             read_records_csv(str(p))
 
+    def test_total_beyond_int64_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,m,y,c,count\n1,0,1,0,{2**62}\n0,0,1,0,{2**62}\n")
+        with pytest.raises(BadParameter, match="int64"):
+            read_records_csv(str(p))
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ParseError, match="header"):
             read_records_csv(str(p))
+
+
+ROW = st.tuples(
+    st.integers(0, 1), st.integers(0, 2), st.integers(0, 1), st.integers(0, 2), st.integers(1, 4)
+)
+#: malformed a,m,y,c fields: bad exposure, bad outcome, negative code, non-integer, too few
+BAD_FIELDS = ("2,0,0,0", "0,0,3,0", "0,-1,0,0", "0,0,x,0", "0,0,0")
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(ROW, min_size=1, max_size=20), data=st.data())
+def test_csv_ingest_matches_independent_tally(rows, data):
+    # each row is written as unit lines or split across duplicate weighted lines
+    unit = data.draw(st.booleans())
+    lines = []
+    for a, m, y, c, n in rows:
+        if unit:
+            lines += [f"{a},{m},{y},{c}"] * n
+        else:
+            first = data.draw(st.integers(0, n - 1))
+            lines += [f"{a},{m},{y},{c},{k}" for k in (first, n - first) if k]
+    lines = data.draw(st.permutations(lines))
+    header = "a,m,y,c" if unit else "a,m,y,c,count"
+
+    tally = np.zeros((max(r[3] for r in rows) + 1, 2, max(r[1] for r in rows) + 1, 2), int)
+    a, m, y, c, n = np.array(rows).T
+    np.add.at(tally, (c, a, m, y), n)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join([header, *lines]) + "\n")
+        counts = read_records_csv(path).counts
+        assert np.array_equal(counts, tally)
+        assert np.array_equal(counts, RecordTable.from_rows(rows).counts)
+
+        bad_lines = list(BAD_FIELDS) if unit else [f + ",1" for f in BAD_FIELDS] + ["0,0,0,0,0"]
+        bad = data.draw(st.integers(0, len(lines) - 1))
+        lines[bad] = data.draw(st.sampled_from(bad_lines))
+        with open(path, "w") as fh:
+            fh.write("\n".join([header, *lines]) + "\n")
+        with pytest.raises(ParseError, match=f"line {bad + 2}:"):
+            read_records_csv(path)
 
 
 class TestEstimate:
@@ -162,6 +229,14 @@ class TestEstimate:
             for m in range(3):
                 assert math.isclose(s.m_prob[a][m], 1 / 3, abs_tol=1e-6)
                 assert math.isclose(s.y_prob[a][m], 0.5, abs_tol=1e-6)
+
+    def test_missing_stratum_code_raises_whatever_the_smoothing(self):
+        # c codes {0, 2}: stratum 1 has no records and must not become a null effect
+        rows = [(a, 0, y, c, 1) for a in (0, 1) for y in (0, 1) for c in (0, 2)]
+        records = RecordTable.from_rows(rows)
+        for k in (0.0, 1.0):
+            with pytest.raises(EmptyCell, match="stratum c=1"):
+                estimate_from_records(records, smoothing=k)
 
     def test_negative_smoothing_rejected(self):
         records = RecordTable.from_rows([(0, 0, 0, 0, 1), (1, 0, 0, 0, 1)])
@@ -261,4 +336,5 @@ class TestSwapExposure:
     def test_records_swap(self):
         records = RecordTable.from_rows([(1, 0, 1, 0, 2), (0, 0, 0, 0, 1)])
         swapped = swap_exposure_records(records)
-        assert swapped.rows == ((0, 0, 1, 0, 2), (1, 0, 0, 0, 1))
+        expected = RecordTable.from_rows([(0, 0, 1, 0, 2), (1, 0, 0, 0, 1)])
+        assert np.array_equal(swapped.counts, expected.counts)

@@ -26,10 +26,6 @@ from .bounds import (
 from .effects import (
     Effects,
     average_rd_effects,
-    nde_rd_obs,
-    nde_rr_obs,
-    nie_rd_obs,
-    nie_rr_obs,
     observed_effects,
     observed_effects_all,
 )
@@ -86,13 +82,12 @@ from .oracle import (
 from .tables import (
     ConditionalModel,
     RecordTable,
-    StratumTable,
+    crossworld_sums,
     estimate_from_records,
     expand_to_records,
     read_records_csv,
     swap_exposure,
     swap_exposure_records,
-    validate,
 )
 
 __version__ = "0.1.0"

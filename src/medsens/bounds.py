@@ -30,7 +30,8 @@ Inverting the bound gives Cornfield-type thresholds: to push an observed
 direct effect down to a hypothesized true value, both parameters must exceed
 the ratio r = observed/true, and the larger must exceed r + sqrt(r (r - 1)).
 
-Everything here is a pure function of floats and small frozen dataclasses.
+Everything here is a pure function of floats and small frozen dataclasses;
+the bounding factor and the adjusted bounds also take arrays, elementwise.
 When an observed effect is below its null (protective direction), relabel
 the exposure first; the CLI exposes a flag for that.
 """
@@ -41,21 +42,33 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .effects import Effects, observed_effects
 from .errors import BadParameter, BadTarget, Infeasible, ZeroDenominator
 from .tables import ConditionalModel
 
 
-def _check_param(value: float, name: str) -> float:
-    value = float(value)
-    if math.isnan(value) or value < 1.0:
-        raise BadParameter(f"{name} must be >= 1 (or +inf), got {value!r}")
-    return value
+def _check_param(value, name: str):
+    value = np.asarray(value, dtype=float)
+    bad = value[np.isnan(value) | (value < 1.0)]
+    if bad.size:
+        raise BadParameter(f"{name} must be >= 1 (or +inf), got {float(bad[0])!r}")
+    return value[()]
+
+
+def _check_effect(value) -> None:
+    if not np.all(np.asarray(value, dtype=float) > 0):
+        raise BadParameter(f"observed ratio-scale effect must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SensitivitySpec:
-    """The two sensitivity parameters; either may be +inf (unconstrained)."""
+    """The two sensitivity parameters; either may be +inf (unconstrained).
+
+    Each is a float, or an array of values evaluated elementwise (a sweep
+    grid, or the exact parameters of a batch of synthetic models).
+    """
 
     rr_au: float
     rr_uy: float
@@ -89,58 +102,31 @@ def bounding_factor(spec: SensitivitySpec) -> float:
     result is the other parameter.
     """
     x, y = spec.rr_au, spec.rr_uy
-    if x == 1.0 or y == 1.0:
-        return 1.0
-    if math.isinf(x):
-        return y
-    if math.isinf(y):
-        return x
-    return x * y / (x + y - 1.0)
+    with np.errstate(invalid="ignore"):  # inf/inf, replaced by the other parameter
+        bf = np.where(np.isinf(x), y, np.where(np.isinf(y), x, x * y / (x + y - 1.0)))
+    return np.where((x == 1.0) | (y == 1.0), 1.0, bf)[()]
 
 
 def adjust_nde_rr(nde_rr_obs: float, bf: float) -> float:
     """Lower bound on the true ratio-scale direct effect: observed / bf."""
-    if not (isinstance(nde_rr_obs, (int, float)) and nde_rr_obs > 0):
-        raise BadParameter(f"observed ratio-scale effect must be positive, got {nde_rr_obs!r}")
-    _check_param(bf, "bf")
-    return nde_rr_obs / bf
+    _check_effect(nde_rr_obs)
+    return nde_rr_obs / _check_param(bf, "bf")
 
 
 def adjust_nie_rr(nie_rr_obs: float, bf: float) -> float:
     """Upper bound on the true ratio-scale indirect effect: observed * bf."""
-    if not (isinstance(nie_rr_obs, (int, float)) and nie_rr_obs > 0):
-        raise BadParameter(f"observed ratio-scale effect must be positive, got {nie_rr_obs!r}")
-    _check_param(bf, "bf")
-    return nie_rr_obs * bf
+    _check_effect(nie_rr_obs)
+    return nie_rr_obs * _check_param(bf, "bf")
 
 
-def _crossworld_sum(model: ConditionalModel, c: int) -> float:
-    """sum_m pr(Y=1|1,m,c) pr(m|0,c): the only term the bounding factor rescales."""
-    s = model.stratum(c)
-    return math.fsum(a * b for a, b in zip(s.y_prob[1], s.m_prob[0]))
+def bound_nde_rd(n10: float, n00: float, bf: float) -> float:
+    """Lower bound on the true difference-scale direct effect: n10 / bf - n00."""
+    return n10 / _check_param(bf, "bf") - n00
 
 
-def _y_marg(model: ConditionalModel, c: int, a: int) -> float:
-    s = model.stratum(c)
-    if s.y_marg is not None:
-        return s.y_marg[a]
-    return math.fsum(yp * mp for yp, mp in zip(s.y_prob[a], s.m_prob[a]))
-
-
-def bound_nde_rd(model: ConditionalModel, c: int, bf: float) -> float:
-    """Lower bound on the true difference-scale direct effect."""
-    _check_param(bf, "bf")
-    cross = _crossworld_sum(model, c)
-    term = 0.0 if math.isinf(bf) else cross / bf
-    return term - _y_marg(model, c, 0)
-
-
-def bound_nie_rd(model: ConditionalModel, c: int, bf: float) -> float:
-    """Upper bound on the true difference-scale indirect effect."""
-    _check_param(bf, "bf")
-    cross = _crossworld_sum(model, c)
-    term = 0.0 if math.isinf(bf) else cross / bf
-    return _y_marg(model, c, 1) - term
+def bound_nie_rd(n10: float, n11: float, bf: float) -> float:
+    """Upper bound on the true difference-scale indirect effect: n11 - n10 / bf."""
+    return n11 - n10 / _check_param(bf, "bf")
 
 
 def _thresholds_from_ratio(r: float) -> CornfieldThresholds:
@@ -163,23 +149,22 @@ def cornfield_rr(nde_rr_obs: float, nde_rr_true: float = 1.0) -> CornfieldThresh
     return _thresholds_from_ratio(nde_rr_obs / nde_rr_true)
 
 
-def cornfield_rd(model: ConditionalModel, c: int, nde_rd_true: float) -> CornfieldThresholds:
+def cornfield_rd(n10: float, n00: float, nde_rd_true: float) -> CornfieldThresholds:
     """Thresholds to reduce the observed difference-scale direct effect.
 
-    The bounding factor must exceed
-    Delta = sum_m pr(Y=1|1,m,c) pr(m|0,c) / (target + pr(Y=1|0,c)),
-    and the thresholds follow from Delta exactly as on the ratio scale.
+    The bounding factor must exceed Delta = n10 / (target + n00), with the
+    cross-world term n10 = sum_m pr(Y=1|1,m,c) pr(m|0,c) and the outcome
+    marginal n00 = pr(Y=1|0,c), and the thresholds follow from Delta
+    exactly as on the ratio scale.
     A target of zero recovers the ratio-scale thresholds at the null: both
     scales then demand the same confounder strength.
     """
     if math.isnan(nde_rd_true):
         raise BadTarget("target effect must be a real number")
-    denom = nde_rd_true + _y_marg(model, c, 0)
+    denom = nde_rd_true + n00
     if denom <= 0.0:
-        raise ZeroDenominator(
-            f"target {nde_rd_true!r} plus pr(Y=1|a=0,c={c}) is not positive"
-        )
-    return _thresholds_from_ratio(_crossworld_sum(model, c) / denom)
+        raise ZeroDenominator(f"target {nde_rd_true!r} plus pr(Y=1|a=0) = {n00!r} is not positive")
+    return _thresholds_from_ratio(n10 / denom)
 
 
 def required_partner(fixed: float, target_bf: float) -> float:
@@ -227,7 +212,11 @@ class BoundReport:
 
 
 def bound_report(model: ConditionalModel, c: int, spec: SensitivitySpec) -> BoundReport:
-    """Full per-stratum sensitivity report for a conditional model."""
+    """Full per-stratum sensitivity report for a conditional model.
+
+    With array parameters in ``spec`` the bounds are arrays over them, so a
+    sweep forms each stratum's sums once.
+    """
     obs = observed_effects(model, c)
     bf = bounding_factor(spec)
     return BoundReport(
@@ -235,12 +224,12 @@ def bound_report(model: ConditionalModel, c: int, spec: SensitivitySpec) -> Boun
         observed=obs,
         spec=spec,
         bf=bf,
-        nde_rr_lower=obs.nde_rr / bf if not math.isinf(bf) else 0.0,
+        nde_rr_lower=obs.nde_rr / bf,
         nie_rr_upper=obs.nie_rr * bf,
-        nde_rd_lower=bound_nde_rd(model, c, bf),
-        nie_rd_upper=bound_nie_rd(model, c, bf),
+        nde_rd_lower=bound_nde_rd(obs.n10, obs.n00, bf),
+        nie_rd_upper=bound_nie_rd(obs.n10, obs.n11, bf),
         cornfield_rr=cornfield_rr(obs.nde_rr),
-        cornfield_rd=cornfield_rd(model, c, 0.0),
+        cornfield_rd=cornfield_rd(obs.n10, obs.n00, 0.0),
     )
 
 

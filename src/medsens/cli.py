@@ -13,14 +13,17 @@ must never occur).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import bootstrap as bootstrap_mod
 from . import bounds, effects, loglinear, oracle, report, tables
-from .errors import Infeasible, InternalCheckError, MedsensError
+from .errors import Infeasible, InternalCheckError, MedsensError, ZeroDenominator
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _bound_payload_tables(model, spec, scale):
-    reports = [bounds.bound_report(model, s.c, spec) for s in model.strata]
+    reports = [bounds.bound_report(model, c, spec) for c in range(model.c_card)]
     fields = _effect_fields(scale)
     rows = []
     for rep in reports:
@@ -200,10 +203,13 @@ def _cmd_cornfield(args) -> int:
         warnings.extend(load_warnings)
         target = 0.0 if args.target is None else args.target
         rows = []
-        for s in model.strata:
-            th = bounds.cornfield_rd(model, s.c, target)
+        for eff in effects.observed_effects_all(model):
+            try:
+                th = bounds.cornfield_rd(eff.n10, eff.n00, target)
+            except ZeroDenominator as exc:
+                raise ZeroDenominator(f"stratum c={eff.c}: {exc}") from None
             row = {
-                "c": s.c,
+                "c": eff.c,
                 "target_nde_rd": target,
                 "both_must_exceed": th.both_must_exceed,
                 "max_must_exceed": th.max_must_exceed,
@@ -240,42 +246,46 @@ def _cmd_cornfield(args) -> int:
     return 3 if infeasible else 0
 
 
+def _sweep_table(args, grid: SweepGrid) -> tuple[list[str], list[tuple], str | None]:
+    """Header, rows (rr_au major) and input digest of a sweep.
+
+    The whole grid is evaluated as arrays, each stratum's sums once.
+    """
+    au, uy = (v.ravel() for v in np.meshgrid(grid.rr_au_values, grid.rr_uy_values, indexing="ij"))
+    spec = bounds.SensitivitySpec(rr_au=au, rr_uy=uy)
+    bf = bounds.bounding_factor(spec)
+    cells = itertools.product(grid.rr_au_values, grid.rr_uy_values)  # the order of au, uy
+    if args.csv is not None:
+        model, digest, _ = _load_model(args)
+        header = ["rr_au", "rr_uy", "bf", "c", "nde_rr_lower", "nie_rr_upper",
+                  "nde_rd_lower", "nie_rd_upper"]
+        columns = []
+        for c in range(model.c_card):
+            rep = bounds.bound_report(model, c, spec)
+            columns.append((c, rep.nde_rr_lower.tolist(), rep.nie_rr_upper.tolist(),
+                            rep.nde_rd_lower.tolist(), rep.nie_rd_upper.tolist()))
+        rows = [(au_i, uy_i, bf_i, c, lo[i], up[i], rd_lo[i], rd_up[i])
+                for i, ((au_i, uy_i), bf_i) in enumerate(zip(cells, bf.tolist()))
+                for c, lo, up, rd_lo, rd_up in columns]
+        return header, rows, digest
+    if args.nde_rr is None:
+        raise MedsensError("sweep needs --csv or --nde-rr")
+    header = ["rr_au", "rr_uy", "bf", "nde_rr_lower"]
+    columns = [bf.tolist(), bounds.adjust_nde_rr(args.nde_rr, bf).tolist()]
+    if args.nie_rr is not None:
+        header.append("nie_rr_upper")
+        columns.append(bounds.adjust_nie_rr(args.nie_rr, bf).tolist())
+    return header, [(*cell, *values) for cell, values in zip(cells, zip(*columns))], None
+
+
 def _cmd_sweep(args) -> int:
     grid = SweepGrid(
         rr_au_values=_parse_grid(args.rr_au_grid, "rr_au"),
         rr_uy_values=_parse_grid(args.rr_uy_grid, "rr_uy"),
     )
-    rows: list[list] = []
-    if args.csv is not None:
-        model, digest, _ = _load_model(args)
-        header = ["rr_au", "rr_uy", "bf", "c", "nde_rr_lower", "nie_rr_upper",
-                  "nde_rd_lower", "nie_rd_upper"]
-        for au in grid.rr_au_values:
-            for uy in grid.rr_uy_values:
-                spec = bounds.SensitivitySpec(rr_au=au, rr_uy=uy)
-                for s in model.strata:
-                    rep = bounds.bound_report(model, s.c, spec)
-                    rows.append([au, uy, rep.bf, s.c, rep.nde_rr_lower, rep.nie_rr_upper,
-                                 rep.nde_rd_lower, rep.nie_rd_upper])
-    else:
-        if args.nde_rr is None:
-            raise MedsensError("sweep needs --csv or --nde-rr")
-        header = ["rr_au", "rr_uy", "bf", "nde_rr_lower"]
-        if args.nie_rr is not None:
-            header.append("nie_rr_upper")
-        for au in grid.rr_au_values:
-            for uy in grid.rr_uy_values:
-                bf = bounds.bounding_factor(bounds.SensitivitySpec(rr_au=au, rr_uy=uy))
-                row = [au, uy, bf, bounds.adjust_nde_rr(args.nde_rr, bf)]
-                if args.nie_rr is not None:
-                    row.append(bounds.adjust_nie_rr(args.nie_rr, bf))
-                rows.append(row)
+    header, rows, digest = _sweep_table(args, grid)
     if args.format == "json":
-        doc = report.document(
-            "sweep",
-            {"header": header, "rows": rows},
-            input_digest=None if args.csv is None else report.digest_file(args.csv),
-        )
+        doc = report.document("sweep", {"header": header, "rows": rows}, input_digest=digest)
         _emit(report.to_json(doc))
     else:
         _emit(report.to_csv(header, rows))

@@ -1,16 +1,16 @@
 """Observed natural direct, indirect, and total effects per covariate stratum.
 
-The four stratum-level formulas, with y(a,m) = pr(Y=1|a,m,c) and
-w(a,m) = pr(m|a,c):
+With y(a,m) = pr(Y=1|a,m,c) and w(a,m) = pr(m|a,c), every effect is a
+ratio or a difference of three sums n_ab = sum_m y(a,m) w(b,m), formed
+over the trailing (a, m) axes of the (..., 2, M) tables by
+:func:`~medsens.tables.crossworld_sums`:
 
-    nde_rr = sum_m y(1,m) w(0,m)  /  sum_m y(0,m) w(0,m)
-    nie_rr = sum_m y(1,m) w(1,m)  /  sum_m y(1,m) w(0,m)
-    nde_rd = sum_m {y(1,m) - y(0,m)} w(0,m)
-    nie_rd = sum_m y(1,m) {w(1,m) - w(0,m)}
+    nde_rr = n10 / n00        nie_rr = n11 / n10
+    nde_rd = n10 - n00        nie_rd = n11 - n10
 
-Total effects decompose exactly: te_rr = nde_rr * nie_rr and
-te_rd = nde_rd + nie_rd.  These identities are algebraic consequences of
-the formulas above and are asserted on every constructed bundle.
+:meth:`Effects.from_sums` is the one place these are formed.  It forms
+te_rr = nde_rr * nie_rr and te_rd = nde_rd + nie_rd, so the decomposition
+identities hold exactly by construction.
 
 These are the confounding-ignoring ("observed") effects: they are the true
 conditional effects only when the measured covariates suffice to control
@@ -28,24 +28,26 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BadParameter, InternalCheckError, ZeroDenominator
-from .tables import ConditionalModel, StratumTable
+import numpy as np
 
-#: decomposition identities must hold within this (relative for products,
-#: absolute for sums of bounded quantities)
-DECOMP_TOL = 1e-12
+from .errors import BadParameter, ZeroDenominator
+from .tables import ConditionalModel, crossworld_sums
 
 
 @dataclass(frozen=True)
 class Effects:
-    """Natural direct/indirect/total effects on both scales for one stratum.
+    """Natural direct/indirect/total effects on both scales, with their sums.
 
     Used both for observed effects computed from a :class:`ConditionalModel`
     and for ground-truth effects computed from a fully specified synthetic
-    model (see the oracle module).
+    model (see the oracle module).  Fields are floats for one stratum, or
+    arrays with one entry per model for a batch of synthetic models.
     """
 
     c: int
+    n10: float
+    n00: float
+    n11: float
     nde_rr: float
     nie_rr: float
     te_rr: float
@@ -53,83 +55,27 @@ class Effects:
     nie_rd: float
     te_rd: float
 
-    def __post_init__(self) -> None:
-        prod = self.nde_rr * self.nie_rr
-        if not math.isclose(self.te_rr, prod, rel_tol=DECOMP_TOL, abs_tol=1e-300):
-            raise InternalCheckError(
-                f"te_rr {self.te_rr!r} != nde_rr*nie_rr {prod!r} for c={self.c}"
-            )
-        total = self.nde_rd + self.nie_rd
-        if not math.isclose(self.te_rd, total, rel_tol=DECOMP_TOL, abs_tol=DECOMP_TOL):
-            raise InternalCheckError(
-                f"te_rd {self.te_rd!r} != nde_rd+nie_rd {total!r} for c={self.c}"
-            )
-
-
-def _sums(table: StratumTable) -> tuple[float, float, float]:
-    """(sum y1*w0, sum y0*w0, sum y1*w1) for one stratum."""
-    y0, y1 = table.y_prob
-    w0, w1 = table.m_prob
-    n10 = math.fsum(a * b for a, b in zip(y1, w0))
-    n00 = math.fsum(a * b for a, b in zip(y0, w0))
-    n11 = math.fsum(a * b for a, b in zip(y1, w1))
-    return n10, n00, n11
-
-
-def nde_rr_obs(model: ConditionalModel, c: int) -> float:
-    """Observed natural direct effect on the ratio scale."""
-    n10, n00, _ = _sums(model.stratum(c))
-    if n00 == 0.0:
-        raise ZeroDenominator(f"pr(Y=1|a=0,c={c}) = 0")
-    return n10 / n00
-
-
-def nie_rr_obs(model: ConditionalModel, c: int) -> float:
-    """Observed natural indirect effect on the ratio scale."""
-    n10, _, n11 = _sums(model.stratum(c))
-    if n10 == 0.0:
-        raise ZeroDenominator(f"cross-world outcome term for a=1, mediator under a=0, c={c} is 0")
-    return n11 / n10
-
-
-def nde_rd_obs(model: ConditionalModel, c: int) -> float:
-    """Observed natural direct effect on the difference scale."""
-    n10, n00, _ = _sums(model.stratum(c))
-    return n10 - n00
-
-
-def nie_rd_obs(model: ConditionalModel, c: int) -> float:
-    """Observed natural indirect effect on the difference scale."""
-    n10, _, n11 = _sums(model.stratum(c))
-    return n11 - n10
+    @classmethod
+    def from_sums(cls, n10, n00, n11, c: int = 0) -> "Effects":
+        """All six effects from the sums of :func:`~medsens.tables.crossworld_sums`."""
+        if np.count_nonzero(n00 == 0.0):
+            raise ZeroDenominator(f"outcome marginal pr(Y=1|a=0) is 0 in stratum c={c}")
+        if np.count_nonzero(n10 == 0.0):
+            raise ZeroDenominator(f"cross-world outcome term for a=1, mediator under a=0, c={c} is 0")
+        nde_rr, nie_rr = n10 / n00, n11 / n10
+        nde_rd, nie_rd = n10 - n00, n11 - n10
+        return cls(c, n10, n00, n11, nde_rr, nie_rr, nde_rr * nie_rr, nde_rd, nie_rd, nde_rd + nie_rd)
 
 
 def observed_effects(model: ConditionalModel, c: int) -> Effects:
-    """All six observed effects for stratum ``c``.
-
-    Total effects are recomputed from the same summations that enter the
-    direct/indirect formulas (te_rr = sum y1*w1 / sum y0*w0), which makes
-    the decomposition identities hold to machine precision by construction.
-    """
-    n10, n00, n11 = _sums(model.stratum(c))
-    if n00 == 0.0:
-        raise ZeroDenominator(f"pr(Y=1|a=0,c={c}) = 0")
-    if n10 == 0.0:
-        raise ZeroDenominator(f"cross-world outcome term for a=1, mediator under a=0, c={c} is 0")
-    return Effects(
-        c=c,
-        nde_rr=n10 / n00,
-        nie_rr=n11 / n10,
-        te_rr=(n10 / n00) * (n11 / n10),
-        nde_rd=n10 - n00,
-        nie_rd=n11 - n10,
-        te_rd=(n10 - n00) + (n11 - n10),
-    )
+    """All six observed effects for stratum ``c``; an unknown code raises BadCode."""
+    sums = crossworld_sums(*model.stratum(c))
+    return Effects.from_sums(*(float(s) for s in sums), c=c)
 
 
 def observed_effects_all(model: ConditionalModel) -> tuple[Effects, ...]:
     """Observed effects for every stratum, in stratum-code order."""
-    return tuple(observed_effects(model, s.c) for s in model.strata)
+    return tuple(observed_effects(model, c) for c in range(model.c_card))
 
 
 def average_rd_effects(

@@ -35,7 +35,7 @@ from typing import Literal
 import numpy as np
 
 from .bounds import SensitivitySpec, adjust_nie_rr, bound_nde_rd, bound_nie_rd, bounding_factor
-from .effects import Effects, observed_effects
+from .effects import Effects
 from .errors import (
     BadParameter,
     InternalCheckError,
@@ -43,7 +43,7 @@ from .errors import (
     ZeroDenominator,
     ZeroProbability,
 )
-from .tables import ConditionalModel, StratumTable, validate
+from .tables import ConditionalModel, crossworld_sums
 
 #: inequality checks allow this much relative slack for float rounding
 VALIDITY_TOL = 1e-10
@@ -53,134 +53,144 @@ EQUIV_TOL = 1e-10
 RATIO_BOUND_TOL = 1e-12
 
 _DIST_TOL = 1e-9  # constructed distributions must sum to one within this
+#: models checked at once by :func:`validity_battery`; bounds its peak memory
+BATTERY_BATCH = 256
+_SCM_TABLES = ("u_prior", "a_given_u", "m_given", "y_given")
 
 
-def _check_dist(values: tuple[float, ...], what: str) -> None:
-    if any(not math.isfinite(v) or v < 0.0 for v in values):
-        raise BadParameter(f"{what} has a negative or non-finite entry: {values!r}")
-    total = math.fsum(values)
-    if abs(total - 1.0) > _DIST_TOL:
-        raise BadParameter(f"{what} sums to {total!r}, not 1")
+def _cell(what: str, mask: np.ndarray) -> str:
+    """``what`` filled with the trailing indices of the first True entry of ``mask``."""
+    index = np.argwhere(mask)[0]
+    return what.format(*index[index.size - what.count("{}"):])
 
 
-@dataclass(frozen=True)
+def _check_dist(values, what: str) -> None:
+    """Each row over the last axis must be a distribution; ``what`` names a row by its indices."""
+    values = np.asarray(values, dtype=float)
+    bad = ~(np.isfinite(values) & (values >= 0.0)).all(axis=-1)
+    if bad.any():
+        raise BadParameter(f"{_cell(what, bad)} has a negative or non-finite entry")
+    total = values.sum(axis=-1)
+    bad = ~(np.abs(total - 1.0) <= _DIST_TOL)
+    if bad.any():
+        raise BadParameter(f"{_cell(what, bad)} sums to {float(total[bad][0])!r}, not 1")
+
+
+@dataclass(frozen=True, eq=False)
 class Scm:
     """Synthetic joint model over (A, M, Y, U) for one covariate stratum.
 
-    Index conventions: ``m_given[a][u][m]`` and ``y_given[a][m][u]``.
+    Fields are read-only float arrays ``u_prior[..., u]``,
+    ``a_given_u[..., u]`` = pr(A=1|u), ``m_given[..., a, u, m]`` = pr(m|a,u)
+    and ``y_given[..., a, m, u]`` = pr(Y=1|a,m,u), so one model is indexed
+    ``m_given[a][u][m]`` and ``y_given[a][m][u]``.  Optional leading axes,
+    the same on every field, make the Scm a batch of models that every
+    function here evaluates at once, returning one value per model.
     With ``a_independent_u`` set, pr(A=1|u) must be constant in u and the
     true-effect formulas apply; without it only the unexposed-population
     bound check is meaningful.
     """
 
-    u_prior: tuple[float, ...]
-    a_given_u: tuple[float, ...]
-    m_given: tuple[tuple[tuple[float, ...], ...], ...]
-    y_given: tuple[tuple[tuple[float, ...], ...], ...]
+    u_prior: np.ndarray
+    a_given_u: np.ndarray
+    m_given: np.ndarray
+    y_given: np.ndarray
     a_independent_u: bool = True
     mode: Literal["probability", "mean"] = "probability"
 
     def __post_init__(self) -> None:
-        nu = len(self.u_prior)
-        _check_dist(self.u_prior, "u_prior")
-        if len(self.a_given_u) != nu:
-            raise BadParameter("a_given_u must have one entry per confounder level")
-        for u, p in enumerate(self.a_given_u):
-            if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-                raise BadParameter(f"pr(A=1|u={u}) = {p!r}")
-        if self.a_independent_u and max(self.a_given_u) - min(self.a_given_u) > 1e-12:
+        tables = {name: np.array(getattr(self, name), dtype=float) for name in _SCM_TABLES}
+        prior, a_given, m_given, y_given = tables.values()
+        batch, nu = prior.shape[:-1], prior.shape[-1]
+        nm = m_given.shape[-1]
+        if (
+            a_given.shape != (*batch, nu)
+            or m_given.shape != (*batch, 2, nu, nm)
+            or y_given.shape != (*batch, 2, nm, nu)
+        ):
+            raise BadParameter(
+                f"need u_prior[..., u], a_given_u[..., u], m_given[..., a, u, m] and "
+                f"y_given[..., a, m, u]; got shapes {prior.shape}, {a_given.shape}, "
+                f"{m_given.shape}, {y_given.shape}"
+            )
+        _check_dist(prior, "u_prior")
+        bad = ~((a_given >= 0.0) & (a_given <= 1.0))
+        if bad.any():
+            raise BadParameter(f"{_cell('pr(A=1|u={})', bad)} = {float(a_given[bad][0])!r}")
+        if self.a_independent_u and (np.ptp(a_given, axis=-1) > 1e-12).any():
             raise BadParameter("a_independent_u set but pr(A=1|u) varies with u")
-        if len(self.m_given) != 2 or len(self.y_given) != 2:
-            raise BadParameter("need tables for both exposure arms")
-        nm = len(self.m_given[0][0])
-        for a in (0, 1):
-            if len(self.m_given[a]) != nu:
-                raise BadParameter("m_given must have one row per confounder level")
-            for u in range(nu):
-                _check_dist(self.m_given[a][u], f"pr(m|a={a},u={u})")
-                if len(self.m_given[a][u]) != nm:
-                    raise BadParameter("mediator cardinality must be consistent")
-            if len(self.y_given[a]) != nm:
-                raise BadParameter("y_given must have one row per mediator level")
-            for m in range(nm):
-                if len(self.y_given[a][m]) != nu:
-                    raise BadParameter("y_given rows must cover every confounder level")
-                for u, v in enumerate(self.y_given[a][m]):
-                    if not math.isfinite(v) or v < 0.0 or (self.mode == "probability" and v > 1.0):
-                        raise BadParameter(f"y_given[a={a}][m={m}][u={u}] = {v!r}")
+        _check_dist(m_given, "pr(m|a={},u={})")
+        top = 1.0 if self.mode == "probability" else np.inf
+        bad = ~(np.isfinite(y_given) & (y_given >= 0.0) & (y_given <= top))
+        if bad.any():
+            cell = _cell("y_given[a={}][m={}][u={}]", bad)
+            raise BadParameter(f"{cell} = {float(y_given[bad][0])!r}")
+        for name, table in tables.items():
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.u_prior.shape[:-1]
 
     @property
     def u_card(self) -> int:
-        return len(self.u_prior)
+        return self.u_prior.shape[-1]
 
     @property
     def m_card(self) -> int:
-        return len(self.m_given[0][0])
+        return self.m_given.shape[-1]
 
 
-def _exposure_posterior(scm: Scm, a: int) -> tuple[float, ...]:
-    """pr(u | A=a); equals the prior when exposure is independent of u."""
+def _exposure_posteriors(scm: Scm) -> np.ndarray:
+    """pr(u | A=a) as ``[..., a, u]``; the prior in both arms when exposure is independent of u."""
     if scm.a_independent_u:
-        return scm.u_prior
-    weights = [
-        (scm.a_given_u[u] if a == 1 else 1.0 - scm.a_given_u[u]) * scm.u_prior[u]
-        for u in range(scm.u_card)
-    ]
-    total = math.fsum(weights)
-    if total <= 0.0:
-        raise UnreachableCell(f"exposure arm a={a} has zero probability")
-    return tuple(w / total for w in weights)
+        return np.repeat(scm.u_prior[..., None, :], 2, axis=-2)
+    joint = np.stack([1.0 - scm.a_given_u, scm.a_given_u], axis=-2) * scm.u_prior[..., None, :]
+    total = joint.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
+        arm = _cell("a={}", total[..., 0] <= 0.0)
+        raise UnreachableCell(f"exposure arm {arm} has zero probability")
+    return joint / total
 
 
-def _mediator_marginals(scm: Scm) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(pr(m|a=0), pr(m|a=1)) marginalized over the confounder."""
-    out = []
-    for a in (0, 1):
-        pu = _exposure_posterior(scm, a)
-        out.append(
-            tuple(
-                math.fsum(scm.m_given[a][u][m] * pu[u] for u in range(scm.u_card))
-                for m in range(scm.m_card)
-            )
-        )
-    return out[0], out[1]
+def _mediator_joint(scm: Scm) -> tuple[np.ndarray, np.ndarray]:
+    """pr(u, m | a) as ``[..., a, u, m]`` and its marginal pr(m | a) as ``[..., a, m]``."""
+    joint = _exposure_posteriors(scm)[..., None] * scm.m_given
+    return joint, joint.sum(axis=-2)
 
 
 def observed_model(scm: Scm) -> ConditionalModel:
-    """Exact marginal tables pr(Y=1|a,m) and pr(m|a) as a one-stratum model.
+    """Exact marginal tables pr(Y=1|a,m) and pr(m|a), one stratum per model.
 
     Outcome cells for (a, m) pairs that no downstream formula weights are
     filled with 0.0.  A mediator level reachable under a=0 but not under
     a=1 makes the direct-effect formulas undefined and raises
     :class:`UnreachableCell`.
     """
-    m0, m1 = _mediator_marginals(scm)
-    for m in range(scm.m_card):
-        if m0[m] > 0.0 and m1[m] == 0.0:
-            raise UnreachableCell(
-                f"mediator level m={m} reachable under a=0 but not under a=1"
-            )
-    y_prob = []
-    for a, marg in ((0, m0), (1, m1)):
-        pu = _exposure_posterior(scm, a)
-        row = []
-        for m in range(scm.m_card):
-            if marg[m] > 0.0:
-                joint = math.fsum(
-                    scm.y_given[a][m][u] * scm.m_given[a][u][m] * pu[u]
-                    for u in range(scm.u_card)
-                )
-                row.append(joint / marg[m])
-            else:
-                row.append(0.0)
-        y_prob.append(tuple(row))
-    table = StratumTable(c=0, y_prob=(y_prob[0], y_prob[1]), m_prob=(m0, m1))
-    return validate(ConditionalModel(strata=(table,), mode=scm.mode))
+    joint, w = _mediator_joint(scm)
+    unreachable = (w[..., 0, :] > 0.0) & (w[..., 1, :] == 0.0)
+    if unreachable.any():
+        raise UnreachableCell(
+            f"mediator level {_cell('m={}', unreachable)} reachable under a=0 but not under a=1"
+        )
+    y_joint = (joint * np.swapaxes(scm.y_given, -1, -2)).sum(axis=-2)
+    y = np.zeros(w.shape)
+    np.divide(y_joint, w, out=y, where=w > 0.0)
+    shape = (-1, 2, scm.m_card)
+    return ConditionalModel(y.reshape(shape), w.reshape(shape), mode=scm.mode)
+
+
+def _observed_effects(scm: Scm) -> Effects:
+    """Observed effects of each model, from its observed tables as for estimated data."""
+    model = observed_model(scm)
+    sums = crossworld_sums(model.y, model.w)
+    return Effects.from_sums(*(s.reshape(scm.batch_shape)[()] for s in sums))
 
 
 def outcome_marginal(scm: Scm, a: int) -> float:
-    """pr(Y=1|a) by direct double summation, bypassing the conditional tables."""
-    pu = _exposure_posterior(scm, a)
+    """pr(Y=1|a) of one model by direct double summation, bypassing the conditional tables."""
+    pu = _exposure_posteriors(scm)[a]
     return math.fsum(
         pu[u]
         * math.fsum(scm.m_given[a][u][m] * scm.y_given[a][m][u] for m in range(scm.m_card))
@@ -188,64 +198,64 @@ def outcome_marginal(scm: Scm, a: int) -> float:
     )
 
 
+def _unexposed_sums(scm: Scm) -> tuple:
+    """``(n10, n00, n11)`` of the tables within each confounder level, averaged over pr(u | A=0).
+
+    Averaging over the confounder *after* the mediator weighting is exactly
+    where ignoring U goes wrong; with exposure independent of U these are
+    the true cross-world sums.
+    """
+    per_u = crossworld_sums(np.moveaxis(scm.y_given, -1, -3), np.swapaxes(scm.m_given, -3, -2))
+    pu0 = _exposure_posteriors(scm)[..., 0, :]
+    return tuple((s * pu0).sum(axis=-1)[()] for s in per_u)
+
+
 def true_effects(scm: Scm) -> Effects:
     """Exact natural effects with the confounder integrated out correctly.
 
     The cross-world term pr(Y_{1,M_0}=1) averages pr(Y=1|1,m,u) against the
     mediator distribution under a=0 *within* each confounder level before
-    averaging over the prior; this is exactly where ignoring U goes wrong.
-    Requires exposure independent of the confounder.
+    averaging over the prior.  Requires exposure independent of the
+    confounder.
     """
     if not scm.a_independent_u:
         raise BadParameter("true natural effects need exposure independent of the confounder")
-    prior = scm.u_prior
-
-    def crossworld(a_out: int, a_med: int) -> float:
-        return math.fsum(
-            prior[u]
-            * math.fsum(
-                scm.y_given[a_out][m][u] * scm.m_given[a_med][u][m]
-                for m in range(scm.m_card)
-            )
-            for u in range(scm.u_card)
-        )
-
-    n10 = crossworld(1, 0)
-    n00 = crossworld(0, 0)
-    n11 = crossworld(1, 1)
-    if n00 == 0.0:
-        raise ZeroDenominator("pr(Y_{0,M_0}=1) = 0")
-    if n10 == 0.0:
-        raise ZeroDenominator("pr(Y_{1,M_0}=1) = 0")
-    return Effects(
-        c=0,
-        nde_rr=n10 / n00,
-        nie_rr=n11 / n10,
-        te_rr=(n10 / n00) * (n11 / n10),
-        nde_rd=n10 - n00,
-        nie_rd=n11 - n10,
-        te_rd=(n10 - n00) + (n11 - n10),
-    )
+    return Effects.from_sums(*_unexposed_sums(scm))
 
 
 def rr_uy(scm: Scm) -> float:
     """Confounder-outcome parameter: max over m of max_u/min_u pr(Y=1|1,m,u)."""
-    best = 1.0
-    for m in range(scm.m_card):
-        row = scm.y_given[1][m]
-        low = min(row)
-        if low <= 0.0:
-            raise ZeroProbability(f"pr(Y=1|a=1,m={m},u) has a zero cell")
-        best = max(best, max(row) / low)
-    return best
+    y1 = scm.y_given[..., 1, :, :]
+    low = y1.min(axis=-1)
+    if (low <= 0.0).any():
+        raise ZeroProbability(f"{_cell('pr(Y=1|a=1,m={},u)', low <= 0.0)} has a zero cell")
+    return (y1.max(axis=-1) / low).max(axis=-1)[()]
 
 
-def _both_arm_mediators(scm: Scm) -> tuple[tuple[float, ...], tuple[float, ...], list[int]]:
-    m0, m1 = _mediator_marginals(scm)
-    live = [m for m in range(scm.m_card) if m0[m] > 0.0 and m1[m] > 0.0]
-    if not live:
+def _live_mediators(w: np.ndarray) -> np.ndarray:
+    """Mask ``[..., m]`` of mediator levels reachable under both exposure arms."""
+    live = (w[..., 0, :] > 0.0) & (w[..., 1, :] > 0.0)
+    if not live.any(axis=-1).all():
         raise ZeroProbability("no mediator level is reachable under both exposure arms")
-    return m0, m1, live
+    return live
+
+
+def _posterior_ratios(scm: Scm) -> tuple[np.ndarray, np.ndarray]:
+    """max_u pr(u|A=1,m) / pr(u|A=0,m) as ``[..., m]``, and the mask of live levels m.
+
+    Levels not reachable under both arms hold 0, which never wins a maximum.
+    """
+    joint, w = _mediator_joint(scm)
+    live = _live_mediators(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        post = joint / w[..., None, :]
+        ratio = post[..., 1, :, :] / post[..., 0, :, :]
+    zero = live[..., None, :] & (post[..., 0, :, :] == 0.0)
+    if (zero & (post[..., 1, :, :] > 0.0)).any():
+        where = _cell("u={},m={}", zero & (post[..., 1, :, :] > 0.0))
+        raise ZeroProbability(f"pr(u|a=0,m) = 0 while pr(u|a=1,m) > 0 at {where}")
+    ratio = np.where(live[..., None, :] & ~zero, ratio, 0.0)
+    return ratio.max(axis=-2), live
 
 
 def rr_au_posterior_per_mediator(scm: Scm) -> dict[int, float]:
@@ -253,62 +263,46 @@ def rr_au_posterior_per_mediator(scm: Scm) -> dict[int, float]:
 
     For each m reachable under both arms: max over u of
     pr(u|A=1,m) / pr(u|A=0,m), computed by Bayes' rule.  Works with or
-    without exposure-confounder dependence.
+    without exposure-confounder dependence.  For a batch, the keys are the
+    levels reachable in some model, with 0 for the models where they are not.
     """
-    m0, m1, live = _both_arm_mediators(scm)
-    pu0 = _exposure_posterior(scm, 0)
-    pu1 = _exposure_posterior(scm, 1)
-    out: dict[int, float] = {}
-    for m in live:
-        best = 0.0
-        for u in range(scm.u_card):
-            post1 = scm.m_given[1][u][m] * pu1[u] / m1[m]
-            post0 = scm.m_given[0][u][m] * pu0[u] / m0[m]
-            if post0 == 0.0:
-                if post1 == 0.0:
-                    continue
-                raise ZeroProbability(
-                    f"pr(u={u}|a=0,m={m}) = 0 while pr(u={u}|a=1,m={m}) > 0"
-                )
-            best = max(best, post1 / post0)
-        out[m] = best
-    return out
+    per_m, live = _posterior_ratios(scm)
+    return {m: per_m[..., m][()] for m in range(scm.m_card) if live[..., m].any()}
 
 
 def rr_au_posterior(scm: Scm) -> float:
     """Collider parameter: max over mediator levels of the posterior form."""
-    return max(rr_au_posterior_per_mediator(scm).values())
+    return _posterior_ratios(scm)[0].max(axis=-1)[()]
 
 
 def rr_au_mediator_ratio(scm: Scm) -> float:
     """Collider parameter, alternative form via mediator relative risks.
 
-    max over (m, u) of [pr(m|1,u)/pr(m|0,u)] / [pr(m|1)/pr(m|0)].  Equals
-    the posterior form exactly when exposure is independent of the
-    confounder, which this form requires.
+    max over (m, u) of [pr(m|1,u)/pr(m|0,u)] / [pr(m|1)/pr(m|0)], over the
+    mediator levels reachable under both arms.  Equals the posterior form
+    exactly when exposure is independent of the confounder, which this
+    form requires.
     """
     if not scm.a_independent_u:
         raise BadParameter("the mediator-ratio form needs exposure independent of the confounder")
-    m0, m1, live = _both_arm_mediators(scm)
-    best = 0.0
-    for m in live:
-        marg_ratio = m1[m] / m0[m]
-        for u in range(scm.u_card):
-            den = scm.m_given[0][u][m]
-            num = scm.m_given[1][u][m]
-            if den == 0.0:
-                if num == 0.0:
-                    continue
-                raise ZeroProbability(
-                    f"pr(m={m}|a=0,u={u}) = 0 while pr(m={m}|a=1,u={u}) > 0"
-                )
-            best = max(best, (num / den) / marg_ratio)
-    return best
+    _, w = _mediator_joint(scm)
+    live = _live_mediators(w)[..., None, :]
+    m0, m1 = scm.m_given[..., 0, :, :], scm.m_given[..., 1, :, :]
+    zero = live & (m0 == 0.0)
+    if (zero & (m1 > 0.0)).any():
+        where = _cell("u={},m={}", zero & (m1 > 0.0))
+        raise ZeroProbability(f"pr(m|a=0,u) = 0 while pr(m|a=1,u) > 0 at {where}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (m1 / m0) / (w[..., None, 1, :] / w[..., None, 0, :])
+    return np.where(live & ~zero, ratio, 0.0).max(axis=(-2, -1))[()]
 
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    """One inequality lhs <= rhs with its signed slack (negative is good)."""
+    """One inequality lhs <= rhs with its signed slack (negative is good).
+
+    For a batch of models every field holds one entry per model.
+    """
 
     name: str
     lhs: float
@@ -317,15 +311,22 @@ class InequalityCheck:
     holds: bool
 
 
-def _check(name: str, lhs: float, rhs: float, tol: float) -> InequalityCheck:
+def _check(name: str, lhs, rhs, tol: float) -> InequalityCheck:
     slack = lhs - rhs
-    scale = max(1.0, abs(lhs), abs(rhs))
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return InequalityCheck(name=name, lhs=lhs, rhs=rhs, slack=slack, holds=slack <= tol * scale)
+
+
+def _exact_parameters(scm: Scm) -> tuple[float, float, float]:
+    """(rr_au, rr_uy, bf) of each model by their definitions."""
+    rau = rr_au_posterior(scm)
+    ruy = rr_uy(scm)
+    return rau, ruy, bounding_factor(SensitivitySpec(rr_au=rau, rr_uy=ruy))
 
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Exact sensitivity parameters and all four bound checks for one model."""
+    """Exact sensitivity parameters and all four bound checks, per model."""
 
     observed: Effects
     true: Effects
@@ -338,7 +339,7 @@ class ValidityReport:
 
     @property
     def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
+        return all(bool(np.all(c.holds)) for c in self.checks)
 
     @property
     def nde_rr_attainment(self) -> float:
@@ -347,21 +348,18 @@ class ValidityReport:
 
 
 def verify_bounds(scm: Scm, tol: float = VALIDITY_TOL) -> ValidityReport:
-    """Check all four bounds against the exact truth of one synthetic model.
+    """Check all four bounds against the exact truth of a synthetic model or batch.
 
     The observed side is produced by the same estimation-facing code paths
     users run (marginal tables -> effect formulas -> bound formulas); only
     the sensitivity parameters and the true effects come from the joint
     model.  Any failed check indicates a bug, not an unlucky draw.
     """
-    model = observed_model(scm)
-    obs = observed_effects(model, 0)
+    obs = _observed_effects(scm)
     true = true_effects(scm)
-    rau = rr_au_posterior(scm)
-    ruy = rr_uy(scm)
-    bf = bounding_factor(SensitivitySpec(rr_au=rau, rr_uy=ruy))
-    lower_rd = bound_nde_rd(model, 0, bf)
-    upper_rd = bound_nie_rd(model, 0, bf)
+    rau, ruy, bf = _exact_parameters(scm)
+    lower_rd = bound_nde_rd(obs.n10, obs.n00, bf)
+    upper_rd = bound_nie_rd(obs.n10, obs.n11, bf)
     checks = (
         _check("nde_rr_ratio_vs_bf", obs.nde_rr / true.nde_rr, bf, tol),
         _check("nie_rr_true_vs_upper", true.nie_rr, adjust_nie_rr(obs.nie_rr, bf), tol),
@@ -399,7 +397,7 @@ class UnexposedReport:
 
     @property
     def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
+        return all(bool(np.all(c.holds)) for c in self.checks)
 
 
 def unexposed_nde_check(scm: Scm, tol: float = VALIDITY_TOL) -> UnexposedReport:
@@ -409,36 +407,18 @@ def unexposed_nde_check(scm: Scm, tol: float = VALIDITY_TOL) -> UnexposedReport:
     the unexposed effects coincide with the overall ones and this reduces
     to the corresponding checks of :func:`verify_bounds`.
     """
-    model = observed_model(scm)
-    obs = observed_effects(model, 0)
-    pu0 = _exposure_posterior(scm, 0)
-
-    def crossworld(a_out: int) -> float:
-        return math.fsum(
-            pu0[u]
-            * math.fsum(
-                scm.y_given[a_out][m][u] * scm.m_given[0][u][m] for m in range(scm.m_card)
-            )
-            for u in range(scm.u_card)
-        )
-
-    num = crossworld(1)
-    den = crossworld(0)
-    if den == 0.0:
-        raise ZeroDenominator("pr(Y_{0,M_0}=1 | a=0) = 0")
-    nde_rr_unexp = num / den
-    nde_rd_unexp = num - den
-    rau = rr_au_posterior(scm)
-    ruy = rr_uy(scm)
-    bf = bounding_factor(SensitivitySpec(rr_au=rau, rr_uy=ruy))
+    obs = _observed_effects(scm)
+    unexposed = Effects.from_sums(*_unexposed_sums(scm))
+    rau, ruy, bf = _exact_parameters(scm)
     checks = (
-        _check("unexposed_nde_rr_ratio_vs_bf", obs.nde_rr / nde_rr_unexp, bf, tol),
-        _check("unexposed_nde_rd_lower_vs_true", bound_nde_rd(model, 0, bf), nde_rd_unexp, tol),
+        _check("unexposed_nde_rr_ratio_vs_bf", obs.nde_rr / unexposed.nde_rr, bf, tol),
+        _check("unexposed_nde_rd_lower_vs_true", bound_nde_rd(obs.n10, obs.n00, bf),
+               unexposed.nde_rd, tol),
     )
     return UnexposedReport(
         observed=obs,
-        nde_rr_unexposed=nde_rr_unexp,
-        nde_rd_unexposed=nde_rd_unexp,
+        nde_rr_unexposed=unexposed.nde_rr,
+        nde_rd_unexposed=unexposed.nde_rd,
         rr_au=rau,
         rr_uy=ruy,
         bf=bf,
@@ -551,43 +531,38 @@ def sample_scm(
     mode: Literal["probability", "mean"] = "probability",
     y_max: float = 1.0,
     dependent_exposure: bool = False,
+    shape: tuple[int, ...] = (),
 ) -> Scm:
-    """Random synthetic model; cells drawn uniformly then normalized.
+    """Random synthetic model, or a batch of models of the given ``shape``.
 
-    ``floor`` keeps drawn cells away from zero so ratio parameters stay
-    moderate; pass 0.0 for stress tests.  ``y_max`` above 1 requires mean
-    mode.  Exposure is a constant 1/2 unless ``dependent_exposure``.
+    Cells are drawn uniformly then normalized.  ``floor`` keeps drawn cells
+    away from zero so ratio parameters stay moderate; pass 0.0 for stress
+    tests.  ``y_max`` above 1 requires mean mode.  Exposure is a constant
+    1/2 unless ``dependent_exposure``.  Each model takes one consecutive
+    block of the generator's stream, so a batch of B models is the same B
+    models, and leaves the generator in the same state, as B unbatched
+    calls.
     """
     if mode == "probability" and y_max > 1.0:
         raise BadParameter("probability mode caps outcome cells at 1")
     if floor < 0.0 or floor >= 1.0:
         raise BadParameter("floor must be in [0, 1)")
-
-    def dist(n: int) -> tuple[float, ...]:
-        raw = rng.uniform(floor, 1.0, n)
-        total = raw.sum()
-        return tuple(float(v / total) for v in raw)
-
-    u_prior = dist(u_card)
-    a_given_u = (
-        tuple(float(v) for v in rng.uniform(0.05, 0.95, u_card))
-        if dependent_exposure
-        else (0.5,) * u_card
+    nu, nm = u_card, m_card
+    sizes = [nu, nu if dependent_exposure else 0, 2 * nu * nm, 2 * nm * nu]
+    u_raw, a_raw, m_raw, y_raw = np.split(
+        rng.random((*shape, sum(sizes))), np.cumsum(sizes)[:-1], axis=-1
     )
-    m_given = tuple(tuple(dist(m_card) for _ in range(u_card)) for _ in (0, 1))
+
+    def dist(raw: np.ndarray) -> np.ndarray:
+        cells = floor + (1.0 - floor) * raw  # uniform(floor, 1), as rng.uniform draws it
+        return cells / cells.sum(axis=-1, keepdims=True)
+
     y_low = floor * y_max if floor > 0.0 else 1e-12
-    y_given = tuple(
-        tuple(
-            tuple(float(v) for v in rng.uniform(y_low, y_max, u_card))
-            for _ in range(m_card)
-        )
-        for _ in (0, 1)
-    )
     return Scm(
-        u_prior=u_prior,
-        a_given_u=a_given_u,
-        m_given=m_given,
-        y_given=y_given,
+        u_prior=dist(u_raw),
+        a_given_u=0.05 + (0.95 - 0.05) * a_raw if dependent_exposure else np.full((*shape, nu), 0.5),
+        m_given=dist(m_raw.reshape(*shape, 2, nu, nm)),
+        y_given=y_low + (y_max - y_low) * y_raw.reshape(*shape, 2, nm, nu),
         a_independent_u=not dependent_exposure,
         mode=mode,
     )
@@ -762,7 +737,13 @@ def validity_battery(
     Deterministic given the seed.  ``violations`` counts must be zero for a
     healthy build; the CLI turns nonzero counts into exit code 4.
     """
-    for name, value in (("iterations", iterations), ("u_card", u_card), ("m_card", m_card)):
+    for name, value in (
+        ("iterations", iterations),
+        ("u_card", u_card),
+        ("m_card", m_card),
+        ("ratio_iterations", ratio_iterations),
+        ("sharpness_iterations", sharpness_iterations),
+    ):
         if value < 1:
             raise BadParameter(f"{name} must be at least 1, got {value}")
     rng = np.random.default_rng(seed)
@@ -773,7 +754,7 @@ def validity_battery(
     violations = 0
     equiv_max = 0.0
     equiv_violations = 0
-    for _ in range(iterations):
+    for start in range(0, iterations, BATTERY_BATCH):
         scm = sample_scm(
             rng,
             u_card,
@@ -782,22 +763,20 @@ def validity_battery(
             mode=mode,
             y_max=y_max,
             dependent_exposure=dependent_exposure,
+            shape=(min(BATTERY_BATCH, iterations - start),),
         )
         if dependent_exposure:
-            report_u = unexposed_nde_check(scm)
-            checks = report_u.checks
+            checks = unexposed_nde_check(scm).checks
         else:
-            report_t = verify_bounds(scm)
-            checks = report_t.checks
-            diff = abs(rr_au_posterior(scm) - rr_au_mediator_ratio(scm))
-            rel = diff / max(1.0, rr_au_posterior(scm))
-            equiv_max = max(equiv_max, rel)
-            if rel > EQUIV_TOL:
-                equiv_violations += 1
+            report = verify_bounds(scm)
+            checks = report.checks
+            rel = np.abs(report.rr_au - rr_au_mediator_ratio(scm)) / np.maximum(1.0, report.rr_au)
+            equiv_max = max(equiv_max, float(rel.max()))
+            equiv_violations += int(np.count_nonzero(rel > EQUIV_TOL))
         for check in checks:
-            worst_slack[check.name] = max(worst_slack.get(check.name, -math.inf), check.slack)
-            if not check.holds:
-                violations += 1
+            worst = float(check.slack.max())
+            worst_slack[check.name] = max(worst_slack.get(check.name, -math.inf), worst)
+            violations += int(np.count_nonzero(~check.holds))
 
     ratio_violations = 0
     ratio_max_excess = -math.inf

@@ -7,17 +7,21 @@ m : categorical mediator, coded 0..m_card-1
 y : binary outcome, coded 0/1 (record data); table entries are pr(Y=1|...)
 c : categorical covariate stratum, coded 0..c_card-1
 
-A :class:`ConditionalModel` stores, per stratum, the two conditional tables
-that every downstream effect formula consumes:
+A :class:`ConditionalModel` stores the two conditional tables that every
+downstream effect formula consumes, as float arrays of shape
+(c_card, 2, m_card):
 
-    y_prob[a][m] = pr(Y=1 | a, m, c)      (or E[Y | a, m, c] in mean mode)
-    m_prob[a][m] = pr(m | a, c)
+    y[c, a, m] = pr(Y=1 | a, m, c)      (or E[Y | a, m, c] in mean mode)
+    w[c, a, m] = pr(m | a, c)
 
-plus the outcome marginal y_marg[a] = pr(Y=1 | a, c), which always equals
-sum_m y_prob[a][m] * m_prob[a][m] by the law of total probability.
+:func:`crossworld_sums` reduces such tables over their trailing (a, m)
+axes to the three sums every effect and bound is built from, keeping any
+leading axes: the strata here, or a batch of synthetic models in the
+oracle.  The outcome marginal pr(Y=1 | a, c) is one of them (n00 for a=0,
+n11 for a=1), so it is not stored.
 
 Zero cells are legal in mediator tables (degenerate mediator distributions
-are meaningful inputs), but a y_prob cell is only meaningful where some
+are meaningful inputs), but a y cell is only meaningful where some
 formula can weight it: pr(Y=1|0,m,c) is weighted by pr(m|0,c) alone, while
 pr(Y=1|1,m,c) is weighted by both pr(m|0,c) and pr(m|1,c).  Estimation fills
 never-weighted cells with 0.0 and raises :class:`~medsens.errors.EmptyCell`
@@ -32,7 +36,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -48,8 +52,9 @@ from .errors import (
 
 #: conditional distributions must sum to one within this
 SUM_TOL = 1e-12
-#: a stored outcome marginal must match the law of total probability within this
-MARGIN_TOL = 1e-12
+
+#: largest value a record code or count may take
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 OutcomeMode = Literal["probability", "mean"]
 
@@ -90,8 +95,15 @@ class RecordTable:
         fixed = [tuple(int(v) for v in row) for row in rows]
         if not fixed or any(len(row) != 5 for row in fixed):
             raise BadParameter("record table needs one or more rows (a, m, y, c, count)")
-        if sum(row[4] for row in fixed) > np.iinfo(np.int64).max:
+        if any(row[4] <= 0 for row in fixed):
+            low = min(row[4] for row in fixed)
+            raise BadParameter(f"count must be a positive integer, got {low}")
+        if sum(row[4] for row in fixed) > INT64_MAX:
             raise BadParameter("total record count exceeds the int64 range")
+        for row in fixed:
+            for name, code in zip("amyc", row):
+                if abs(code) > INT64_MAX:
+                    raise BadCode(f"{name}={code} exceeds the int64 range")
         a, m, y, c, n = np.array(fixed, dtype=np.int64).T
         m_card = int(m.max()) + 1 if m_card is None else m_card
         c_card = int(c.max()) + 1 if c_card is None else c_card
@@ -99,8 +111,10 @@ class RecordTable:
             bad = codes[(codes < 0) | (codes >= card)]
             if bad.size:
                 raise BadCode(f"{name}={bad[0]} outside 0..{card - 1}")
-        if (n <= 0).any():
-            raise BadParameter(f"count must be a positive integer, got {n.min()}")
+        if c_card * 2 * m_card * 2 * 8 > np.iinfo(np.intp).max:
+            raise BadCode(
+                f"codes m={m_card - 1}, c={c_card - 1} need a count tensor beyond the address space"
+            )
         counts = np.zeros((c_card, 2, m_card, 2), dtype=np.int64)
         np.add.at(counts, (c, a, m, y), n)
         return cls(counts)
@@ -165,103 +179,85 @@ def swap_exposure_records(records: RecordTable) -> RecordTable:
     return RecordTable(records.counts[:, ::-1])
 
 
-@dataclass(frozen=True)
-class StratumTable:
-    """Conditional tables for one covariate stratum.
+@dataclass(frozen=True, eq=False)
+class ConditionalModel:
+    """Observed conditional tables ``y[c, a, m]`` and ``w[c, a, m]``.
 
-    y_prob[a][m] and m_prob[a][m] are indexed by exposure then mediator;
-    y_marg[a] is the outcome marginal pr(Y=1|a,c), filled by :func:`validate`
-    when absent.
+    Both are read-only float arrays of shape (c_card, 2, m_card), checked
+    once at construction; the stratum code ``c`` is the index of the
+    leading axis.  Models are equal when their mode and tables are.
     """
 
-    c: int
-    y_prob: tuple[tuple[float, ...], tuple[float, ...]]
-    m_prob: tuple[tuple[float, ...], tuple[float, ...]]
-    y_marg: tuple[float, float] | None = None
-
-
-@dataclass(frozen=True)
-class ConditionalModel:
-    """Observed conditional probability tables for one or more strata."""
-
-    strata: tuple[StratumTable, ...]
+    y: np.ndarray
+    w: np.ndarray
     mode: OutcomeMode = "probability"
 
-    def stratum(self, c: int) -> StratumTable:
-        for s in self.strata:
-            if s.c == c:
-                return s
-        raise BadCode(f"no stratum with code c={c}")
+    def __post_init__(self) -> None:
+        y = np.array(self.y, dtype=float)
+        w = np.array(self.w, dtype=float)
+        if y.ndim != 3 or y.shape != w.shape or y.shape[1] != 2 or 0 in y.shape:
+            raise BadParameter(
+                f"tables need one shape (c_card, 2, m_card): y {y.shape}, w {w.shape}"
+            )
+        total = w.sum(axis=2)
+        bad = ~(np.abs(total - 1.0) <= SUM_TOL)
+        if bad.any():
+            c, a = np.argwhere(bad)[0]
+            raise NotNormalized(f"pr(m|a={a},c={c}) sums to {float(total[c, a])!r}, not 1")
+        bad = ~((w >= 0.0) & (w <= 1.0))
+        if bad.any():
+            c, a, m = np.argwhere(bad)[0]
+            raise OutOfRangeProbability(f"pr(m={m}|a={a},c={c}) = {float(w[c, a, m])!r}")
+        top = 1.0 if self.mode == "probability" else np.inf
+        bad = ~(np.isfinite(y) & (y >= 0.0) & (y <= top))
+        if bad.any():
+            c, a, m = np.argwhere(bad)[0]
+            cell = f"a={a},m={m},c={c}"
+            cell = f"pr(Y=1|{cell})" if self.mode == "probability" else f"E[Y|{cell}]"
+            raise OutOfRangeProbability(f"{cell} = {float(y[c, a, m])!r}")
+        for name, table in (("y", y), ("w", w)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, ConditionalModel)
+            and self.mode == other.mode
+            and np.array_equal(self.y, other.y)
+            and np.array_equal(self.w, other.w)
+        )
+
+    @property
+    def c_card(self) -> int:
+        return self.y.shape[0]
 
     @property
     def m_card(self) -> int:
-        return len(self.strata[0].m_prob[0])
+        return self.y.shape[2]
 
-    @property
-    def stratum_codes(self) -> tuple[int, ...]:
-        return tuple(s.c for s in self.strata)
+    def stratum(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (2, m_card) tables ``(y[c], w[c])``; an unknown code raises BadCode."""
+        if not (isinstance(c, (int, np.integer)) and 0 <= c < self.c_card):
+            raise BadCode(f"no stratum with code c={c!r}")
+        return self.y[c], self.w[c]
+
+
+def crossworld_sums(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(n10, n00, n11)`` over the trailing (a, m) axes of ``y[..., a, m]`` and ``w[..., a, m]``.
+
+    n_ab = sum_m y(a,m) w(b,m): n10 is the cross-world term, n00 and n11
+    the outcome marginals of the two arms.  Leading axes are kept, so one
+    call serves a stratum, all strata, or a batch of synthetic models.
+    """
+    n10 = (y[..., 1, :] * w[..., 0, :]).sum(axis=-1)
+    n00 = (y[..., 0, :] * w[..., 0, :]).sum(axis=-1)
+    n11 = (y[..., 1, :] * w[..., 1, :]).sum(axis=-1)
+    return n10, n00, n11
 
 
 def swap_exposure(model: ConditionalModel) -> ConditionalModel:
     """Relabel exposure codes 0 <-> 1 in every stratum table."""
-    strata = tuple(
-        StratumTable(
-            c=s.c,
-            y_prob=(s.y_prob[1], s.y_prob[0]),
-            m_prob=(s.m_prob[1], s.m_prob[0]),
-            y_marg=None if s.y_marg is None else (s.y_marg[1], s.y_marg[0]),
-        )
-        for s in model.strata
-    )
-    return ConditionalModel(strata=strata, mode=model.mode)
-
-
-def _marginal(table: StratumTable, a: int) -> float:
-    return sum(yp * mp for yp, mp in zip(table.y_prob[a], table.m_prob[a]))
-
-
-def validate(model: ConditionalModel) -> ConditionalModel:
-    """Check all table invariants; return the model with y_marg filled in.
-
-    Raises :class:`NotNormalized` when a mediator distribution does not sum
-    to one (or a stored marginal disagrees with the law of total
-    probability), and :class:`OutOfRangeProbability` for entries outside
-    their range, naming the offending cell.
-    """
-    if not model.strata:
-        raise BadParameter("model has no strata")
-    m_card = model.m_card
-    new_strata: list[StratumTable] = []
-    for s in model.strata:
-        for a in (0, 1):
-            if len(s.m_prob[a]) != m_card or len(s.y_prob[a]) != m_card:
-                raise BadParameter(f"stratum c={s.c}: tables must share one mediator cardinality")
-            total = math.fsum(s.m_prob[a])
-            if not math.isfinite(total) or abs(total - 1.0) > SUM_TOL:
-                raise NotNormalized(f"pr(m|a={a},c={s.c}) sums to {total!r}, not 1")
-            for m in range(m_card):
-                mp = s.m_prob[a][m]
-                if not math.isfinite(mp) or mp < 0.0 or mp > 1.0:
-                    raise OutOfRangeProbability(f"pr(m={m}|a={a},c={s.c}) = {mp!r}")
-                yp = s.y_prob[a][m]
-                if model.mode == "probability":
-                    if not math.isfinite(yp) or yp < 0.0 or yp > 1.0:
-                        raise OutOfRangeProbability(f"pr(Y=1|a={a},m={m},c={s.c}) = {yp!r}")
-                else:
-                    if not math.isfinite(yp) or yp < 0.0:
-                        raise OutOfRangeProbability(f"E[Y|a={a},m={m},c={s.c}] = {yp!r}")
-        marg = (_marginal(s, 0), _marginal(s, 1))
-        if s.y_marg is None:
-            new_strata.append(replace(s, y_marg=marg))
-        else:
-            for a in (0, 1):
-                if abs(s.y_marg[a] - marg[a]) > MARGIN_TOL:
-                    raise NotNormalized(
-                        f"y_marg[a={a}] for c={s.c} is {s.y_marg[a]!r}; "
-                        f"law of total probability gives {marg[a]!r}"
-                    )
-            new_strata.append(s)
-    return ConditionalModel(strata=tuple(new_strata), mode=model.mode)
+    return ConditionalModel(model.y[:, ::-1], model.w[:, ::-1], model.mode)
 
 
 def estimate_from_records(records: RecordTable, smoothing: float = 0.0) -> ConditionalModel:
@@ -278,37 +274,25 @@ def estimate_from_records(records: RecordTable, smoothing: float = 0.0) -> Condi
     if not (isinstance(smoothing, (int, float)) and math.isfinite(smoothing)) or smoothing < 0:
         raise BadParameter(f"smoothing must be a finite nonnegative real, got {smoothing!r}")
     k = float(smoothing)
-    m_card, c_card = records.m_card, records.c_card
-    # plain ints keep every table entry a plain float
-    n = records.counts.tolist()
-    n_cell = records.counts.sum(axis=3).tolist()
-    n_arm = records.counts.sum(axis=(2, 3)).tolist()
-
-    strata = []
-    for c in range(c_card):
-        if not any(n_arm[c]):
-            raise EmptyCell(f"no records in stratum c={c}")
-        m_prob: list[tuple[float, ...]] = []
-        for a in (0, 1):
-            if n_arm[c][a] == 0 and k == 0.0:
-                raise EmptyCell(f"no records for exposure a={a} in stratum c={c}")
-            denom = n_arm[c][a] + k * m_card
-            m_prob.append(tuple((n_cell[c][a][m] + k) / denom for m in range(m_card)))
-        y_prob: list[tuple[float, ...]] = []
-        for a in (0, 1):
-            row = []
-            for m in range(m_card):
-                needed = m_prob[0][m] > 0.0 or (a == 1 and m_prob[1][m] > 0.0)
-                cell_total = n_cell[c][a][m]
-                if cell_total == 0 and k == 0.0:
-                    if needed:
-                        raise EmptyCell(f"no records for cell a={a}, m={m} in stratum c={c}")
-                    row.append(0.0)
-                else:
-                    row.append((n[c][a][m][1] + k) / (cell_total + 2.0 * k))
-            y_prob.append(tuple(row))
-        strata.append(StratumTable(c=c, y_prob=(y_prob[0], y_prob[1]), m_prob=(m_prob[0], m_prob[1])))
-    return validate(ConditionalModel(strata=tuple(strata)))
+    n_cell = records.counts.sum(axis=3)  # (c, a, m)
+    n_arm = n_cell.sum(axis=2)  # (c, a)
+    empty = np.flatnonzero(n_arm.sum(axis=1) == 0)
+    if empty.size:
+        raise EmptyCell(f"no records in stratum c={empty[0]}")
+    if k == 0.0 and (n_arm == 0).any():
+        c, a = np.argwhere(n_arm == 0)[0]
+        raise EmptyCell(f"no records for exposure a={a} in stratum c={c}")
+    w = (n_cell + k) / (n_arm[..., None] + k * records.m_card)
+    # pr(Y=1|0,m,c) is weighted by pr(m|0,c); pr(Y=1|1,m,c) also by pr(m|1,c)
+    reached = w > 0.0
+    needed = np.stack([reached[:, 0], reached[:, 0] | reached[:, 1]], axis=1)
+    missing = (n_cell == 0) & (k == 0.0)
+    if (missing & needed).any():
+        c, a, m = np.argwhere(missing & needed)[0]
+        raise EmptyCell(f"no records for cell a={a}, m={m} in stratum c={c}")
+    y = np.zeros(n_cell.shape)
+    np.divide(records.counts[..., 1] + k, n_cell + 2.0 * k, out=y, where=~missing)
+    return ConditionalModel(y, w)
 
 
 def expand_to_records(model: ConditionalModel, denominator: int) -> RecordTable:
@@ -323,18 +307,11 @@ def expand_to_records(model: ConditionalModel, denominator: int) -> RecordTable:
         raise BadParameter("only probability-mode models expand to binary-outcome records")
     if denominator < 1:
         raise BadParameter("denominator must be a positive integer")
-    counts = np.zeros((len(model.strata), 2, model.m_card, 2), dtype=np.int64)
-    for s in model.strata:
-        if not 0 <= s.c < len(model.strata):
-            raise BadCode(f"c={s.c} outside 0..{len(model.strata) - 1}")
-        for a in (0, 1):
-            for m in range(model.m_card):
-                for y, share in ((1, s.y_prob[a][m]), (0, 1.0 - s.y_prob[a][m])):
-                    raw = denominator * s.m_prob[a][m] * share
-                    count = round(raw)
-                    if abs(raw - count) > 1e-6:
-                        raise BadParameter(
-                            f"cell a={a},m={m},y={y},c={s.c}: {raw!r} is not an integer count"
-                        )
-                    counts[s.c, a, m, y] = count
-    return RecordTable(counts)
+    raw = denominator * model.w[..., None] * np.stack([1.0 - model.y, model.y], axis=-1)
+    counts = np.round(raw)
+    bad = np.abs(raw - counts) > 1e-6
+    if bad.any():
+        c, a, m, y = np.argwhere(bad)[0]
+        count = float(raw[c, a, m, y])
+        raise BadParameter(f"cell a={a},m={m},y={y},c={c}: {count!r} is not an integer count")
+    return RecordTable(counts.astype(np.int64))

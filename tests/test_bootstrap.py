@@ -7,23 +7,11 @@ from medsens.bootstrap import run_bootstrap
 from medsens.bounds import SensitivitySpec
 from medsens.effects import observed_effects
 from medsens.errors import BadParameter
-from medsens.tables import (
-    ConditionalModel,
-    RecordTable,
-    StratumTable,
-    estimate_from_records,
-    validate,
-)
+from medsens.tables import ConditionalModel, RecordTable, estimate_from_records
 
 
 def worked_model():
-    return validate(
-        ConditionalModel(
-            strata=(
-                StratumTable(c=0, y_prob=((0.2, 0.5), (0.4, 0.8)), m_prob=((0.75, 0.25), (0.25, 0.75))),
-            )
-        )
-    )
+    return ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[0.75, 0.25], [0.25, 0.75]]])
 
 
 class TestBasics:
@@ -90,16 +78,16 @@ class TestCoverage:
         # the 95% interval for the ratio-scale direct effect should cover
         # the model's own value in roughly 95% of the meta-replications
         model = worked_model()
-        s = model.stratum(0)
+        y_tab, w_tab = model.stratum(0)
         truth = observed_effects(model, 0).nde_rr
         cells = []
         probs = []
         for a in (0, 1):
             for m in (0, 1):
                 for y in (0, 1):
-                    share = s.y_prob[a][m] if y == 1 else 1.0 - s.y_prob[a][m]
+                    share = y_tab[a][m] if y == 1 else 1.0 - y_tab[a][m]
                     cells.append((a, m, y, 0))
-                    probs.append(0.5 * s.m_prob[a][m] * share)
+                    probs.append(0.5 * w_tab[a][m] * share)
         probs_arr = np.array(probs)
         rng = np.random.default_rng(20260808)
         n, meta, covered = 4000, 200, 0

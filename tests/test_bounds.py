@@ -19,22 +19,23 @@ from medsens.bounds import (
     required_partner,
     stratum_envelopes,
 )
-from medsens.effects import nde_rd_obs, nie_rd_obs, observed_effects
+from medsens.effects import observed_effects
 from medsens.errors import BadParameter, BadTarget, Infeasible, ZeroDenominator
-from medsens.tables import ConditionalModel, StratumTable, validate
+from medsens.tables import ConditionalModel, crossworld_sums
 
 params = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
 
 
 def worked_model():
-    return validate(
-        ConditionalModel(
-            strata=(
-                StratumTable(c=0, y_prob=((0.2, 0.5), (0.4, 0.8)), m_prob=((0.75, 0.25), (0.25, 0.75))),
-                StratumTable(c=1, y_prob=((0.1, 0.3), (0.2, 0.6)), m_prob=((0.5, 0.5), (0.4, 0.6))),
-            )
-        )
+    return ConditionalModel(
+        y=[[[0.2, 0.5], [0.4, 0.8]], [[0.1, 0.3], [0.2, 0.6]]],
+        w=[[[0.75, 0.25], [0.25, 0.75]], [[0.5, 0.5], [0.4, 0.6]]],
     )
+
+
+def worked_sums():
+    """(n10, n00, n11) of stratum 0 of the worked model."""
+    return [float(s) for s in crossworld_sums(*worked_model().stratum(0))]
 
 
 class TestBoundingFactor:
@@ -97,25 +98,26 @@ class TestAdjust:
 
 class TestRdBounds:
     def test_unit_factor_recovers_observed(self):
-        model = worked_model()
-        assert math.isclose(bound_nde_rd(model, 0, 1.0), nde_rd_obs(model, 0), abs_tol=1e-15)
-        assert math.isclose(bound_nie_rd(model, 0, 1.0), nie_rd_obs(model, 0), abs_tol=1e-15)
+        n10, n00, n11 = worked_sums()
+        e = observed_effects(worked_model(), 0)
+        assert math.isclose(bound_nde_rd(n10, n00, 1.0), e.nde_rd, abs_tol=1e-15)
+        assert math.isclose(bound_nie_rd(n10, n11, 1.0), e.nie_rd, abs_tol=1e-15)
 
     def test_hand_value(self):
-        model = worked_model()
-        assert math.isclose(bound_nde_rd(model, 0, 1.25), 0.4 - 0.275, abs_tol=1e-12)
-        assert math.isclose(bound_nie_rd(model, 0, 1.25), 0.7 - 0.4, abs_tol=1e-12)
+        n10, n00, n11 = worked_sums()
+        assert math.isclose(bound_nde_rd(n10, n00, 1.25), 0.4 - 0.275, abs_tol=1e-12)
+        assert math.isclose(bound_nie_rd(n10, n11, 1.25), 0.7 - 0.4, abs_tol=1e-12)
 
     def test_infinite_factor_limit(self):
-        model = worked_model()
-        assert math.isclose(bound_nde_rd(model, 0, math.inf), -0.275, abs_tol=1e-15)
-        assert math.isclose(bound_nie_rd(model, 0, math.inf), 0.7, abs_tol=1e-15)
+        n10, n00, n11 = worked_sums()
+        assert math.isclose(bound_nde_rd(n10, n00, math.inf), -0.275, abs_tol=1e-15)
+        assert math.isclose(bound_nie_rd(n10, n11, math.inf), 0.7, abs_tol=1e-15)
 
     @given(st.floats(min_value=1.0, max_value=50.0))
     def test_complementarity_matches_total_effect(self, bf):
-        model = worked_model()
-        e = observed_effects(model, 0)
-        total = bound_nde_rd(model, 0, bf) + bound_nie_rd(model, 0, bf)
+        n10, n00, n11 = worked_sums()
+        e = observed_effects(worked_model(), 0)
+        total = bound_nde_rd(n10, n00, bf) + bound_nie_rd(n10, n11, bf)
         assert math.isclose(total, e.te_rd, abs_tol=1e-12)
 
 
@@ -150,24 +152,26 @@ class TestCornfieldRr:
 
 class TestCornfieldRd:
     def test_null_target_matches_ratio_scale(self):
-        model = worked_model()
-        rd = cornfield_rd(model, 0, 0.0)
+        n10, n00, _ = worked_sums()
+        rd = cornfield_rd(n10, n00, 0.0)
         rr = cornfield_rr(0.5 / 0.275, 1.0)
         assert math.isclose(rd.both_must_exceed, rr.both_must_exceed, rel_tol=1e-12)
         assert math.isclose(rd.max_must_exceed, rr.max_must_exceed, rel_tol=1e-12)
 
     def test_observed_target_needs_no_confounding(self):
-        model = worked_model()
-        assert cornfield_rd(model, 0, nde_rd_obs(model, 0)) == CornfieldThresholds(1.0, 1.0)
+        n10, n00, _ = worked_sums()
+        nde_rd = observed_effects(worked_model(), 0).nde_rd
+        assert cornfield_rd(n10, n00, nde_rd) == CornfieldThresholds(1.0, 1.0)
 
     def test_hand_value(self):
-        th = cornfield_rd(worked_model(), 0, 0.125)
+        n10, n00, _ = worked_sums()
+        th = cornfield_rd(n10, n00, 0.125)
         assert math.isclose(th.both_must_exceed, 1.25, rel_tol=1e-12)
         assert math.isclose(th.max_must_exceed, 1.809017, abs_tol=5e-7)
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
-            cornfield_rd(worked_model(), 0, -0.275)
+            cornfield_rd(*worked_sums()[:2], -0.275)
 
 
 class TestRequiredPartner:
@@ -217,8 +221,9 @@ class TestReportAndEnvelopes:
         assert rep.bf == 1.5
         assert math.isclose(rep.nde_rr_lower, rep.observed.nde_rr / 1.5, rel_tol=1e-15)
         assert math.isclose(rep.nie_rr_upper, rep.observed.nie_rr * 1.5, rel_tol=1e-15)
-        assert math.isclose(rep.nde_rd_lower, bound_nde_rd(model, 0, 1.5), abs_tol=1e-15)
-        assert math.isclose(rep.nie_rd_upper, bound_nie_rd(model, 0, 1.5), abs_tol=1e-15)
+        n10, n00, n11 = worked_sums()
+        assert math.isclose(rep.nde_rd_lower, bound_nde_rd(n10, n00, 1.5), abs_tol=1e-15)
+        assert math.isclose(rep.nie_rd_upper, bound_nie_rd(n10, n11, 1.5), abs_tol=1e-15)
 
     def test_envelopes_order_min_and_max(self):
         model = worked_model()

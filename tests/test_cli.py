@@ -5,27 +5,20 @@ import numpy as np
 import pytest
 
 from medsens.bounds import SensitivitySpec, bound_report, bounding_factor
+from medsens import report
 from medsens.cli import main
 from medsens.effects import observed_effects, observed_effects_all
 from medsens.loglinear import collider_ratio_grid
 from medsens.tables import (
     ConditionalModel,
-    StratumTable,
     estimate_from_records,
     expand_to_records,
     read_records_csv,
-    validate,
 )
 
 
 def worked_model():
-    return validate(
-        ConditionalModel(
-            strata=(
-                StratumTable(c=0, y_prob=((0.2, 0.5), (0.4, 0.8)), m_prob=((0.75, 0.25), (0.25, 0.75))),
-            )
-        )
-    )
+    return ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[0.75, 0.25], [0.25, 0.75]]])
 
 
 def write_worked_csv(path, denominator=1000):
@@ -78,6 +71,14 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert code == 2
         assert "line 3" in err
+
+    def test_oversized_category_code_exits_2(self, capsys, tmp_path):
+        # past int64, and a count tensor past the address space
+        for code in (10**20, 2**62):
+            p = tmp_path / "big.csv"
+            p.write_text(f"a,m,y,c\n0,0,1,0\n1,{code},0,0\n")
+            assert main(["estimate", "--csv", str(p)]) == 2
+            assert f"m={code}" in capsys.readouterr().err
 
     def test_scale_filter(self, capsys, tmp_path):
         csv = write_worked_csv(tmp_path / "d.csv")
@@ -201,6 +202,18 @@ class TestSweep:
         for series in by_uy.values():
             assert all(a <= b + 1e-15 for a, b in zip(series, series[1:]))
 
+    def test_input_hashed_once(self, capsys, tmp_path, monkeypatch):
+        csv = write_worked_csv(tmp_path / "d.csv")
+        digest_file = report.digest_file
+        calls = []
+        monkeypatch.setattr(report, "digest_file",
+                            lambda path: calls.append(path) or digest_file(path))
+        code, doc = run_json(capsys, "sweep", "--csv", csv, "--format", "json",
+                             "--rr-au-grid", "1,2", "--rr-uy-grid", "1,3")
+        assert code == 0
+        assert calls == [csv]
+        assert doc["input_digest"] == digest_file(csv)
+
     def test_unsorted_grid_rejected(self, capsys):
         code = main(["sweep", "--nde-rr", "1.5", "--rr-au-grid", "2,1", "--rr-uy-grid", "1"])
         assert code == 2
@@ -258,6 +271,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("flag, value", [
         ("--iterations", "0"), ("--iterations", "-5"), ("--u-card", "0"), ("--m-card", "0"),
+        ("--ratio-iterations", "0"), ("--sharpness-iterations", "0"),
     ])
     def test_counts_below_one_exit_2(self, capsys, flag, value):
         code = main(["oracle", "--ratio-iterations", "5", "--sharpness-iterations", "1",

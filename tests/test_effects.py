@@ -3,25 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from medsens.effects import (
-    average_rd_effects,
-    nde_rd_obs,
-    nde_rr_obs,
-    nie_rd_obs,
-    nie_rr_obs,
-    observed_effects,
-)
-from medsens.errors import BadParameter, ZeroDenominator
-from medsens.tables import ConditionalModel, StratumTable, swap_exposure, validate
+from medsens.effects import average_rd_effects, observed_effects
+from medsens.errors import BadCode, BadParameter, ZeroDenominator
+from medsens.tables import ConditionalModel, swap_exposure
 
 
-def model_from(y0, y1, m0, m1, mode="probability", c=0):
-    return validate(
-        ConditionalModel(
-            strata=(StratumTable(c=c, y_prob=(tuple(y0), tuple(y1)), m_prob=(tuple(m0), tuple(m1))),),
-            mode=mode,
-        )
-    )
+def model_from(y0, y1, m0, m1, mode="probability"):
+    return ConditionalModel(y=[[y0, y1]], w=[[m0, m1]], mode=mode)
 
 
 def brute_effects(y0, y1, m0, m1):
@@ -39,14 +27,15 @@ class TestWorkedExample:
     def test_values(self):
         model = model_from(**WORKED)
         nde_rr, nie_rr, nde_rd, nie_rd = brute_effects(**WORKED)
-        assert math.isclose(nde_rr_obs(model, 0), 0.5 / 0.275, rel_tol=1e-12)
-        assert math.isclose(nde_rr_obs(model, 0), nde_rr, rel_tol=1e-12)
-        assert math.isclose(nie_rr_obs(model, 0), 1.4, rel_tol=1e-12)
-        assert math.isclose(nie_rr_obs(model, 0), nie_rr, rel_tol=1e-12)
-        assert math.isclose(nde_rd_obs(model, 0), 0.225, abs_tol=1e-12)
-        assert math.isclose(nie_rd_obs(model, 0), 0.2, abs_tol=1e-12)
-        assert math.isclose(nde_rd_obs(model, 0), nde_rd, abs_tol=1e-12)
-        assert math.isclose(nie_rd_obs(model, 0), nie_rd, abs_tol=1e-12)
+        e = observed_effects(model, 0)
+        assert math.isclose(e.nde_rr, 0.5 / 0.275, rel_tol=1e-12)
+        assert math.isclose(e.nde_rr, nde_rr, rel_tol=1e-12)
+        assert math.isclose(e.nie_rr, 1.4, rel_tol=1e-12)
+        assert math.isclose(e.nie_rr, nie_rr, rel_tol=1e-12)
+        assert math.isclose(e.nde_rd, 0.225, abs_tol=1e-12)
+        assert math.isclose(e.nie_rd, 0.2, abs_tol=1e-12)
+        assert math.isclose(e.nde_rd, nde_rd, abs_tol=1e-12)
+        assert math.isclose(e.nie_rd, nie_rd, abs_tol=1e-12)
 
     def test_bundle_and_total(self):
         e = observed_effects(model_from(**WORKED), 0)
@@ -58,23 +47,27 @@ class TestWorkedExample:
 class TestDegenerateAndNullCases:
     def test_no_direct_pathway(self):
         model = model_from(y0=(0.2, 0.5), y1=(0.2, 0.5), m0=(0.75, 0.25), m1=(0.25, 0.75))
-        assert nde_rr_obs(model, 0) == 1.0
-        assert nde_rd_obs(model, 0) == 0.0
+        e = observed_effects(model, 0)
+        assert e.nde_rr == 1.0
+        assert e.nde_rd == 0.0
 
     def test_no_exposure_mediator_association(self):
         model = model_from(y0=(0.2, 0.5), y1=(0.4, 0.8), m0=(0.75, 0.25), m1=(0.75, 0.25))
-        assert nie_rr_obs(model, 0) == 1.0
-        assert nie_rd_obs(model, 0) == 0.0
+        e = observed_effects(model, 0)
+        assert e.nie_rr == 1.0
+        assert e.nie_rd == 0.0
 
     def test_outcome_constant_in_mediator(self):
         model = model_from(y0=(0.2, 0.2), y1=(0.45, 0.45), m0=(0.75, 0.25), m1=(0.25, 0.75))
-        assert math.isclose(nie_rr_obs(model, 0), 1.0, rel_tol=1e-15)
-        assert math.isclose(nie_rd_obs(model, 0), 0.0, abs_tol=1e-15)
+        e = observed_effects(model, 0)
+        assert math.isclose(e.nie_rr, 1.0, rel_tol=1e-15)
+        assert math.isclose(e.nie_rd, 0.0, abs_tol=1e-15)
 
     def test_degenerate_mediator_under_control(self):
         model = model_from(y0=(0.2, 0.5), y1=(0.4, 0.8), m0=(0.0, 1.0), m1=(0.25, 0.75))
-        assert math.isclose(nde_rr_obs(model, 0), 0.8 / 0.5, rel_tol=1e-12)
-        assert math.isclose(nde_rd_obs(model, 0), 0.3, abs_tol=1e-12)
+        e = observed_effects(model, 0)
+        assert math.isclose(e.nde_rr, 0.8 / 0.5, rel_tol=1e-12)
+        assert math.isclose(e.nde_rd, 0.3, abs_tol=1e-12)
 
     def test_null_model(self):
         model = model_from(y0=(0.2, 0.5), y1=(0.2, 0.5), m0=(0.6, 0.4), m1=(0.6, 0.4))
@@ -82,10 +75,17 @@ class TestDegenerateAndNullCases:
         assert (e.nde_rr, e.nie_rr, e.te_rr) == (1.0, 1.0, 1.0)
         assert (e.nde_rd, e.nie_rd, e.te_rd) == (0.0, 0.0, 0.0)
 
+    def test_unknown_stratum_code(self):
+        # a negative code must not wrap around to the last stratum
+        model = model_from(**WORKED)
+        for c in (-1, 1):
+            with pytest.raises(BadCode):
+                observed_effects(model, c)
+
     def test_zero_denominator(self):
         model = model_from(y0=(0.0, 0.0), y1=(0.4, 0.8), m0=(0.75, 0.25), m1=(0.25, 0.75))
         with pytest.raises(ZeroDenominator):
-            nde_rr_obs(model, 0)
+            observed_effects(model, 0)
 
 
 def random_model(rng, m_card=2, mode="probability", y_max=1.0):
@@ -120,12 +120,12 @@ class TestRelabelingDuality:
         rng = np.random.default_rng(13)
         for _ in range(200):
             model = random_model(rng)
-            s = model.stratum(0)
+            y, w = model.stratum(0)
             swapped = swap_exposure(model)
             # direct-effect formula with the roles of the arms exchanged
-            num = sum(a * b for a, b in zip(s.y_prob[0], s.m_prob[1]))
-            den = sum(a * b for a, b in zip(s.y_prob[1], s.m_prob[1]))
-            assert math.isclose(nde_rr_obs(swapped, 0), num / den, rel_tol=1e-12)
+            num = sum(a * b for a, b in zip(y[0], w[1]))
+            den = sum(a * b for a, b in zip(y[1], w[1]))
+            assert math.isclose(observed_effects(swapped, 0).nde_rr, num / den, rel_tol=1e-12)
             assert math.isclose(
                 observed_effects(swapped, 0).te_rr,
                 1.0 / observed_effects(model, 0).te_rr,
@@ -136,7 +136,7 @@ class TestRelabelingDuality:
 class TestAverageRd:
     def test_weighted_average(self):
         m1 = model_from(**WORKED)
-        m2 = model_from(y0=(0.1, 0.3), y1=(0.2, 0.6), m0=(0.5, 0.5), m1=(0.4, 0.6), c=0)
+        m2 = model_from(y0=(0.1, 0.3), y1=(0.2, 0.6), m0=(0.5, 0.5), m1=(0.4, 0.6))
         e1, e2 = observed_effects(m1, 0), observed_effects(m2, 0)
         nde, nie, te = average_rd_effects([e1, e2], [0.25, 0.75])
         assert math.isclose(nde, 0.25 * e1.nde_rd + 0.75 * e2.nde_rd, abs_tol=1e-15)

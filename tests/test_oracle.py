@@ -26,6 +26,7 @@ from medsens.oracle import (
     unexposed_nde_check,
     verify_bounds,
 )
+from medsens.tables import crossworld_sums
 
 
 def flat_scm(y_given, m_given, u_prior=(0.4, 0.6), a_given_u=None, **kw) -> Scm:
@@ -56,9 +57,9 @@ def assert_tables_close(got, want, tol=1e-15):
 class TestObservedModel:
     def test_u_irrelevant_matches_flat_tables(self):
         model = observed_model(u_irrelevant_scm())
-        s = model.stratum(0)
-        assert_tables_close(s.m_prob, ((0.75, 0.25), (0.25, 0.75)))
-        assert_tables_close(s.y_prob, ((0.2, 0.5), (0.4, 0.8)))
+        y, w = model.stratum(0)
+        assert_tables_close(w, ((0.75, 0.25), (0.25, 0.75)))
+        assert_tables_close(y, ((0.2, 0.5), (0.4, 0.8)))
 
     def test_degenerate_prior_picks_one_slice(self):
         scm = flat_scm(
@@ -66,25 +67,26 @@ class TestObservedModel:
             m_given=(((0.5, 0.5), (0.7, 0.3)), ((0.5, 0.5), (0.2, 0.8))),
             y_given=(((0.1, 0.3), (0.2, 0.4)), ((0.3, 0.5), (0.4, 0.9))),
         )
-        s = observed_model(scm).stratum(0)
-        assert_tables_close(s.m_prob, ((0.7, 0.3), (0.2, 0.8)))
-        assert_tables_close(s.y_prob, ((0.3, 0.4), (0.5, 0.9)))
+        y, w = observed_model(scm).stratum(0)
+        assert_tables_close(w, ((0.7, 0.3), (0.2, 0.8)))
+        assert_tables_close(y, ((0.3, 0.4), (0.5, 0.9)))
 
     def test_uniform_everything_gives_uniform_tables(self):
         half = ((0.5, 0.5), (0.5, 0.5))
         scm = flat_scm(u_prior=(0.5, 0.5), m_given=(half, half),
                        y_given=(half, half))
-        s = observed_model(scm).stratum(0)
-        assert s.m_prob == half
-        assert s.y_prob == half
+        y, w = observed_model(scm).stratum(0)
+        assert w.tolist() == [list(row) for row in half]
+        assert y.tolist() == [list(row) for row in half]
 
     def test_two_summation_orders_agree(self):
         rng = np.random.default_rng(31)
         for i in range(2000):
             scm = sample_scm(rng, u_card=2 + i % 2, m_card=2 + i % 2)
-            s = observed_model(scm).stratum(0)
+            _, n00, n11 = crossworld_sums(*observed_model(scm).stratum(0))
+            y_marg = (n00, n11)  # pr(Y=1|a) from the conditional tables
             for a in (0, 1):
-                assert math.isclose(s.y_marg[a], outcome_marginal(scm, a), abs_tol=1e-12)
+                assert math.isclose(y_marg[a], outcome_marginal(scm, a), abs_tol=1e-12)
 
     def test_unreachable_cell_raises(self):
         # m=1 possible under a=0 but never under a=1
@@ -117,21 +119,23 @@ class TestTrueEffects:
     def test_matches_full_joint_enumeration(self):
         # independent oracle: build the joint tensor with numpy and contract it
         rng = np.random.default_rng(37)
-        for _ in range(300):
-            scm = sample_scm(rng, u_card=3, m_card=3)
-            prior = np.array(scm.u_prior)
-            m = np.array(scm.m_given)   # [a][u][m]
-            y = np.array(scm.y_given)   # [a][m][u]
-            cross = {
-                (ay, am): float(np.einsum("u,um,mu->", prior, m[am], y[ay]))
-                for ay in (0, 1)
-                for am in (0, 1)
-            }
+        scms = [sample_scm(rng, u_card=3, m_card=3) for _ in range(300)]
+        scms.append(sample_scm(rng, u_card=3, m_card=3, shape=(2, 50)))  # one batch of models
+        for scm in scms:
             true = true_effects(scm)
-            assert math.isclose(true.nde_rr, cross[(1, 0)] / cross[(0, 0)], rel_tol=1e-12)
-            assert math.isclose(true.nie_rr, cross[(1, 1)] / cross[(1, 0)], rel_tol=1e-12)
-            assert math.isclose(true.nde_rd, cross[(1, 0)] - cross[(0, 0)], abs_tol=1e-12)
-            assert math.isclose(true.nie_rd, cross[(1, 1)] - cross[(1, 0)], abs_tol=1e-12)
+            for b in np.ndindex(scm.batch_shape):
+                prior = np.array(scm.u_prior[b])
+                m = np.array(scm.m_given[b])   # [a][u][m]
+                y = np.array(scm.y_given[b])   # [a][m][u]
+                cross = {
+                    (ay, am): float(np.einsum("u,um,mu->", prior, m[am], y[ay]))
+                    for ay in (0, 1)
+                    for am in (0, 1)
+                }
+                assert math.isclose(true.nde_rr[b], cross[(1, 0)] / cross[(0, 0)], rel_tol=1e-12)
+                assert math.isclose(true.nie_rr[b], cross[(1, 1)] / cross[(1, 0)], rel_tol=1e-12)
+                assert math.isclose(true.nde_rd[b], cross[(1, 0)] - cross[(0, 0)], abs_tol=1e-12)
+                assert math.isclose(true.nie_rd[b], cross[(1, 1)] - cross[(1, 0)], abs_tol=1e-12)
 
     def test_loglinear_mediator_scm_agrees_across_modules(self):
         # mediator tables generated by the binary-mediator log-linear model:
@@ -367,3 +371,27 @@ class TestUnexposedBound:
         for check in report.checks:
             assert abs(check.slack) < 1e-12
         assert report.all_hold
+
+
+class TestBatches:
+    def test_batch_matches_unbatched_calls(self):
+        fields = ("u_prior", "a_given_u", "m_given", "y_given")
+        for dependent in (False, True):
+            rng, rng_single = np.random.default_rng(101), np.random.default_rng(101)
+            batch = sample_scm(rng, 3, 4, floor=0.0, dependent_exposure=dependent, shape=(40,))
+            singles = [sample_scm(rng_single, 3, 4, floor=0.0, dependent_exposure=dependent)
+                       for _ in range(40)]
+            # the same models, drawn from the same stream
+            for b, scm in enumerate(singles):
+                for name in fields:
+                    assert np.array_equal(getattr(batch, name)[b], getattr(scm, name))
+            assert rng.bit_generator.state == rng_single.bit_generator.state
+            # the same checks, model for model
+            checkers = (unexposed_nde_check,) if dependent else (verify_bounds, unexposed_nde_check)
+            for checker in checkers:
+                batched = checker(batch).checks
+                for b, scm in enumerate(singles):
+                    for got, want in zip(batched, checker(scm).checks):
+                        assert got.name == want.name
+                        assert got.lhs[b] == want.lhs and got.rhs[b] == want.rhs
+                        assert got.holds[b] == want.holds

@@ -37,6 +37,7 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -55,6 +56,9 @@ SUM_TOL = 1e-12
 
 #: largest value a record code or count may take
 INT64_MAX = int(np.iinfo(np.int64).max)
+
+#: CSV records tallied per block during ingest
+READ_BLOCK = 1 << 12
 
 OutcomeMode = Literal["probability", "mean"]
 
@@ -136,7 +140,12 @@ def read_records_csv(path: str) -> RecordTable:
 
     Integer-coded, comma-separated, UTF-8.  A missing count column means
     count 1; duplicate rows are summed into their cell.  Raises
-    :class:`ParseError` naming the offending line.
+    :class:`ParseError` naming the first offending line.
+
+    Identical records are tallied first, ``READ_BLOCK`` records at a time,
+    and each distinct record of a block is checked and parsed once, so the
+    cost scales with the distinct records rather than the rows; memory
+    stays bounded by the block plus the cells.
     """
     cells: Counter[tuple[int, int, int, int]] = Counter()  # keyed by (c, a, m, y)
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -148,30 +157,52 @@ def read_records_csv(path: str) -> RecordTable:
         header = [h.strip().lower() for h in header]
         if header not in (["a", "m", "y", "c"], ["a", "m", "y", "c", "count"]):
             raise ParseError(f"{path}: line 1: header must be a,m,y,c[,count], got {header}")
-        has_count = len(header) == 5
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or all(not f.strip() for f in raw):
-                continue
-            if len(raw) != len(header):
-                raise ParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(raw)}")
-            try:
-                vals = [int(f.strip()) for f in raw]
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-integer field in {raw}") from None
-            a, m, y, c = vals[:4]
-            count = vals[4] if has_count else 1
-            if a not in (0, 1):
-                raise ParseError(f"{path}: line {lineno}: exposure code must be 0 or 1, got {a}")
-            if y not in (0, 1):
-                raise ParseError(f"{path}: line {lineno}: outcome code must be 0 or 1, got {y}")
-            if m < 0 or c < 0:
-                raise ParseError(f"{path}: line {lineno}: negative category code")
-            if count <= 0:
-                raise ParseError(f"{path}: line {lineno}: count must be positive, got {count}")
-            cells[c, a, m, y] += count
+        # records in first-appearance order: the first bad one is on the first bad line
+        while block := Counter(map(tuple, islice(reader, READ_BLOCK))):
+            for record, times in block.items():
+                try:
+                    parsed = _parse_record(record, len(header))
+                except ParseError as err:
+                    raise ParseError(f"{path}: line {_first_line(path, record)}: {err}") from None
+                if parsed is not None:
+                    cell, count = parsed
+                    cells[cell] += count * times
     if not cells:
         raise ParseError(f"{path}: no data rows")
     return RecordTable.from_rows((a, m, y, c, n) for (c, a, m, y), n in cells.items())
+
+
+def _parse_record(
+    raw: tuple[str, ...], width: int
+) -> tuple[tuple[int, int, int, int], int] | None:
+    """The cell ``(c, a, m, y)`` and count of one CSV record; None for a blank line."""
+    if not raw or all(not f.strip() for f in raw):
+        return None
+    if len(raw) != width:
+        raise ParseError(f"expected {width} fields, got {len(raw)}")
+    try:
+        vals = [int(f.strip()) for f in raw]
+    except ValueError:
+        raise ParseError(f"non-integer field in {list(raw)}") from None
+    a, m, y, c = vals[:4]
+    count = vals[4] if width == 5 else 1
+    if a not in (0, 1):
+        raise ParseError(f"exposure code must be 0 or 1, got {a}")
+    if y not in (0, 1):
+        raise ParseError(f"outcome code must be 0 or 1, got {y}")
+    if m < 0 or c < 0:
+        raise ParseError("negative category code")
+    if count <= 0:
+        raise ParseError(f"count must be positive, got {count}")
+    return (c, a, m, y), count
+
+
+def _first_line(path: str, record: tuple[str, ...]) -> int:
+    """Line number of the first occurrence of ``record``, counted as records after the header."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return next(lineno for lineno, raw in enumerate(reader, start=2) if tuple(raw) == record)
 
 
 def swap_exposure_records(records: RecordTable) -> RecordTable:
@@ -260,6 +291,38 @@ def swap_exposure(model: ConditionalModel) -> ConditionalModel:
     return ConditionalModel(model.y[:, ::-1], model.w[:, ::-1], model.mode)
 
 
+def estimate_tables(
+    counts: np.ndarray, smoothing: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Empirical tables ``y``, ``w`` of count tensors ``counts[..., c, a, m, y]``.
+
+    Returns ``(y, w, empty)``, each of shape (..., c_card, 2, m_card); any
+    leading axes of ``counts`` (a batch of bootstrap replicates) are kept.
+    ``empty`` marks the required cells without records: every cell of a
+    stratum without records, with k = 0 every cell of an arm without
+    records, and otherwise each cell that a formula weights but no record
+    fills.  A table with a marked cell cannot be estimated; its entries are
+    finite but meaningless.  See :func:`estimate_from_records` for the
+    smoothing.
+    """
+    if not (isinstance(smoothing, (int, float)) and math.isfinite(smoothing)) or smoothing < 0:
+        raise BadParameter(f"smoothing must be a finite nonnegative real, got {smoothing!r}")
+    k = float(smoothing)
+    n_cell = counts.sum(axis=-1)  # (..., c, a, m)
+    n_arm = n_cell.sum(axis=-1, keepdims=True)  # (..., c, a, 1)
+    denom = n_arm + k * n_cell.shape[-1]
+    w = np.divide(n_cell + k, denom, out=np.zeros(n_cell.shape), where=denom > 0)
+    # pr(Y=1|0,m,c) is weighted by pr(m|0,c); pr(Y=1|1,m,c) also by pr(m|1,c)
+    reached = w > 0.0
+    needed = np.stack([reached[..., 0, :], reached[..., 0, :] | reached[..., 1, :]], axis=-2)
+    missing = (n_cell == 0) & (k == 0.0)
+    no_stratum = n_arm.sum(axis=-2, keepdims=True) == 0
+    empty = (missing & needed) | ((n_arm == 0) & (k == 0.0)) | no_stratum
+    y = np.zeros(n_cell.shape)
+    np.divide(counts[..., 1] + k, n_cell + 2.0 * k, out=y, where=~missing)
+    return y, w, empty
+
+
 def estimate_from_records(records: RecordTable, smoothing: float = 0.0) -> ConditionalModel:
     """Empirical conditional tables with optional add-k smoothing.
 
@@ -271,27 +334,18 @@ def estimate_from_records(records: RecordTable, smoothing: float = 0.0) -> Condi
     records raises :class:`EmptyCell` whatever the smoothing: smoothing
     alone would report it as a null effect.
     """
-    if not (isinstance(smoothing, (int, float)) and math.isfinite(smoothing)) or smoothing < 0:
-        raise BadParameter(f"smoothing must be a finite nonnegative real, got {smoothing!r}")
-    k = float(smoothing)
-    n_cell = records.counts.sum(axis=3)  # (c, a, m)
-    n_arm = n_cell.sum(axis=2)  # (c, a)
-    empty = np.flatnonzero(n_arm.sum(axis=1) == 0)
-    if empty.size:
-        raise EmptyCell(f"no records in stratum c={empty[0]}")
-    if k == 0.0 and (n_arm == 0).any():
-        c, a = np.argwhere(n_arm == 0)[0]
-        raise EmptyCell(f"no records for exposure a={a} in stratum c={c}")
-    w = (n_cell + k) / (n_arm[..., None] + k * records.m_card)
-    # pr(Y=1|0,m,c) is weighted by pr(m|0,c); pr(Y=1|1,m,c) also by pr(m|1,c)
-    reached = w > 0.0
-    needed = np.stack([reached[:, 0], reached[:, 0] | reached[:, 1]], axis=1)
-    missing = (n_cell == 0) & (k == 0.0)
-    if (missing & needed).any():
-        c, a, m = np.argwhere(missing & needed)[0]
+    y, w, empty = estimate_tables(records.counts, smoothing)
+    if empty.any():
+        # a wholly marked stratum or arm has no records at all
+        strata = np.flatnonzero(empty.all(axis=(1, 2)))
+        if strata.size:
+            raise EmptyCell(f"no records in stratum c={strata[0]}")
+        arms = np.argwhere(empty.all(axis=2))
+        if arms.size:
+            c, a = arms[0]
+            raise EmptyCell(f"no records for exposure a={a} in stratum c={c}")
+        c, a, m = np.argwhere(empty)[0]
         raise EmptyCell(f"no records for cell a={a}, m={m} in stratum c={c}")
-    y = np.zeros(n_cell.shape)
-    np.divide(records.counts[..., 1] + k, n_cell + 2.0 * k, out=y, where=~missing)
     return ConditionalModel(y, w)
 
 

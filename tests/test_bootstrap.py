@@ -1,17 +1,70 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from medsens.bootstrap import run_bootstrap
-from medsens.bounds import SensitivitySpec
+from medsens import bootstrap
+from medsens.bootstrap import BOUND_STATS, EFFECT_STATS, run_bootstrap
+from medsens.bounds import SensitivitySpec, bound_report
 from medsens.effects import observed_effects
-from medsens.errors import BadParameter
+from medsens.errors import BadParameter, DegenerateResample, EmptyCell, ZeroDenominator
 from medsens.tables import ConditionalModel, RecordTable, estimate_from_records
 
 
 def worked_model():
     return ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[0.75, 0.25], [0.25, 0.75]]])
+
+
+#: two strata; the a=1 arm of stratum 1 is small, so some replicates are redrawn
+REDRAW_COUNTS = np.array([[[[9, 4], [6, 5]], [[3, 7], [5, 8]]],
+                          [[[8, 6], [7, 4]], [[1, 1], [0, 1]]]])
+
+
+def fragile_strata():
+    """Five strata whose exposed arm is one record: about 9 in 10 resamples drop one of them."""
+    counts = np.zeros((5, 2, 1, 2), dtype=np.int64)
+    counts[:, 0, 0, :] = 10
+    counts[:, 1, 0, 1] = 1
+    return RecordTable(counts)
+
+
+def one_at_a_time(records, replicates, seed, smoothing=0.0, spec=None, level=0.95):
+    """Reference bootstrap: one multinomial draw, estimate and report per replicate."""
+
+    def statistics(model):
+        out = {}
+        for c in range(model.c_card):
+            eff = observed_effects(model, c)
+            out[c] = {name: getattr(eff, name) for name in EFFECT_STATS}
+            if spec is not None:
+                rep = bound_report(model, c, spec)
+                out[c].update({name: getattr(rep, name) for name in BOUND_STATS})
+        return out
+
+    rng = np.random.default_rng(seed)
+    total = records.total()
+    probs = records.counts.ravel() / total
+    budget = bootstrap.MAX_REDRAW_FACTOR * replicates
+    draws, redraws = [], 0
+    while len(draws) < replicates:
+        replicate = RecordTable(rng.multinomial(total, probs).reshape(records.counts.shape))
+        try:
+            draws.append(statistics(estimate_from_records(replicate, smoothing)))
+        except EmptyCell:
+            redraws += 1
+            if redraws > budget:
+                raise DegenerateResample(f"{redraws} over {budget}") from None
+    point = statistics(estimate_from_records(records, smoothing))
+    lo_q = 100.0 * (1.0 - level) / 2.0
+    intervals = {}
+    for c, stats in point.items():
+        intervals[c] = {}
+        for name, value in stats.items():
+            lo, hi = np.percentile([draw[c][name] for draw in draws], [lo_q, 100.0 - lo_q])
+            intervals[c][name] = (lo, value, hi)
+    return intervals, redraws
 
 
 class TestBasics:
@@ -40,11 +93,8 @@ class TestBasics:
         assert all(len(v) == 3 for v in result.intervals[0].values())
 
     def test_grouping_of_rows_does_not_change_results(self):
-        # one population as shuffled unit rows and as one weighted row per cell;
-        # the a=1 arm of stratum 1 is small, so some replicates are redrawn
-        counts = np.array([[[[9, 4], [6, 5]], [[3, 7], [5, 8]]],
-                           [[[8, 6], [7, 4]], [[1, 1], [0, 1]]]])
-        cells = [(a, m, y, c, int(n)) for (c, a, m, y), n in np.ndenumerate(counts) if n]
+        # one population as shuffled unit rows and as one weighted row per cell
+        cells = [(a, m, y, c, int(n)) for (c, a, m, y), n in np.ndenumerate(REDRAW_COUNTS) if n]
         units = [(a, m, y, c, 1) for a, m, y, c, n in cells for _ in range(n)]
         units = [units[i] for i in np.random.default_rng(0).permutation(len(units))]
         spec = SensitivitySpec(2.0, 2.0)
@@ -70,6 +120,60 @@ class TestBasics:
         assert math.isclose(stats["nde_rr_lower"][1], obs.nde_rr / 1.5, rel_tol=1e-12)
         assert math.isclose(stats["nie_rr_upper"][1], obs.nie_rr * 1.5, rel_tol=1e-12)
         assert stats["nde_rr_lower"][0] <= stats["nde_rr_lower"][1] <= stats["nde_rr_lower"][2]
+
+
+class TestBatches:
+    @pytest.mark.parametrize("batch_cells", [bootstrap.BATCH_CELLS, 7 * REDRAW_COUNTS.size])
+    @pytest.mark.parametrize("smoothing, spec", [
+        (0.0, None), (0.0, SensitivitySpec(2.0, 3.0)), (0.5, SensitivitySpec(1.5, 4.0)),
+    ])
+    def test_batches_equal_one_replicate_at_a_time(self, monkeypatch, batch_cells, smoothing, spec):
+        monkeypatch.setattr(bootstrap, "BATCH_CELLS", batch_cells)
+        records = RecordTable(REDRAW_COUNTS)
+        result = run_bootstrap(records, replicates=300, seed=6, smoothing=smoothing, spec=spec)
+        intervals, redraws = one_at_a_time(records, 300, 6, smoothing, spec)
+        assert result.intervals == intervals
+        assert result.degenerate_redraws == redraws
+        assert redraws > 0 or smoothing > 0
+
+    def test_zero_denominator_names_the_first_replicate_that_has_one(self):
+        # stratum 2 has one unexposed y=1 record; strata 0 and 1 have four, which
+        # some replicates of the batch also lose
+        counts = np.zeros((3, 2, 2, 2), dtype=np.int64)
+        counts[..., 0], counts[..., 1] = 5, 2
+        counts[2, 0, :, 1] = [1, 0]
+        records = RecordTable(counts)
+        with pytest.raises(ZeroDenominator) as reference:
+            one_at_a_time(records, 100, seed=0)
+        assert "c=2" in str(reference.value)
+        with pytest.raises(ZeroDenominator, match=f"^{re.escape(str(reference.value))}$"):
+            run_bootstrap(records, replicates=100, seed=0)
+
+
+class TestRedrawBudget:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_raises_when_the_reference_exceeds_the_budget(self, seed):
+        # seeds 0 and 3 stay within the budget; seeds 1 and 2 exceed it
+        records = fragile_strata()
+        try:
+            intervals, redraws = one_at_a_time(records, 100, seed)
+        except DegenerateResample:
+            with pytest.raises(DegenerateResample, match="exceeded the redraw budget 1000$"):
+                run_bootstrap(records, replicates=100, seed=seed)
+        else:
+            result = run_bootstrap(records, replicates=100, seed=seed)
+            assert (result.intervals, result.degenerate_redraws) == (intervals, redraws)
+
+    def test_budget_boundary_is_exact(self, monkeypatch):
+        records = fragile_strata()
+        redraws = run_bootstrap(records, replicates=100, seed=0).degenerate_redraws
+        assert 0 < redraws <= 1000
+        monkeypatch.setattr(bootstrap, "MAX_REDRAW_FACTOR", Fraction(redraws, 100))
+        assert run_bootstrap(records, replicates=100, seed=0).degenerate_redraws == redraws
+        monkeypatch.setattr(bootstrap, "MAX_REDRAW_FACTOR", Fraction(redraws - 1, 100))
+        message = f"^{redraws} degenerate replicates exceeded the redraw budget {redraws - 1}$"
+        with pytest.raises(DegenerateResample, match=message):
+            run_bootstrap(records, replicates=100, seed=0)
 
 
 class TestCoverage:

@@ -300,6 +300,15 @@ class TestBootstrapCommand:
         code = main(["bootstrap", "--csv", csv, "--replicates", "120", "--rr-au", "2"])
         assert code == 2
 
+    def test_exhausted_redraw_budget_exits_2(self, capsys, tmp_path):
+        # eight strata whose exposed arm is one record: nearly every resample drops one
+        path = tmp_path / "d.csv"
+        path.write_text("a,m,y,c,count\n" + "".join(
+            f"0,0,0,{c},10\n0,0,1,{c},10\n1,0,1,{c},1\n" for c in range(8)))
+        code = main(["bootstrap", "--csv", str(path), "--replicates", "100"])
+        assert code == 2
+        assert "1001 degenerate replicates exceeded the redraw budget 1000" in capsys.readouterr().err
+
 
 class TestFormatGuard:
     def test_csv_rejected_for_nested_reports(self, capsys):

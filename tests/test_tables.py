@@ -1,12 +1,14 @@
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medsens import tables
 from medsens.errors import (
     BadCode,
     BadParameter,
@@ -92,6 +94,19 @@ class TestCsv:
         with pytest.raises(BadParameter, match="int64"):
             read_records_csv(str(p))
 
+    def test_bom_crlf_blank_lines_and_spaces_read_like_the_plain_file(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("a,m,y,c,count\n1,0,1,0,3\n0,1,0,0,2\n1,0,1,0,1\n0,1,0,1,4\n")
+        messy = tmp_path / "messy.csv"
+        messy.write_bytes(
+            "\ufeffa, m ,y,c,count\r\n1, 0,1 ,0,3\r\n\r\n   \r\n 0,1,0,0 , 2\r\n"
+            " , ,\t, \r\n1,0,1,0,1\r\n\r\n0 ,1, 0,1,4\r\n".encode("utf-8")
+        )
+        counts = read_records_csv(str(plain)).counts
+        assert np.array_equal(read_records_csv(str(messy)).counts, counts)
+        assert np.array_equal(counts, RecordTable.from_rows(
+            [(1, 0, 1, 0, 4), (0, 1, 0, 0, 2), (0, 1, 0, 1, 4)]).counts)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,c\n1,2,3\n")
@@ -125,7 +140,9 @@ def test_csv_ingest_matches_independent_tally(rows, data):
     a, m, y, c, n = np.array(rows).T
     np.add.at(tally, (c, a, m, y), n)
 
-    with tempfile.TemporaryDirectory() as tmp:
+    # ingest blocks from one record to more than the file holds
+    block = data.draw(st.integers(1, 100))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(tables, "READ_BLOCK", block):
         path = os.path.join(tmp, "d.csv")
         with open(path, "w") as fh:
             fh.write("\n".join([header, *lines]) + "\n")
@@ -133,9 +150,11 @@ def test_csv_ingest_matches_independent_tally(rows, data):
         assert np.array_equal(counts, tally)
         assert np.array_equal(counts, RecordTable.from_rows(rows).counts)
 
+        # the bad line is written twice; the first one is named
         bad_lines = list(BAD_FIELDS) if unit else [f + ",1" for f in BAD_FIELDS] + ["0,0,0,0,0"]
         bad = data.draw(st.integers(0, len(lines) - 1))
         lines[bad] = data.draw(st.sampled_from(bad_lines))
+        lines.insert(data.draw(st.integers(bad + 1, len(lines))), lines[bad])
         with open(path, "w") as fh:
             fh.write("\n".join([header, *lines]) + "\n")
         with pytest.raises(ParseError, match=f"line {bad + 2}:"):

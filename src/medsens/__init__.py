@@ -71,7 +71,7 @@ from .oracle import (
     rr_au_posterior,
     rr_au_posterior_per_mediator,
     rr_uy,
-    sample_ratio_instance,
+    sample_ratio_instances,
     sample_scm,
     sharpness_search,
     true_effects,

@@ -28,7 +28,7 @@ from .errors import Infeasible, InternalCheckError, MedsensError, ZeroDenominato
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Ascending grids of the two sensitivity parameters."""
+    """Strictly ascending grids of the two sensitivity parameters."""
 
     rr_au_values: tuple[float, ...]
     rr_uy_values: tuple[float, ...]
@@ -39,8 +39,8 @@ class SweepGrid:
                 raise MedsensError(f"{name} grid is empty")
             if any(not math.isfinite(v) or v < 1.0 for v in values):
                 raise MedsensError(f"{name} grid values must be finite and >= 1")
-            if list(values) != sorted(values):
-                raise MedsensError(f"{name} grid must be ascending")
+            if any(b <= a for a, b in zip(values, values[1:])):
+                raise MedsensError(f"{name} grid must be strictly ascending")
 
 
 def _parse_grid(text: str, name: str) -> tuple[float, ...]:
@@ -54,6 +54,25 @@ def _parse_param(text: str) -> float:
     if text.strip().lower() in ("inf", "+inf", "infinity"):
         return math.inf
     return float(text)
+
+
+def _check_observed(args, flag: str) -> None:
+    """The observed effect ``flag`` and its ``flag-ci`` limits, where given.
+
+    Each must be a finite positive real, and the limits must enclose the
+    point estimate in ascending order.
+    """
+    dest = flag[2:].replace("-", "_")
+    point, ci = getattr(args, dest), getattr(args, dest + "_ci", None)
+    for name, value in ((flag, point), *((f"{flag}-ci", v) for v in ci or ())):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise MedsensError(f"{name} must be a finite positive real, got {value!r}")
+    if ci is not None and point is None:
+        raise MedsensError(f"{flag}-ci needs {flag}")
+    if ci is not None and not ci[0] <= point <= ci[1]:
+        raise MedsensError(
+            f"{flag}-ci {ci[0]!r} {ci[1]!r} must be ascending limits around {flag} {point!r}"
+        )
 
 
 def _default_seed() -> int:
@@ -153,6 +172,8 @@ def _bound_payload_tables(model, spec, scale):
 
 def _cmd_bound(args) -> int:
     _json_only(args)
+    _check_observed(args, "--nde-rr")
+    _check_observed(args, "--nie-rr")
     spec = bounds.SensitivitySpec(rr_au=args.rr_au, rr_uy=args.rr_uy)
     bf = bounds.bounding_factor(spec)
     if args.csv is not None:
@@ -184,6 +205,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_cornfield(args) -> int:
     _json_only(args)
+    _check_observed(args, "--nde-rr")
     warnings: list[str] = []
     infeasible = False
 
@@ -279,6 +301,8 @@ def _sweep_table(args, grid: SweepGrid) -> tuple[list[str], list[tuple], str | N
 
 
 def _cmd_sweep(args) -> int:
+    _check_observed(args, "--nde-rr")
+    _check_observed(args, "--nie-rr")
     grid = SweepGrid(
         rr_au_values=_parse_grid(args.rr_au_grid, "rr_au"),
         rr_uy_values=_parse_grid(args.rr_uy_grid, "rr_uy"),
@@ -431,8 +455,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="records file")
     p.add_argument("--nde-rr", type=float)
     p.add_argument("--nie-rr", type=float)
-    p.add_argument("--rr-au-grid", required=True, help="comma-separated ascending values >= 1")
-    p.add_argument("--rr-uy-grid", required=True, help="comma-separated ascending values >= 1")
+    p.add_argument("--rr-au-grid", required=True,
+                   help="comma-separated strictly ascending values >= 1")
+    p.add_argument("--rr-uy-grid", required=True,
+                   help="comma-separated strictly ascending values >= 1")
     p.set_defaults(func=_cmd_sweep, default_format="csv")
 
     p = sub.add_parser("parametric", parents=[common],

@@ -19,11 +19,13 @@ events and carry no weight in any bound.  Degenerate mediator distributions
 under a=0 are therefore legal, which the sharpness construction exploits:
 :func:`recipe_scm` builds the two-point configuration that drives the
 direct-effect bound to equality as its posterior-mass parameter approaches
-one, and :func:`sharpness_search` reports the best attainment found.
+one, and :func:`sharpness_search` reports the best attainment found over
+batches of recipe models.
 
 :func:`check_ratio_bound` verifies the scalar inequality underlying all of the
 bounds (the weighted-mean ratio capped by the bounding factor) on explicit
-discrete instances, including the two-point family that attains it.
+discrete instances, one or a padded batch at a time, including the
+two-point family that attains it.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ RATIO_BOUND_TOL = 1e-12
 _DIST_TOL = 1e-9  # constructed distributions must sum to one within this
 #: models checked at once by :func:`validity_battery`; bounds its peak memory
 BATTERY_BATCH = 256
+#: iterations of :func:`sharpness_search` checked at once, 10 models each; bounds its peak memory
+SHARPNESS_BATCH = 1000
+#: scalar-inequality instances checked at once by :func:`validity_battery`
+RATIO_BATCH = 4096
 _SCM_TABLES = ("u_prior", "a_given_u", "m_given", "y_given")
 
 
@@ -431,46 +437,59 @@ def unexposed_nde_check(scm: Scm, tol: float = VALIDITY_TOL) -> UnexposedReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteRatioInstance:
-    """Two probability vectors and a nonnegative weight function on a finite domain."""
+    """Two probability vectors and a nonnegative weight function on a finite domain.
 
-    f0: tuple[float, ...]
-    f1: tuple[float, ...]
-    r: tuple[float, ...]
+    Fields are read-only float arrays ``f0[..., x]``, ``f1[..., x]`` and
+    ``r[..., x]``.  Optional leading axes, the same on every field, make a
+    batch of instances that the methods here and :func:`check_ratio_bound`
+    evaluate at once, one value per instance.  Instances of different
+    domain sizes share a batch when padded with ``f0 = f1 = 0`` and
+    ``r = r[..., 0]``: the padding changes no sum, no density ratio and no
+    weight spread.
+    """
+
+    f0: np.ndarray
+    f1: np.ndarray
+    r: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.f0)
-        if n == 0 or len(self.f1) != n or len(self.r) != n:
+        f0, f1, r = (np.array(getattr(self, name), dtype=float) for name in ("f0", "f1", "r"))
+        if f0.ndim == 0 or f0.shape[-1] == 0 or f1.shape != f0.shape or r.shape != f0.shape:
             raise BadParameter("f0, f1, r must share one nonempty domain")
-        _check_dist(self.f0, "f0")
-        _check_dist(self.f1, "f1")
-        if any(not math.isfinite(v) or v < 0.0 for v in self.r):
-            raise BadParameter(f"r must be nonnegative and finite: {self.r!r}")
+        _check_dist(f0, "f0")
+        _check_dist(f1, "f1")
+        bad = ~(np.isfinite(r) & (r >= 0.0))
+        if bad.any():
+            raise BadParameter(f"r must be nonnegative and finite, got {float(r[bad][0])!r}")
+        for name, values in (("f0", f0), ("f1", f1), ("r", r)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     def max_density_ratio(self) -> float:
         """Largest f1/f0 over the domain; needs f1 absolutely continuous w.r.t. f0."""
-        best = 0.0
-        for x in range(len(self.f0)):
-            if self.f1[x] == 0.0:
-                continue
-            if self.f0[x] == 0.0:
-                raise ZeroDenominator(f"f1 puts mass on x={x} where f0 has none")
-            best = max(best, self.f1[x] / self.f0[x])
-        return best
+        mass = self.f1 > 0.0
+        orphan = mass & (self.f0 == 0.0)
+        if orphan.any():
+            raise ZeroDenominator(f"f1 puts mass on {_cell('x={}', orphan)} where f0 has none")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(mass, self.f1 / self.f0, 0.0).max(axis=-1)[()]
 
     def weight_spread(self) -> float:
         """max r / min r; 1 for any constant r."""
-        high, low = max(self.r), min(self.r)
-        if high == low:
-            return 1.0
-        if low <= 0.0:
+        high, low = self.r.max(axis=-1), self.r.min(axis=-1)
+        constant = high == low
+        if (~constant & (low <= 0.0)).any():
             raise BadParameter("non-constant r needs a strictly positive minimum")
-        return high / low
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(constant, 1.0, high / low)[()]
 
 
 @dataclass(frozen=True)
 class RatioBoundResult:
+    """The scalar inequality on one instance, or one entry per instance of a batch."""
+
     lhs: float
     rhs: float
     density_ratio: float
@@ -485,13 +504,13 @@ def check_ratio_bound(inst: DiscreteRatioInstance, tol: float = RATIO_BOUND_TOL)
     and the weight spread; this scalar inequality is what every effect
     bound in this package reduces to.
     """
-    num = math.fsum(a * b for a, b in zip(inst.r, inst.f1))
-    den = math.fsum(a * b for a, b in zip(inst.r, inst.f0))
-    if den == 0.0:
+    num = (inst.r * inst.f1).sum(axis=-1)
+    den = (inst.r * inst.f0).sum(axis=-1)
+    if (den == 0.0).any():
         raise ZeroDenominator("sum of r against f0 is zero")
     g = inst.max_density_ratio()
     d = inst.weight_spread()
-    lhs = num / den
+    lhs = (num / den)[()]
     rhs = g * d / (g + d - 1.0)
     return RatioBoundResult(lhs=lhs, rhs=rhs, density_ratio=g, weight_spread=d, holds=lhs <= rhs + tol)
 
@@ -568,21 +587,23 @@ def sample_scm(
     )
 
 
-def sample_ratio_instance(rng: np.random.Generator, size: int) -> DiscreteRatioInstance:
-    """Random discrete instance with strictly positive densities and weights."""
-    if size < 1:
-        raise BadParameter("domain size must be at least 1")
+def sample_ratio_instances(rng: np.random.Generator, count: int) -> DiscreteRatioInstance:
+    """A batch of ``count`` random instances with strictly positive densities and weights.
 
-    def dist(n: int) -> tuple[float, ...]:
-        raw = rng.uniform(0.05, 1.0, n)
-        total = raw.sum()
-        return tuple(float(v / total) for v in raw)
-
-    return DiscreteRatioInstance(
-        f0=dist(size),
-        f1=dist(size),
-        r=tuple(float(v) for v in rng.uniform(0.1, 10.0, size)),
-    )
+    Each instance draws its domain size from ``rng.integers(2, 7)``, then f0
+    and f1 from uniform(0.05, 1) normalized, and r from uniform(0.1, 10), so
+    the batch takes the stream of drawing its instances one by one.  It is
+    padded to the widest domain, 6.
+    """
+    raw = np.full((count, 3, 6), np.nan)
+    for row in raw:
+        size = rng.integers(2, 7)
+        row[:, :size] = rng.random((3, size))  # one uniform(size) draw each for f0, f1, r
+    pad = np.isnan(raw[:, 0])
+    f = np.where(pad[:, None], 0.0, 0.05 + (1.0 - 0.05) * raw[:, :2])
+    f /= f.sum(axis=-1, keepdims=True)
+    r = 0.1 + (10.0 - 0.1) * raw[:, 2]
+    return DiscreteRatioInstance(f0=f[:, 0], f1=f[:, 1], r=np.where(pad, r[:, :1], r))
 
 
 def recipe_scm(
@@ -607,34 +628,49 @@ def recipe_scm(
 
     ``outcome_ceiling`` is the largest outcome value used,
     ``target_nde_rr`` the true ratio-scale direct effect to aim for, and
-    ``anchor`` the mediator probability for u=1 under a=1.
+    ``anchor`` the mediator probability for u=1 under a=1.  Every parameter
+    may be an array; they broadcast to the batch shape of the returned Scm,
+    one model per entry.
     """
-    if not 0.0 < posterior_mass <= 1.0:
-        raise BadParameter("posterior_mass must be in (0, 1]")
-    if rr_au < 1.0 or rr_uy < 1.0:
-        raise BadParameter("rr_au and rr_uy must be at least 1")
-    if not 0.0 < anchor < 1.0 or not 0.0 < outcome_ceiling <= 1.0 or target_nde_rr < 1.0:
-        raise BadParameter("need 0 < anchor < 1, 0 < outcome_ceiling <= 1, target_nde_rr >= 1")
-    prior_mass = posterior_mass / rr_au
-    if prior_mass > 1.0:
-        raise BadParameter("posterior_mass/rr_au must not exceed 1")
-    p = posterior_mass
-    anchor_other = (
-        0.0 if p == 1.0 else anchor * prior_mass * (1.0 - p) / (p * (1.0 - prior_mass))
+    rr_au, rr_uy, p, anchor, ceiling, target = np.broadcast_arrays(
+        rr_au, rr_uy, posterior_mass, anchor, outcome_ceiling, target_nde_rr
     )
-    y_base = outcome_ceiling / rr_uy
-    y_other_level = outcome_ceiling + 0.5 * (1.0 - outcome_ceiling)
-    y_control = y_base * (prior_mass * rr_uy + 1.0 - prior_mass) / target_nde_rr
+    if not np.all((0.0 < p) & (p <= 1.0)):
+        raise BadParameter("posterior_mass must be in (0, 1]")
+    if not np.all((rr_au >= 1.0) & (rr_uy >= 1.0)):
+        raise BadParameter("rr_au and rr_uy must be at least 1")
+    if not np.all((0.0 < anchor) & (anchor < 1.0) & (0.0 < ceiling) & (ceiling <= 1.0)
+                  & (target >= 1.0)):
+        raise BadParameter("need 0 < anchor < 1, 0 < outcome_ceiling <= 1, target_nde_rr >= 1")
+    prior_mass = p / rr_au
+    if (prior_mass > 1.0).any():
+        raise BadParameter("posterior_mass/rr_au must not exceed 1")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        anchor_other = np.where(
+            p == 1.0, 0.0, anchor * prior_mass * (1.0 - p) / (p * (1.0 - prior_mass))
+        )
+    y_base = ceiling / rr_uy
+    y_other_level = ceiling + 0.5 * (1.0 - ceiling)
+    y_control = y_base * (prior_mass * rr_uy + 1.0 - prior_mass) / target
+    zero = np.zeros(p.shape)
+    one = zero + 1.0
+
+    def table(nested, ndim: int) -> np.ndarray:
+        """The nesting of ``nested`` as trailing axes after the batch axes."""
+        return np.moveaxis(np.array(nested), range(ndim), range(-ndim, 0))
+
     return Scm(
-        u_prior=(1.0 - prior_mass, prior_mass),
-        a_given_u=(0.5, 0.5),
-        m_given=(
-            ((0.0, 1.0), (0.0, 1.0)),
-            ((1.0 - anchor_other, anchor_other), (1.0 - anchor, anchor)),
+        u_prior=table((1.0 - prior_mass, prior_mass), 1),
+        a_given_u=np.full((*p.shape, 2), 0.5),
+        m_given=table(
+            (((zero, one), (zero, one)),
+             ((1.0 - anchor_other, anchor_other), (1.0 - anchor, anchor))),
+            3,
         ),
-        y_given=(
-            ((0.5 * y_control, 0.5 * y_control), (y_control, y_control)),
-            ((y_other_level, y_other_level), (y_base, y_base * rr_uy)),
+        y_given=table(
+            (((0.5 * y_control, 0.5 * y_control), (y_control, y_control)),
+             ((y_other_level, y_other_level), (y_base, y_base * rr_uy))),
+            3,
         ),
     )
 
@@ -652,17 +688,44 @@ class SharpnessReport:
     nie_rd: float
 
 
-def _attainments(report: ValidityReport) -> dict[str, float]:
-    out = {"nde_rr": report.nde_rr_attainment}
-    out["nie_rr"] = report.true.nie_rr / adjust_nie_rr(report.observed.nie_rr, report.bf)
-    if report.true.nde_rd > 0.0 and report.nde_rd_lower > 0.0:
-        out["nde_rd"] = report.nde_rd_lower / report.true.nde_rd
-    if report.true.nie_rd > 0.0 and report.nie_rd_upper > 0.0:
-        out["nie_rd"] = report.true.nie_rd / report.nie_rd_upper
-    return out
+def _attainments(report: ValidityReport) -> dict[str, np.ndarray]:
+    """Attainment of each bound per model; rd ones are 0 where an effect or bound is <= 0."""
+    true, lower, upper = report.true, report.nde_rd_lower, report.nie_rd_upper
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return {
+            "nde_rr": report.nde_rr_attainment,
+            "nie_rr": true.nie_rr / adjust_nie_rr(report.observed.nie_rr, report.bf),
+            "nde_rd": np.where((true.nde_rd > 0.0) & (lower > 0.0), lower / true.nde_rd, 0.0),
+            "nie_rd": np.where((true.nie_rd > 0.0) & (upper > 0.0), true.nie_rd / upper, 0.0),
+        }
 
 
 _POSTERIOR_MASS_GRID = (0.999, 0.9999, 0.99999, 0.999999)
+#: uniform ranges of the per-iteration draws of :func:`sharpness_search`, in draw order:
+#: rr_au, rr_uy, outcome ceiling, target, anchor, jitter - 1, extra posterior mass
+_SHARPNESS_RANGES = np.array(
+    [(1.2, 6.0), (1.2, 6.0), (0.3, 0.9), (1.3, 3.0), (0.5, 0.95), (-0.05, 0.05), (0.99, 0.999999)]
+)
+
+
+def _recipe_batch(rng: np.random.Generator, iterations: int) -> Scm:
+    """The recipe models of the next ``iterations`` draws, one batch ``[iteration, mass, pair]``."""
+    low, high = _SHARPNESS_RANGES.T
+    draws = low + (high - low) * rng.random((iterations, len(low)))  # as rng.uniform scales
+    rr_au, rr_uy, ceiling, target, anchor, jitter, mass_extra = draws.T[..., None, None]
+    jitter = 1.0 + jitter
+    mass = np.concatenate(
+        [np.broadcast_to(np.array(_POSTERIOR_MASS_GRID)[:, None], (iterations, 4, 1)), mass_extra],
+        axis=1,
+    )
+    return recipe_scm(
+        np.maximum(1.0, np.concatenate([rr_au, rr_au * jitter], axis=-1)),
+        np.maximum(1.0, np.concatenate([rr_uy, rr_uy / jitter], axis=-1)),
+        mass,
+        anchor=anchor,
+        outcome_ceiling=ceiling,
+        target_nde_rr=target,
+    )
 
 
 def sharpness_search(seed: int, iterations: int = 200) -> SharpnessReport:
@@ -670,49 +733,27 @@ def sharpness_search(seed: int, iterations: int = 200) -> SharpnessReport:
 
     Sweeps the recipe over random parameter draws and a fixed grid of
     posterior-mass values approaching 1, plus jittered variants, and
-    returns the supremum attainment seen per bound.  Every evaluated model
-    must also pass :func:`verify_bounds`; a violation raises
+    returns the supremum attainment seen per bound.  Each iteration draws
+    seven uniforms and builds 10 models: 5 posterior masses times the
+    drawn and the jittered parameter pair.  Up to ``SHARPNESS_BATCH``
+    iterations form one :class:`Scm` batch, checked by one
+    :func:`verify_bounds` call; a violation raises
     :class:`InternalCheckError`.
     """
     rng = np.random.default_rng(seed)
-    best = {"nde_rr": 0.0, "nie_rr": 0.0, "nde_rd": 0.0, "nie_rd": 0.0}
-    evaluated = 0
-    for _ in range(iterations):
-        rr_au = float(rng.uniform(1.2, 6.0))
-        rr_uy = float(rng.uniform(1.2, 6.0))
-        ceiling = float(rng.uniform(0.3, 0.9))
-        target = float(rng.uniform(1.3, 3.0))
-        anchor = float(rng.uniform(0.5, 0.95))
-        jitter = 1.0 + float(rng.uniform(-0.05, 0.05))
-        mass_extra = float(rng.uniform(0.99, 0.999999))
-        for mass in _POSTERIOR_MASS_GRID + (mass_extra,):
-            for x, y in ((rr_au, rr_uy), (rr_au * jitter, rr_uy / jitter)):
-                scm = recipe_scm(
-                    max(1.0, x),
-                    max(1.0, y),
-                    mass,
-                    anchor=anchor,
-                    outcome_ceiling=ceiling,
-                    target_nde_rr=target,
-                )
-                report = verify_bounds(scm)
-                if not report.all_hold:
-                    raise InternalCheckError(
-                        f"sharpness construction violated a bound: {report.checks!r}"
-                    )
-                evaluated += 1
-                for key, value in _attainments(report).items():
-                    if value > best[key]:
-                        best[key] = value
-    return SharpnessReport(
-        seed=seed,
-        iterations=iterations,
-        evaluated=evaluated,
-        nde_rr=best["nde_rr"],
-        nie_rr=best["nie_rr"],
-        nde_rd=best["nde_rd"],
-        nie_rd=best["nie_rd"],
-    )
+    best = dict.fromkeys(("nde_rr", "nie_rr", "nde_rd", "nie_rd"), 0.0)
+    for start in range(0, iterations, SHARPNESS_BATCH):
+        report = verify_bounds(_recipe_batch(rng, min(SHARPNESS_BATCH, iterations - start)))
+        if not report.all_hold:
+            bad = np.argwhere(~np.logical_and.reduce([c.holds for c in report.checks]))[0]
+            slacks = {c.name: float(c.slack[tuple(bad)]) for c in report.checks}
+            raise InternalCheckError(
+                f"sharpness construction violated a bound at (iteration, mass, pair) "
+                f"{(start + int(bad[0]), int(bad[1]), int(bad[2]))}: slacks {slacks!r}"
+            )
+        for key, value in _attainments(report).items():
+            best[key] = max(best[key], float(value.max()))
+    return SharpnessReport(seed=seed, iterations=iterations, evaluated=10 * iterations, **best)
 
 
 # ---------------------------------------------------------------------------
@@ -778,14 +819,12 @@ def validity_battery(
             worst_slack[check.name] = max(worst_slack.get(check.name, -math.inf), worst)
             violations += int(np.count_nonzero(~check.holds))
 
-    ratio_violations = 0
-    ratio_max_excess = -math.inf
-    for _ in range(ratio_iterations):
-        inst = sample_ratio_instance(rng, int(rng.integers(2, 7)))
-        res = check_ratio_bound(inst)
-        ratio_max_excess = max(ratio_max_excess, res.lhs - res.rhs)
-        if not res.holds:
-            ratio_violations += 1
+    ratio_violations, ratio_max_excess = 0, -math.inf
+    for start in range(0, ratio_iterations, RATIO_BATCH):
+        count = min(RATIO_BATCH, ratio_iterations - start)
+        ratio = check_ratio_bound(sample_ratio_instances(rng, count))
+        ratio_violations += int(np.count_nonzero(~ratio.holds))
+        ratio_max_excess = max(ratio_max_excess, float(np.max(ratio.lhs - ratio.rhs)))
 
     sharp = sharpness_search(seed=seed + 1, iterations=sharpness_iterations)
 

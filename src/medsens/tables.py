@@ -140,7 +140,8 @@ def read_records_csv(path: str) -> RecordTable:
 
     Integer-coded, comma-separated, UTF-8.  A missing count column means
     count 1; duplicate rows are summed into their cell.  Raises
-    :class:`ParseError` naming the first offending line.
+    :class:`ParseError` naming the first offending line, also for bytes
+    that are not UTF-8 and for a field beyond the ``csv`` field limit.
 
     Identical records are tallied first, ``READ_BLOCK`` records at a time,
     and each distinct record of a block is checked and parsed once, so the
@@ -148,25 +149,38 @@ def read_records_csv(path: str) -> RecordTable:
     stays bounded by the block plus the cells.
     """
     cells: Counter[tuple[int, int, int, int]] = Counter()  # keyed by (c, a, m, y)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    unreadable: list[ParseError] = []
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+
+        def records():
+            """The records of ``reader``, ending at the first that the csv module cannot read."""
+            try:
+                yield from reader
+            except csv.Error as err:
+                unreadable.append(ParseError(f"{path}: line {reader.line_num}: {err}"))
+
+        rows = records()
+        header = next(rows, None)
+        if header is None:
+            raise unreadable[0] if unreadable else ParseError(f"{path}: empty file")
         header = [h.strip().lower() for h in header]
         if header not in (["a", "m", "y", "c"], ["a", "m", "y", "c", "count"]):
             raise ParseError(f"{path}: line 1: header must be a,m,y,c[,count], got {header}")
         # records in first-appearance order: the first bad one is on the first bad line
-        while block := Counter(map(tuple, islice(reader, READ_BLOCK))):
+        while block := Counter(map(tuple, islice(rows, READ_BLOCK))):
             for record, times in block.items():
                 try:
                     parsed = _parse_record(record, len(header))
                 except ParseError as err:
+                    if any("\udc80" <= ch <= "\udcff" for ch in "".join(record)):
+                        err = "a byte sequence that is not UTF-8"  # kept as escapes on reading
                     raise ParseError(f"{path}: line {_first_line(path, record)}: {err}") from None
                 if parsed is not None:
                     cell, count = parsed
                     cells[cell] += count * times
+    if unreadable:
+        raise unreadable[0]
     if not cells:
         raise ParseError(f"{path}: no data rows")
     return RecordTable.from_rows((a, m, y, c, n) for (c, a, m, y), n in cells.items())
@@ -199,7 +213,7 @@ def _parse_record(
 
 def _first_line(path: str, record: tuple[str, ...]) -> int:
     """Line number of the first occurrence of ``record``, counted as records after the header."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         next(reader)
         return next(lineno for lineno, raw in enumerate(reader, start=2) if tuple(raw) == record)

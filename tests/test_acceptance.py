@@ -36,7 +36,7 @@ from medsens.oracle import (
     rr_au_mediator_ratio,
     rr_au_posterior,
     rr_au_posterior_per_mediator,
-    sample_ratio_instance,
+    sample_ratio_instances,
     sample_scm,
     sharpness_search,
     unexposed_nde_check,
@@ -62,45 +62,64 @@ class SweepResults:
     unexposed_violations: int = 0
     equivalence_max: float = 0.0
     interaction_violations: int = 0
-    effect_pairs: list = field(default_factory=list)
+    effect_pairs: list = field(default_factory=list)  # (observed, true or None), each a batch
     elapsed: float = 0.0
+
+
+#: the sweep's model groups, 5000 models each: (outcome mode, exposure dependent on U, m_card)
+SWEEP_GROUPS = tuple(
+    (mode, dependent, m_card)
+    for mode, dependent in (("probability", False), ("mean", False), ("probability", True))
+    for m_card in (2, 3)
+)
+
+
+def _all_hold(rep) -> np.ndarray:
+    """Per model of a checked batch: whether every check holds."""
+    return np.logical_and.reduce([c.holds for c in rep.checks])
+
+
+def _interaction_violations(scm) -> int:
+    """Models of the batch whose posterior collider ratio exceeds the model-free cap at some m."""
+    violations = np.zeros(scm.batch_shape, dtype=bool)
+    for m, values in rr_au_posterior_per_mediator(scm).items():
+        for b, value in enumerate(values):
+            grid = MediatorProbGrid(
+                p=tuple(tuple(float(v) for v in scm.m_given[b, a, :, m]) for a in (0, 1))
+            )
+            violations[b] |= value > interaction_bound(grid) * (1 + 1e-12)
+    return int(violations.sum())
 
 
 @pytest.fixture(scope="session")
 def sweep() -> SweepResults:
     t0 = time.time()
     res = SweepResults()
-    rng = np.random.default_rng(SEED)
-    for i in range(10_000):
-        scm = sample_scm(rng, u_card=2, m_card=2 + i % 2)
+    # one generator per group, so that each group is drawn and checked as one batch
+    streams = np.random.SeedSequence(SEED).spawn(len(SWEEP_GROUPS))
+    for (mode, dependent, m_card), stream in zip(SWEEP_GROUPS, streams):
+        scm = sample_scm(
+            np.random.default_rng(stream), u_card=2, m_card=m_card, mode=mode,
+            y_max=5.0 if mode == "mean" else 1.0, dependent_exposure=dependent, shape=(5000,),
+        )
+        if dependent:
+            rep = unexposed_nde_check(scm)
+            res.unexposed_violations += int(np.count_nonzero(~_all_hold(rep)))
+            res.effect_pairs.append((rep.observed, None))
+            continue
         rep = verify_bounds(scm)
-        res.prob_violations += not rep.all_hold
         res.effect_pairs.append((rep.observed, rep.true))
+        if mode == "mean":
+            res.mean_violations += int(np.count_nonzero(~_all_hold(rep)))
+            continue
+        res.prob_violations += int(np.count_nonzero(~_all_hold(rep)))
         # two definitions of the collider parameter, and the model-free cap
         post = rr_au_posterior(scm)
         ratio = rr_au_mediator_ratio(scm)
-        res.equivalence_max = max(res.equivalence_max, abs(post - ratio) / max(1.0, post))
-        for m, value in rr_au_posterior_per_mediator(scm).items():
-            grid = MediatorProbGrid(
-                p=(
-                    tuple(scm.m_given[0][u][m] for u in range(scm.u_card)),
-                    tuple(scm.m_given[1][u][m] for u in range(scm.u_card)),
-                )
-            )
-            if value > interaction_bound(grid) * (1 + 1e-12):
-                res.interaction_violations += 1
-    rng_mean = np.random.default_rng(SEED + 1)
-    for i in range(10_000):
-        scm = sample_scm(rng_mean, u_card=2, m_card=2 + i % 2, mode="mean", y_max=5.0)
-        rep = verify_bounds(scm)
-        res.mean_violations += not rep.all_hold
-        res.effect_pairs.append((rep.observed, rep.true))
-    rng_dep = np.random.default_rng(SEED + 2)
-    for i in range(10_000):
-        scm = sample_scm(rng_dep, u_card=2, m_card=2 + i % 2, dependent_exposure=True)
-        rep = unexposed_nde_check(scm)
-        res.unexposed_violations += not rep.all_hold
-        res.effect_pairs.append((rep.observed, None))
+        res.equivalence_max = max(
+            res.equivalence_max, float(np.max(np.abs(post - ratio) / np.maximum(1.0, post)))
+        )
+        res.interaction_violations += _interaction_violations(scm)
     res.elapsed = time.time() - t0
     return res
 
@@ -256,10 +275,8 @@ def test_criterion_05_sharpness():
 def test_criterion_06_discrete_ratio_oracle():
     t0 = time.time()
     rng = np.random.default_rng(SEED + 3)
-    violations = 0
-    for _ in range(10_000):
-        res = check_ratio_bound(sample_ratio_instance(rng, int(rng.integers(2, 7))))
-        violations += not res.holds
+    res = check_ratio_bound(sample_ratio_instances(rng, 10_000))
+    violations = int(np.count_nonzero(~res.holds))
     worst_gap = 0.0
     for _ in range(500):
         density_ratio = float(rng.uniform(1.0, 50.0))
@@ -306,8 +323,9 @@ def test_criterion_09_decomposition_identities(sweep):
         for eff in (obs, true):
             if eff is None:
                 continue
-            worst_rr = max(worst_rr, abs(eff.te_rr - eff.nde_rr * eff.nie_rr) / abs(eff.te_rr))
-            worst_rd = max(worst_rd, abs(eff.te_rd - (eff.nde_rd + eff.nie_rd)))
+            rel_rr = np.abs(eff.te_rr - eff.nde_rr * eff.nie_rr) / np.abs(eff.te_rr)
+            worst_rr = max(worst_rr, float(rel_rr.max()))
+            worst_rd = max(worst_rd, float(np.abs(eff.te_rd - (eff.nde_rd + eff.nie_rd)).max()))
     ok = worst_rr <= 1e-12 and worst_rd <= 1e-12
     report_line(
         "9",

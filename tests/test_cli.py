@@ -72,6 +72,16 @@ class TestEstimate:
         assert code == 2
         assert "line 3" in err
 
+    @pytest.mark.parametrize("data", [
+        b"a,m,y,c\n0,0,0,0\n1,\xff,1,0\n",
+        b"a,m,y,c\n0,0,0,0\n1," + b"1" * 200_000 + b",1,0\n",
+    ], ids=["non-utf8", "oversized-field"])
+    def test_unreadable_line_exits_2(self, capsys, tmp_path, data):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(data)
+        assert main(["estimate", "--csv", str(p)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_oversized_category_code_exits_2(self, capsys, tmp_path):
         # past int64, and a count tensor past the address space
         for code in (10**20, 2**62):
@@ -146,12 +156,30 @@ class TestBound:
         code = main(["bound", "--rr-au", "2", "--rr-uy", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--nde-rr", "1.72", "--nde-rr-ci", "2.21", "1.34"), "--nde-rr-ci"),
+        (("--nde-rr", "1.72", "--nde-rr-ci", "1.8", "2.2"), "--nde-rr-ci"),
+        (("--nie-rr", "1.3", "--nie-rr-ci", "1.5", "1.1"), "--nie-rr-ci"),
+        (("--nie-rr", "1.3", "--nie-rr-ci", "1.4", "1.6"), "--nie-rr-ci"),
+        (("--nde-rr-ci", "1.34", "2.21"), "--nde-rr-ci"),
+        (("--nde-rr", "inf"), "--nde-rr"),
+        (("--nie-rr", "nan"), "--nie-rr"),
+        (("--nde-rr", "1.72", "--nde-rr-ci", "0", "2.21"), "--nde-rr-ci"),
+    ])
+    def test_bad_observed_effect_or_limits_exit_2(self, capsys, flags, named):
+        assert main(["bound", "--rr-au", "2", "--rr-uy", "2", *flags]) == 2
+        assert named in capsys.readouterr().err
+
 
 class TestCornfield:
     def test_partner_solve(self, capsys):
         code, doc = run_json(capsys, "cornfield", "--nde-rr", "1.34", "--fixed-param", "1.40")
         assert code == 0
         assert math.isclose(doc["result"]["required_partner"], 8.93, abs_tol=5e-3)
+
+    def test_infinite_observed_effect_exits_2(self, capsys):
+        assert main(["cornfield", "--nde-rr", "inf"]) == 2
+        assert "--nde-rr" in capsys.readouterr().err
 
     def test_infeasible_partner_warns_and_exits_3(self, capsys):
         code, doc = run_json(capsys, "cornfield", "--nde-rr", "1.72", "--fixed-param", "1.40")
@@ -217,6 +245,12 @@ class TestSweep:
     def test_unsorted_grid_rejected(self, capsys):
         code = main(["sweep", "--nde-rr", "1.5", "--rr-au-grid", "2,1", "--rr-uy-grid", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("au, uy", [("1,1", "2"), ("1,2", "2,3,3")])
+    def test_repeated_grid_value_rejected(self, capsys, au, uy):
+        code = main(["sweep", "--nde-rr", "1.5", "--rr-au-grid", au, "--rr-uy-grid", uy])
+        assert code == 2
+        assert "strictly ascending" in capsys.readouterr().err
 
 
 class TestParametric:

@@ -1,15 +1,24 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from medsens.bounds import SensitivitySpec, bounding_factor
 from medsens.effects import observed_effects
-from medsens.errors import BadParameter, UnreachableCell, ZeroDenominator, ZeroProbability
+from medsens.errors import (
+    BadParameter,
+    InternalCheckError,
+    UnreachableCell,
+    ZeroDenominator,
+    ZeroProbability,
+)
+from medsens import oracle
 from medsens.loglinear import MediatorProbGrid, interaction_bound
 from medsens.oracle import (
     DiscreteRatioInstance,
     Scm,
+    SharpnessReport,
     bernoulli_instance,
     check_ratio_bound,
     observed_model,
@@ -19,7 +28,7 @@ from medsens.oracle import (
     rr_au_posterior,
     rr_au_posterior_per_mediator,
     rr_uy,
-    sample_ratio_instance,
+    sample_ratio_instances,
     sample_scm,
     sharpness_search,
     true_effects,
@@ -167,10 +176,11 @@ class TestTrueEffects:
 
     def test_decomposition_identities(self):
         rng = np.random.default_rng(41)
-        for _ in range(2000):
-            true = true_effects(sample_scm(rng, 2, 3))
-            assert math.isclose(true.te_rr, true.nde_rr * true.nie_rr, rel_tol=1e-12)
-            assert math.isclose(true.te_rd, true.nde_rd + true.nie_rd, abs_tol=1e-12)
+        true = true_effects(sample_scm(rng, 2, 3, shape=(2000,)))  # the same 2000 models
+        product = true.nde_rr * true.nie_rr
+        assert (np.abs(true.te_rr - product)
+                <= 1e-12 * np.maximum(np.abs(true.te_rr), np.abs(product))).all()
+        assert (np.abs(true.te_rd - (true.nde_rd + true.nie_rd)) <= 1e-12).all()
 
     def test_requires_independent_exposure(self):
         rng = np.random.default_rng(43)
@@ -290,6 +300,40 @@ class TestVerifyBounds:
         assert math.isclose(rr_uy(scm), 3.5, rel_tol=1e-12)
 
 
+def sharpness_reference(seed: int, iterations: int) -> SharpnessReport:
+    """The search drawn one scalar at a time and checked one model at a time."""
+    from medsens.bounds import adjust_nie_rr
+
+    rng = np.random.default_rng(seed)
+    best = {"nde_rr": 0.0, "nie_rr": 0.0, "nde_rd": 0.0, "nie_rd": 0.0}
+    evaluated = 0
+    for _ in range(iterations):
+        rr_au = float(rng.uniform(1.2, 6.0))
+        rr_uy = float(rng.uniform(1.2, 6.0))
+        ceiling = float(rng.uniform(0.3, 0.9))
+        target = float(rng.uniform(1.3, 3.0))
+        anchor = float(rng.uniform(0.5, 0.95))
+        jitter = 1.0 + float(rng.uniform(-0.05, 0.05))
+        mass_extra = float(rng.uniform(0.99, 0.999999))
+        for mass in (0.999, 0.9999, 0.99999, 0.999999, mass_extra):
+            for x, y in ((rr_au, rr_uy), (rr_au * jitter, rr_uy / jitter)):
+                report = verify_bounds(recipe_scm(max(1.0, x), max(1.0, y), mass, anchor=anchor,
+                                                  outcome_ceiling=ceiling, target_nde_rr=target))
+                assert report.all_hold
+                evaluated += 1
+                values = {
+                    "nde_rr": report.nde_rr_attainment,
+                    "nie_rr": report.true.nie_rr / adjust_nie_rr(report.observed.nie_rr, report.bf),
+                }
+                if report.true.nde_rd > 0.0 and report.nde_rd_lower > 0.0:
+                    values["nde_rd"] = report.nde_rd_lower / report.true.nde_rd
+                if report.true.nie_rd > 0.0 and report.nie_rd_upper > 0.0:
+                    values["nie_rd"] = report.true.nie_rd / report.nie_rd_upper
+                for key, value in values.items():
+                    best[key] = max(best[key], float(value))
+    return SharpnessReport(seed=seed, iterations=iterations, evaluated=evaluated, **best)
+
+
 class TestSharpnessSearch:
     def test_deterministic(self):
         assert sharpness_search(seed=5, iterations=20) == sharpness_search(seed=5, iterations=20)
@@ -298,6 +342,38 @@ class TestSharpnessSearch:
         report = sharpness_search(seed=5, iterations=50)
         for value in (report.nde_rr, report.nie_rr, report.nde_rd, report.nie_rd):
             assert 0.999 <= value <= 1.0 + 1e-10
+
+    @pytest.mark.parametrize("iterations", [1, 7, 50])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batch_matches_per_model_reference(self, seed, iterations):
+        assert sharpness_search(seed, iterations) == sharpness_reference(seed, iterations)
+
+    def test_batches_continue_the_stream(self, monkeypatch):
+        monkeypatch.setattr(oracle, "SHARPNESS_BATCH", 3)
+        assert sharpness_search(2, 7) == sharpness_reference(2, 7)
+
+    def test_violation_raises(self, monkeypatch):
+        # a bounding factor shrunk by 1% is crossed by the models that attain the bound
+        real = oracle.bounding_factor
+        monkeypatch.setattr(oracle, "bounding_factor",
+                            lambda spec: np.maximum(1.0, 0.99 * real(spec)))
+        with pytest.raises(InternalCheckError, match="nde_rr_ratio_vs_bf"):
+            sharpness_search(0, 3)
+
+    def test_recipe_batch_matches_single_models(self):
+        rr_au, rr_uy = np.array([1.0, 2.5, 4.0]), np.array([[3.5], [1.2]])
+        batch = recipe_scm(rr_au, rr_uy, posterior_mass=1.0, anchor=0.7)
+        assert batch.batch_shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            single = recipe_scm(float(rr_au[j]), float(rr_uy[i, 0]), 1.0, anchor=0.7)
+            for name in ("u_prior", "a_given_u", "m_given", "y_given"):
+                assert np.array_equal(getattr(batch, name)[i, j], getattr(single, name))
+
+    def test_recipe_rejects_any_bad_entry(self):
+        with pytest.raises(BadParameter):
+            recipe_scm([2.0, 0.5], 2.0, 0.999)
+        with pytest.raises(BadParameter):
+            recipe_scm(2.0, 2.0, [0.999, 1.5])
 
 
 class TestRatioBound:
@@ -327,10 +403,55 @@ class TestRatioBound:
         # non-degenerate instances never attain the bound; equality needs
         # the two-point structure
         rng = np.random.default_rng(79)
-        for _ in range(2000):
-            res = check_ratio_bound(sample_ratio_instance(rng, int(rng.integers(2, 7))))
-            assert res.holds
-            assert res.lhs < res.rhs
+        res = check_ratio_bound(sample_ratio_instances(rng, 2000))
+        assert res.holds.shape == (2000,)
+        assert res.holds.all()
+        assert (res.lhs < res.rhs).all()
+
+    def test_batch_draws_match_per_instance_draws(self):
+        rng, rng_single = np.random.default_rng(107), np.random.default_rng(107)
+        batch = sample_ratio_instances(rng, 300)
+        for b in range(300):
+            size = int(rng_single.integers(2, 7))
+            f0, f1 = (v / v.sum() for v in (rng_single.uniform(0.05, 1.0, size),
+                                              rng_single.uniform(0.05, 1.0, size)))
+            r = rng_single.uniform(0.1, 10.0, size)
+            assert np.array_equal(batch.f0[b, :size], f0)
+            assert np.array_equal(batch.f1[b, :size], f1)
+            assert np.array_equal(batch.r[b, :size], r)
+            # the padding: no mass, and the first weight repeated
+            assert not batch.f0[b, size:].any() and not batch.f1[b, size:].any()
+            assert (batch.r[b, size:] == r[0]).all()
+        assert rng.bit_generator.state == rng_single.bit_generator.state
+
+    def test_batch_matches_fsum_reference(self):
+        inst = sample_ratio_instances(np.random.default_rng(109), 5000)
+        res = check_ratio_bound(inst)
+        for b in range(5000):
+            f0, f1, r = (v.tolist() for v in (inst.f0[b], inst.f1[b], inst.r[b]))
+            lhs = math.fsum(w * p for w, p in zip(r, f1)) / math.fsum(w * p for w, p in zip(r, f0))
+            g = max(p1 / p0 for p0, p1 in zip(f0, f1) if p1 > 0.0)
+            d = max(r) / min(r)
+            rhs = g * d / (g + d - 1.0)
+            assert abs(res.lhs[b] - lhs) <= 4 * math.ulp(lhs)
+            assert abs(res.rhs[b] - rhs) <= 4 * math.ulp(rhs)
+            assert res.holds[b] == (lhs <= rhs + 1e-12)
+
+    def test_padding_changes_nothing(self):
+        plain = DiscreteRatioInstance(f0=(0.2, 0.3, 0.5), f1=(0.6, 0.1, 0.3), r=(1.5, 4.0, 0.5))
+        padded = DiscreteRatioInstance(
+            f0=(0.2, 0.3, 0.5, 0.0, 0.0), f1=(0.6, 0.1, 0.3, 0.0, 0.0), r=(1.5, 4.0, 0.5, 1.5, 1.5)
+        )
+        for got, want in zip(astuple(check_ratio_bound(padded)), astuple(check_ratio_bound(plain))):
+            assert got == want
+
+    def test_one_bad_instance_in_a_batch_raises(self):
+        f0 = ((0.5, 0.5), (1.0, 0.0))
+        f1 = ((0.5, 0.5), (0.5, 0.5))
+        with pytest.raises(ZeroDenominator):
+            check_ratio_bound(DiscreteRatioInstance(f0=f0, f1=f1, r=((1.0, 2.0), (1.0, 2.0))))
+        with pytest.raises(BadParameter):
+            check_ratio_bound(DiscreteRatioInstance(f0=f1, f1=f1, r=((1.0, 2.0), (0.0, 2.0))))
 
     def test_absolute_continuity_required(self):
         inst = DiscreteRatioInstance(f0=(1.0, 0.0), f1=(0.5, 0.5), r=(1.0, 2.0))
@@ -355,9 +476,9 @@ class TestUnexposedBound:
 
     def test_thousand_dependent_scms_hold(self):
         rng = np.random.default_rng(89)
-        for _ in range(1000):
-            report = unexposed_nde_check(sample_scm(rng, dependent_exposure=True))
-            assert report.all_hold, report.checks
+        report = unexposed_nde_check(sample_scm(rng, dependent_exposure=True, shape=(1000,)))
+        for check in report.checks:
+            assert check.holds.all(), (check.name, check.slack.max())
 
     def test_strong_dependence_with_u_irrelevant_to_y_is_tight(self):
         scm = flat_scm(
@@ -395,3 +516,10 @@ class TestBatches:
                         assert got.name == want.name
                         assert got.lhs[b] == want.lhs and got.rhs[b] == want.rhs
                         assert got.holds[b] == want.holds
+
+    def test_battery_blocks_continue_the_stream(self, monkeypatch):
+        args = dict(seed=3, iterations=10, ratio_iterations=50, sharpness_iterations=5)
+        whole = oracle.validity_battery(**args)
+        monkeypatch.setattr(oracle, "RATIO_BATCH", 7)
+        monkeypatch.setattr(oracle, "SHARPNESS_BATCH", 2)
+        assert oracle.validity_battery(**args) == whole

@@ -113,6 +113,29 @@ class TestCsv:
         with pytest.raises(ParseError, match="header"):
             read_records_csv(str(p))
 
+    @pytest.mark.parametrize("data, line", [
+        (b"a,m,y,c\n0,0,0,0\n1,\xff,1,0\n", 3),
+        (b"a,m,y,c\n0,0,0,0\n1,0,1,0\n\xfe\n1,2,x,0\n", 4),
+        (b"a,m,\xffy,c\n0,0,0,0\n", 1),
+    ], ids=["record", "blank-like-record", "header"])
+    def test_non_utf8_bytes_name_their_line(self, tmp_path, data, line):
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        with pytest.raises(ParseError, match=f"line {line}:"):
+            read_records_csv(str(p))
+
+    def test_oversized_field_names_its_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,m,y,c\n0,0,0,0\n1," + "1" * 200_000 + ",1,0\n0,1,0,0\n")
+        with pytest.raises(ParseError, match="line 3:.*field limit"):
+            read_records_csv(str(p))
+
+    def test_bad_line_before_an_oversized_field_is_named_first(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,m,y,c\n0,0,0,0\n7,0,1,0\n1," + "1" * 200_000 + ",1,0\n")
+        with pytest.raises(ParseError, match="line 3:"):
+            read_records_csv(str(p))
+
 
 ROW = st.tuples(
     st.integers(0, 1), st.integers(0, 2), st.integers(0, 1), st.integers(0, 2), st.integers(1, 4)

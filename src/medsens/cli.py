@@ -13,11 +13,11 @@ must never occur).
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -75,6 +75,13 @@ def _check_observed(args, flag: str) -> None:
         )
 
 
+def _reject_with_records(args, *flags: str) -> None:
+    """Refuse observed-effect ``flags`` next to ``--csv``: a records report has no place for them."""
+    for flag in flags:
+        if args.csv is not None and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise MedsensError(f"{args.command}: {flag} is not used with --csv; give one or the other")
+
+
 def _default_seed() -> int:
     text = os.environ.get("MEDSENS_SEED", "0")
     try:
@@ -127,7 +134,8 @@ def _cmd_estimate(args) -> int:
     for eff in effects.observed_effects_all(model):
         rows.append({"c": eff.c, **{f: getattr(eff, f) for f in fields}})
     if args.format == "csv":
-        _emit(report.to_csv(["c", *fields], [[r["c"], *(r[f] for f in fields)] for r in rows]))
+        header = ["c", *fields]
+        report.write_csv(sys.stdout, header, [map(repr, [r[h] for r in rows]) for h in header])
         return 0
     doc = report.document(
         "estimate",
@@ -172,6 +180,7 @@ def _bound_payload_tables(model, spec, scale):
 
 def _cmd_bound(args) -> int:
     _json_only(args)
+    _reject_with_records(args, "--nde-rr", "--nde-rr-ci", "--nie-rr", "--nie-rr-ci")
     _check_observed(args, "--nde-rr")
     _check_observed(args, "--nie-rr")
     spec = bounds.SensitivitySpec(rr_au=args.rr_au, rr_uy=args.rr_uy)
@@ -205,6 +214,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_cornfield(args) -> int:
     _json_only(args)
+    _reject_with_records(args, "--nde-rr")
     _check_observed(args, "--nde-rr")
     warnings: list[str] = []
     infeasible = False
@@ -268,51 +278,56 @@ def _cmd_cornfield(args) -> int:
     return 3 if infeasible else 0
 
 
-def _sweep_table(args, grid: SweepGrid) -> tuple[list[str], list[tuple], str | None]:
-    """Header, rows (rr_au major) and input digest of a sweep.
+def _spread(items, inner: int, outer: int):
+    """``items``, each repeated ``inner`` times, and all of that ``outer`` times."""
+    items = chain.from_iterable(map(repeat, items, repeat(inner))) if inner > 1 else items
+    return chain.from_iterable(repeat(list(items), outer)) if outer > 1 else items
 
-    The whole grid is evaluated as arrays, each stratum's sums once.
+
+def _sweep_table(args, grid: SweepGrid) -> tuple[list[str], list[tuple], str | None]:
+    """Header, columns ``(values, inner, outer)`` (see :func:`_spread`) and digest of a sweep.
+
+    Rows run rr_au major, then rr_uy, then stratum; each grid value and ``bf`` is one value.
     """
     au, uy = (v.ravel() for v in np.meshgrid(grid.rr_au_values, grid.rr_uy_values, indexing="ij"))
     spec = bounds.SensitivitySpec(rr_au=au, rr_uy=uy)
     bf = bounds.bounding_factor(spec)
-    cells = itertools.product(grid.rr_au_values, grid.rr_uy_values)  # the order of au, uy
     if args.csv is not None:
         model, digest, _ = _load_model(args)
+        strata, stratum = model.c_card, [(range(model.c_card), 1, bf.size)]
+        reports = [bounds.bound_report(model, c, spec) for c in range(strata)]
         header = ["rr_au", "rr_uy", "bf", "c", "nde_rr_lower", "nie_rr_upper",
                   "nde_rd_lower", "nie_rd_upper"]
-        columns = []
-        for c in range(model.c_card):
-            rep = bounds.bound_report(model, c, spec)
-            columns.append((c, rep.nde_rr_lower.tolist(), rep.nie_rr_upper.tolist(),
-                            rep.nde_rd_lower.tolist(), rep.nie_rd_upper.tolist()))
-        rows = [(au_i, uy_i, bf_i, c, lo[i], up[i], rd_lo[i], rd_up[i])
-                for i, ((au_i, uy_i), bf_i) in enumerate(zip(cells, bf.tolist()))
-                for c, lo, up, rd_lo, rd_up in columns]
-        return header, rows, digest
-    if args.nde_rr is None:
+        values = [np.stack([getattr(rep, name) for rep in reports], axis=-1) for name in header[4:]]
+    elif args.nde_rr is None:
         raise MedsensError("sweep needs --csv or --nde-rr")
-    header = ["rr_au", "rr_uy", "bf", "nde_rr_lower"]
-    columns = [bf.tolist(), bounds.adjust_nde_rr(args.nde_rr, bf).tolist()]
-    if args.nie_rr is not None:
-        header.append("nie_rr_upper")
-        columns.append(bounds.adjust_nie_rr(args.nie_rr, bf).tolist())
-    return header, [(*cell, *values) for cell, values in zip(cells, zip(*columns))], None
+    else:
+        strata, stratum, digest = 1, [], None
+        header = ["rr_au", "rr_uy", "bf", "nde_rr_lower"]
+        values = [bounds.adjust_nde_rr(args.nde_rr, bf)]
+        if args.nie_rr is not None:
+            header.append("nie_rr_upper")
+            values.append(bounds.adjust_nie_rr(args.nie_rr, bf))
+    cells = [(grid.rr_au_values, len(grid.rr_uy_values) * strata, 1),
+             (grid.rr_uy_values, strata, len(grid.rr_au_values)), (bf.tolist(), strata, 1)]
+    return header, cells + stratum + [(v.ravel().tolist(), 1, 1) for v in values], digest
 
 
 def _cmd_sweep(args) -> int:
+    _reject_with_records(args, "--nde-rr", "--nie-rr")
     _check_observed(args, "--nde-rr")
     _check_observed(args, "--nie-rr")
     grid = SweepGrid(
         rr_au_values=_parse_grid(args.rr_au_grid, "rr_au"),
         rr_uy_values=_parse_grid(args.rr_uy_grid, "rr_uy"),
     )
-    header, rows, digest = _sweep_table(args, grid)
+    header, columns, digest = _sweep_table(args, grid)
     if args.format == "json":
+        rows = list(zip(*(_spread(*column) for column in columns)))
         doc = report.document("sweep", {"header": header, "rows": rows}, input_digest=digest)
         _emit(report.to_json(doc))
     else:
-        _emit(report.to_csv(header, rows))
+        report.write_csv(sys.stdout, header, [_spread(map(repr, v), i, o) for v, i, o in columns])
     return 0
 
 
@@ -327,7 +342,7 @@ def _cmd_parametric(args) -> int:
         )
         _emit(report.to_json(doc))
     else:
-        _emit(report.to_csv(header, [[r[h] for h in header] for r in rows]))
+        report.write_csv(sys.stdout, header, [map(repr, [r[h] for r in rows]) for h in header])
     return 0
 
 

@@ -4,20 +4,24 @@ Every CLI run produces one document with a versioned schema, the tool
 version, a digest of the inputs, and accumulated warnings.  Serialization
 is byte-deterministic given identical content: keys are sorted, floats use
 their shortest round-trip representation, and no timestamps are embedded.
-Infinities are written as "inf"/"-inf", in JSON as in CSV, so every JSON
-report is strict, standard JSON.
+Infinities are written as "inf"/"-inf" (their ``repr``), in JSON as in
+CSV, so every JSON report is strict, standard JSON.  CSV is streamed in
+blocks of rows, never held whole.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import math
-from typing import Any, Mapping, Sequence
+from itertools import chain, islice
+from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 SCHEMA = "medsens-report/1"
+
+#: rows formatted and written per block by :func:`write_csv`
+CSV_BLOCK = 1 << 12
 
 
 def _tool_version() -> str:
@@ -77,7 +81,7 @@ def to_json(doc: Mapping[str, Any]) -> str:
 
 def _finite(value: Any) -> Any:
     if isinstance(value, float) and math.isinf(value):
-        return _cell(value)
+        return repr(float(value))  # numpy scalars too
     if isinstance(value, dict):
         return {k: _finite(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -85,18 +89,13 @@ def _finite(value: Any) -> Any:
     return value
 
 
-def to_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """Deterministic headered CSV (floats via repr, newline-terminated rows)."""
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_cell(v) for v in row) + "\n")
-    return buf.getvalue()
+def write_csv(out: TextIO, header: Sequence[str], columns: Sequence[Iterable[str]]) -> None:
+    """Stream lazy columns of formatted cells to ``out`` as CSV, ``CSV_BLOCK`` rows at a time."""
+    rows = chain([header], zip(*columns))
+    while text := to_csv(islice(rows, CSV_BLOCK)):
+        out.write(text)
 
 
-def _cell(value: Any) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    return str(value)
+def to_csv(rows: Iterable[Sequence[str]]) -> str:
+    """CSV text of rows of formatted cells, one newline-terminated line per row."""
+    return "\n".join(chain(map(",".join, rows), [""]))  # "" ends the last line, or is all

@@ -60,6 +60,9 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 #: CSV records tallied per block during ingest
 READ_BLOCK = 1 << 12
 
+#: most cells a count tensor may have: c_card * 2 * m_card * 2, so c_card * m_card <= 65,536
+MAX_CELLS = 1 << 18
+
 OutcomeMode = Literal["probability", "mean"]
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +97,9 @@ class RecordTable:
     ) -> "RecordTable":
         """Collapse ``(a, m, y, c, count)`` rows into cell counts, summing duplicates.
 
-        Cardinalities are inferred as max code + 1 when not declared.
+        Cardinalities are inferred as max code + 1 when not declared.  Codes
+        that would make the count tensor larger than ``MAX_CELLS`` cells raise
+        :class:`BadCode` before it is allocated.
         """
         fixed = [tuple(int(v) for v in row) for row in rows]
         if not fixed or any(len(row) != 5 for row in fixed):
@@ -115,9 +120,10 @@ class RecordTable:
             bad = codes[(codes < 0) | (codes >= card)]
             if bad.size:
                 raise BadCode(f"{name}={bad[0]} outside 0..{card - 1}")
-        if c_card * 2 * m_card * 2 * 8 > np.iinfo(np.intp).max:
+        if c_card * 2 * m_card * 2 > MAX_CELLS:
             raise BadCode(
-                f"codes m={m_card - 1}, c={c_card - 1} need a count tensor beyond the address space"
+                f"codes m={m_card - 1}, c={c_card - 1} need {c_card * 2 * m_card * 2} count cells,"
+                f" over the cap of {MAX_CELLS}; recode m and c as consecutive codes from 0"
             )
         counts = np.zeros((c_card, 2, m_card, 2), dtype=np.int64)
         np.add.at(counts, (c, a, m, y), n)

@@ -1,10 +1,17 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from medsens.bounds import SensitivitySpec, bound_report, bounding_factor
+from medsens.bounds import (
+    SensitivitySpec,
+    adjust_nde_rr,
+    adjust_nie_rr,
+    bound_report,
+    bounding_factor,
+)
 from medsens import report
 from medsens.cli import main
 from medsens.effects import observed_effects, observed_effects_all
@@ -14,6 +21,7 @@ from medsens.tables import (
     estimate_from_records,
     expand_to_records,
     read_records_csv,
+    swap_exposure_records,
 )
 
 
@@ -27,6 +35,43 @@ def write_worked_csv(path, denominator=1000):
     lines += [f"{a},{m},{y},{c},{n}" for (c, a, m, y), n in np.ndenumerate(records.counts) if n]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def write_strata_csv(path, strata=3, m_card=3, seed=5):
+    counts = np.random.default_rng(seed).integers(1, 40, size=(strata, 2, m_card, 2))
+    lines = ["a,m,y,c,count"]
+    lines += [f"{a},{m},{y},{c},{n}" for (c, a, m, y), n in np.ndenumerate(counts)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def reference_sweep_csv(au_text, uy_text, csv=None, relabel=False, smoothing=0.0,
+                        nde_rr=None, nie_rr=None):
+    """A sweep as the row-at-a-time writer gave it: every cell of every row through repr."""
+    au_grid = [float(v) for v in au_text.split(",")]
+    uy_grid = [float(v) for v in uy_text.split(",")]
+    au, uy = (v.ravel() for v in np.meshgrid(au_grid, uy_grid, indexing="ij"))
+    spec = SensitivitySpec(au, uy)
+    bf = bounding_factor(spec)
+    cells = list(itertools.product(au_grid, uy_grid))
+    if csv is None:
+        header = ["rr_au", "rr_uy", "bf", "nde_rr_lower"]
+        columns = [bf.tolist(), adjust_nde_rr(nde_rr, bf).tolist()]
+        if nie_rr is not None:
+            header.append("nie_rr_upper")
+            columns.append(adjust_nie_rr(nie_rr, bf).tolist())
+        rows = [(*cell, *values) for cell, values in zip(cells, zip(*columns))]
+    else:
+        header = ["rr_au", "rr_uy", "bf", "c", "nde_rr_lower", "nie_rr_upper",
+                  "nde_rd_lower", "nie_rd_upper"]
+        records = read_records_csv(csv)
+        if relabel:
+            records = swap_exposure_records(records)
+        model = estimate_from_records(records, smoothing)
+        reports = [bound_report(model, c, spec) for c in range(model.c_card)]
+        rows = [(au_i, uy_i, bf.tolist()[i], c, *(getattr(rep, h).tolist()[i] for h in header[4:]))
+                for i, (au_i, uy_i) in enumerate(cells) for c, rep in enumerate(reports)]
+    return "".join(line + "\n" for line in [",".join(header), *(",".join(map(repr, r)) for r in rows)])
 
 
 def reject_constant(token):
@@ -83,8 +128,8 @@ class TestEstimate:
         assert "line 3" in capsys.readouterr().err
 
     def test_oversized_category_code_exits_2(self, capsys, tmp_path):
-        # past int64, and a count tensor past the address space
-        for code in (10**20, 2**62):
+        # past int64, past the address space, and past the count-tensor cap
+        for code in (10**20, 2**62, 200_000):
             p = tmp_path / "big.csv"
             p.write_text(f"a,m,y,c\n0,0,1,0\n1,{code},0,0\n")
             assert main(["estimate", "--csv", str(p)]) == 2
@@ -170,6 +215,21 @@ class TestBound:
         assert main(["bound", "--rr-au", "2", "--rr-uy", "2", *flags]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--nde-rr", "1.5"), "--nde-rr"),
+        (("--nde-rr", "1.5", "--nde-rr-ci", "1.2", "1.8"), "--nde-rr"),
+        (("--nde-rr-ci", "1.2", "1.8"), "--nde-rr-ci"),
+        (("--nie-rr", "1.2"), "--nie-rr"),
+        (("--nie-rr", "1.2", "--nie-rr-ci", "1.1", "1.3"), "--nie-rr"),
+    ])
+    def test_observed_effect_with_records_exits_2(self, capsys, tmp_path, flags, named):
+        # a records report has no place for an observed effect, so the flag would be dropped
+        csv = write_worked_csv(tmp_path / "d.csv")
+        assert main(["bound", "--csv", csv, "--rr-au", "2", "--rr-uy", "2", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{named} " in err and "--csv" in err
+
 
 class TestCornfield:
     def test_partner_solve(self, capsys):
@@ -186,6 +246,13 @@ class TestCornfield:
         assert code == 3
         assert doc["result"]["required_partner"] is None
         assert any("no finite partner" in w for w in doc["warnings"])
+
+    def test_observed_effect_with_records_exits_2(self, capsys, tmp_path):
+        csv = write_worked_csv(tmp_path / "d.csv")
+        assert main(["cornfield", "--csv", csv, "--nde-rr", "1.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--nde-rr " in err and "--csv" in err
 
     def test_difference_scale_from_records(self, capsys, tmp_path):
         csv = write_worked_csv(tmp_path / "d.csv")
@@ -241,6 +308,68 @@ class TestSweep:
         assert code == 0
         assert calls == [csv]
         assert doc["input_digest"] == digest_file(csv)
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("au, uy, flags", [
+        ("1,1.5,2,4", "1,2,8", ()),
+        ("1,2.5", "1,3", ("--relabel-exposure",)),
+        ("1,2", "1,3,5", ("--smoothing", "0.5")),
+        ("1", "1", ()),
+        ("1,2.5,1e300", "1,3", ()),
+    ], ids=["strata", "relabel", "smoothing", "one-cell", "1e300"])
+    def test_records_sweep_matches_row_wise_reference(self, capsys, tmp_path, monkeypatch,
+                                                      block, au, uy, flags):
+        if block is not None:
+            monkeypatch.setattr(report, "CSV_BLOCK", block)
+        csv = write_strata_csv(tmp_path / "d.csv")
+        code, out = run(capsys, "sweep", "--csv", csv, "--rr-au-grid", au, "--rr-uy-grid", uy,
+                        *flags)
+        assert code == 0
+        expected = reference_sweep_csv(au, uy, csv, relabel="--relabel-exposure" in flags,
+                                       smoothing=0.5 if "--smoothing" in flags else 0.0)
+        assert out == expected
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("nie_rr", [None, 1.3])
+    def test_estimates_sweep_matches_row_wise_reference(self, capsys, monkeypatch, block, nie_rr):
+        if block is not None:
+            monkeypatch.setattr(report, "CSV_BLOCK", block)
+        au, uy = "1,1.5,2,1e300", "1,2,8"
+        flags = () if nie_rr is None else ("--nie-rr", repr(nie_rr))
+        code, out = run(capsys, "sweep", "--nde-rr", "1.72", *flags,
+                        "--rr-au-grid", au, "--rr-uy-grid", uy)
+        assert code == 0
+        assert out == reference_sweep_csv(au, uy, nde_rr=1.72, nie_rr=nie_rr)
+
+    @pytest.mark.parametrize("source", [("--csv",), ("--nde-rr", "1.72", "--nie-rr", "1.3")])
+    def test_json_rows_equal_csv_rows(self, capsys, tmp_path, source):
+        if source == ("--csv",):
+            source = ("--csv", write_strata_csv(tmp_path / "d.csv"))
+        grid = ("--rr-au-grid", "1,2.5,1e300", "--rr-uy-grid", "1,3")
+        code, out = run(capsys, "sweep", *source, *grid)
+        code, doc = run_json(capsys, "sweep", *source, *grid, "--format", "json")
+        header, *lines = out.splitlines()
+        assert doc["result"]["header"] == header.split(",")
+        assert [",".join(v if isinstance(v, str) else repr(v) for v in row)
+                for row in doc["result"]["rows"]] == lines
+
+    def test_empty_stratum_exits_2_before_any_output(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,m,y,c\n" + "".join(
+            f"{a},0,{y},{c}\n" for c in (0, 2) for a in (0, 1) for y in (0, 1)))
+        assert main(["sweep", "--csv", str(path), "--rr-au-grid", "1,2", "--rr-uy-grid", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "c=1" in err
+
+    @pytest.mark.parametrize("flag", ["--nde-rr", "--nie-rr"])
+    def test_observed_effect_with_records_exits_2(self, capsys, tmp_path, flag):
+        csv = write_worked_csv(tmp_path / "d.csv")
+        code = main(["sweep", "--csv", csv, flag, "1.5", "--rr-au-grid", "1,2", "--rr-uy-grid", "1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{flag} " in err and "--csv" in err
 
     def test_unsorted_grid_rejected(self, capsys):
         code = main(["sweep", "--nde-rr", "1.5", "--rr-au-grid", "2,1", "--rr-uy-grid", "1"])

@@ -49,6 +49,19 @@ class TestRecordTable:
             RecordTable.from_rows([(0, 0, 0, 0, 0)], m_card=1, c_card=1)
 
 
+    def test_codes_past_the_cell_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(tables, "MAX_CELLS", 4 * 6)  # c_card * 2 * m_card * 2
+        assert RecordTable.from_rows([(0, 2, 0, 1, 1)]).counts.shape == (2, 2, 3, 2)
+        assert RecordTable.from_rows([(0, 5, 0, 0, 1)]).m_card == 6
+        zeros = mock.Mock(side_effect=AssertionError("allocated"))
+        monkeypatch.setattr(tables.np, "zeros", zeros)
+        for row, named in (((0, 6, 0, 0, 1), "m=6"), ((0, 2, 0, 2, 1), "c=2")):
+            with pytest.raises(BadCode, match=f"{named}.*recode"):
+                RecordTable.from_rows([row])
+        with pytest.raises(BadCode, match="recode"):
+            RecordTable.from_rows([(0, 0, 0, 0, 1)], m_card=7)
+        zeros.assert_not_called()
+
     def test_counts_are_checked_and_frozen(self):
         for bad in (np.zeros((1, 2, 1, 2), int), -np.ones((1, 2, 1, 2), int),
                     np.ones((1, 3, 1, 2), int), np.ones((2, 1, 2)), np.ones((1, 2, 1, 2))):

@@ -9,7 +9,6 @@ distributional oracle.
 
 from .bootstrap import BootstrapResult, run_bootstrap
 from .bounds import (
-    BoundReport,
     CornfieldThresholds,
     SensitivitySpec,
     adjust_nde_rr,
@@ -23,12 +22,7 @@ from .bounds import (
     required_partner,
     stratum_envelopes,
 )
-from .effects import (
-    Effects,
-    average_rd_effects,
-    observed_effects,
-    observed_effects_all,
-)
+from .effects import Effects, observed_effects
 from .errors import (
     BadCode,
     BadParameter,
@@ -47,7 +41,6 @@ from .errors import (
 )
 from .loglinear import (
     LogLinearSpec,
-    MediatorProbGrid,
     collider_ratio_grid,
     cumulant_k,
     interaction_bound,
@@ -65,7 +58,6 @@ from .oracle import (
     bernoulli_instance,
     check_ratio_bound,
     observed_model,
-    outcome_marginal,
     recipe_scm,
     rr_au_mediator_ratio,
     rr_au_posterior,
@@ -86,7 +78,6 @@ from .tables import (
     estimate_from_records,
     expand_to_records,
     read_records_csv,
-    swap_exposure,
     swap_exposure_records,
 )
 

@@ -6,9 +6,9 @@ the original counts, which is exactly sampling N records with replacement;
 how the records were grouped into rows does not matter.  Replicates are
 drawn and evaluated in batches: one multinomial call draws a batch of
 count tensors, :func:`~medsens.tables.estimate_tables` estimates them
-together, and the effects (and, optionally, bounds) follow as arrays over
-the batch.  The batches draw the same replicates, in the same order, as one
-draw at a time would.  Intervals are percentile intervals of the replicate
+together, and :func:`~medsens.bounds.bound_report` forms the effects (and,
+optionally, bounds) as arrays over the batch.  The batches draw the same
+replicates, in the same order, as one draw at a time would.  Intervals are percentile intervals of the replicate
 statistics.
 
 A replicate that empties a required table cell cannot be evaluated; it is
@@ -22,14 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SensitivitySpec, bound_nde_rd, bound_nie_rd, bounding_factor
-from .effects import Effects
+from .bounds import BOUND_STATS, EFFECT_STATS, SensitivitySpec, bound_report
 from .errors import BadParameter, DegenerateResample
-from .tables import RecordTable, crossworld_sums, estimate_from_records, estimate_tables
+from .tables import RecordTable, estimate_from_records, estimate_tables
 
-#: statistics collected per stratum, in output order
-EFFECT_STATS = ("nde_rr", "nie_rr", "te_rr", "nde_rd", "nie_rd", "te_rd")
-BOUND_STATS = ("nde_rr_lower", "nie_rr_upper", "nde_rd_lower", "nie_rd_upper")
 #: more than this many redraws per requested replicate raises DegenerateResample
 MAX_REDRAW_FACTOR = 10
 #: count-tensor cells drawn per batch of replicates, which bounds a batch's memory
@@ -49,30 +45,6 @@ class BootstrapResult:
     seed: int
     degenerate_redraws: int
     intervals: dict[int, dict[str, tuple[float, float, float]]]
-
-
-def _statistics(y: np.ndarray, w: np.ndarray, spec: SensitivitySpec | None) -> np.ndarray:
-    """Every statistic of tables ``y[..., c, a, m]`` and ``w[..., c, a, m]``, as ``[..., c, stat]``.
-
-    The statistics are ``EFFECT_STATS`` followed, with a spec, by ``BOUND_STATS``.
-    """
-    sums = crossworld_sums(y, w)
-    # a zero denominator is reported for the first replicate, and its first
-    # stratum, that has one, as evaluating one replicate at a time would
-    zero = np.flatnonzero((sums[0] == 0.0) | (sums[1] == 0.0))
-    if zero.size:
-        Effects.from_sums(*(s.flat[zero[0]] for s in sums), c=int(zero[0] % y.shape[-3]))
-    eff = Effects.from_sums(*sums)
-    stats = [getattr(eff, name) for name in EFFECT_STATS]
-    if spec is not None:
-        bf = bounding_factor(spec)
-        stats += [
-            eff.nde_rr / bf,
-            eff.nie_rr * bf,
-            bound_nde_rd(eff.n10, eff.n00, bf),
-            bound_nie_rd(eff.n10, eff.n11, bf),
-        ]
-    return np.stack(stats, axis=-1)
 
 
 def run_bootstrap(
@@ -95,8 +67,15 @@ def run_bootstrap(
         raise BadParameter("need at least 100 replicates for percentile intervals")
     if not 0.0 < level < 1.0:
         raise BadParameter(f"level must be in (0, 1), got {level!r}")
+    names = EFFECT_STATS + (BOUND_STATS if spec is not None else ())
+
+    def statistics(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The ``names`` of :func:`~medsens.bounds.bound_report` as ``[..., c, stat]``."""
+        report = bound_report(y, w, spec)
+        return np.stack([report[name] for name in names], axis=-1)
+
     model = estimate_from_records(records, smoothing)
-    point = _statistics(model.y, model.w, spec)
+    point = statistics(model.y, model.w)
     rng = np.random.default_rng(seed)
     shape = records.counts.shape
     total = records.total()
@@ -118,12 +97,11 @@ def run_bootstrap(
             raise DegenerateResample(
                 f"{budget + 1} degenerate replicates exceeded the redraw budget {budget}"
             )
-        draws.append(_statistics(y[ok], w[ok], spec))
+        draws.append(statistics(y[ok], w[ok]))
 
     lo_q = 100.0 * (1.0 - level) / 2.0
     hi_q = 100.0 - lo_q
     lo, hi = np.percentile(np.concatenate(draws), [lo_q, hi_q], axis=0)
-    names = EFFECT_STATS + (BOUND_STATS if spec is not None else ())
     intervals = {
         c: {
             name: (float(lo[c, s]), float(point[c, s]), float(hi[c, s]))

@@ -30,8 +30,9 @@ Inverting the bound gives Cornfield-type thresholds: to push an observed
 direct effect down to a hypothesized true value, both parameters must exceed
 the ratio r = observed/true, and the larger must exceed r + sqrt(r (r - 1)).
 
-Everything here is a pure function of floats and small frozen dataclasses;
-the bounding factor and the adjusted bounds also take arrays, elementwise.
+Everything here is a pure function of floats, arrays and small frozen
+dataclasses.  :func:`bound_report` forms every stratum's effects and bounds
+at once, as arrays over the strata.
 When an observed effect is below its null (protective direction), relabel
 the exposure first; the CLI exposes a flag for that.
 """
@@ -40,13 +41,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .effects import Effects, observed_effects
+from .effects import Effects
 from .errors import BadParameter, BadTarget, Infeasible, ZeroDenominator
-from .tables import ConditionalModel
+from .tables import crossworld_sums
+
+#: effects and bounds of :func:`bound_report` per stratum, in output order
+EFFECT_STATS = ("nde_rr", "nie_rr", "te_rr", "nde_rd", "nie_rd", "te_rd")
+BOUND_STATS = ("nde_rr_lower", "nie_rr_upper", "nde_rd_lower", "nie_rd_upper")
 
 
 def _check_param(value, name: str):
@@ -99,11 +103,17 @@ def bounding_factor(spec: SensitivitySpec) -> float:
     """Maximal multiplicative bias bf = rr_au*rr_uy / (rr_au + rr_uy - 1).
 
     If either parameter is 1 the result is exactly 1; if either is +inf the
-    result is the other parameter.
+    result is the other parameter.  Where the product or the sum overflows,
+    the equal form lo / (1 + (lo - 1) / hi) of the smaller parameter lo and
+    the larger hi is used instead; it never exceeds lo.
     """
     x, y = spec.rr_au, spec.rr_uy
-    with np.errstate(invalid="ignore"):  # inf/inf, replaced by the other parameter
-        bf = np.where(np.isinf(x), y, np.where(np.isinf(y), x, x * y / (x + y - 1.0)))
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    with np.errstate(over="ignore", invalid="ignore"):  # replaced below: overflow, and inf/inf
+        product, total = x * y, x + y - 1.0
+        bf = np.where(np.isfinite(product) & np.isfinite(total), product / total,
+                      lo / (1.0 + (lo - 1.0) / hi))
+    bf = np.where(np.isinf(x), y, np.where(np.isinf(y), x, bf))
     return np.where((x == 1.0) | (y == 1.0), 1.0, bf)[()]
 
 
@@ -191,61 +201,44 @@ def required_partner(fixed: float, target_bf: float) -> float:
     return target_bf * (fixed - 1.0) / (fixed - target_bf)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Observed effects, bounding factor, adjusted bounds, and thresholds for one stratum.
+def bound_report(y: np.ndarray, w: np.ndarray, spec: SensitivitySpec | None = None) -> dict:
+    """Observed effects and, with a spec, bounds of every stratum of tables ``y``, ``w``.
 
-    The Cornfield thresholds are at the null (ratio-scale target 1,
-    difference-scale target 0).
+    The tables are ``y[..., c, a, m]`` and ``w[..., c, a, m]``.  The result
+    maps ``n10``, ``n00``, ``n11`` and each of ``EFFECT_STATS`` to an array
+    ``[..., c]``; with a spec also ``bf`` and each of ``BOUND_STATS``.  The
+    spec's arrays broadcast against the stratum axis, so a grid of shape
+    (G, 1) gives bounds of shape (G, C).  A zero denominator is reported for
+    the first entry and stratum that has one, as one stratum at a time would.
     """
-
-    c: int
-    observed: Effects
-    spec: SensitivitySpec
-    bf: float
-    nde_rr_lower: float
-    nie_rr_upper: float
-    nde_rd_lower: float
-    nie_rd_upper: float
-    cornfield_rr: CornfieldThresholds
-    cornfield_rd: CornfieldThresholds
-
-
-def bound_report(model: ConditionalModel, c: int, spec: SensitivitySpec) -> BoundReport:
-    """Full per-stratum sensitivity report for a conditional model.
-
-    With array parameters in ``spec`` the bounds are arrays over them, so a
-    sweep forms each stratum's sums once.
-    """
-    obs = observed_effects(model, c)
-    bf = bounding_factor(spec)
-    return BoundReport(
-        c=c,
-        observed=obs,
-        spec=spec,
-        bf=bf,
-        nde_rr_lower=obs.nde_rr / bf,
-        nie_rr_upper=obs.nie_rr * bf,
-        nde_rd_lower=bound_nde_rd(obs.n10, obs.n00, bf),
-        nie_rd_upper=bound_nie_rd(obs.n10, obs.n11, bf),
-        cornfield_rr=cornfield_rr(obs.nde_rr),
-        cornfield_rd=cornfield_rd(obs.n10, obs.n00, 0.0),
-    )
+    sums = crossworld_sums(y, w)
+    zero = np.flatnonzero((sums[0] == 0.0) | (sums[1] == 0.0))
+    if zero.size:
+        Effects.from_sums(*(s.flat[zero[0]] for s in sums), c=int(zero[0] % y.shape[-3]))
+    eff = Effects.from_sums(*sums)
+    report = {name: getattr(eff, name) for name in ("n10", "n00", "n11", *EFFECT_STATS)}
+    if spec is not None:
+        bf = bounding_factor(spec)
+        report.update(
+            bf=bf,
+            nde_rr_lower=adjust_nde_rr(eff.nde_rr, bf),
+            nie_rr_upper=adjust_nie_rr(eff.nie_rr, bf),
+            nde_rd_lower=bound_nde_rd(eff.n10, eff.n00, bf),
+            nie_rd_upper=bound_nie_rd(eff.n10, eff.n11, bf),
+        )
+    return report
 
 
-def stratum_envelopes(reports: Sequence[BoundReport]) -> dict[str, dict[str, float]]:
-    """Envelopes of the ratio-scale bounds across strata.
+def stratum_envelopes(report: dict) -> dict[str, dict[str, float]]:
+    """Envelopes of the ratio-scale bounds of a :func:`bound_report` across its strata.
 
     The population-level direct effect is at least the minimum of the
     per-stratum lower bounds ("heterogeneous" case) and, when one common
     stratum effect is assumed, at least the maximum ("homogeneous" case).
     The indirect-effect upper bound flips accordingly.
     """
-    if not reports:
-        raise BadParameter("need at least one stratum report")
-    nde_low = [r.nde_rr_lower for r in reports]
-    nie_up = [r.nie_rr_upper for r in reports]
+    low, up = report["nde_rr_lower"], report["nie_rr_upper"]
     return {
-        "nde_rr_lower": {"heterogeneous": min(nde_low), "homogeneous": max(nde_low)},
-        "nie_rr_upper": {"heterogeneous": max(nie_up), "homogeneous": min(nie_up)},
+        "nde_rr_lower": {"heterogeneous": low.min(axis=-1), "homogeneous": low.max(axis=-1)},
+        "nie_rr_upper": {"heterogeneous": up.max(axis=-1), "homogeneous": up.min(axis=-1)},
     }

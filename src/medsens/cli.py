@@ -16,13 +16,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 
 import numpy as np
 
 from . import bootstrap as bootstrap_mod
-from . import bounds, effects, loglinear, oracle, report, tables
+from . import bounds, loglinear, oracle, report, tables
 from .errors import Infeasible, InternalCheckError, MedsensError, ZeroDenominator
 
 
@@ -91,11 +91,8 @@ def _default_seed() -> int:
 
 
 def _effect_fields(scale: str) -> tuple[str, ...]:
-    if scale == "rr":
-        return ("nde_rr", "nie_rr", "te_rr")
-    if scale == "rd":
-        return ("nde_rd", "nie_rd", "te_rd")
-    return ("nde_rr", "nie_rr", "te_rr", "nde_rd", "nie_rd", "te_rd")
+    stats = bounds.EFFECT_STATS
+    return {"rr": stats[:3], "rd": stats[3:]}.get(scale, stats)
 
 
 def _load_records(args) -> tuple[tables.RecordTable, list[str]]:
@@ -129,14 +126,13 @@ def _json_only(args) -> None:
 
 def _cmd_estimate(args) -> int:
     model, digest, warnings = _load_model(args)
-    fields = _effect_fields(args.scale)
-    rows = []
-    for eff in effects.observed_effects_all(model):
-        rows.append({"c": eff.c, **{f: getattr(eff, f) for f in fields}})
+    stats = bounds.bound_report(model.y, model.w)
+    columns = {"c": range(model.c_card)}
+    columns.update((f, stats[f].tolist()) for f in _effect_fields(args.scale))
     if args.format == "csv":
-        header = ["c", *fields]
-        report.write_csv(sys.stdout, header, [map(repr, [r[h] for r in rows]) for h in header])
+        report.write_csv(sys.stdout, list(columns), [map(repr, v) for v in columns.values()])
         return 0
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     doc = report.document(
         "estimate",
         {"strata": rows, "smoothing": args.smoothing, "mode": model.mode},
@@ -148,33 +144,26 @@ def _cmd_estimate(args) -> int:
 
 
 def _bound_payload_tables(model, spec, scale):
-    reports = [bounds.bound_report(model, c, spec) for c in range(model.c_card)]
-    fields = _effect_fields(scale)
+    """Per-stratum bounds and Cornfield thresholds at the null, and the envelopes across strata."""
+    stats = bounds.bound_report(model.y, model.w, spec)
+    values = {name: v.tolist() for name, v in stats.items()}
     rows = []
-    for rep in reports:
-        row = {
-            "c": rep.c,
-            "observed": {f: getattr(rep.observed, f) for f in fields},
-            "bf": rep.bf,
-        }
+    for c in range(model.c_card):
+        row = {"c": c, "observed": {f: values[f][c] for f in _effect_fields(scale)},
+               "bf": values["bf"]}
         if scale in ("rr", "both"):
-            row["nde_rr_lower"] = rep.nde_rr_lower
-            row["nie_rr_upper"] = rep.nie_rr_upper
-            row["cornfield_rr"] = {
-                "both_must_exceed": rep.cornfield_rr.both_must_exceed,
-                "max_must_exceed": rep.cornfield_rr.max_must_exceed,
-            }
+            row["nde_rr_lower"] = values["nde_rr_lower"][c]
+            row["nie_rr_upper"] = values["nie_rr_upper"][c]
+            row["cornfield_rr"] = asdict(bounds.cornfield_rr(values["nde_rr"][c]))
         if scale in ("rd", "both"):
-            row["nde_rd_lower"] = rep.nde_rd_lower
-            row["nie_rd_upper"] = rep.nie_rd_upper
-            row["cornfield_rd"] = {
-                "both_must_exceed": rep.cornfield_rd.both_must_exceed,
-                "max_must_exceed": rep.cornfield_rd.max_must_exceed,
-            }
+            row["nde_rd_lower"] = values["nde_rd_lower"][c]
+            row["nie_rd_upper"] = values["nie_rd_upper"][c]
+            th = bounds.cornfield_rd(values["n10"][c], values["n00"][c], 0.0)
+            row["cornfield_rd"] = asdict(th)
         rows.append(row)
     payload = {"strata": rows, "rr_au": spec.rr_au, "rr_uy": spec.rr_uy}
     if scale in ("rr", "both"):
-        payload["envelopes"] = bounds.stratum_envelopes(reports)
+        payload["envelopes"] = bounds.stratum_envelopes(stats)
     return payload
 
 
@@ -195,18 +184,14 @@ def _cmd_bound(args) -> int:
         raise MedsensError("bound needs --csv or at least one of --nde-rr/--nie-rr")
     payload: dict = {"bf": bf, "rr_au": spec.rr_au, "rr_uy": spec.rr_uy}
     params: dict = {"rr_au": spec.rr_au, "rr_uy": spec.rr_uy}
-    if args.nde_rr is not None:
-        entry = {"point": bounds.adjust_nde_rr(args.nde_rr, bf)}
-        if args.nde_rr_ci:
-            entry["ci"] = [bounds.adjust_nde_rr(v, bf) for v in args.nde_rr_ci]
-        payload["nde_rr_lower"] = entry
-        params["nde_rr"] = args.nde_rr
-    if args.nie_rr is not None:
-        entry = {"point": bounds.adjust_nie_rr(args.nie_rr, bf)}
-        if args.nie_rr_ci:
-            entry["ci"] = [bounds.adjust_nie_rr(v, bf) for v in args.nie_rr_ci]
-        payload["nie_rr_upper"] = entry
-        params["nie_rr"] = args.nie_rr
+    for name, bound, adjust in (("nde_rr", "nde_rr_lower", bounds.adjust_nde_rr),
+                                ("nie_rr", "nie_rr_upper", bounds.adjust_nie_rr)):
+        point, ci = getattr(args, name), getattr(args, name + "_ci")
+        if point is not None:
+            payload[bound] = {"point": adjust(point, bf)}
+            if ci:
+                payload[bound]["ci"] = [adjust(v, bf) for v in ci]
+            params[name] = point
     doc = report.document("bound", payload, input_digest=report.digest_params(params))
     _emit(report.to_json(doc))
     return 0
@@ -234,18 +219,14 @@ def _cmd_cornfield(args) -> int:
         model, digest, load_warnings = _load_model(args)
         warnings.extend(load_warnings)
         target = 0.0 if args.target is None else args.target
+        stats = bounds.bound_report(model.y, model.w)
         rows = []
-        for eff in effects.observed_effects_all(model):
+        for c, (n10, n00) in enumerate(zip(stats["n10"].tolist(), stats["n00"].tolist())):
             try:
-                th = bounds.cornfield_rd(eff.n10, eff.n00, target)
+                th = bounds.cornfield_rd(n10, n00, target)
             except ZeroDenominator as exc:
-                raise ZeroDenominator(f"stratum c={eff.c}: {exc}") from None
-            row = {
-                "c": eff.c,
-                "target_nde_rd": target,
-                "both_must_exceed": th.both_must_exceed,
-                "max_must_exceed": th.max_must_exceed,
-            }
+                raise ZeroDenominator(f"stratum c={c}: {exc}") from None
+            row = {"c": c, "target_nde_rd": target, **asdict(th)}
             partner = partner_for(th.both_must_exceed)
             if args.fixed_param is not None:
                 row["required_partner"] = partner
@@ -257,13 +238,8 @@ def _cmd_cornfield(args) -> int:
             raise MedsensError("cornfield needs --csv (difference scale) or --nde-rr (ratio scale)")
         target = 1.0 if args.target is None else args.target
         th = bounds.cornfield_rr(args.nde_rr, target)
-        payload = {
-            "scale": "rr",
-            "observed_nde_rr": args.nde_rr,
-            "target_nde_rr": target,
-            "both_must_exceed": th.both_must_exceed,
-            "max_must_exceed": th.max_must_exceed,
-        }
+        payload = {"scale": "rr", "observed_nde_rr": args.nde_rr, "target_nde_rr": target,
+                   **asdict(th)}
         partner = partner_for(args.nde_rr / target)
         if args.fixed_param is not None:
             payload["required_partner"] = partner
@@ -289,16 +265,15 @@ def _sweep_table(args, grid: SweepGrid) -> tuple[list[str], list[tuple], str | N
 
     Rows run rr_au major, then rr_uy, then stratum; each grid value and ``bf`` is one value.
     """
-    au, uy = (v.ravel() for v in np.meshgrid(grid.rr_au_values, grid.rr_uy_values, indexing="ij"))
-    spec = bounds.SensitivitySpec(rr_au=au, rr_uy=uy)
+    au, uy = np.meshgrid(grid.rr_au_values, grid.rr_uy_values, indexing="ij")
+    spec = bounds.SensitivitySpec(rr_au=au.reshape(-1, 1), rr_uy=uy.reshape(-1, 1))
     bf = bounds.bounding_factor(spec)
     if args.csv is not None:
         model, digest, _ = _load_model(args)
         strata, stratum = model.c_card, [(range(model.c_card), 1, bf.size)]
-        reports = [bounds.bound_report(model, c, spec) for c in range(strata)]
-        header = ["rr_au", "rr_uy", "bf", "c", "nde_rr_lower", "nie_rr_upper",
-                  "nde_rd_lower", "nie_rd_upper"]
-        values = [np.stack([getattr(rep, name) for rep in reports], axis=-1) for name in header[4:]]
+        stats = bounds.bound_report(model.y, model.w, spec)  # (grid point, stratum) in row order
+        header = ["rr_au", "rr_uy", "bf", "c", *bounds.BOUND_STATS]
+        values = [stats[name] for name in bounds.BOUND_STATS]
     elif args.nde_rr is None:
         raise MedsensError("sweep needs --csv or --nde-rr")
     else:
@@ -309,7 +284,7 @@ def _sweep_table(args, grid: SweepGrid) -> tuple[list[str], list[tuple], str | N
             header.append("nie_rr_upper")
             values.append(bounds.adjust_nie_rr(args.nie_rr, bf))
     cells = [(grid.rr_au_values, len(grid.rr_uy_values) * strata, 1),
-             (grid.rr_uy_values, strata, len(grid.rr_au_values)), (bf.tolist(), strata, 1)]
+             (grid.rr_uy_values, strata, len(grid.rr_au_values)), (bf.ravel().tolist(), strata, 1)]
     return header, cells + stratum + [(v.ravel().tolist(), 1, 1) for v in values], digest
 
 

@@ -16,13 +16,15 @@ M=0 it is a ratio of four survivor terms 1 - e^(linear predictor) evaluated
 at the worst-case u, which is u=0 when beta1*beta3 >= 0 and u=1 otherwise.
 
 :func:`rr_au_loglinear` implements the closed form;
-:func:`rr_au_loglinear_bruteforce` evaluates the defining posterior ratio on
-the same two-point model and must agree to ~1e-10, which pins down the
-intercept convention: ``beta0`` is the conditional intercept and the
-marginal intercept is derived from it.
+:func:`rr_au_loglinear_bruteforce` builds the same two-point models as an
+oracle :class:`~medsens.oracle.Scm` batch and evaluates the defining
+posterior ratio through :func:`~medsens.oracle.rr_au_posterior`.  The two
+must agree to ~1e-10, which pins down the intercept convention: ``beta0``
+is the conditional intercept and the marginal intercept is derived from
+it.
 
 :func:`interaction_bound` is model-free: for any positive mediator
-probability grid p[a][u] it bounds the collider ratio by the worst
+probability grids p[..., a, u] it bounds the collider ratio by the worst
 ratio-scale interaction of a and u, whatever the prior on u.
 """
 
@@ -31,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     BadParameter,
     Infeasible,
@@ -38,9 +42,7 @@ from .errors import (
     OutOfRangeProbability,
     ZeroProbability,
 )
-
-#: closed form and brute force must agree within this
-EQUIV_TOL = 1e-10
+from .oracle import EQUIV_TOL, Scm, rr_au_posterior
 
 #: the (beta0, beta1) pairs and beta3 values of the reference grid emitted
 #: by the CLI `parametric` subcommand
@@ -116,72 +118,52 @@ def rr_au_loglinear(spec: LogLinearSpec) -> float:
     return max(1.0, num / den)
 
 
-def rr_au_loglinear_bruteforce(spec: LogLinearSpec) -> float:
-    """Collider-bias parameter from the defining posterior ratio.
+def rr_au_loglinear_bruteforce(beta0, beta1, beta3, beta_c=0.0):
+    """Collider-bias parameter from the defining posterior ratio, one per coefficient entry.
 
-    Builds the exact two-point model (u ~ Bernoulli(1/2), exposure
-    independent of u) and maximizes pr(u|a=1,m)/pr(u|a=0,m) over both
-    mediator levels and both confounder levels.  Serves as the independent
-    check of :func:`rr_au_loglinear`.
+    The coefficients broadcast to one batch of exact two-point models
+    (u ~ Bernoulli(1/2), exposure independent of u, pr(M=1|a,u) = e^(linear
+    predictor)), whose posterior ratio max pr(u|a=1,m)/pr(u|a=0,m)
+    :func:`~medsens.oracle.rr_au_posterior` evaluates.  Serves as the
+    independent check of :func:`rr_au_loglinear`.
     """
-    p_m1 = {}
-    for a in (0, 1):
-        for u in (0, 1):
-            lp = spec.beta0 + spec.beta1 * a + spec.beta_c + spec.beta3 * u
-            p_m1[(a, u)] = _checked_exp(lp, f"cell a={a}, u={u}")
-    best = 1.0
-    for m in (0, 1):
-        cell = {au: (p if m == 1 else 1.0 - p) for au, p in p_m1.items()}
-        marg = {a: 0.5 * cell[(a, 0)] + 0.5 * cell[(a, 1)] for a in (0, 1)}
-        for u in (0, 1):
-            post1 = 0.5 * cell[(1, u)] / marg[1]
-            post0 = 0.5 * cell[(0, u)] / marg[0]
-            if post0 == 0.0:
-                raise ZeroProbability(f"posterior for u={u} given a=0, m={m} is zero")
-            best = max(best, post1 / post0)
-    return best
+    b0, b1, b3, bc = (v[..., None, None] for v in np.broadcast_arrays(beta0, beta1, beta3, beta_c))
+    lp = b0 + b1 * np.array([[0.0], [1.0]]) + bc + b3 * np.array([0.0, 1.0])  # [..., a, u]
+    p = np.exp(lp)
+    bad = np.argwhere(p >= 1.0)
+    if bad.size:
+        *_, a, u = bad[0]
+        _checked_exp(float(lp[tuple(bad[0])]), f"cell a={a}, u={u}")
+    half = np.full(lp.shape[:-1], 0.5)
+    scm = Scm(u_prior=half, a_given_u=half, m_given=np.stack([1.0 - p, p], axis=-1),
+              y_given=np.full((*lp.shape, 2), 0.5))
+    return np.maximum(1.0, rr_au_posterior(scm))[()]
 
 
-@dataclass(frozen=True)
-class MediatorProbGrid:
-    """pr(m | a, u) for one fixed mediator level over a in {0,1} and finite u.
-
-    Entries must be strictly positive so that every ratio below is finite.
-    """
-
-    p: tuple[tuple[float, ...], tuple[float, ...]]
-
-    def __post_init__(self) -> None:
-        if len(self.p) != 2 or len(self.p[0]) != len(self.p[1]) or not self.p[0]:
-            raise BadParameter("grid needs rows for a=0 and a=1 over a common u range")
-        for a in (0, 1):
-            for u, v in enumerate(self.p[a]):
-                if not (isinstance(v, (int, float)) and math.isfinite(v)) or v > 1.0:
-                    raise OutOfRangeProbability(f"pr(m|a={a},u={u}) = {v!r}")
-                if v <= 0.0:
-                    raise ZeroProbability(f"pr(m|a={a},u={u}) must be strictly positive")
-
-    @property
-    def u_card(self) -> int:
-        return len(self.p[0])
-
-
-def interaction_bound(grid: MediatorProbGrid) -> float:
+def interaction_bound(p) -> float:
     """Worst ratio-scale a-u interaction: an upper bound for the collider ratio.
 
-    max over u != u' of p[1][u] p[0][u'] / (p[0][u] p[1][u']).  Whatever
-    prior sits on u (with exposure independent of u), the posterior-ratio
-    collider parameter for this mediator level never exceeds this value.
-    A single confounder level admits no interaction and returns 1.
+    ``p[..., a, u]`` = pr(m | a, u) for one fixed mediator level, over a in
+    {0, 1} and finite u, with every entry in (0, 1].  The bound is the max
+    over u != u' of p[1][u] p[0][u'] / (p[0][u] p[1][u']), one value per
+    leading index.  Whatever prior sits on u (with exposure independent of
+    u), the posterior-ratio collider parameter for this mediator level never
+    exceeds this value.  A single confounder level admits no interaction
+    and returns 1.
     """
-    p0, p1 = grid.p
-    best = 1.0
-    for u in range(grid.u_card):
-        for v in range(grid.u_card):
-            if u == v:
-                continue
-            best = max(best, (p1[u] * p0[v]) / (p0[u] * p1[v]))
-    return best
+    p = np.asarray(p, dtype=float)
+    if p.ndim < 2 or p.shape[-2] != 2 or p.shape[-1] == 0:
+        raise BadParameter("grid needs rows for a=0 and a=1 over a common u range")
+    bad = ~(np.isfinite(p) & (p > 0.0) & (p <= 1.0))
+    if bad.any():
+        index = tuple(np.argwhere(bad)[0])
+        cell = "pr(m|a={},u={})".format(*index[-2:])
+        if p[index] <= 0.0:
+            raise ZeroProbability(f"{cell} must be strictly positive")
+        raise OutOfRangeProbability(f"{cell} = {float(p[index])!r}")
+    p0, p1 = p[..., 0, :, None], p[..., 1, :, None]
+    cross = (p1 * np.swapaxes(p0, -1, -2)) / (p0 * np.swapaxes(p1, -1, -2))  # [..., u, u']
+    return cross.max(axis=(-2, -1))[()]
 
 
 def collider_ratio_grid(
@@ -190,7 +172,7 @@ def collider_ratio_grid(
     beta_c: float = 0.0,
     check_tol: float = EQUIV_TOL,
 ) -> list[dict[str, float]]:
-    """Evaluate the closed form over a coefficient grid, brute-force checked.
+    """Evaluate the closed form over a coefficient grid, brute-force checked as one batch.
 
     Each row carries the raw parameter and its ratios to e^beta3 and
     e^beta1 (both below 1 across the default grid: conditioning on the
@@ -198,25 +180,29 @@ def collider_ratio_grid(
     Raises :class:`InternalCheckError` if the closed form and the brute
     force disagree beyond ``check_tol`` anywhere on the grid.
     """
+    specs = [
+        LogLinearSpec(beta0=beta0, beta1=beta1, beta3=beta3, beta_c=beta_c)
+        for beta0, beta1 in pairs
+        for beta3 in beta3_values
+    ]
+    coeffs = np.array([(s.beta0, s.beta1, s.beta3) for s in specs]).reshape(-1, 3)
+    brute = rr_au_loglinear_bruteforce(*coeffs.T, beta_c).tolist()
     rows = []
-    for beta0, beta1 in pairs:
-        for beta3 in beta3_values:
-            spec = LogLinearSpec(beta0=beta0, beta1=beta1, beta3=beta3, beta_c=beta_c)
-            rr = rr_au_loglinear(spec)
-            brute = rr_au_loglinear_bruteforce(spec)
-            if abs(rr - brute) > check_tol * max(1.0, abs(brute)):
-                raise InternalCheckError(
-                    f"closed form {rr!r} and brute force {brute!r} disagree at "
-                    f"beta0={beta0}, beta1={beta1}, beta3={beta3}"
-                )
-            rows.append(
-                {
-                    "beta0": beta0,
-                    "beta1": beta1,
-                    "beta3": beta3,
-                    "rr_au": rr,
-                    "ratio_to_exp_beta3": rr / math.exp(beta3),
-                    "ratio_to_exp_beta1": rr / math.exp(beta1),
-                }
+    for spec, check in zip(specs, brute):
+        rr = rr_au_loglinear(spec)
+        if abs(rr - check) > check_tol * max(1.0, abs(check)):
+            raise InternalCheckError(
+                f"closed form {rr!r} and brute force {check!r} disagree at "
+                f"beta0={spec.beta0}, beta1={spec.beta1}, beta3={spec.beta3}"
             )
+        rows.append(
+            {
+                "beta0": spec.beta0,
+                "beta1": spec.beta1,
+                "beta3": spec.beta3,
+                "rr_au": rr,
+                "ratio_to_exp_beta3": rr / math.exp(spec.beta3),
+                "ratio_to_exp_beta1": rr / math.exp(spec.beta1),
+            }
+        )
     return rows

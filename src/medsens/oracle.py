@@ -49,7 +49,7 @@ from .tables import ConditionalModel, crossworld_sums
 
 #: inequality checks allow this much relative slack for float rounding
 VALIDITY_TOL = 1e-10
-#: the two definitions of the collider parameter must agree within this
+#: two forms of the collider parameter (also the log-linear closed form) must agree within this
 EQUIV_TOL = 1e-10
 #: discrete instances must satisfy the scalar bound within this
 RATIO_BOUND_TOL = 1e-12
@@ -192,16 +192,6 @@ def _observed_effects(scm: Scm) -> Effects:
     model = observed_model(scm)
     sums = crossworld_sums(model.y, model.w)
     return Effects.from_sums(*(s.reshape(scm.batch_shape)[()] for s in sums))
-
-
-def outcome_marginal(scm: Scm, a: int) -> float:
-    """pr(Y=1|a) of one model by direct double summation, bypassing the conditional tables."""
-    pu = _exposure_posteriors(scm)[a]
-    return math.fsum(
-        pu[u]
-        * math.fsum(scm.m_given[a][u][m] * scm.y_given[a][m][u] for m in range(scm.m_card))
-        for u in range(scm.u_card)
-    )
 
 
 def _unexposed_sums(scm: Scm) -> tuple:

@@ -306,11 +306,6 @@ def crossworld_sums(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return n10, n00, n11
 
 
-def swap_exposure(model: ConditionalModel) -> ConditionalModel:
-    """Relabel exposure codes 0 <-> 1 in every stratum table."""
-    return ConditionalModel(model.y[:, ::-1], model.w[:, ::-1], model.mode)
-
-
 def estimate_tables(
     counts: np.ndarray, smoothing: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

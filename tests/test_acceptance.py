@@ -29,7 +29,7 @@ from medsens.loglinear import (
     DEFAULT_INTERCEPT_EXPOSURE_PAIRS,
     collider_ratio_grid,
 )
-from medsens.loglinear import MediatorProbGrid, interaction_bound
+from medsens.loglinear import interaction_bound
 from medsens.oracle import (
     bernoulli_instance,
     check_ratio_bound,
@@ -83,11 +83,7 @@ def _interaction_violations(scm) -> int:
     """Models of the batch whose posterior collider ratio exceeds the model-free cap at some m."""
     violations = np.zeros(scm.batch_shape, dtype=bool)
     for m, values in rr_au_posterior_per_mediator(scm).items():
-        for b, value in enumerate(values):
-            grid = MediatorProbGrid(
-                p=tuple(tuple(float(v) for v in scm.m_given[b, a, :, m]) for a in (0, 1))
-            )
-            violations[b] |= value > interaction_bound(grid) * (1 + 1e-12)
+        violations |= values > interaction_bound(scm.m_given[..., m]) * (1 + 1e-12)
     return int(violations.sum())
 
 

@@ -7,7 +7,14 @@ import pytest
 
 from medsens import bootstrap
 from medsens.bootstrap import BOUND_STATS, EFFECT_STATS, run_bootstrap
-from medsens.bounds import SensitivitySpec, bound_report
+from medsens.bounds import (
+    SensitivitySpec,
+    adjust_nde_rr,
+    adjust_nie_rr,
+    bound_nde_rd,
+    bound_nie_rd,
+    bounding_factor,
+)
 from medsens.effects import observed_effects
 from medsens.errors import BadParameter, DegenerateResample, EmptyCell, ZeroDenominator
 from medsens.tables import ConditionalModel, RecordTable, estimate_from_records
@@ -39,8 +46,10 @@ def one_at_a_time(records, replicates, seed, smoothing=0.0, spec=None, level=0.9
             eff = observed_effects(model, c)
             out[c] = {name: getattr(eff, name) for name in EFFECT_STATS}
             if spec is not None:
-                rep = bound_report(model, c, spec)
-                out[c].update({name: getattr(rep, name) for name in BOUND_STATS})
+                bf = bounding_factor(spec)
+                bounds = (adjust_nde_rr(eff.nde_rr, bf), adjust_nie_rr(eff.nie_rr, bf),
+                          bound_nde_rd(eff.n10, eff.n00, bf), bound_nie_rd(eff.n10, eff.n11, bf))
+                out[c].update(zip(BOUND_STATS, bounds))
         return out
 
     rng = np.random.default_rng(seed)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medsens.bounds import (
+    BOUND_STATS,
+    EFFECT_STATS,
     CornfieldThresholds,
     SensitivitySpec,
     adjust_nde_rr,
@@ -70,6 +72,30 @@ class TestBoundingFactor:
         if min(x, y) > 1.001:
             # equality only with a unit parameter or an infinite partner
             assert bf < min(x, y)
+
+    @pytest.mark.parametrize("x, y, expected", [
+        (1e300, 1e300, 5e299),
+        (1e200, 1e200, 5e199),
+        (1.7976931348623157e308, 2.0, 2.0),
+        (2.0, 1.7976931348623157e308, 2.0),
+        (1e308, 1e308, 5e307),
+    ])
+    def test_huge_parameters_do_not_overflow(self, x, y, expected):
+        # the product x * y (and for 1e308 the sum) is not finite; the warning is an error here
+        assert bounding_factor(SensitivitySpec(x, y)) == expected
+
+    def test_huge_parameters_keep_symmetry_and_the_cap(self):
+        # every product overflows, so every value comes from the overflow-safe form
+        x = 10.0 ** np.random.default_rng(3).uniform(155.0, 308.0, 2000)
+        y = 10.0 ** np.random.default_rng(4).uniform(309.0 - np.log10(x), 308.0)
+        bf = bounding_factor(SensitivitySpec(x, y))
+        assert (bf == bounding_factor(SensitivitySpec(y, x))).all()
+        assert (bf <= np.minimum(x, y)).all()
+
+    def test_huge_parameters_in_an_array(self):
+        values = np.array([2.0, 1e300, 1e308]), np.array([3.0, 1e300, 1e308])
+        bf = bounding_factor(SensitivitySpec(*values))
+        assert bf.tolist() == [1.5, 5e299, 5e307]
 
     def test_rejects_bad_parameters(self):
         for bad in (0.5, -2.0, math.nan):
@@ -216,21 +242,57 @@ class TestRequiredPartner:
 class TestReportAndEnvelopes:
     def test_report_fields_are_consistent(self):
         model = worked_model()
-        spec = SensitivitySpec(2.0, 3.0)
-        rep = bound_report(model, 0, spec)
-        assert rep.bf == 1.5
-        assert math.isclose(rep.nde_rr_lower, rep.observed.nde_rr / 1.5, rel_tol=1e-15)
-        assert math.isclose(rep.nie_rr_upper, rep.observed.nie_rr * 1.5, rel_tol=1e-15)
-        n10, n00, n11 = worked_sums()
-        assert math.isclose(rep.nde_rd_lower, bound_nde_rd(n10, n00, 1.5), abs_tol=1e-15)
-        assert math.isclose(rep.nie_rd_upper, bound_nie_rd(n10, n11, 1.5), abs_tol=1e-15)
+        rep = bound_report(model.y, model.w, SensitivitySpec(2.0, 3.0))
+        assert rep["bf"] == 1.5
+        for c in range(model.c_card):
+            obs = observed_effects(model, c)
+            assert [rep[name][c] for name in ("n10", "n00", "n11", *EFFECT_STATS)] == [
+                getattr(obs, name) for name in ("n10", "n00", "n11", *EFFECT_STATS)]
+            assert math.isclose(rep["nde_rr_lower"][c], obs.nde_rr / 1.5, rel_tol=1e-15)
+            assert math.isclose(rep["nie_rr_upper"][c], obs.nie_rr * 1.5, rel_tol=1e-15)
+            assert math.isclose(rep["nde_rd_lower"][c], bound_nde_rd(obs.n10, obs.n00, 1.5),
+                                abs_tol=1e-15)
+            assert math.isclose(rep["nie_rd_upper"][c], bound_nie_rd(obs.n10, obs.n11, 1.5),
+                                abs_tol=1e-15)
+
+    def test_without_spec_only_effects(self):
+        model = worked_model()
+        assert set(bound_report(model.y, model.w)) == {"n10", "n00", "n11", *EFFECT_STATS}
+
+    def test_grid_by_strata_equals_scalar_path_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            strata, m_card = (int(v) for v in rng.integers(1, 5, size=2))
+            w = rng.uniform(0.05, 1.0, (strata, 2, m_card))
+            model = ConditionalModel(y=rng.uniform(0.05, 1.0, (strata, 2, m_card)),
+                                     w=w / w.sum(axis=-1, keepdims=True))
+            au, uy = rng.uniform(1.0, 30.0, (2, 12, 1))
+            rep = bound_report(model.y, model.w, SensitivitySpec(au, uy))
+            assert rep["nde_rr_lower"].shape == (12, strata)
+            for g in range(12):
+                bf = bounding_factor(SensitivitySpec(float(au[g, 0]), float(uy[g, 0])))
+                assert rep["bf"][g, 0] == bf
+                for c in range(strata):
+                    obs = observed_effects(model, c)
+                    assert [rep[name][g, c] for name in BOUND_STATS] == [
+                        adjust_nde_rr(obs.nde_rr, bf), adjust_nie_rr(obs.nie_rr, bf),
+                        bound_nde_rd(obs.n10, obs.n00, bf), bound_nie_rd(obs.n10, obs.n11, bf)]
+            for c in range(strata):
+                r = float(rep["n10"][c] / rep["n00"][c])
+                expected = r + math.sqrt(r * (r - 1.0)) if r > 1.0 else 1.0
+                th = cornfield_rd(float(rep["n10"][c]), float(rep["n00"][c]), 0.0)
+                assert th.max_must_exceed == expected
+
+    def test_zero_denominator_names_the_stratum(self):
+        model = ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]], [[0.0, 0.0], [0.2, 0.6]]],
+                                 w=[[[0.75, 0.25], [0.25, 0.75]], [[0.5, 0.5], [0.4, 0.6]]])
+        with pytest.raises(ZeroDenominator, match="c=1"):
+            bound_report(model.y, model.w)
 
     def test_envelopes_order_min_and_max(self):
         model = worked_model()
-        spec = SensitivitySpec(2.0, 2.0)
-        reports = [bound_report(model, c, spec) for c in (0, 1)]
-        env = stratum_envelopes(reports)
-        lows = [r.nde_rr_lower for r in reports]
-        ups = [r.nie_rr_upper for r in reports]
+        rep = bound_report(model.y, model.w, SensitivitySpec(2.0, 2.0))
+        env = stratum_envelopes(rep)
+        lows, ups = rep["nde_rr_lower"].tolist(), rep["nie_rr_upper"].tolist()
         assert env["nde_rr_lower"] == {"heterogeneous": min(lows), "homogeneous": max(lows)}
         assert env["nie_rr_upper"] == {"heterogeneous": max(ups), "homogeneous": min(ups)}

@@ -1,6 +1,11 @@
 import itertools
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +14,14 @@ from medsens.bounds import (
     SensitivitySpec,
     adjust_nde_rr,
     adjust_nie_rr,
-    bound_report,
+    bound_nde_rd,
+    bound_nie_rd,
     bounding_factor,
+    cornfield_rr,
 )
 from medsens import report
 from medsens.cli import main
-from medsens.effects import observed_effects, observed_effects_all
+from medsens.effects import observed_effects
 from medsens.loglinear import collider_ratio_grid
 from medsens.tables import (
     ConditionalModel,
@@ -45,6 +52,17 @@ def write_strata_csv(path, strata=3, m_card=3, seed=5):
     return str(path)
 
 
+def write_two_strata_csv(path):
+    """Two strata with pr(Y=1|a=0) of 0.45 and 0.1, and direct-effect ratios 0.85/0.45 and 3.5."""
+    model = ConditionalModel(y=[[[0.4, 0.5], [0.8, 0.9]], [[0.1, 0.1], [0.3, 0.4]]],
+                             w=[[[0.5, 0.5], [0.5, 0.5]]] * 2)
+    records = expand_to_records(model, 100)
+    lines = ["a,m,y,c,count"]
+    lines += [f"{a},{m},{y},{c},{n}" for (c, a, m, y), n in np.ndenumerate(records.counts) if n]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 def reference_sweep_csv(au_text, uy_text, csv=None, relabel=False, smoothing=0.0,
                         nde_rr=None, nie_rr=None):
     """A sweep as the row-at-a-time writer gave it: every cell of every row through repr."""
@@ -68,9 +86,11 @@ def reference_sweep_csv(au_text, uy_text, csv=None, relabel=False, smoothing=0.0
         if relabel:
             records = swap_exposure_records(records)
         model = estimate_from_records(records, smoothing)
-        reports = [bound_report(model, c, spec) for c in range(model.c_card)]
-        rows = [(au_i, uy_i, bf.tolist()[i], c, *(getattr(rep, h).tolist()[i] for h in header[4:]))
-                for i, (au_i, uy_i) in enumerate(cells) for c, rep in enumerate(reports)]
+        effects = [observed_effects(model, c) for c in range(model.c_card)]
+        rows = [(au_i, uy_i, bf_i, c, *map(float, (
+                    adjust_nde_rr(e.nde_rr, bf_i), adjust_nie_rr(e.nie_rr, bf_i),
+                    bound_nde_rd(e.n10, e.n00, bf_i), bound_nie_rd(e.n10, e.n11, bf_i))))
+                for (au_i, uy_i), bf_i in zip(cells, bf.tolist()) for c, e in enumerate(effects)]
     return "".join(line + "\n" for line in [",".join(header), *(",".join(map(repr, r)) for r in rows)])
 
 
@@ -87,6 +107,13 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def run_fresh(*argv):
+    """The CLI in a fresh interpreter with default warning filters, as a user runs it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-m", "medsens.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 class TestEstimate:
@@ -188,14 +215,14 @@ class TestBound:
     def test_matches_library_exactly(self, capsys, tmp_path):
         csv = write_worked_csv(tmp_path / "d.csv")
         code, doc = run_json(capsys, "bound", "--csv", csv, "--rr-au", "2", "--rr-uy", "3")
-        model = estimate_from_records(read_records_csv(csv))
-        rep = bound_report(model, 0, SensitivitySpec(2, 3))
+        e = observed_effects(estimate_from_records(read_records_csv(csv)), 0)
+        bf = bounding_factor(SensitivitySpec(2, 3))
         row = doc["result"]["strata"][0]
-        assert row["bf"] == rep.bf
-        assert row["nde_rr_lower"] == rep.nde_rr_lower
-        assert row["nde_rd_lower"] == rep.nde_rd_lower
-        assert row["cornfield_rr"]["max_must_exceed"] == rep.cornfield_rr.max_must_exceed
-        assert doc["result"]["envelopes"]["nde_rr_lower"]["heterogeneous"] == rep.nde_rr_lower
+        assert row["bf"] == bf
+        assert row["nde_rr_lower"] == adjust_nde_rr(e.nde_rr, bf)
+        assert row["nde_rd_lower"] == bound_nde_rd(e.n10, e.n00, bf)
+        assert row["cornfield_rr"]["max_must_exceed"] == cornfield_rr(e.nde_rr).max_must_exceed
+        assert doc["result"]["envelopes"]["nde_rr_lower"]["heterogeneous"] == row["nde_rr_lower"]
 
     def test_missing_inputs_rejected(self, capsys):
         code = main(["bound", "--rr-au", "2", "--rr-uy", "2"])
@@ -232,6 +259,22 @@ class TestBound:
 
 
 class TestCornfield:
+    def test_nonpositive_target_denominator_names_stratum(self, capsys, tmp_path):
+        csv = write_two_strata_csv(tmp_path / "d.csv")
+        assert main(["cornfield", "--csv", csv, "--target", "-0.2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.search(r"stratum c=1: target -0\.2 plus pr\(Y=1\|a=0\) = \S+ is not positive",
+                         err)
+
+    def test_records_partner_infeasible_in_every_stratum_exits_3(self, capsys, tmp_path):
+        csv = write_two_strata_csv(tmp_path / "d.csv")
+        code, doc = run_json(capsys, "cornfield", "--csv", csv, "--fixed-param", "1.5")
+        assert code == 3
+        assert [row["required_partner"] for row in doc["result"]["strata"]] == [None, None]
+        assert len(doc["warnings"]) == 2
+        assert all("no finite partner" in w for w in doc["warnings"])
+
     def test_partner_solve(self, capsys):
         code, doc = run_json(capsys, "cornfield", "--nde-rr", "1.34", "--fixed-param", "1.40")
         assert code == 0
@@ -268,7 +311,7 @@ class TestSweep:
         code, out = run(capsys, "sweep", "--csv", csv, "--rr-au-grid", "1", "--rr-uy-grid", "1")
         header, row = out.strip().splitlines()
         values = dict(zip(header.split(","), row.split(",")))
-        e = observed_effects_all(estimate_from_records(read_records_csv(csv)))[0]
+        e = observed_effects(estimate_from_records(read_records_csv(csv)), 0)
         assert float(values["bf"]) == 1.0
         assert math.isclose(float(values["nde_rr_lower"]), e.nde_rr, rel_tol=1e-12)
         assert math.isclose(float(values["nde_rd_lower"]), e.nde_rd, abs_tol=1e-12)
@@ -396,6 +439,12 @@ class TestParametric:
         code, doc = run_json(capsys, "parametric", "--format", "json")
         assert len(doc["result"]["rows"]) == 42
 
+    def test_probability_above_one_exits_3_naming_the_cell(self, capsys):
+        assert main(["parametric", "--beta-c", "0.8"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cell a=1, u=1: linear predictor" in err and ">= 1" in err
+
 
 class TestOracle:
     def test_clean_run_exits_zero(self, capsys):
@@ -471,6 +520,21 @@ class TestBootstrapCommand:
         code = main(["bootstrap", "--csv", str(path), "--replicates", "100"])
         assert code == 2
         assert "1001 degenerate replicates exceeded the redraw budget 1000" in capsys.readouterr().err
+
+
+class TestHugeParameters:
+    def test_sweep_reaches_the_largest_grid_values(self):
+        done = run_fresh("sweep", "--nde-rr", "1.5", "--rr-au-grid", "1,1e308",
+                         "--rr-uy-grid", "1,1e308")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-1] == f"1e+308,1e+308,5e+307,{1.5 / 5e307!r}"
+
+    def test_bound_with_huge_parameters(self):
+        done = run_fresh("bound", "--nde-rr", "1.5", "--rr-au", "1e200", "--rr-uy", "1e200")
+        assert (done.returncode, done.stderr) == (0, "")
+        result = json.loads(done.stdout)["result"]
+        assert result["bf"] == 5e199
+        assert result["nde_rr_lower"]["point"] == 1.5 / 5e199
 
 
 class TestFormatGuard:

@@ -1,0 +1,156 @@
+"""Stdout of a fixed command set, pinned byte for byte by sha256 digests.
+
+Every command runs in-process on a small deterministic three-stratum file
+written by the test.  A refactor that keeps the outputs passes unchanged; a
+change that alters an output byte must update the digest here and say why.
+Overflowing sensitivity parameters are kept out of the set on purpose.
+"""
+
+import hashlib
+
+import pytest
+
+from medsens.cli import main
+
+
+def write_golden_csv(path):
+    """Three strata, three mediator levels, every cell filled, no randomness."""
+    lines = ["a,m,y,c,count"]
+    for c in range(3):
+        for a in range(2):
+            for m in range(3):
+                for y in range(2):
+                    lines.append(f"{a},{m},{y},{c},{5 + (7 * c + 11 * a + 13 * m + 17 * y) % 23}")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+F = "{csv}"
+GRID = ("--rr-au-grid", "1,1.5,3", "--rr-uy-grid", "1,2,4,9")
+
+#: name -> (argv, exit code, sha256 of stdout)
+GOLDEN = {
+    "estimate": (
+        ("estimate", "--csv", F),
+        0, "5eef16e285bb5c36b082a831519ec0e3a0ddb81fac9cbffb674a94933eec8f42",
+    ),
+    "estimate-csv": (
+        ("estimate", "--csv", F, "--format", "csv"),
+        0, "3199b43e6333426c0042fe94ca99aa7c7c2efb43238b04953cf25c964d6d4362",
+    ),
+    "estimate-rr": (
+        ("estimate", "--csv", F, "--scale", "rr"),
+        0, "cc401fc2a14224422f6e90a802cab33f5108c6a7750d149af7332e493c53986a",
+    ),
+    "estimate-rd": (
+        ("estimate", "--csv", F, "--scale", "rd"),
+        0, "a7d0b2f489e6d027d7357e89f87d3c6d8951999184b7d5ced4ade7ffc4bae61c",
+    ),
+    "estimate-csv-rr": (
+        ("estimate", "--csv", F, "--format", "csv", "--scale", "rr"),
+        0, "2d9fc47dbece075cd69a3cf4f0dfb30d76b3c837477be99495c95bb20918d17c",
+    ),
+    "estimate-csv-rd": (
+        ("estimate", "--csv", F, "--format", "csv", "--scale", "rd"),
+        0, "dad5ef65e347568017465747d576883b46dd9bdb874b3a1a49c62539d456f88f",
+    ),
+    "bound-csv-2-2": (
+        ("bound", "--csv", F, "--rr-au", "2", "--rr-uy", "2"),
+        0, "7d09c35b409a0b6b7b84f83bd1960d42d3cb2035519d32a6df2ee257623cc884",
+    ),
+    "bound-csv-2-2-rr": (
+        ("bound", "--csv", F, "--rr-au", "2", "--rr-uy", "2", "--scale", "rr"),
+        0, "b8a53d969bb858e563034b1adf48539f1a46abc5c1b21884d3d4c4ae0652680b",
+    ),
+    "bound-csv-2-2-rd": (
+        ("bound", "--csv", F, "--rr-au", "2", "--rr-uy", "2", "--scale", "rd"),
+        0, "bff601779e5169ec7e1c13197d923dc958b9396a2e7bbd4ce44f7a7a4e43c8f7",
+    ),
+    "bound-csv-inf-2": (
+        ("bound", "--csv", F, "--rr-au", "inf", "--rr-uy", "2"),
+        0, "5c3c8ac190c9707dbd149a7eceb1bf88c06312296d0275515756520bf0798329",
+    ),
+    "bound-csv-inf-2-rr": (
+        ("bound", "--csv", F, "--rr-au", "inf", "--rr-uy", "2", "--scale", "rr"),
+        0, "8b4953aa204b46569a8ce72e8f5de88f4316d3ef0a295c769848c55a17bfa0a7",
+    ),
+    "bound-csv-inf-2-rd": (
+        ("bound", "--csv", F, "--rr-au", "inf", "--rr-uy", "2", "--scale", "rd"),
+        0, "4b2df65370a88e57320be5f86196435a2e943b9b2ddae6d15531d5e9c8647556",
+    ),
+    "bound-estimates": (
+        ("bound", "--rr-au", "1.8", "--rr-uy", "2.5", "--nde-rr", "1.72", "--nde-rr-ci",
+         "1.34", "2.21", "--nie-rr", "1.3", "--nie-rr-ci", "1.1", "1.6"),
+        0, "d2de3d7ba72e4a137b158c3bc4155dbaad01c548229bf445c9b01895595d9fc9",
+    ),
+    "cornfield-csv": (
+        ("cornfield", "--csv", F),
+        0, "a634d4d64a2fe3419ff508a2f005a6ffe97d3d85feace837731a24afb55ae59a",
+    ),
+    "cornfield-csv-target": (
+        ("cornfield", "--csv", F, "--target", "0.05"),
+        0, "dafda5dd706d4ca802278f24b77ef9a5b3d9a26f665dfe952ddd48fd744a469a",
+    ),
+    "cornfield-csv-fixed": (
+        ("cornfield", "--csv", F, "--fixed-param", "1.5"),
+        0, "8a80cbb4102ca16f75f6addd1c62865f6b986727e9a2fcab7df1d31adcfb8d5b",
+    ),
+    "cornfield-rr": (
+        ("cornfield", "--nde-rr", "1.72"),
+        0, "687bdff47c4e665a2e6cc3b7903ed315e09799a6859da0aac5fa0589d79fd787",
+    ),
+    "cornfield-rr-fixed": (
+        ("cornfield", "--nde-rr", "1.34", "--fixed-param", "1.4", "--target", "1.1"),
+        0, "da53e538a7a769a7e8461af2f946dbf7a2c6305d5955f0d900be7af0eacd7708",
+    ),
+    "sweep-csv": (
+        ("sweep", "--csv", F, *GRID),
+        0, "cb423e8973625e28afc25b51761db10d511110c36d784e5cf9eae0c43b4a6aae",
+    ),
+    "sweep-csv-json": (
+        ("sweep", "--csv", F, *GRID, "--format", "json"),
+        0, "3c352de29cda7e7827adbdec6cbe5905ce82533fb8dc509b150c92ae0f936f66",
+    ),
+    "sweep-estimates": (
+        ("sweep", "--nde-rr", "1.72", "--nie-rr", "1.3", *GRID),
+        0, "0f55da139e01f287714517610ca19d353896eba0506582354be2f1f983889c10",
+    ),
+    "sweep-estimates-json": (
+        ("sweep", "--nde-rr", "1.72", *GRID, "--format", "json"),
+        0, "a364be1ff73264c799f9b6e64ea3da7dbc4a9697c02f425aacaced96fcde99ed",
+    ),
+    "parametric": (
+        ("parametric",),
+        0, "0d3066874365e312d4b05c63f84043c220b2beae22b24b6e5a70aaac02042e5e",
+    ),
+    "parametric-json": (
+        ("parametric", "--format", "json"),
+        0, "115c2c5472358889cb15c42836240b7bdd5cc115a3947aae1897703657a3002e",
+    ),
+    "parametric-beta-c": (
+        ("parametric", "--beta-c", "0.3"),
+        0, "1be91eefc10c720a7de318a17b7a6ea3300b7adb726e33c7c39c03bbf26d9645",
+    ),
+    "oracle": (
+        ("oracle", "--iterations", "50", "--seed", "3"),
+        0, "9610c1ccd04e2a8c5eb0e2c496bb932e3127f048adabd8532306bb64ad0b5c16",
+    ),
+    "bootstrap": (
+        ("bootstrap", "--csv", F, "--replicates", "200", "--seed", "1"),
+        0, "b071d464aa83e4229c7119ae4e8e39845eaf2dda6940d6c8d6a0e3f8fdbd29b0",
+    ),
+    "bootstrap-bounds": (
+        ("bootstrap", "--csv", F, "--replicates", "200", "--seed", "2", "--rr-au", "2",
+         "--rr-uy", "3"),
+        0, "c99a1aeee8ad1e5266ebf642cd4318ab214154d2ea3582d551e77f9607288fe6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stdout_digest(name, capsys, tmp_path):
+    argv, code, digest = GOLDEN[name]
+    csv = write_golden_csv(tmp_path / "golden.csv")
+    assert main([arg.format(csv=csv) for arg in argv]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

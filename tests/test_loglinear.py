@@ -10,7 +10,6 @@ from medsens.loglinear import (
     DEFAULT_CONFOUNDER_COEFFS,
     DEFAULT_INTERCEPT_EXPOSURE_PAIRS,
     LogLinearSpec,
-    MediatorProbGrid,
     collider_ratio_grid,
     cumulant_k,
     interaction_bound,
@@ -49,21 +48,20 @@ def sample_feasible_spec(rng) -> LogLinearSpec:
 class TestClosedFormAgainstBruteForce:
     def test_ten_thousand_random_specs(self):
         rng = np.random.default_rng(23)
-        for _ in range(10_000):
-            spec = sample_feasible_spec(rng)
-            closed = rr_au_loglinear(spec)
-            brute = rr_au_loglinear_bruteforce(spec)
-            assert abs(closed - brute) <= 1e-10 * max(1.0, brute)
+        specs = [sample_feasible_spec(rng) for _ in range(10_000)]
+        closed = np.array([rr_au_loglinear(spec) for spec in specs])
+        coeffs = np.array([(s.beta0, s.beta1, s.beta3) for s in specs])
+        brute = rr_au_loglinear_bruteforce(*coeffs.T)
+        assert brute.shape == (10_000,)
+        assert (np.abs(closed - brute) <= 1e-10 * np.maximum(1.0, brute)).all()
 
     def test_opposite_sign_branch(self):
         spec = LogLinearSpec(beta0=-2.0, beta1=0.5, beta3=-0.8)
-        assert math.isclose(
-            rr_au_loglinear(spec), rr_au_loglinear_bruteforce(spec), rel_tol=1e-12
-        )
+        assert math.isclose(rr_au_loglinear(spec), rr_au_loglinear_bruteforce(-2.0, 0.5, -0.8),
+                            rel_tol=1e-12)
         spec = LogLinearSpec(beta0=-2.0, beta1=-0.5, beta3=0.8)
-        assert math.isclose(
-            rr_au_loglinear(spec), rr_au_loglinear_bruteforce(spec), rel_tol=1e-12
-        )
+        assert math.isclose(rr_au_loglinear(spec), rr_au_loglinear_bruteforce(-2.0, -0.5, 0.8),
+                            rel_tol=1e-12)
 
     def test_no_confounder_effect(self):
         assert rr_au_loglinear(LogLinearSpec(beta0=-2.0, beta1=0.4, beta3=0.0)) == 1.0
@@ -74,8 +72,10 @@ class TestClosedFormAgainstBruteForce:
     def test_infeasible_coefficients_rejected(self):
         with pytest.raises(Infeasible):
             rr_au_loglinear(LogLinearSpec(beta0=-0.1, beta1=0.5, beta3=0.5))
-        with pytest.raises(Infeasible):
-            rr_au_loglinear_bruteforce(LogLinearSpec(beta0=-0.1, beta1=0.5, beta3=0.5))
+        with pytest.raises(Infeasible, match="cell a=0, u=1: linear predictor 0.4 gives"):
+            rr_au_loglinear_bruteforce(-0.1, 0.5, 0.5)
+        with pytest.raises(Infeasible, match="cell a=1, u=1"):
+            rr_au_loglinear_bruteforce([-2.0, -2.0, -0.1], [0.2, 0.7, 0.5], [0.1, 0.6, 0.5], 0.8)
 
 
 class TestReferenceGridValues:
@@ -106,15 +106,17 @@ class TestReferenceGridValues:
 class TestInteractionBound:
     def test_multiplicative_grid_has_no_interaction(self):
         # p[a][u] = f(a) g(u): all cross ratios cancel
-        grid = MediatorProbGrid(p=((0.1, 0.3), (0.2, 0.6)))
-        assert interaction_bound(grid) == 1.0
+        assert interaction_bound([[0.1, 0.3], [0.2, 0.6]]) == 1.0
 
     def test_hand_enumeration(self):
-        grid = MediatorProbGrid(p=((0.2, 0.4), (0.3, 0.9)))
-        assert math.isclose(interaction_bound(grid), 1.5, rel_tol=1e-15)
+        assert math.isclose(interaction_bound([[0.2, 0.4], [0.3, 0.9]]), 1.5, rel_tol=1e-15)
 
     def test_single_confounder_level(self):
-        assert interaction_bound(MediatorProbGrid(p=((0.4,), (0.7,)))) == 1.0
+        assert interaction_bound([[0.4], [0.7]]) == 1.0
+
+    def test_batch_gives_one_bound_per_grid(self):
+        grids = [[[0.1, 0.3], [0.2, 0.6]], [[0.2, 0.4], [0.3, 0.9]]]
+        assert interaction_bound(grids).tolist() == [interaction_bound(g) for g in grids]
 
     def test_dominates_exact_collider_ratio_for_any_prior(self):
         # exact posterior-ratio parameter by Bayes, exposure independent of u
@@ -125,7 +127,7 @@ class TestInteractionBound:
             p1 = tuple(float(v) for v in rng.uniform(0.05, 0.95, k))
             prior = rng.uniform(0.05, 1.0, k)
             prior = prior / prior.sum()
-            bound = interaction_bound(MediatorProbGrid(p=(p0, p1)))
+            bound = interaction_bound((p0, p1))
             marg0 = float(sum(c * w for c, w in zip(p0, prior)))
             marg1 = float(sum(c * w for c, w in zip(p1, prior)))
             exact = max(
@@ -134,7 +136,9 @@ class TestInteractionBound:
             assert exact <= bound * (1 + 1e-12)
 
     def test_rejects_zero_cells(self):
-        with pytest.raises(ZeroProbability):
-            MediatorProbGrid(p=((0.0, 0.4), (0.3, 0.9)))
-        with pytest.raises(OutOfRangeProbability):
-            MediatorProbGrid(p=((1.2, 0.4), (0.3, 0.9)))
+        with pytest.raises(ZeroProbability, match=r"pr\(m\|a=0,u=0\)"):
+            interaction_bound([[0.0, 0.4], [0.3, 0.9]])
+        with pytest.raises(OutOfRangeProbability, match=r"pr\(m\|a=0,u=0\) = 1.2"):
+            interaction_bound([[1.2, 0.4], [0.3, 0.9]])
+        with pytest.raises(OutOfRangeProbability, match=r"pr\(m\|a=1,u=1\)"):
+            interaction_bound([[[0.2, 0.4], [0.3, 0.9]], [[0.2, 0.4], [0.3, math.nan]]])

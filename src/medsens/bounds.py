@@ -105,7 +105,8 @@ def bounding_factor(spec: SensitivitySpec) -> float:
     If either parameter is 1 the result is exactly 1; if either is +inf the
     result is the other parameter.  Where the product or the sum overflows,
     the equal form lo / (1 + (lo - 1) / hi) of the smaller parameter lo and
-    the larger hi is used instead; it never exceeds lo.
+    the larger hi is used instead.  The result is capped at lo, which the
+    product form can exceed by rounding when hi is far above lo.
     """
     x, y = spec.rr_au, spec.rr_uy
     lo, hi = np.minimum(x, y), np.maximum(x, y)
@@ -114,7 +115,7 @@ def bounding_factor(spec: SensitivitySpec) -> float:
         bf = np.where(np.isfinite(product) & np.isfinite(total), product / total,
                       lo / (1.0 + (lo - 1.0) / hi))
     bf = np.where(np.isinf(x), y, np.where(np.isinf(y), x, bf))
-    return np.where((x == 1.0) | (y == 1.0), 1.0, bf)[()]
+    return np.where((x == 1.0) | (y == 1.0), 1.0, np.minimum(bf, lo))[()]
 
 
 def adjust_nde_rr(nde_rr_obs: float, bf: float) -> float:

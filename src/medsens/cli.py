@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -127,12 +126,12 @@ def _json_only(args) -> None:
 def _cmd_estimate(args) -> int:
     model, digest, warnings = _load_model(args)
     stats = bounds.bound_report(model.y, model.w)
-    columns = {"c": range(model.c_card)}
-    columns.update((f, stats[f].tolist()) for f in _effect_fields(args.scale))
+    columns = {"c": np.arange(model.c_card)}
+    columns.update((f, stats[f]) for f in _effect_fields(args.scale))
     if args.format == "csv":
-        report.write_csv(sys.stdout, list(columns), [map(repr, v) for v in columns.values()])
+        report.write_csv(sys.stdout, list(columns), list(columns.values()))
         return 0
-    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    rows = [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
     doc = report.document(
         "estimate",
         {"strata": rows, "smoothing": args.smoothing, "mode": model.mode},
@@ -254,23 +253,15 @@ def _cmd_cornfield(args) -> int:
     return 3 if infeasible else 0
 
 
-def _spread(items, inner: int, outer: int):
-    """``items``, each repeated ``inner`` times, and all of that ``outer`` times."""
-    items = chain.from_iterable(map(repeat, items, repeat(inner))) if inner > 1 else items
-    return chain.from_iterable(repeat(list(items), outer)) if outer > 1 else items
-
-
-def _sweep_table(args, grid: SweepGrid) -> tuple[list[str], list[tuple], str | None]:
-    """Header, columns ``(values, inner, outer)`` (see :func:`_spread`) and digest of a sweep.
-
-    Rows run rr_au major, then rr_uy, then stratum; each grid value and ``bf`` is one value.
-    """
-    au, uy = np.meshgrid(grid.rr_au_values, grid.rr_uy_values, indexing="ij")
+def _sweep_table(args, grid: SweepGrid) -> tuple[list[str], list[np.ndarray], str | None]:
+    """Header, columns and digest of a sweep; rows run rr_au major, then rr_uy, then stratum."""
+    au_values, uy_values = np.array(grid.rr_au_values), np.array(grid.rr_uy_values)
+    au, uy = np.meshgrid(au_values, uy_values, indexing="ij")
     spec = bounds.SensitivitySpec(rr_au=au.reshape(-1, 1), rr_uy=uy.reshape(-1, 1))
     bf = bounds.bounding_factor(spec)
     if args.csv is not None:
         model, digest, _ = _load_model(args)
-        strata, stratum = model.c_card, [(range(model.c_card), 1, bf.size)]
+        strata, stratum = model.c_card, [np.tile(np.arange(model.c_card), bf.size)]
         stats = bounds.bound_report(model.y, model.w, spec)  # (grid point, stratum) in row order
         header = ["rr_au", "rr_uy", "bf", "c", *bounds.BOUND_STATS]
         values = [stats[name] for name in bounds.BOUND_STATS]
@@ -283,9 +274,9 @@ def _sweep_table(args, grid: SweepGrid) -> tuple[list[str], list[tuple], str | N
         if args.nie_rr is not None:
             header.append("nie_rr_upper")
             values.append(bounds.adjust_nie_rr(args.nie_rr, bf))
-    cells = [(grid.rr_au_values, len(grid.rr_uy_values) * strata, 1),
-             (grid.rr_uy_values, strata, len(grid.rr_au_values)), (bf.ravel().tolist(), strata, 1)]
-    return header, cells + stratum + [(v.ravel().tolist(), 1, 1) for v in values], digest
+    cells = [np.repeat(au_values, uy_values.size * strata),
+             np.tile(np.repeat(uy_values, strata), au_values.size), np.repeat(bf, strata)]
+    return header, cells + stratum + [v.ravel() for v in values], digest
 
 
 def _cmd_sweep(args) -> int:
@@ -298,11 +289,11 @@ def _cmd_sweep(args) -> int:
     )
     header, columns, digest = _sweep_table(args, grid)
     if args.format == "json":
-        rows = list(zip(*(_spread(*column) for column in columns)))
+        rows = list(zip(*(column.tolist() for column in columns)))
         doc = report.document("sweep", {"header": header, "rows": rows}, input_digest=digest)
         _emit(report.to_json(doc))
     else:
-        report.write_csv(sys.stdout, header, [_spread(map(repr, v), i, o) for v, i, o in columns])
+        report.write_csv(sys.stdout, header, columns)
     return 0
 
 
@@ -317,7 +308,7 @@ def _cmd_parametric(args) -> int:
         )
         _emit(report.to_json(doc))
     else:
-        report.write_csv(sys.stdout, header, [map(repr, [r[h] for r in rows]) for h in header])
+        report.write_csv(sys.stdout, header, [np.array([r[h] for r in rows]) for h in header])
     return 0
 
 

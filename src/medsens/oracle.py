@@ -501,7 +501,8 @@ def check_ratio_bound(inst: DiscreteRatioInstance, tol: float = RATIO_BOUND_TOL)
     g = inst.max_density_ratio()
     d = inst.weight_spread()
     lhs = (num / den)[()]
-    rhs = g * d / (g + d - 1.0)
+    # a density ratio that rounds just below its floor of 1 is taken as 1
+    rhs = bounding_factor(SensitivitySpec(rr_au=np.maximum(g, 1.0), rr_uy=d))
     return RatioBoundResult(lhs=lhs, rhs=rhs, density_ratio=g, weight_spread=d, holds=lhs <= rhs + tol)
 
 

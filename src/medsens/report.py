@@ -5,8 +5,15 @@ version, a digest of the inputs, and accumulated warnings.  Serialization
 is byte-deterministic given identical content: keys are sorted, floats use
 their shortest round-trip representation, and no timestamps are embedded.
 Infinities are written as "inf"/"-inf" (their ``repr``), in JSON as in
-CSV, so every JSON report is strict, standard JSON.  CSV is streamed in
-blocks of rows, never held whole.
+CSV, so every JSON report is strict, standard JSON.
+
+CSV is written from numpy columns and streamed in blocks of rows, never held
+whole.  Every cell reads exactly as Python's ``repr`` of its value.  Each
+column of a block is formatted in C by ``orjson``, whose shortest round-trip
+digits equal ``repr``'s; only its notation differs, outside the magnitudes
+[1e-4, 1e16) (``1e16`` against ``1e+16``) and for inf and nan (``null``).
+Those cells, found by one mask per column, are formatted by ``repr``.
+``orjson`` is imported on first use, so JSON-only commands never load it.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ import dataclasses
 import hashlib
 import json
 import math
-from itertools import chain, islice
-from typing import Any, Iterable, Mapping, Sequence, TextIO
+from typing import Any, Mapping, Sequence, TextIO
+
+import numpy as np
 
 SCHEMA = "medsens-report/1"
 
@@ -89,13 +97,30 @@ def _finite(value: Any) -> Any:
     return value
 
 
-def write_csv(out: TextIO, header: Sequence[str], columns: Sequence[Iterable[str]]) -> None:
-    """Stream lazy columns of formatted cells to ``out`` as CSV, ``CSV_BLOCK`` rows at a time."""
-    rows = chain([header], zip(*columns))
-    while text := to_csv(islice(rows, CSV_BLOCK)):
-        out.write(text)
+def write_csv(out: TextIO, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Stream equal-length 1-d columns to ``out`` as CSV, ``CSV_BLOCK`` rows at a time."""
+    for start in range(0, max(len(columns[0]), 1), CSV_BLOCK):
+        block = [column[start:start + CSV_BLOCK] for column in columns]
+        out.write(to_csv(block, header if start == 0 else ()))
 
 
-def to_csv(rows: Iterable[Sequence[str]]) -> str:
-    """CSV text of rows of formatted cells, one newline-terminated line per row."""
-    return "\n".join(chain(map(",".join, rows), [""]))  # "" ends the last line, or is all
+def to_csv(columns: Sequence[np.ndarray], header: Sequence[str] = ()) -> str:
+    """CSV text of the ``header`` line, if any, and the rows of equal-length 1-d columns."""
+    lines = [",".join(header)] if header else []
+    lines += map(",".join, zip(*map(_cells, columns)))
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """Each value of an int or float column as its ``repr``."""
+    import orjson
+
+    column = np.ascontiguousarray(column)
+    text = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    cells = text.split(",") if column.size else []
+    if column.dtype.kind == "f":  # orjson's notation differs from repr's here, and nan/inf are null
+        magnitude = np.abs(column)
+        other = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (column != 0.0)
+        for i in np.flatnonzero(other).tolist():
+            cells[i] = repr(float(column[i]))
+    return cells

@@ -97,6 +97,17 @@ class TestBoundingFactor:
         bf = bounding_factor(SensitivitySpec(*values))
         assert bf.tolist() == [1.5, 5e299, 5e307]
 
+    def test_far_apart_parameters_keep_the_cap(self):
+        # the product form rounds one ulp above the smaller parameter for this pair
+        assert bounding_factor(SensitivitySpec(5.035990038302004e106, 2.047852368294429e40)) \
+            == 2.047852368294429e40
+        rng = np.random.default_rng(17)
+        x = 10.0 ** rng.uniform(100.0, 150.0, 100_000)
+        y = 10.0 ** rng.uniform(0.0, 100.0, 100_000)
+        bf = bounding_factor(SensitivitySpec(x, y))
+        assert (bf <= y).all()
+        assert (bf == bounding_factor(SensitivitySpec(y, x))).all()
+
     def test_rejects_bad_parameters(self):
         for bad in (0.5, -2.0, math.nan):
             with pytest.raises(BadParameter):

@@ -3,7 +3,8 @@
 Every command runs in-process on a small deterministic three-stratum file
 written by the test.  A refactor that keeps the outputs passes unchanged; a
 change that alters an output byte must update the digest here and say why.
-Overflowing sensitivity parameters are kept out of the set on purpose.
+Overflowing sensitivity parameters are kept out of the set on purpose; huge
+but finite ones are in it, for the float notation they produce.
 """
 
 import hashlib
@@ -118,6 +119,25 @@ GOLDEN = {
     "sweep-estimates-json": (
         ("sweep", "--nde-rr", "1.72", *GRID, "--format", "json"),
         0, "a364be1ff73264c799f9b6e64ea3da7dbc4a9697c02f425aacaced96fcde99ed",
+    ),
+    "estimate-csv-relabel": (
+        ("estimate", "--csv", F, "--format", "csv", "--relabel-exposure"),
+        0, "e71a2311ff2de43c79e54a6e404a0ad200d3ef7c4d9ca2bfd045c1d9a3af2513",
+    ),
+    # cells on both sides of 1e-4 and 1e16, where repr switches notation, and subnormals
+    "sweep-csv-notation": (
+        ("sweep", "--csv", F, "--rr-au-grid", "1,1e4,1e8,1e17", "--rr-uy-grid", "1,1e4,1e16"),
+        0, "1827d466253ddd7b73378135bb3a2fbb8e9d4c2d9d47614513284188610fef59",
+    ),
+    "sweep-estimates-notation": (
+        ("sweep", "--nde-rr", "0.001", "--nie-rr", "1e15", "--rr-au-grid", "1,100,1e6",
+         "--rr-uy-grid", "1,100,1e6"),
+        0, "b4c5a04733c9f53ac5714664c10cc6b5f6ee48023fea39e82ab880e43013dd02",
+    ),
+    "sweep-estimates-subnormal": (
+        ("sweep", "--nde-rr", "1e-300", "--nie-rr", "1e290", "--rr-au-grid",
+         "1,1e10,1e16,1e300", "--rr-uy-grid", "1,1e10,1e17"),
+        0, "98909cd978a2d451b4b9af64cad48cc647c1835d5c4505e3fb89243a4185aaba",
     ),
     "parametric": (
         ("parametric",),

@@ -402,6 +402,18 @@ class TestRatioBound:
             assert abs(res.lhs - res.rhs) <= 1e-12 * max(1.0, res.rhs)
             assert res.holds
 
+    def test_huge_parameters_do_not_overflow(self):
+        # the product of the two parameters overflows; the warning is an error here
+        res = check_ratio_bound(bernoulli_instance(1e200, 1e200))
+        assert res.lhs == res.rhs == 5e199
+        assert res.holds
+
+    def test_density_ratio_rounding_below_one_counts_as_one(self):
+        f1 = (0.5 - 1e-12, 0.5 - 1e-12)  # a distribution within tolerance, below f0 everywhere
+        res = check_ratio_bound(DiscreteRatioInstance(f0=(0.5, 0.5), f1=f1, r=(1.0, 3.0)))
+        assert res.density_ratio < 1.0
+        assert res.rhs == 1.0 and res.holds
+
     def test_random_instances_hold_strictly(self):
         # non-degenerate instances never attain the bound; equality needs
         # the two-point structure

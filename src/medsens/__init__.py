@@ -22,7 +22,7 @@ from .bounds import (
     required_partner,
     stratum_envelopes,
 )
-from .effects import Effects, observed_effects
+from .effects import Effects
 from .errors import (
     BadCode,
     BadParameter,
@@ -54,7 +54,6 @@ from .oracle import (
     SharpnessReport,
     InequalityCheck,
     ValidityReport,
-    UnexposedReport,
     bernoulli_instance,
     check_ratio_bound,
     observed_model,
@@ -67,7 +66,6 @@ from .oracle import (
     sample_scm,
     sharpness_search,
     true_effects,
-    unexposed_nde_check,
     validity_battery,
     verify_bounds,
 )

@@ -239,7 +239,7 @@ def _cmd_cornfield(args) -> int:
         th = bounds.cornfield_rr(args.nde_rr, target)
         payload = {"scale": "rr", "observed_nde_rr": args.nde_rr, "target_nde_rr": target,
                    **asdict(th)}
-        partner = partner_for(args.nde_rr / target)
+        partner = partner_for(th.both_must_exceed)
         if args.fixed_param is not None:
             payload["required_partner"] = partner
             payload["fixed_param"] = args.fixed_param

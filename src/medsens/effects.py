@@ -29,15 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroDenominator
-from .tables import ConditionalModel, crossworld_sums
 
 
 @dataclass(frozen=True)
 class Effects:
     """Natural direct/indirect/total effects on both scales, with their sums.
 
-    Used both for observed effects computed from a :class:`ConditionalModel`
-    and for ground-truth effects computed from a fully specified synthetic
+    Used both for observed effects computed from a model's conditional
+    tables and for ground-truth effects computed from a fully specified synthetic
     model (see the oracle module).  Fields are floats for one stratum, or
     arrays with one entry per stratum, replicate or synthetic model.
     """
@@ -66,11 +65,3 @@ class Effects:
         nde_rd, nie_rd = n10 - n00, n11 - n10
         return cls(n10, n00, n11, nde_rr, nie_rr, nde_rr * nie_rr, nde_rd, nie_rd, nde_rd + nie_rd)
 
-
-def observed_effects(model: ConditionalModel, c: int) -> Effects:
-    """All six observed effects for stratum ``c``; an unknown code raises BadCode.
-
-    :func:`~medsens.bounds.bound_report` gives them for every stratum at once.
-    """
-    sums = crossworld_sums(*model.stratum(c))
-    return Effects.from_sums(*(float(s) for s in sums), c=c)

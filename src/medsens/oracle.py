@@ -36,7 +36,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bounds import SensitivitySpec, adjust_nie_rr, bound_nde_rd, bound_nie_rd, bounding_factor
+from .bounds import SensitivitySpec, bound_report, bounding_factor
 from .effects import Effects
 from .errors import (
     BadParameter,
@@ -61,6 +61,8 @@ BATTERY_BATCH = 256
 SHARPNESS_BATCH = 1000
 #: scalar-inequality instances checked at once by :func:`validity_battery`
 RATIO_BATCH = 4096
+#: largest u_card * m_card of :func:`validity_battery`; one batch at the cap adds 100-190 MB
+MAX_CARD_PRODUCT = 4096
 _SCM_TABLES = ("u_prior", "a_given_u", "m_given", "y_given")
 
 
@@ -93,8 +95,8 @@ class Scm:
     the same on every field, make the Scm a batch of models that every
     function here evaluates at once, returning one value per model.
     With ``a_independent_u`` set, pr(A=1|u) must be constant in u and the
-    true-effect formulas apply; without it only the unexposed-population
-    bound check is meaningful.
+    true-effect formulas apply; without it :func:`verify_bounds` checks the
+    direct-effect bounds among the unexposed only.
     """
 
     u_prior: np.ndarray
@@ -185,13 +187,6 @@ def observed_model(scm: Scm) -> ConditionalModel:
     np.divide(y_joint, w, out=y, where=w > 0.0)
     shape = (-1, 2, scm.m_card)
     return ConditionalModel(y.reshape(shape), w.reshape(shape), mode=scm.mode)
-
-
-def _observed_effects(scm: Scm) -> Effects:
-    """Observed effects of each model, from its observed tables as for estimated data."""
-    model = observed_model(scm)
-    sums = crossworld_sums(model.y, model.w)
-    return Effects.from_sums(*(s.reshape(scm.batch_shape)[()] for s in sums))
 
 
 def _unexposed_sums(scm: Scm) -> tuple:
@@ -313,24 +308,20 @@ def _check(name: str, lhs, rhs, tol: float) -> InequalityCheck:
     return InequalityCheck(name=name, lhs=lhs, rhs=rhs, slack=slack, holds=slack <= tol * scale)
 
 
-def _exact_parameters(scm: Scm) -> tuple[float, float, float]:
-    """(rr_au, rr_uy, bf) of each model by their definitions."""
-    rau = rr_au_posterior(scm)
-    ruy = rr_uy(scm)
-    return rau, ruy, bounding_factor(SensitivitySpec(rr_au=rau, rr_uy=ruy))
-
-
 @dataclass(frozen=True)
 class ValidityReport:
-    """Exact sensitivity parameters and all four bound checks, per model."""
+    """Exact sensitivity parameters and the bound checks, per model.
 
-    observed: Effects
+    ``observed`` is the :func:`~medsens.bounds.bound_report` of the model's
+    observed tables under its exact parameters, each entry shaped like the
+    batch; ``true`` holds the effects among the unexposed, which are the
+    natural effects when exposure is independent of the confounder.
+    """
+
+    observed: dict
     true: Effects
     rr_au: float
     rr_uy: float
-    bf: float
-    nde_rd_lower: float
-    nie_rd_upper: float
     checks: tuple[InequalityCheck, ...]
 
     @property
@@ -340,86 +331,39 @@ class ValidityReport:
     @property
     def nde_rr_attainment(self) -> float:
         """How much of the ratio-scale direct-effect bound is used, in (0, 1]."""
-        return (self.observed.nde_rr / self.true.nde_rr) / self.bf
+        return (self.observed["nde_rr"] / self.true.nde_rr) / self.observed["bf"]
 
 
 def verify_bounds(scm: Scm, tol: float = VALIDITY_TOL) -> ValidityReport:
-    """Check all four bounds against the exact truth of a synthetic model or batch.
+    """Check the bounds against the exact truth of a synthetic model or batch.
 
-    The observed side is produced by the same estimation-facing code paths
-    users run (marginal tables -> effect formulas -> bound formulas); only
-    the sensitivity parameters and the true effects come from the joint
-    model.  Any failed check indicates a bug, not an unlucky draw.
+    The observed side is one :func:`~medsens.bounds.bound_report` call on
+    the marginal tables, the code path users run, with the models on its
+    stratum axis; only the sensitivity parameters and the true effects come
+    from the joint model.  The direct-effect bounds are checked against the
+    effects among the unexposed, which survive exposure-confounder
+    dependence; those checks are named ``unexposed_...`` when exposure
+    depends on the confounder, and the indirect-effect bounds are checked
+    only when it does not.  Any failed check indicates a bug, not an
+    unlucky draw.
     """
-    obs = _observed_effects(scm)
-    true = true_effects(scm)
-    rau, ruy, bf = _exact_parameters(scm)
-    lower_rd = bound_nde_rd(obs.n10, obs.n00, bf)
-    upper_rd = bound_nie_rd(obs.n10, obs.n11, bf)
+    model = observed_model(scm)
+    rau, ruy = rr_au_posterior(scm), rr_uy(scm)
+    spec = SensitivitySpec(rr_au=np.ravel(rau), rr_uy=np.ravel(ruy))
+    report = bound_report(model.y, model.w, spec)  # one "stratum" per model
+    obs = {name: value.reshape(scm.batch_shape)[()] for name, value in report.items()}
+    true = Effects.from_sums(*_unexposed_sums(scm))
+    prefix = "" if scm.a_independent_u else "unexposed_"
     checks = (
-        _check("nde_rr_ratio_vs_bf", obs.nde_rr / true.nde_rr, bf, tol),
-        _check("nie_rr_true_vs_upper", true.nie_rr, adjust_nie_rr(obs.nie_rr, bf), tol),
-        _check("nde_rd_lower_vs_true", lower_rd, true.nde_rd, tol),
-        _check("nie_rd_true_vs_upper", true.nie_rd, upper_rd, tol),
+        _check(f"{prefix}nde_rr_ratio_vs_bf", obs["nde_rr"] / true.nde_rr, obs["bf"], tol),
+        _check(f"{prefix}nde_rd_lower_vs_true", obs["nde_rd_lower"], true.nde_rd, tol),
     )
-    return ValidityReport(
-        observed=obs,
-        true=true,
-        rr_au=rau,
-        rr_uy=ruy,
-        bf=bf,
-        nde_rd_lower=lower_rd,
-        nie_rd_upper=upper_rd,
-        checks=checks,
-    )
-
-
-@dataclass(frozen=True)
-class UnexposedReport:
-    """Bound checks for the direct effect among the unexposed population.
-
-    This is the version of the direct-effect bounds that survives
-    exposure-confounder dependence: the true effects condition every
-    confounder average on a=0.
-    """
-
-    observed: Effects
-    nde_rr_unexposed: float
-    nde_rd_unexposed: float
-    rr_au: float
-    rr_uy: float
-    bf: float
-    checks: tuple[InequalityCheck, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(bool(np.all(c.holds)) for c in self.checks)
-
-
-def unexposed_nde_check(scm: Scm, tol: float = VALIDITY_TOL) -> UnexposedReport:
-    """Check the direct-effect bounds against the unexposed-population truth.
-
-    Valid for any pr(A=1|u); when exposure is independent of the confounder
-    the unexposed effects coincide with the overall ones and this reduces
-    to the corresponding checks of :func:`verify_bounds`.
-    """
-    obs = _observed_effects(scm)
-    unexposed = Effects.from_sums(*_unexposed_sums(scm))
-    rau, ruy, bf = _exact_parameters(scm)
-    checks = (
-        _check("unexposed_nde_rr_ratio_vs_bf", obs.nde_rr / unexposed.nde_rr, bf, tol),
-        _check("unexposed_nde_rd_lower_vs_true", bound_nde_rd(obs.n10, obs.n00, bf),
-               unexposed.nde_rd, tol),
-    )
-    return UnexposedReport(
-        observed=obs,
-        nde_rr_unexposed=unexposed.nde_rr,
-        nde_rd_unexposed=unexposed.nde_rd,
-        rr_au=rau,
-        rr_uy=ruy,
-        bf=bf,
-        checks=checks,
-    )
+    if scm.a_independent_u:
+        checks += (
+            _check("nie_rr_true_vs_upper", true.nie_rr, obs["nie_rr_upper"], tol),
+            _check("nie_rd_true_vs_upper", true.nie_rd, obs["nie_rd_upper"], tol),
+        )
+    return ValidityReport(observed=obs, true=true, rr_au=rau, rr_uy=ruy, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -681,11 +625,12 @@ class SharpnessReport:
 
 def _attainments(report: ValidityReport) -> dict[str, np.ndarray]:
     """Attainment of each bound per model; rd ones are 0 where an effect or bound is <= 0."""
-    true, lower, upper = report.true, report.nde_rd_lower, report.nie_rd_upper
+    true, obs = report.true, report.observed
+    lower, upper = obs["nde_rd_lower"], obs["nie_rd_upper"]
     with np.errstate(divide="ignore", invalid="ignore"):
         return {
             "nde_rr": report.nde_rr_attainment,
-            "nie_rr": true.nie_rr / adjust_nie_rr(report.observed.nie_rr, report.bf),
+            "nie_rr": true.nie_rr / obs["nie_rr_upper"],
             "nde_rd": np.where((true.nde_rd > 0.0) & (lower > 0.0), lower / true.nde_rd, 0.0),
             "nie_rd": np.where((true.nie_rd > 0.0) & (upper > 0.0), true.nie_rd / upper, 0.0),
         }
@@ -778,6 +723,11 @@ def validity_battery(
     ):
         if value < 1:
             raise BadParameter(f"{name} must be at least 1, got {value}")
+    if u_card * m_card > MAX_CARD_PRODUCT:
+        raise BadParameter(
+            f"u_card * m_card (--u-card times --m-card) must be at most {MAX_CARD_PRODUCT}, "
+            f"got {u_card} * {m_card}"
+        )
     rng = np.random.default_rng(seed)
     floor = 0.0 if extreme else 1e-4
     y_max = 5.0 if mode == "mean" else 1.0
@@ -797,15 +747,12 @@ def validity_battery(
             dependent_exposure=dependent_exposure,
             shape=(min(BATTERY_BATCH, iterations - start),),
         )
-        if dependent_exposure:
-            checks = unexposed_nde_check(scm).checks
-        else:
-            report = verify_bounds(scm)
-            checks = report.checks
+        report = verify_bounds(scm)
+        if not dependent_exposure:
             rel = np.abs(report.rr_au - rr_au_mediator_ratio(scm)) / np.maximum(1.0, report.rr_au)
             equiv_max = max(equiv_max, float(rel.max()))
             equiv_violations += int(np.count_nonzero(rel > EQUIV_TOL))
-        for check in checks:
+        for check in report.checks:
             worst = float(check.slack.max())
             worst_slack[check.name] = max(worst_slack.get(check.name, -math.inf), worst)
             violations += int(np.count_nonzero(~check.holds))

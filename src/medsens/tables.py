@@ -236,7 +236,7 @@ class ConditionalModel:
 
     Both are read-only float arrays of shape (c_card, 2, m_card), checked
     once at construction; the stratum code ``c`` is the index of the
-    leading axis.  Models are equal when their mode and tables are.
+    leading axis.
     """
 
     y: np.ndarray
@@ -270,14 +270,6 @@ class ConditionalModel:
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ConditionalModel)
-            and self.mode == other.mode
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.w, other.w)
-        )
-
     @property
     def c_card(self) -> int:
         return self.y.shape[0]
@@ -285,12 +277,6 @@ class ConditionalModel:
     @property
     def m_card(self) -> int:
         return self.y.shape[2]
-
-    def stratum(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (2, m_card) tables ``(y[c], w[c])``; an unknown code raises BadCode."""
-        if not (isinstance(c, (int, np.integer)) and 0 <= c < self.c_card):
-            raise BadCode(f"no stratum with code c={c!r}")
-        return self.y[c], self.w[c]
 
 
 def crossworld_sums(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from medsens.bounds import (
     required_partner,
     stratum_envelopes,
 )
-from medsens.effects import observed_effects
+from medsens.effects import Effects
 from medsens.errors import BadParameter, BadTarget, Infeasible, ZeroDenominator
 from medsens.tables import ConditionalModel, crossworld_sums
 
@@ -35,9 +35,14 @@ def worked_model():
     )
 
 
+def stratum_effects(model: ConditionalModel, c: int) -> Effects:
+    """All six effects of stratum ``c`` alone, the reference for the all-strata paths."""
+    return Effects.from_sums(*(float(s) for s in crossworld_sums(model.y[c], model.w[c])), c=c)
+
+
 def worked_sums():
     """(n10, n00, n11) of stratum 0 of the worked model."""
-    return [float(s) for s in crossworld_sums(*worked_model().stratum(0))]
+    return [float(s) for s in crossworld_sums(worked_model().y[0], worked_model().w[0])]
 
 
 class TestBoundingFactor:
@@ -136,7 +141,7 @@ class TestAdjust:
 class TestRdBounds:
     def test_unit_factor_recovers_observed(self):
         n10, n00, n11 = worked_sums()
-        e = observed_effects(worked_model(), 0)
+        e = stratum_effects(worked_model(), 0)
         assert math.isclose(bound_nde_rd(n10, n00, 1.0), e.nde_rd, abs_tol=1e-15)
         assert math.isclose(bound_nie_rd(n10, n11, 1.0), e.nie_rd, abs_tol=1e-15)
 
@@ -153,7 +158,7 @@ class TestRdBounds:
     @given(st.floats(min_value=1.0, max_value=50.0))
     def test_complementarity_matches_total_effect(self, bf):
         n10, n00, n11 = worked_sums()
-        e = observed_effects(worked_model(), 0)
+        e = stratum_effects(worked_model(), 0)
         total = bound_nde_rd(n10, n00, bf) + bound_nie_rd(n10, n11, bf)
         assert math.isclose(total, e.te_rd, abs_tol=1e-12)
 
@@ -197,7 +202,7 @@ class TestCornfieldRd:
 
     def test_observed_target_needs_no_confounding(self):
         n10, n00, _ = worked_sums()
-        nde_rd = observed_effects(worked_model(), 0).nde_rd
+        nde_rd = stratum_effects(worked_model(), 0).nde_rd
         assert cornfield_rd(n10, n00, nde_rd) == CornfieldThresholds(1.0, 1.0)
 
     def test_hand_value(self):
@@ -256,7 +261,7 @@ class TestReportAndEnvelopes:
         rep = bound_report(model.y, model.w, SensitivitySpec(2.0, 3.0))
         assert rep["bf"] == 1.5
         for c in range(model.c_card):
-            obs = observed_effects(model, c)
+            obs = stratum_effects(model, c)
             assert [rep[name][c] for name in ("n10", "n00", "n11", *EFFECT_STATS)] == [
                 getattr(obs, name) for name in ("n10", "n00", "n11", *EFFECT_STATS)]
             assert math.isclose(rep["nde_rr_lower"][c], obs.nde_rr / 1.5, rel_tol=1e-15)
@@ -284,7 +289,7 @@ class TestReportAndEnvelopes:
                 bf = bounding_factor(SensitivitySpec(float(au[g, 0]), float(uy[g, 0])))
                 assert rep["bf"][g, 0] == bf
                 for c in range(strata):
-                    obs = observed_effects(model, c)
+                    obs = stratum_effects(model, c)
                     assert [rep[name][g, c] for name in BOUND_STATS] == [
                         adjust_nde_rr(obs.nde_rr, bf), adjust_nie_rr(obs.nie_rr, bf),
                         bound_nde_rd(obs.n10, obs.n00, bf), bound_nie_rd(obs.n10, obs.n11, bf)]

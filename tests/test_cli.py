@@ -21,15 +21,21 @@ from medsens.bounds import (
 )
 from medsens import report
 from medsens.cli import main
-from medsens.effects import observed_effects
+from medsens.effects import Effects
 from medsens.loglinear import collider_ratio_grid
 from medsens.tables import (
     ConditionalModel,
+    crossworld_sums,
     estimate_from_records,
     expand_to_records,
     read_records_csv,
     swap_exposure_records,
 )
+
+
+def stratum_effects(model: ConditionalModel, c: int) -> Effects:
+    """All six effects of stratum ``c`` alone, the reference for the all-strata paths."""
+    return Effects.from_sums(*(float(s) for s in crossworld_sums(model.y[c], model.w[c])), c=c)
 
 
 def worked_model():
@@ -86,7 +92,7 @@ def reference_sweep_csv(au_text, uy_text, csv=None, relabel=False, smoothing=0.0
         if relabel:
             records = swap_exposure_records(records)
         model = estimate_from_records(records, smoothing)
-        effects = [observed_effects(model, c) for c in range(model.c_card)]
+        effects = [stratum_effects(model, c) for c in range(model.c_card)]
         rows = [(au_i, uy_i, bf_i, c, *map(float, (
                     adjust_nde_rr(e.nde_rr, bf_i), adjust_nie_rr(e.nie_rr, bf_i),
                     bound_nde_rd(e.n10, e.n00, bf_i), bound_nie_rd(e.n10, e.n11, bf_i))))
@@ -124,7 +130,7 @@ class TestEstimate:
         row = doc["result"]["strata"][0]
         assert math.isclose(row["nde_rr"], 1.818182, abs_tol=1e-3)
         model = estimate_from_records(read_records_csv(csv))
-        assert row["nde_rr"] == observed_effects(model, 0).nde_rr
+        assert row["nde_rr"] == stratum_effects(model, 0).nde_rr
 
     def test_null_data(self, capsys, tmp_path):
         p = tmp_path / "null.csv"
@@ -215,7 +221,7 @@ class TestBound:
     def test_matches_library_exactly(self, capsys, tmp_path):
         csv = write_worked_csv(tmp_path / "d.csv")
         code, doc = run_json(capsys, "bound", "--csv", csv, "--rr-au", "2", "--rr-uy", "3")
-        e = observed_effects(estimate_from_records(read_records_csv(csv)), 0)
+        e = stratum_effects(estimate_from_records(read_records_csv(csv)), 0)
         bf = bounding_factor(SensitivitySpec(2, 3))
         row = doc["result"]["strata"][0]
         assert row["bf"] == bf
@@ -280,6 +286,16 @@ class TestCornfield:
         assert code == 0
         assert math.isclose(doc["result"]["required_partner"], 8.93, abs_tol=5e-3)
 
+    @pytest.mark.parametrize("argv", [("--nde-rr", "1.5", "--target", "2"), ("--nde-rr", "0.8")])
+    def test_nothing_to_explain_needs_no_partner(self, capsys, argv):
+        # observed at or below the target: thresholds (1, 1), and a partner of 1 suffices
+        code, doc = run_json(capsys, "cornfield", *argv, "--fixed-param", "3")
+        assert code == 0
+        result = doc["result"]
+        assert (result["both_must_exceed"], result["max_must_exceed"]) == (1.0, 1.0)
+        assert result["required_partner"] == 1.0
+        assert doc["warnings"] == []
+
     def test_infinite_observed_effect_exits_2(self, capsys):
         assert main(["cornfield", "--nde-rr", "inf"]) == 2
         assert "--nde-rr" in capsys.readouterr().err
@@ -311,7 +327,7 @@ class TestSweep:
         code, out = run(capsys, "sweep", "--csv", csv, "--rr-au-grid", "1", "--rr-uy-grid", "1")
         header, row = out.strip().splitlines()
         values = dict(zip(header.split(","), row.split(",")))
-        e = observed_effects(estimate_from_records(read_records_csv(csv)), 0)
+        e = stratum_effects(estimate_from_records(read_records_csv(csv)), 0)
         assert float(values["bf"]) == 1.0
         assert math.isclose(float(values["nde_rr_lower"]), e.nde_rr, rel_tol=1e-12)
         assert math.isclose(float(values["nde_rd_lower"]), e.nde_rd, abs_tol=1e-12)
@@ -490,6 +506,18 @@ class TestOracle:
                      flag, value])
         assert code == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("u_card, m_card", [("100000", "100000"), ("1", "4097")])
+    def test_cardinalities_above_the_cap_exit_2(self, capsys, u_card, m_card):
+        code = main(["oracle", "--iterations", "1", "--u-card", u_card, "--m-card", m_card])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "--u-card" in err and "--m-card" in err and "4096" in err
+
+    def test_cardinalities_at_the_cap_run(self, capsys):
+        code = main(["oracle", "--iterations", "1", "--u-card", "64", "--m-card", "64",
+                     "--ratio-iterations", "1", "--sharpness-iterations", "1"])
+        assert code == 0
 
 
 class TestBootstrapCommand:

@@ -155,6 +155,20 @@ GOLDEN = {
         ("oracle", "--iterations", "50", "--seed", "3"),
         0, "9610c1ccd04e2a8c5eb0e2c496bb932e3127f048adabd8532306bb64ad0b5c16",
     ),
+    # 300 models span two check batches
+    "oracle-dependent": (
+        ("oracle", "--iterations", "300", "--seed", "3", "--dependent-exposure"),
+        0, "74643a458c28e78ecf186a3b89b4bb8a6b186e37cbc1894c0c4231567959f40e",
+    ),
+    "oracle-mean": (
+        ("oracle", "--iterations", "50", "--seed", "3", "--outcome", "mean"),
+        0, "901238cfccbb468ac68088757d7870c22072c876d5636540c5d8e930c978bad2",
+    ),
+    "oracle-extreme-3-4": (
+        ("oracle", "--iterations", "50", "--seed", "3", "--extreme", "--u-card", "3",
+         "--m-card", "4"),
+        0, "e6cff3b7eb4018d62bcbaeba91e513485403d74bf78a53ed5957767a94460ff3",
+    ),
     "bootstrap": (
         ("bootstrap", "--csv", F, "--replicates", "200", "--seed", "1"),
         0, "b071d464aa83e4229c7119ae4e8e39845eaf2dda6940d6c8d6a0e3f8fdbd29b0",

@@ -4,8 +4,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from medsens.bounds import SensitivitySpec, bounding_factor
-from medsens.effects import observed_effects
+from medsens import bounds
+from medsens.bounds import SensitivitySpec, bound_report
 from medsens.errors import (
     BadParameter,
     InternalCheckError,
@@ -31,7 +31,6 @@ from medsens.oracle import (
     sample_scm,
     sharpness_search,
     true_effects,
-    unexposed_nde_check,
     verify_bounds,
 )
 from medsens.tables import crossworld_sums
@@ -76,7 +75,7 @@ def assert_tables_close(got, want, tol=1e-15):
 class TestObservedModel:
     def test_u_irrelevant_matches_flat_tables(self):
         model = observed_model(u_irrelevant_scm())
-        y, w = model.stratum(0)
+        y, w = model.y[0], model.w[0]
         assert_tables_close(w, ((0.75, 0.25), (0.25, 0.75)))
         assert_tables_close(y, ((0.2, 0.5), (0.4, 0.8)))
 
@@ -86,7 +85,8 @@ class TestObservedModel:
             m_given=(((0.5, 0.5), (0.7, 0.3)), ((0.5, 0.5), (0.2, 0.8))),
             y_given=(((0.1, 0.3), (0.2, 0.4)), ((0.3, 0.5), (0.4, 0.9))),
         )
-        y, w = observed_model(scm).stratum(0)
+        model = observed_model(scm)
+        y, w = model.y[0], model.w[0]
         assert_tables_close(w, ((0.7, 0.3), (0.2, 0.8)))
         assert_tables_close(y, ((0.3, 0.4), (0.5, 0.9)))
 
@@ -94,7 +94,8 @@ class TestObservedModel:
         half = ((0.5, 0.5), (0.5, 0.5))
         scm = flat_scm(u_prior=(0.5, 0.5), m_given=(half, half),
                        y_given=(half, half))
-        y, w = observed_model(scm).stratum(0)
+        model = observed_model(scm)
+        y, w = model.y[0], model.w[0]
         assert w.tolist() == [list(row) for row in half]
         assert y.tolist() == [list(row) for row in half]
 
@@ -102,7 +103,8 @@ class TestObservedModel:
         rng = np.random.default_rng(31)
         for i in range(2000):
             scm = sample_scm(rng, u_card=2 + i % 2, m_card=2 + i % 2)
-            _, n00, n11 = crossworld_sums(*observed_model(scm).stratum(0))
+            model = observed_model(scm)
+            _, n00, n11 = crossworld_sums(model.y[0], model.w[0])
             y_marg = (n00, n11)  # pr(Y=1|a) from the conditional tables
             for a in (0, 1):
                 assert math.isclose(y_marg[a], outcome_marginal(scm, a), abs_tol=1e-12)
@@ -121,9 +123,10 @@ class TestTrueEffects:
     def test_no_confounder_means_true_equals_observed(self):
         scm = u_irrelevant_scm()
         true = true_effects(scm)
-        obs = observed_effects(observed_model(scm), 0)
+        model = observed_model(scm)
+        obs = bound_report(model.y, model.w)
         for field in ("nde_rr", "nie_rr", "te_rr", "nde_rd", "nie_rd", "te_rd"):
-            assert math.isclose(getattr(true, field), getattr(obs, field), rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(getattr(true, field), obs[field][0], rel_tol=1e-12, abs_tol=1e-12)
 
     def test_null_scm(self):
         same_m = ((0.6, 0.4), (0.3, 0.7))
@@ -275,22 +278,28 @@ class TestVerifyBounds:
             report = verify_bounds(sample_scm(rng, 2, 2 + i % 2))
             assert report.all_hold, report.checks
             # the adjusted quantities themselves never cross the truth
-            tol = 1e-10 * max(1.0, report.bf)
-            assert report.true.nde_rr >= adjust_nde_rr(report.observed.nde_rr, report.bf) - tol
-            assert report.true.nie_rr <= adjust_nie_rr(report.observed.nie_rr, report.bf) + tol
+            obs = report.observed
+            tol = 1e-10 * max(1.0, obs["bf"])
+            assert report.true.nde_rr >= adjust_nde_rr(obs["nde_rr"], obs["bf"]) - tol
+            assert report.true.nie_rr <= adjust_nie_rr(obs["nie_rr"], obs["bf"]) + tol
 
     def test_u_irrelevant_bounds_are_tight(self):
         report = verify_bounds(u_irrelevant_scm())
-        assert report.bf == 1.0
+        assert report.observed["bf"] == 1.0
         assert math.isclose(report.nde_rr_attainment, 1.0, rel_tol=1e-12)
-        assert math.isclose(report.nde_rd_lower, report.true.nde_rd, abs_tol=1e-12)
-        assert math.isclose(report.nie_rd_upper, report.true.nie_rd, abs_tol=1e-12)
+        assert math.isclose(report.observed["nde_rd_lower"], report.true.nde_rd, abs_tol=1e-12)
+        assert math.isclose(report.observed["nie_rd_upper"], report.true.nie_rd, abs_tol=1e-12)
 
     def test_observed_side_reuses_identification_bit_for_bit(self):
         rng = np.random.default_rng(71)
         scm = sample_scm(rng)
         report = verify_bounds(scm)
-        assert report.observed == observed_effects(observed_model(scm), 0)
+        model = observed_model(scm)
+        spec = SensitivitySpec(rr_au=[rr_au_posterior(scm)], rr_uy=[rr_uy(scm)])
+        want = bound_report(model.y, model.w, spec)
+        assert report.observed.keys() == want.keys()
+        for name, value in want.items():
+            assert report.observed[name] == value[0]
 
     def test_recipe_scm_attains_the_bound(self):
         report = verify_bounds(recipe_scm(2.5, 3.5, posterior_mass=0.999))
@@ -324,14 +333,15 @@ def sharpness_reference(seed: int, iterations: int) -> SharpnessReport:
                                                   outcome_ceiling=ceiling, target_nde_rr=target))
                 assert report.all_hold
                 evaluated += 1
+                obs, true = report.observed, report.true
                 values = {
                     "nde_rr": report.nde_rr_attainment,
-                    "nie_rr": report.true.nie_rr / adjust_nie_rr(report.observed.nie_rr, report.bf),
+                    "nie_rr": true.nie_rr / adjust_nie_rr(obs["nie_rr"], obs["bf"]),
                 }
-                if report.true.nde_rd > 0.0 and report.nde_rd_lower > 0.0:
-                    values["nde_rd"] = report.nde_rd_lower / report.true.nde_rd
-                if report.true.nie_rd > 0.0 and report.nie_rd_upper > 0.0:
-                    values["nie_rd"] = report.true.nie_rd / report.nie_rd_upper
+                if true.nde_rd > 0.0 and obs["nde_rd_lower"] > 0.0:
+                    values["nde_rd"] = obs["nde_rd_lower"] / true.nde_rd
+                if true.nie_rd > 0.0 and obs["nie_rd_upper"] > 0.0:
+                    values["nie_rd"] = true.nie_rd / obs["nie_rd_upper"]
                 for key, value in values.items():
                     best[key] = max(best[key], float(value))
     return SharpnessReport(seed=seed, iterations=iterations, evaluated=evaluated, **best)
@@ -357,8 +367,8 @@ class TestSharpnessSearch:
 
     def test_violation_raises(self, monkeypatch):
         # a bounding factor shrunk by 1% is crossed by the models that attain the bound
-        real = oracle.bounding_factor
-        monkeypatch.setattr(oracle, "bounding_factor",
+        real = bounds.bounding_factor
+        monkeypatch.setattr(bounds, "bounding_factor",
                             lambda spec: np.maximum(1.0, 0.99 * real(spec)))
         with pytest.raises(InternalCheckError, match="nde_rr_ratio_vs_bf"):
             sharpness_search(0, 3)
@@ -480,18 +490,25 @@ class TestRatioBound:
 
 
 class TestUnexposedBound:
-    def test_independent_exposure_reduces_to_overall_check(self):
+    def test_constant_exposure_flagged_either_way_gives_the_same_direct_checks(self):
         rng = np.random.default_rng(83)
         scm = sample_scm(rng)
-        unexposed = unexposed_nde_check(scm)
-        overall = verify_bounds(scm)
-        assert math.isclose(unexposed.nde_rr_unexposed, overall.true.nde_rr, rel_tol=1e-12)
-        assert math.isclose(unexposed.nde_rd_unexposed, overall.true.nde_rd, abs_tol=1e-12)
-        assert unexposed.bf == overall.bf
+        flagged = Scm(scm.u_prior, scm.a_given_u, scm.m_given, scm.y_given, a_independent_u=False)
+        overall, unexposed = verify_bounds(scm), verify_bounds(flagged)
+        assert [c.name for c in overall.checks] == [
+            "nde_rr_ratio_vs_bf", "nde_rd_lower_vs_true", "nie_rr_true_vs_upper",
+            "nie_rd_true_vs_upper"]
+        assert [c.name for c in unexposed.checks] == [
+            "unexposed_nde_rr_ratio_vs_bf", "unexposed_nde_rd_lower_vs_true"]
+        (rr, rd), (rr_flag, rd_flag) = overall.checks[:2], unexposed.checks
+        for side in ("lhs", "rhs"):
+            assert math.isclose(getattr(rr_flag, side), getattr(rr, side), rel_tol=1e-12)
+            assert math.isclose(getattr(rd_flag, side), getattr(rd, side), abs_tol=1e-12)
 
     def test_thousand_dependent_scms_hold(self):
         rng = np.random.default_rng(89)
-        report = unexposed_nde_check(sample_scm(rng, dependent_exposure=True, shape=(1000,)))
+        report = verify_bounds(sample_scm(rng, dependent_exposure=True, shape=(1000,)))
+        assert len(report.checks) == 2
         for check in report.checks:
             assert check.holds.all(), (check.name, check.slack.max())
 
@@ -502,8 +519,8 @@ class TestUnexposedBound:
             y_given=(((0.2, 0.2), (0.5, 0.5)), ((0.4, 0.4), (0.7, 0.7))),
             a_independent_u=False,
         )
-        report = unexposed_nde_check(scm)
-        assert report.bf == 1.0
+        report = verify_bounds(scm)
+        assert report.observed["bf"] == 1.0
         for check in report.checks:
             assert abs(check.slack) < 1e-12
         assert report.all_hold
@@ -523,14 +540,13 @@ class TestBatches:
                     assert np.array_equal(getattr(batch, name)[b], getattr(scm, name))
             assert rng.bit_generator.state == rng_single.bit_generator.state
             # the same checks, model for model
-            checkers = (unexposed_nde_check,) if dependent else (verify_bounds, unexposed_nde_check)
-            for checker in checkers:
-                batched = checker(batch).checks
-                for b, scm in enumerate(singles):
-                    for got, want in zip(batched, checker(scm).checks):
-                        assert got.name == want.name
-                        assert got.lhs[b] == want.lhs and got.rhs[b] == want.rhs
-                        assert got.holds[b] == want.holds
+            batched = verify_bounds(batch).checks
+            assert len(batched) == (2 if dependent else 4)
+            for b, scm in enumerate(singles):
+                for got, want in zip(batched, verify_bounds(scm).checks, strict=True):
+                    assert got.name == want.name
+                    assert got.lhs[b] == want.lhs and got.rhs[b] == want.rhs
+                    assert got.holds[b] == want.holds
 
     def test_battery_blocks_continue_the_stream(self, monkeypatch):
         args = dict(seed=3, iterations=10, ratio_iterations=50, sharpness_iterations=5)

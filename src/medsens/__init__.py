@@ -65,7 +65,6 @@ from .oracle import (
     sample_ratio_instances,
     sample_scm,
     sharpness_search,
-    true_effects,
     validity_battery,
     verify_bounds,
 )

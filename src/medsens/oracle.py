@@ -45,7 +45,7 @@ from .errors import (
     ZeroDenominator,
     ZeroProbability,
 )
-from .tables import ConditionalModel, crossworld_sums
+from .tables import ConditionalModel, c_order_sum, crossworld_sums
 
 #: inequality checks allow this much relative slack for float rounding
 VALIDITY_TOL = 1e-10
@@ -55,13 +55,14 @@ EQUIV_TOL = 1e-10
 RATIO_BOUND_TOL = 1e-12
 
 _DIST_TOL = 1e-9  # constructed distributions must sum to one within this
-#: models checked at once by :func:`validity_battery`; bounds its peak memory
-BATTERY_BATCH = 256
+#: u_card * m_card cells per model, summed over the models checked at once by
+#: :func:`validity_battery`; bounds its peak memory whatever the cardinalities
+BATTERY_CELLS = 1 << 13
 #: iterations of :func:`sharpness_search` checked at once, 10 models each; bounds its peak memory
 SHARPNESS_BATCH = 1000
 #: scalar-inequality instances checked at once by :func:`validity_battery`
 RATIO_BATCH = 4096
-#: largest u_card * m_card of :func:`validity_battery`; one batch at the cap adds 100-190 MB
+#: largest u_card * m_card of :func:`validity_battery`
 MAX_CARD_PRODUCT = 4096
 _SCM_TABLES = ("u_prior", "a_given_u", "m_given", "y_given")
 
@@ -78,7 +79,7 @@ def _check_dist(values, what: str) -> None:
     bad = ~(np.isfinite(values) & (values >= 0.0)).all(axis=-1)
     if bad.any():
         raise BadParameter(f"{_cell(what, bad)} has a negative or non-finite entry")
-    total = values.sum(axis=-1)
+    total = c_order_sum(values)
     bad = ~(np.abs(total - 1.0) <= _DIST_TOL)
     if bad.any():
         raise BadParameter(f"{_cell(what, bad)} sums to {float(total[bad][0])!r}, not 1")
@@ -93,7 +94,9 @@ class Scm:
     and ``y_given[..., a, m, u]`` = pr(Y=1|a,m,u), so one model is indexed
     ``m_given[a][u][m]`` and ``y_given[a][m][u]``.  Optional leading axes,
     the same on every field, make the Scm a batch of models that every
-    function here evaluates at once, returning one value per model.
+    function here evaluates at once, returning one value per model.  The
+    fields are stored with the model axes innermost in memory, so that each
+    array operation runs one long loop over the models.
     With ``a_independent_u`` set, pr(A=1|u) must be constant in u and the
     true-effect formulas apply; without it :func:`verify_bounds` checks the
     direct-effect bounds among the unexposed only.
@@ -107,7 +110,7 @@ class Scm:
     mode: Literal["probability", "mean"] = "probability"
 
     def __post_init__(self) -> None:
-        tables = {name: np.array(getattr(self, name), dtype=float) for name in _SCM_TABLES}
+        tables = {name: np.asarray(getattr(self, name), dtype=float) for name in _SCM_TABLES}
         prior, a_given, m_given, y_given = tables.values()
         batch, nu = prior.shape[:-1], prior.shape[-1]
         nm = m_given.shape[-1]
@@ -121,6 +124,14 @@ class Scm:
                 f"y_given[..., a, m, u]; got shapes {prior.shape}, {a_given.shape}, "
                 f"{m_given.shape}, {y_given.shape}"
             )
+        models = len(batch)
+        for name, table in tables.items():  # a read-only copy, the model axes innermost
+            own = table.ndim - models
+            table = np.array(table.transpose(*range(models, table.ndim), *range(models)), order="C")
+            table.setflags(write=False)
+            tables[name] = table.transpose(*range(own, table.ndim), *range(own))
+            object.__setattr__(self, name, tables[name])
+        prior, a_given, m_given, y_given = tables.values()
         _check_dist(prior, "u_prior")
         bad = ~((a_given >= 0.0) & (a_given <= 1.0))
         if bad.any():
@@ -133,9 +144,6 @@ class Scm:
         if bad.any():
             cell = _cell("y_given[a={}][m={}][u={}]", bad)
             raise BadParameter(f"{cell} = {float(y_given[bad][0])!r}")
-        for name, table in tables.items():
-            table.setflags(write=False)
-            object.__setattr__(self, name, table)
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -152,10 +160,12 @@ class Scm:
 
 def _exposure_posteriors(scm: Scm) -> np.ndarray:
     """pr(u | A=a) as ``[..., a, u]``; the prior in both arms when exposure is independent of u."""
+    prior = scm.u_prior[..., None, :]
     if scm.a_independent_u:
-        return np.repeat(scm.u_prior[..., None, :], 2, axis=-2)
-    joint = np.stack([1.0 - scm.a_given_u, scm.a_given_u], axis=-2) * scm.u_prior[..., None, :]
-    total = joint.sum(axis=-1, keepdims=True)
+        return np.broadcast_to(prior, (*scm.batch_shape, 2, scm.u_card))
+    exposed = scm.a_given_u[..., None, :]
+    joint = np.where(np.array([[False], [True]]), exposed, 1.0 - exposed) * prior
+    total = c_order_sum(joint, keepdims=True)
     if (total <= 0.0).any():
         arm = _cell("a={}", total[..., 0] <= 0.0)
         raise UnreachableCell(f"exposure arm {arm} has zero probability")
@@ -165,7 +175,7 @@ def _exposure_posteriors(scm: Scm) -> np.ndarray:
 def _mediator_joint(scm: Scm) -> tuple[np.ndarray, np.ndarray]:
     """pr(u, m | a) as ``[..., a, u, m]`` and its marginal pr(m | a) as ``[..., a, m]``."""
     joint = _exposure_posteriors(scm)[..., None] * scm.m_given
-    return joint, joint.sum(axis=-2)
+    return joint, c_order_sum(joint, axis=-2)
 
 
 def observed_model(scm: Scm) -> ConditionalModel:
@@ -182,8 +192,8 @@ def observed_model(scm: Scm) -> ConditionalModel:
         raise UnreachableCell(
             f"mediator level {_cell('m={}', unreachable)} reachable under a=0 but not under a=1"
         )
-    y_joint = (joint * np.swapaxes(scm.y_given, -1, -2)).sum(axis=-2)
-    y = np.zeros(w.shape)
+    y_joint = c_order_sum(joint * np.swapaxes(scm.y_given, -1, -2), axis=-2)
+    y = np.zeros_like(w)
     np.divide(y_joint, w, out=y, where=w > 0.0)
     shape = (-1, 2, scm.m_card)
     return ConditionalModel(y.reshape(shape), w.reshape(shape), mode=scm.mode)
@@ -198,20 +208,7 @@ def _unexposed_sums(scm: Scm) -> tuple:
     """
     per_u = crossworld_sums(np.moveaxis(scm.y_given, -1, -3), np.swapaxes(scm.m_given, -3, -2))
     pu0 = _exposure_posteriors(scm)[..., 0, :]
-    return tuple((s * pu0).sum(axis=-1)[()] for s in per_u)
-
-
-def true_effects(scm: Scm) -> Effects:
-    """Exact natural effects with the confounder integrated out correctly.
-
-    The cross-world term pr(Y_{1,M_0}=1) averages pr(Y=1|1,m,u) against the
-    mediator distribution under a=0 *within* each confounder level before
-    averaging over the prior.  Requires exposure independent of the
-    confounder.
-    """
-    if not scm.a_independent_u:
-        raise BadParameter("true natural effects need exposure independent of the confounder")
-    return Effects.from_sums(*_unexposed_sums(scm))
+    return tuple(c_order_sum(s * pu0)[()] for s in per_u)
 
 
 def rr_uy(scm: Scm) -> float:
@@ -503,20 +500,32 @@ def sample_scm(
         raise BadParameter("floor must be in [0, 1)")
     nu, nm = u_card, m_card
     sizes = [nu, nu if dependent_exposure else 0, 2 * nu * nm, 2 * nm * nu]
-    u_raw, a_raw, m_raw, y_raw = np.split(
-        rng.random((*shape, sum(sizes))), np.cumsum(sizes)[:-1], axis=-1
-    )
+    # cell-major, so that the tables below have the model axes innermost in memory
+    raw = np.moveaxis(rng.random((*shape, sum(sizes))), -1, 0).copy()
+    u_raw, a_raw, m_raw, y_raw = np.split(raw, np.cumsum(sizes)[:-1])
 
-    def dist(raw: np.ndarray) -> np.ndarray:
-        cells = floor + (1.0 - floor) * raw  # uniform(floor, 1), as rng.uniform draws it
-        return cells / cells.sum(axis=-1, keepdims=True)
+    def table(cells: np.ndarray, *axes: int) -> np.ndarray:
+        """``cells`` as ``[..., *axes]``, the leading axes the models."""
+        return np.moveaxis(cells.reshape(*axes, *shape), range(len(axes)), range(-len(axes), 0))
+
+    def uniform(cells: np.ndarray, low: float, high: float) -> np.ndarray:
+        """``low + (high - low) * cells`` in place, as rng.uniform scales its draws."""
+        cells *= high - low
+        cells += low
+        return cells
+
+    def dist(cells: np.ndarray) -> np.ndarray:
+        cells = uniform(cells, floor, 1.0)
+        cells /= c_order_sum(cells, keepdims=True)
+        return cells
 
     y_low = floor * y_max if floor > 0.0 else 1e-12
     return Scm(
-        u_prior=dist(u_raw),
-        a_given_u=0.05 + (0.95 - 0.05) * a_raw if dependent_exposure else np.full((*shape, nu), 0.5),
-        m_given=dist(m_raw.reshape(*shape, 2, nu, nm)),
-        y_given=y_low + (y_max - y_low) * y_raw.reshape(*shape, 2, nm, nu),
+        u_prior=dist(table(u_raw, nu)),
+        a_given_u=uniform(table(a_raw, nu), 0.05, 0.95) if dependent_exposure
+        else np.full((*shape, nu), 0.5),
+        m_given=dist(table(m_raw, 2, nu, nm)),
+        y_given=uniform(table(y_raw, 2, nm, nu), y_low, y_max),
         a_independent_u=not dependent_exposure,
         mode=mode,
     )
@@ -736,7 +745,9 @@ def validity_battery(
     violations = 0
     equiv_max = 0.0
     equiv_violations = 0
-    for start in range(0, iterations, BATTERY_BATCH):
+    # at least 8 models, or the loops over the innermost model axis grow too short to pay
+    batch = max(8, BATTERY_CELLS // (u_card * m_card))
+    for start in range(0, iterations, batch):
         scm = sample_scm(
             rng,
             u_card,
@@ -745,17 +756,19 @@ def validity_battery(
             mode=mode,
             y_max=y_max,
             dependent_exposure=dependent_exposure,
-            shape=(min(BATTERY_BATCH, iterations - start),),
+            shape=(min(batch, iterations - start),),
         )
+        other_form = None if dependent_exposure else rr_au_mediator_ratio(scm)
         report = verify_bounds(scm)
-        if not dependent_exposure:
-            rel = np.abs(report.rr_au - rr_au_mediator_ratio(scm)) / np.maximum(1.0, report.rr_au)
+        if other_form is not None:
+            rel = np.abs(report.rr_au - other_form) / np.maximum(1.0, report.rr_au)
             equiv_max = max(equiv_max, float(rel.max()))
             equiv_violations += int(np.count_nonzero(rel > EQUIV_TOL))
         for check in report.checks:
             worst = float(check.slack.max())
             worst_slack[check.name] = max(worst_slack.get(check.name, -math.inf), worst)
             violations += int(np.count_nonzero(~check.holds))
+        del scm, report  # before the next batch is drawn
 
     ratio_violations, ratio_max_excess = 0, -math.inf
     for start in range(0, ratio_iterations, RATIO_BATCH):

@@ -250,12 +250,12 @@ class ConditionalModel:
             raise BadParameter(
                 f"tables need one shape (c_card, 2, m_card): y {y.shape}, w {w.shape}"
             )
-        total = w.sum(axis=2)
+        total = c_order_sum(w, axis=2)
         bad = ~(np.abs(total - 1.0) <= SUM_TOL)
         if bad.any():
             c, a = np.argwhere(bad)[0]
             raise NotNormalized(f"pr(m|a={a},c={c}) sums to {float(total[c, a])!r}, not 1")
-        bad = ~((w >= 0.0) & (w <= 1.0))
+        bad = ~((w >= 0.0) & (w <= 1.0 + SUM_TOL))  # a lone level may round just above 1
         if bad.any():
             c, a, m = np.argwhere(bad)[0]
             raise OutOfRangeProbability(f"pr(m={m}|a={a},c={c}) = {float(w[c, a, m])!r}")
@@ -279,6 +279,23 @@ class ConditionalModel:
         return self.y.shape[2]
 
 
+def c_order_sum(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
+    """``x.sum(axis)`` added up in the order numpy takes on a C-contiguous ``x``.
+
+    numpy adds an axis of 8 or more entries that runs contiguously in
+    pairwise blocks, and any other axis in sequence.  In C order only an
+    axis with nothing but unit axes after it runs contiguously.  Such an
+    axis of any other layout is summed from a C-contiguous copy; any other
+    axis is summed in place, which is in sequence both in C order and with
+    the models innermost.  The bytes of a sum therefore do not depend on
+    the memory layout.
+    """
+    n = x.shape[axis]
+    if n >= 8 and math.prod(x.shape[axis:]) == n:
+        x = np.ascontiguousarray(x)
+    return x.sum(axis=axis, keepdims=keepdims)
+
+
 def crossworld_sums(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(n10, n00, n11)`` over the trailing (a, m) axes of ``y[..., a, m]`` and ``w[..., a, m]``.
 
@@ -286,9 +303,9 @@ def crossworld_sums(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
     the outcome marginals of the two arms.  Leading axes are kept, so one
     call serves a stratum, all strata, or a batch of synthetic models.
     """
-    n10 = (y[..., 1, :] * w[..., 0, :]).sum(axis=-1)
-    n00 = (y[..., 0, :] * w[..., 0, :]).sum(axis=-1)
-    n11 = (y[..., 1, :] * w[..., 1, :]).sum(axis=-1)
+    n10 = c_order_sum(y[..., 1, :] * w[..., 0, :])
+    n00 = c_order_sum(y[..., 0, :] * w[..., 0, :])
+    n11 = c_order_sum(y[..., 1, :] * w[..., 1, :])
     return n10, n00, n11
 
 

@@ -514,6 +514,13 @@ class TestOracle:
         assert (code, out) == (2, "")
         assert "--u-card" in err and "--m-card" in err and "4096" in err
 
+    def test_single_mediator_level_runs(self, capsys):
+        # pr(m=0|a) of a lone level sums over u to one give or take an ulp
+        code, doc = run_json(capsys, "oracle", "--u-card", "3", "--m-card", "1",
+                             "--iterations", "256")
+        assert code == 0
+        assert doc["result"]["bound_validity"]["violations"] == 0
+
     def test_cardinalities_at_the_cap_run(self, capsys):
         code = main(["oracle", "--iterations", "1", "--u-card", "64", "--m-card", "64",
                      "--ratio-iterations", "1", "--sharpness-iterations", "1"])
@@ -570,3 +577,4 @@ class TestFormatGuard:
         code = main(["cornfield", "--nde-rr", "1.5", "--format", "csv"])
         assert code == 2
         assert "csv output is not available" in capsys.readouterr().err
+

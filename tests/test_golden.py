@@ -169,6 +169,16 @@ GOLDEN = {
          "--m-card", "4"),
         0, "e6cff3b7eb4018d62bcbaeba91e513485403d74bf78a53ed5957767a94460ff3",
     ),
+    # u or m axes of 8 or more entries, which numpy sums pairwise when contiguous
+    "oracle-extreme-dependent-6-8": (
+        ("oracle", "--iterations", "300", "--seed", "3", "--u-card", "6", "--m-card", "8",
+         "--extreme", "--dependent-exposure"),
+        0, "39131e9e19d07ec82a03663e1aba176ddaa088ae7a6270dd2f7cca89bc096232",
+    ),
+    "oracle-9-9": (
+        ("oracle", "--iterations", "300", "--seed", "3", "--u-card", "9", "--m-card", "9"),
+        0, "f0e4489c932c83a510009df672dcee36995394e2cad9cc2bf9526deb72d11d5f",
+    ),
     "bootstrap": (
         ("bootstrap", "--csv", F, "--replicates", "200", "--seed", "1"),
         0, "b071d464aa83e4229c7119ae4e8e39845eaf2dda6940d6c8d6a0e3f8fdbd29b0",

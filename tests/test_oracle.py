@@ -30,7 +30,6 @@ from medsens.oracle import (
     sample_ratio_instances,
     sample_scm,
     sharpness_search,
-    true_effects,
     verify_bounds,
 )
 from medsens.tables import crossworld_sums
@@ -122,7 +121,7 @@ class TestObservedModel:
 class TestTrueEffects:
     def test_no_confounder_means_true_equals_observed(self):
         scm = u_irrelevant_scm()
-        true = true_effects(scm)
+        true = verify_bounds(scm).true
         model = observed_model(scm)
         obs = bound_report(model.y, model.w)
         for field in ("nde_rr", "nie_rr", "te_rr", "nde_rd", "nie_rd", "te_rd"):
@@ -132,7 +131,7 @@ class TestTrueEffects:
         same_m = ((0.6, 0.4), (0.3, 0.7))
         same_y = ((0.2, 0.5), (0.4, 0.1))
         scm = flat_scm(m_given=(same_m, same_m), y_given=(same_y, same_y))
-        true = true_effects(scm)
+        true = verify_bounds(scm).true
         assert math.isclose(true.nde_rr, 1.0, rel_tol=1e-15)
         assert math.isclose(true.nie_rr, 1.0, rel_tol=1e-15)
         assert math.isclose(true.te_rr, 1.0, rel_tol=1e-15)
@@ -144,7 +143,7 @@ class TestTrueEffects:
         scms = [sample_scm(rng, u_card=3, m_card=3) for _ in range(300)]
         scms.append(sample_scm(rng, u_card=3, m_card=3, shape=(2, 50)))  # one batch of models
         for scm in scms:
-            true = true_effects(scm)
+            true = verify_bounds(scm).true
             for b in np.ndindex(scm.batch_shape):
                 prior = np.array(scm.u_prior[b])
                 m = np.array(scm.m_given[b])   # [a][u][m]
@@ -189,17 +188,18 @@ class TestTrueEffects:
 
     def test_decomposition_identities(self):
         rng = np.random.default_rng(41)
-        true = true_effects(sample_scm(rng, 2, 3, shape=(2000,)))  # the same 2000 models
+        true = verify_bounds(sample_scm(rng, 2, 3, shape=(2000,))).true  # the same 2000 models
         product = true.nde_rr * true.nie_rr
         assert (np.abs(true.te_rr - product)
                 <= 1e-12 * np.maximum(np.abs(true.te_rr), np.abs(product))).all()
         assert (np.abs(true.te_rd - (true.nde_rd + true.nie_rd)) <= 1e-12).all()
 
     def test_requires_independent_exposure(self):
+        # with exposure dependent on u only the effects among the unexposed are true ones
         rng = np.random.default_rng(43)
-        scm = sample_scm(rng, dependent_exposure=True)
-        with pytest.raises(BadParameter):
-            true_effects(scm)
+        report = verify_bounds(sample_scm(rng, dependent_exposure=True))
+        assert [c.name for c in report.checks] == [
+            "unexposed_nde_rr_ratio_vs_bf", "unexposed_nde_rd_lower_vs_true"]
 
 
 class TestSensitivityParameters:
@@ -548,9 +548,30 @@ class TestBatches:
                     assert got.lhs[b] == want.lhs and got.rhs[b] == want.rhs
                     assert got.holds[b] == want.holds
 
+    @pytest.mark.parametrize("dependent", [False, True])
+    def test_batch_of_wide_models_matches_unbatched_calls(self, dependent):
+        # sums over 8 or more entries: numpy adds a contiguous run of them pairwise
+        rng, rng_single = np.random.default_rng(103), np.random.default_rng(103)
+        batch = sample_scm(rng, 9, 9, floor=0.0, dependent_exposure=dependent, shape=(40,))
+        singles = [sample_scm(rng_single, 9, 9, floor=0.0, dependent_exposure=dependent)
+                   for _ in range(40)]
+        for name in ("u_prior", "a_given_u", "m_given", "y_given"):
+            table = getattr(batch, name)
+            assert table.strides[0] == table.itemsize == min(table.strides)  # models innermost
+            for b, scm in enumerate(singles):
+                assert np.array_equal(table[b], getattr(scm, name))
+        batched = verify_bounds(batch).checks
+        assert len(batched) == (2 if dependent else 4)
+        for b, scm in enumerate(singles):
+            for got, want in zip(batched, verify_bounds(scm).checks, strict=True):
+                assert got.name == want.name
+                assert got.lhs[b] == want.lhs and got.rhs[b] == want.rhs
+                assert got.holds[b] == want.holds
+
     def test_battery_blocks_continue_the_stream(self, monkeypatch):
         args = dict(seed=3, iterations=10, ratio_iterations=50, sharpness_iterations=5)
         whole = oracle.validity_battery(**args)
+        monkeypatch.setattr(oracle, "BATTERY_CELLS", 12)  # three models of u=m=2 per block
         monkeypatch.setattr(oracle, "RATIO_BATCH", 7)
         monkeypatch.setattr(oracle, "SHARPNESS_BATCH", 2)
         assert oracle.validity_battery(**args) == whole

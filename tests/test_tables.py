@@ -303,6 +303,14 @@ class TestValidate:
         with pytest.raises(OutOfRangeProbability, match="a=1,m=0"):
             ConditionalModel(y=[[[0.2, 0.5], [1.2, 0.8]]], w=[[[0.5, 0.5], [0.5, 0.5]]])
 
+    def test_mediator_probability_may_round_above_one(self):
+        model = ConditionalModel(y=[[[0.2], [0.4]]], w=[[[1.0000000000000002], [1.0]]])
+        assert model.w[0, 0, 0] > 1.0
+
+    def test_mediator_probability_above_one_rejected(self):
+        with pytest.raises(OutOfRangeProbability, match="m=0"):
+            ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[1.0 + 1e-9, -1e-9], [0.5, 0.5]]])
+
     def test_mean_mode_allows_values_above_one(self):
         model = ConditionalModel(
             y=[[[0.2, 0.5], [1.2, 0.8]]], w=[[[0.5, 0.5], [0.5, 0.5]]], mode="mean"

@@ -73,7 +73,6 @@ from .tables import (
     RecordTable,
     crossworld_sums,
     estimate_from_records,
-    expand_to_records,
     read_records_csv,
     swap_exposure_records,
 )

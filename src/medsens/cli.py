@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: estimate | bound | cornfield | sweep | parametric | oracle |
-bootstrap.  Shared flags: --scale {rr,rd,both}, --relabel-exposure,
---smoothing, --seed, --format {json,csv}.  The default seed comes from the
-MEDSENS_SEED environment variable when set.
+bootstrap.  Each takes only the flags it reads.  --csv, --relabel-exposure
+and --smoothing: all but parametric and oracle; --scale {rr,rd,both}:
+estimate, bound; --format {json,csv}: estimate, sweep, parametric; --seed:
+oracle, bootstrap, defaulting to the MEDSENS_SEED environment variable.
 
 Exit codes: 0 success, 2 input error, 3 infeasibility of a requested
 solve, 4 internal assertion (a verification battery found a violation;
@@ -75,18 +76,31 @@ def _check_observed(args, flag: str) -> None:
 
 
 def _reject_with_records(args, *flags: str) -> None:
-    """Refuse observed-effect ``flags`` next to ``--csv``: a records report has no place for them."""
-    for flag in flags:
-        if args.csv is not None and getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise MedsensError(f"{args.command}: {flag} is not used with --csv; give one or the other")
+    """Refuse the flags of the input mode not in use, which nothing would read.
+
+    With ``--csv`` these are the observed-effect ``flags``, which a records
+    report has no place for; without it, the record flags.  A flag that is
+    unset, off or 0 passes.
+    """
+    records = args.csv is not None
+    for flag in flags if records else ("--relabel-exposure", "--smoothing"):
+        if getattr(args, flag[2:].replace("-", "_")):
+            use = "not used with --csv; give one or the other" if records else "only used with --csv"
+            raise MedsensError(f"{args.command}: {flag} is {use}")
+
+
+def _seed(text: str) -> int:
+    """``text``, decimal digits alone, as a seed: numpy's generator takes non-negative integers."""
+    if text.strip().isdecimal():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
 def _default_seed() -> int:
-    text = os.environ.get("MEDSENS_SEED", "0")
     try:
-        return int(text)
-    except ValueError:
-        raise MedsensError(f"MEDSENS_SEED must be an integer, got {text!r}") from None
+        return _seed(os.environ.get("MEDSENS_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise MedsensError(f"MEDSENS_SEED {exc}") from None
 
 
 def _effect_fields(scale: str) -> tuple[str, ...]:
@@ -109,15 +123,6 @@ def _load_model(args) -> tuple[tables.ConditionalModel, str, list[str]]:
     return model, report.digest_file(args.csv), warnings
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
-def _json_only(args) -> None:
-    if args.format == "csv":
-        raise MedsensError(f"{args.command}: csv output is not available; use --format json")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -138,7 +143,7 @@ def _cmd_estimate(args) -> int:
         input_digest=digest,
         warnings=warnings,
     )
-    _emit(report.to_json(doc))
+    sys.stdout.write(report.to_json(doc))
     return 0
 
 
@@ -167,7 +172,6 @@ def _bound_payload_tables(model, spec, scale):
 
 
 def _cmd_bound(args) -> int:
-    _json_only(args)
     _reject_with_records(args, "--nde-rr", "--nde-rr-ci", "--nie-rr", "--nie-rr-ci")
     _check_observed(args, "--nde-rr")
     _check_observed(args, "--nie-rr")
@@ -177,7 +181,7 @@ def _cmd_bound(args) -> int:
         model, digest, warnings = _load_model(args)
         payload = _bound_payload_tables(model, spec, args.scale)
         doc = report.document("bound", payload, input_digest=digest, warnings=warnings)
-        _emit(report.to_json(doc))
+        sys.stdout.write(report.to_json(doc))
         return 0
     if args.nde_rr is None and args.nie_rr is None:
         raise MedsensError("bound needs --csv or at least one of --nde-rr/--nie-rr")
@@ -192,12 +196,11 @@ def _cmd_bound(args) -> int:
                 payload[bound]["ci"] = [adjust(v, bf) for v in ci]
             params[name] = point
     doc = report.document("bound", payload, input_digest=report.digest_params(params))
-    _emit(report.to_json(doc))
+    sys.stdout.write(report.to_json(doc))
     return 0
 
 
 def _cmd_cornfield(args) -> int:
-    _json_only(args)
     _reject_with_records(args, "--nde-rr")
     _check_observed(args, "--nde-rr")
     warnings: list[str] = []
@@ -249,7 +252,7 @@ def _cmd_cornfield(args) -> int:
             input_digest=report.digest_params(payload),
             warnings=warnings,
         )
-    _emit(report.to_json(doc))
+    sys.stdout.write(report.to_json(doc))
     return 3 if infeasible else 0
 
 
@@ -291,7 +294,7 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         rows = list(zip(*(column.tolist() for column in columns)))
         doc = report.document("sweep", {"header": header, "rows": rows}, input_digest=digest)
-        _emit(report.to_json(doc))
+        sys.stdout.write(report.to_json(doc))
     else:
         report.write_csv(sys.stdout, header, columns)
     return 0
@@ -306,16 +309,16 @@ def _cmd_parametric(args) -> int:
             {"rows": rows, "beta_c": args.beta_c},
             input_digest=report.digest_params({"beta_c": args.beta_c}),
         )
-        _emit(report.to_json(doc))
+        sys.stdout.write(report.to_json(doc))
     else:
         report.write_csv(sys.stdout, header, [np.array([r[h] for r in rows]) for h in header])
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    _json_only(args)
+    seed = _default_seed() if args.seed is None else args.seed
     result = oracle.validity_battery(
-        seed=args.seed,
+        seed=seed,
         iterations=args.iterations,
         u_card=args.u_card,
         m_card=args.m_card,
@@ -329,9 +332,9 @@ def _cmd_oracle(args) -> int:
         "oracle",
         result,
         input_digest=report.digest_params(result["config"]),
-        seed=args.seed,
+        seed=seed,
     )
-    _emit(report.to_json(doc))
+    sys.stdout.write(report.to_json(doc))
     total_violations = result["bound_validity"]["violations"] + result["ratio_bound_dominance"]["violations"]
     if result["definition_equivalence"] is not None:
         total_violations += result["definition_equivalence"]["violations"]
@@ -339,7 +342,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
-    _json_only(args)
+    seed = _default_seed() if args.seed is None else args.seed
     records, warnings = _load_records(args)
     spec = None
     if args.rr_au is not None or args.rr_uy is not None:
@@ -350,7 +353,7 @@ def _cmd_bootstrap(args) -> int:
         records,
         replicates=args.replicates,
         level=args.level,
-        seed=args.seed,
+        seed=seed,
         smoothing=args.smoothing,
         spec=spec,
     )
@@ -371,10 +374,10 @@ def _cmd_bootstrap(args) -> int:
         "bootstrap",
         payload,
         input_digest=report.digest_file(args.csv),
-        seed=args.seed,
+        seed=seed,
         warnings=warnings,
     )
-    _emit(report.to_json(doc))
+    sys.stdout.write(report.to_json(doc))
     return 0
 
 
@@ -384,18 +387,6 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scale", choices=("rr", "rd", "both"), default="both",
-                        help="which effect scale to report")
-    common.add_argument("--relabel-exposure", action="store_true",
-                        help="swap exposure codes 0 and 1 before any computation")
-    common.add_argument("--smoothing", type=float, default=0.0,
-                        help="add-k smoothing for estimation from records")
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed (default: MEDSENS_SEED or 0)")
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (default json; sweep/parametric default csv)")
-
     parser = argparse.ArgumentParser(
         prog="medsens",
         description="Sensitivity bounds for natural direct and indirect effects "
@@ -403,13 +394,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", parents=[common],
-                       help="observed effects per stratum from record data")
-    p.add_argument("--csv", required=True, help="records file a,m,y,c[,count]")
-    p.set_defaults(func=_cmd_estimate, default_format="json")
+    def command(name, func, help, *, records=False, scale=False, seed=False, formats=()):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if records:
+            p.add_argument("--relabel-exposure", action="store_true",
+                           help="swap exposure codes 0 and 1 before any computation")
+            p.add_argument("--smoothing", type=float, default=0.0,
+                           help="add-k smoothing for estimation from records")
+        if scale:
+            p.add_argument("--scale", choices=("rr", "rd", "both"), default="both",
+                           help="which effect scale to report")
+        if seed:
+            p.add_argument("--seed", type=_seed, help="random seed >= 0 (default: MEDSENS_SEED or 0)")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0],
+                           help=f"output format (default {formats[0]})")
+        return p
 
-    p = sub.add_parser("bound", parents=[common],
-                       help="bounding factor and adjusted effect bounds")
+    p = command("estimate", _cmd_estimate, "observed effects per stratum from record data",
+                records=True, scale=True, formats=("json", "csv"))
+    p.add_argument("--csv", required=True, help="records file a,m,y,c[,count]")
+
+    p = command("bound", _cmd_bound, "bounding factor and adjusted effect bounds",
+                records=True, scale=True)
     p.add_argument("--csv", help="records file; enables difference-scale bounds")
     p.add_argument("--rr-au", type=_parse_param, required=True,
                    help="exposure-confounder parameter (>= 1, 'inf' allowed)")
@@ -419,20 +427,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nde-rr-ci", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--nie-rr", type=float, help="observed ratio-scale indirect effect")
     p.add_argument("--nie-rr-ci", type=float, nargs=2, metavar=("LO", "HI"))
-    p.set_defaults(func=_cmd_bound, default_format="json")
 
-    p = sub.add_parser("cornfield", parents=[common],
-                       help="confounder-strength thresholds to reach a target effect")
+    p = command("cornfield", _cmd_cornfield,
+                "confounder-strength thresholds to reach a target effect", records=True)
     p.add_argument("--csv", help="records file; switches to the difference scale")
     p.add_argument("--nde-rr", type=float, help="observed ratio-scale direct effect")
     p.add_argument("--target", type=float,
                    help="target true effect (default 1 on rr scale, 0 on rd scale)")
     p.add_argument("--fixed-param", type=_parse_param,
                    help="solve for the partner of this fixed sensitivity parameter")
-    p.set_defaults(func=_cmd_cornfield, default_format="json")
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="bounds over a grid of sensitivity parameters")
+    p = command("sweep", _cmd_sweep, "bounds over a grid of sensitivity parameters",
+                records=True, formats=("csv", "json"))
     p.add_argument("--csv", help="records file")
     p.add_argument("--nde-rr", type=float)
     p.add_argument("--nie-rr", type=float)
@@ -440,15 +446,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated strictly ascending values >= 1")
     p.add_argument("--rr-uy-grid", required=True,
                    help="comma-separated strictly ascending values >= 1")
-    p.set_defaults(func=_cmd_sweep, default_format="csv")
 
-    p = sub.add_parser("parametric", parents=[common],
-                       help="log-linear collider-ratio reference grid, brute-force checked")
+    p = command("parametric", _cmd_parametric,
+                "log-linear collider-ratio reference grid, brute-force checked",
+                formats=("csv", "json"))
     p.add_argument("--beta-c", type=float, default=0.0, help="covariate offset")
-    p.set_defaults(func=_cmd_parametric, default_format="csv")
 
-    p = sub.add_parser("oracle", parents=[common],
-                       help="verification battery on random synthetic models")
+    p = command("oracle", _cmd_oracle, "verification battery on random synthetic models",
+                seed=True)
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--u-card", type=int, default=2)
     p.add_argument("--m-card", type=int, default=2)
@@ -458,28 +463,21 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sample exposure-confounder dependence; checks unexposed bounds")
     p.add_argument("--ratio-iterations", type=int, default=1000)
     p.add_argument("--sharpness-iterations", type=int, default=50)
-    p.set_defaults(func=_cmd_oracle, default_format="json")
 
-    p = sub.add_parser("bootstrap", parents=[common],
-                       help="percentile bootstrap intervals over records")
+    p = command("bootstrap", _cmd_bootstrap, "percentile bootstrap intervals over records",
+                records=True, seed=True)
     p.add_argument("--csv", required=True)
     p.add_argument("--replicates", type=int, required=True)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--rr-au", type=_parse_param, help="include adjusted bounds")
     p.add_argument("--rr-uy", type=_parse_param)
-    p.set_defaults(func=_cmd_bootstrap, default_format="json")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
+    args = _build_parser().parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         return args.func(args)
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ Those cells, found by one mask per column, are formatted by ``repr``.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -49,16 +48,8 @@ def digest_file(path: str) -> str:
 
 def digest_params(params: Mapping[str, Any]) -> str:
     """sha256 of a canonical encoding of scalar parameters."""
-    canon = json.dumps(params, sort_keys=True, separators=(",", ":"), default=_jsonable)
+    canon = json.dumps(params, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _jsonable(value: Any) -> Any:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return dataclasses.asdict(value)
-    if isinstance(value, (tuple, set)):
-        return list(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def document(
@@ -83,7 +74,7 @@ def document(
 
 def to_json(doc: Mapping[str, Any]) -> str:
     """Deterministic strict JSON with a trailing newline."""
-    text = json.dumps(_finite(doc), sort_keys=True, indent=2, default=_jsonable, allow_nan=False)
+    text = json.dumps(_finite(doc), sort_keys=True, indent=2, allow_nan=False)
     return text + "\n"
 
 

@@ -366,24 +366,3 @@ def estimate_from_records(records: RecordTable, smoothing: float = 0.0) -> Condi
         raise EmptyCell(f"no records for cell a={a}, m={m} in stratum c={c}")
     return ConditionalModel(y, w)
 
-
-def expand_to_records(model: ConditionalModel, denominator: int) -> RecordTable:
-    """Exact inverse of :func:`estimate_from_records` for rational tables.
-
-    Fills cell counts ``denominator * pr(m|a,c) * pr(y|a,m,c)``; every
-    such product must be an integer (within 1e-6), otherwise the model
-    cannot be represented by weighted records and :class:`BadParameter`
-    is raised.  Only meaningful in probability mode.
-    """
-    if model.mode != "probability":
-        raise BadParameter("only probability-mode models expand to binary-outcome records")
-    if denominator < 1:
-        raise BadParameter("denominator must be a positive integer")
-    raw = denominator * model.w[..., None] * np.stack([1.0 - model.y, model.y], axis=-1)
-    counts = np.round(raw)
-    bad = np.abs(raw - counts) > 1e-6
-    if bad.any():
-        c, a, m, y = np.argwhere(bad)[0]
-        count = float(raw[c, a, m, y])
-        raise BadParameter(f"cell a={a},m={m},y={y},c={c}: {count!r} is not an integer count")
-    return RecordTable(counts.astype(np.int64))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import stratum_effects, worked_model
 from medsens import bootstrap
 from medsens.bootstrap import BOUND_STATS, EFFECT_STATS, run_bootstrap
 from medsens.bounds import (
@@ -15,18 +16,8 @@ from medsens.bounds import (
     bound_nie_rd,
     bounding_factor,
 )
-from medsens.effects import Effects
 from medsens.errors import BadParameter, DegenerateResample, EmptyCell, ZeroDenominator
-from medsens.tables import ConditionalModel, RecordTable, crossworld_sums, estimate_from_records
-
-
-def stratum_effects(model: ConditionalModel, c: int) -> Effects:
-    """All six effects of stratum ``c`` alone, the reference for the all-strata paths."""
-    return Effects.from_sums(*(float(s) for s in crossworld_sums(model.y[c], model.w[c])), c=c)
-
-
-def worked_model():
-    return ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[0.75, 0.25], [0.25, 0.75]]])
+from medsens.tables import RecordTable, estimate_from_records
 
 
 #: two strata; the a=1 arm of stratum 1 is small, so some replicates are redrawn

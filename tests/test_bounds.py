@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import stratum_effects
 from medsens.bounds import (
     BOUND_STATS,
     EFFECT_STATS,
@@ -21,7 +22,6 @@ from medsens.bounds import (
     required_partner,
     stratum_envelopes,
 )
-from medsens.effects import Effects
 from medsens.errors import BadParameter, BadTarget, Infeasible, ZeroDenominator
 from medsens.tables import ConditionalModel, crossworld_sums
 
@@ -33,11 +33,6 @@ def worked_model():
         y=[[[0.2, 0.5], [0.4, 0.8]], [[0.1, 0.3], [0.2, 0.6]]],
         w=[[[0.75, 0.25], [0.25, 0.75]], [[0.5, 0.5], [0.4, 0.6]]],
     )
-
-
-def stratum_effects(model: ConditionalModel, c: int) -> Effects:
-    """All six effects of stratum ``c`` alone, the reference for the all-strata paths."""
-    return Effects.from_sums(*(float(s) for s in crossworld_sums(model.y[c], model.w[c])), c=c)
 
 
 def worked_sums():

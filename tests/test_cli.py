@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import expand_to_records, stratum_effects, worked_model
 from medsens.bounds import (
     SensitivitySpec,
     adjust_nde_rr,
@@ -21,25 +22,13 @@ from medsens.bounds import (
 )
 from medsens import report
 from medsens.cli import main
-from medsens.effects import Effects
 from medsens.loglinear import collider_ratio_grid
 from medsens.tables import (
     ConditionalModel,
-    crossworld_sums,
     estimate_from_records,
-    expand_to_records,
     read_records_csv,
     swap_exposure_records,
 )
-
-
-def stratum_effects(model: ConditionalModel, c: int) -> Effects:
-    """All six effects of stratum ``c`` alone, the reference for the all-strata paths."""
-    return Effects.from_sums(*(float(s) for s in crossworld_sums(model.y[c], model.w[c])), c=c)
-
-
-def worked_model():
-    return ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[0.75, 0.25], [0.25, 0.75]]])
 
 
 def write_worked_csv(path, denominator=1000):
@@ -497,6 +486,20 @@ class TestOracle:
         assert code == 2
         assert "MEDSENS_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1", "1.5"])
+    def test_seed_that_is_not_a_non_negative_integer_exits_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exit:
+            main(["oracle", "--iterations", "5", "--seed", value])
+        assert exit.value.code == 2
+        assert f"--seed: must be a non-negative integer, got '{value}'" in capsys.readouterr().err
+
+    def test_negative_seed_in_environment_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEDSENS_SEED", "-2")
+        assert main(["oracle", "--iterations", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "MEDSENS_SEED must be a non-negative integer, got '-2'" in err
+
     @pytest.mark.parametrize("flag, value", [
         ("--iterations", "0"), ("--iterations", "-5"), ("--u-card", "0"), ("--m-card", "0"),
         ("--ratio-iterations", "0"), ("--sharpness-iterations", "0"),
@@ -547,6 +550,13 @@ class TestBootstrapCommand:
         code = main(["bootstrap", "--csv", csv, "--replicates", "120", "--rr-au", "2"])
         assert code == 2
 
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        csv = write_worked_csv(tmp_path / "d.csv", denominator=200)
+        with pytest.raises(SystemExit) as exit:
+            main(["bootstrap", "--csv", csv, "--replicates", "100", "--seed", "-3"])
+        assert exit.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_exhausted_redraw_budget_exits_2(self, capsys, tmp_path):
         # eight strata whose exposed arm is one record: nearly every resample drops one
         path = tmp_path / "d.csv"
@@ -574,7 +584,62 @@ class TestHugeParameters:
 
 class TestFormatGuard:
     def test_csv_rejected_for_nested_reports(self, capsys):
-        code = main(["cornfield", "--nde-rr", "1.5", "--format", "csv"])
-        assert code == 2
-        assert "csv output is not available" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit:
+            main(["cornfield", "--nde-rr", "1.5", "--format", "csv"])
+        assert exit.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+
+#: flags some subcommands take, with a value each accepts there
+FLAG_VALUES = {"--scale": ("rr",), "--relabel-exposure": (), "--smoothing": ("1",),
+               "--seed": ("4",), "--format": ("json",)}
+
+
+def valid_argv(command, tmp_path):
+    """A run of ``command`` that exits 0, from the worked records or estimates."""
+    csv = ("--csv", write_worked_csv(tmp_path / "d.csv", denominator=200))
+    return [command, *{
+        "estimate": csv,
+        "bound": ("--nde-rr", "1.5", "--rr-au", "2", "--rr-uy", "2"),
+        "cornfield": ("--nde-rr", "1.5"),
+        "sweep": ("--nde-rr", "1.5", "--rr-au-grid", "1", "--rr-uy-grid", "1"),
+        "parametric": (),
+        "oracle": ("--iterations", "1", "--ratio-iterations", "1", "--sharpness-iterations", "1"),
+        "bootstrap": (*csv, "--replicates", "100"),
+    }[command]]
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("command, flag", [
+        ("estimate", "--seed"),
+        ("bound", "--seed"), ("bound", "--format"),
+        ("cornfield", "--scale"), ("cornfield", "--seed"), ("cornfield", "--format"),
+        ("sweep", "--scale"), ("sweep", "--seed"),
+        ("parametric", "--scale"), ("parametric", "--relabel-exposure"),
+        ("parametric", "--smoothing"), ("parametric", "--seed"),
+        ("oracle", "--scale"), ("oracle", "--relabel-exposure"), ("oracle", "--smoothing"),
+        ("oracle", "--format"),
+        ("bootstrap", "--scale"), ("bootstrap", "--format"),
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, tmp_path, command, flag):
+        argv = valid_argv(command, tmp_path)
+        assert main(argv) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit:
+            main([*argv, flag, *FLAG_VALUES[flag]])
+        assert exit.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bound", "cornfield", "sweep"])
+    @pytest.mark.parametrize("flag", ["--relabel-exposure", "--smoothing"])
+    def test_record_flag_without_records_exits_2(self, capsys, tmp_path, command, flag):
+        # estimates-only mode reads no records, so the flag would be dropped
+        code = main([*valid_argv(command, tmp_path), flag, *FLAG_VALUES[flag]])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert f"{flag} " in err and "--csv" in err
+
+    def test_seed_environment_not_read_without_a_seed(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("MEDSENS_SEED", "abc")
+        assert main(valid_argv("estimate", tmp_path)) == 0
 

@@ -3,18 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from medsens.effects import Effects
+from helpers import stratum_effects
 from medsens.errors import ZeroDenominator
-from medsens.tables import ConditionalModel, crossworld_sums
+from medsens.tables import ConditionalModel
 
 
 def model_from(y0, y1, m0, m1, mode="probability"):
     return ConditionalModel(y=[[y0, y1]], w=[[m0, m1]], mode=mode)
-
-
-def stratum_effects(model: ConditionalModel, c: int) -> Effects:
-    """All six effects of stratum ``c`` alone, the reference for the all-strata paths."""
-    return Effects.from_sums(*(float(s) for s in crossworld_sums(model.y[c], model.w[c])), c=c)
 
 
 def brute_effects(y0, y1, m0, m1):

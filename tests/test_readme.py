@@ -1,7 +1,10 @@
-"""The README's library example runs as written, so a name it uses cannot vanish unnoticed."""
+"""The README's examples hold, so a name or flag they use cannot vanish unnoticed."""
 
+import argparse
 import re
 from pathlib import Path
+
+from medsens.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +27,18 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(library_example(), str(README), "exec"), {})
     out = capsys.readouterr().out
     assert "True" in out and "unexposed_nde_rr_ratio_vs_bf" in out
+
+
+def test_command_line_flags_are_taken():
+    """Every flag on a line of the ``## Command line`` block is one its subcommand takes."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    shown = 0
+    for line in block.splitlines():
+        command = line.split()[1]
+        taken = {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+        flags = re.findall(r"--[a-z][a-z-]*", line.split("#")[0])
+        assert set(flags) <= taken, f"{command} does not take {sorted(set(flags) - taken)}"
+        shown += len(flags)
+    assert shown > 20

@@ -3,8 +3,9 @@
 Subcommands: estimate | bound | cornfield | sweep | parametric | oracle |
 bootstrap.  Each takes only the flags it reads.  --csv, --relabel-exposure
 and --smoothing: all but parametric and oracle; --scale {rr,rd,both}:
-estimate, bound; --format {json,csv}: estimate, sweep, parametric; --seed:
-oracle, bootstrap, defaulting to the MEDSENS_SEED environment variable.
+estimate, bound with --csv; --format {json,csv}: estimate, sweep,
+parametric; --seed: oracle, bootstrap, defaulting to the MEDSENS_SEED
+environment variable.
 
 Exit codes: 0 success, 2 input error, 3 infeasibility of a requested
 solve, 4 internal assertion (a verification battery found a violation;
@@ -79,12 +80,12 @@ def _reject_with_records(args, *flags: str) -> None:
     """Refuse the flags of the input mode not in use, which nothing would read.
 
     With ``--csv`` these are the observed-effect ``flags``, which a records
-    report has no place for; without it, the record flags.  A flag that is
-    unset, off or 0 passes.
+    report has no place for; without it, the record flags and ``--scale``.
+    A flag that is unset, off or 0 passes.
     """
     records = args.csv is not None
-    for flag in flags if records else ("--relabel-exposure", "--smoothing"):
-        if getattr(args, flag[2:].replace("-", "_")):
+    for flag in flags if records else ("--relabel-exposure", "--smoothing", "--scale"):
+        if getattr(args, flag[2:].replace("-", "_"), None):
             use = "not used with --csv; give one or the other" if records else "only used with --csv"
             raise MedsensError(f"{args.command}: {flag} is {use}")
 
@@ -155,18 +156,18 @@ def _bound_payload_tables(model, spec, scale):
     for c in range(model.c_card):
         row = {"c": c, "observed": {f: values[f][c] for f in _effect_fields(scale)},
                "bf": values["bf"]}
-        if scale in ("rr", "both"):
+        if scale != "rd":
             row["nde_rr_lower"] = values["nde_rr_lower"][c]
             row["nie_rr_upper"] = values["nie_rr_upper"][c]
             row["cornfield_rr"] = asdict(bounds.cornfield_rr(values["nde_rr"][c]))
-        if scale in ("rd", "both"):
+        if scale != "rr":
             row["nde_rd_lower"] = values["nde_rd_lower"][c]
             row["nie_rd_upper"] = values["nie_rd_upper"][c]
             th = bounds.cornfield_rd(values["n10"][c], values["n00"][c], 0.0)
             row["cornfield_rd"] = asdict(th)
         rows.append(row)
     payload = {"strata": rows, "rr_au": spec.rr_au, "rr_uy": spec.rr_uy}
-    if scale in ("rr", "both"):
+    if scale != "rd":
         payload["envelopes"] = bounds.stratum_envelopes(stats)
     return payload
 
@@ -256,14 +257,19 @@ def _cmd_cornfield(args) -> int:
     return 3 if infeasible else 0
 
 
-def _sweep_table(args, grid: SweepGrid) -> tuple[list[str], list[np.ndarray], str | None]:
-    """Header, columns and digest of a sweep; rows run rr_au major, then rr_uy, then stratum."""
+def _sweep_table(
+    args, grid: SweepGrid
+) -> tuple[list[str], list[np.ndarray], str | None, list[str]]:
+    """Header, columns, digest and warnings of a sweep.
+
+    Rows run rr_au major, then rr_uy, then stratum.
+    """
     au_values, uy_values = np.array(grid.rr_au_values), np.array(grid.rr_uy_values)
     au, uy = np.meshgrid(au_values, uy_values, indexing="ij")
     spec = bounds.SensitivitySpec(rr_au=au.reshape(-1, 1), rr_uy=uy.reshape(-1, 1))
     bf = bounds.bounding_factor(spec)
     if args.csv is not None:
-        model, digest, _ = _load_model(args)
+        model, digest, warnings = _load_model(args)
         strata, stratum = model.c_card, [np.tile(np.arange(model.c_card), bf.size)]
         stats = bounds.bound_report(model.y, model.w, spec)  # (grid point, stratum) in row order
         header = ["rr_au", "rr_uy", "bf", "c", *bounds.BOUND_STATS]
@@ -271,7 +277,7 @@ def _sweep_table(args, grid: SweepGrid) -> tuple[list[str], list[np.ndarray], st
     elif args.nde_rr is None:
         raise MedsensError("sweep needs --csv or --nde-rr")
     else:
-        strata, stratum, digest = 1, [], None
+        strata, stratum, digest, warnings = 1, [], None, []
         header = ["rr_au", "rr_uy", "bf", "nde_rr_lower"]
         values = [bounds.adjust_nde_rr(args.nde_rr, bf)]
         if args.nie_rr is not None:
@@ -279,7 +285,7 @@ def _sweep_table(args, grid: SweepGrid) -> tuple[list[str], list[np.ndarray], st
             values.append(bounds.adjust_nie_rr(args.nie_rr, bf))
     cells = [np.repeat(au_values, uy_values.size * strata),
              np.tile(np.repeat(uy_values, strata), au_values.size), np.repeat(bf, strata)]
-    return header, cells + stratum + [v.ravel() for v in values], digest
+    return header, cells + stratum + [v.ravel() for v in values], digest, warnings
 
 
 def _cmd_sweep(args) -> int:
@@ -290,10 +296,11 @@ def _cmd_sweep(args) -> int:
         rr_au_values=_parse_grid(args.rr_au_grid, "rr_au"),
         rr_uy_values=_parse_grid(args.rr_uy_grid, "rr_uy"),
     )
-    header, columns, digest = _sweep_table(args, grid)
+    header, columns, digest, warnings = _sweep_table(args, grid)
     if args.format == "json":
         rows = list(zip(*(column.tolist() for column in columns)))
-        doc = report.document("sweep", {"header": header, "rows": rows}, input_digest=digest)
+        doc = report.document("sweep", {"header": header, "rows": rows}, input_digest=digest,
+                              warnings=warnings)
         sys.stdout.write(report.to_json(doc))
     else:
         report.write_csv(sys.stdout, header, columns)
@@ -403,8 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--smoothing", type=float, default=0.0,
                            help="add-k smoothing for estimation from records")
         if scale:
-            p.add_argument("--scale", choices=("rr", "rd", "both"), default="both",
-                           help="which effect scale to report")
+            p.add_argument("--scale", choices=("rr", "rd", "both"),
+                           help="which effect scale to report (default both)")
         if seed:
             p.add_argument("--seed", type=_seed, help="random seed >= 0 (default: MEDSENS_SEED or 0)")
         if formats:

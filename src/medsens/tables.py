@@ -37,7 +37,6 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -57,8 +56,8 @@ SUM_TOL = 1e-12
 #: largest value a record code or count may take
 INT64_MAX = int(np.iinfo(np.int64).max)
 
-#: CSV records tallied per block during ingest
-READ_BLOCK = 1 << 12
+#: characters of CSV lines tallied per block during ingest, about 4,096 unit records
+READ_BLOCK = 1 << 15
 
 #: most cells a count tensor may have: c_card * 2 * m_card * 2, so c_card * m_card <= 65,536
 MAX_CELLS = 1 << 18
@@ -144,66 +143,66 @@ class RecordTable:
 def read_records_csv(path: str) -> RecordTable:
     """Read records from a CSV file with header ``a,m,y,c`` or ``a,m,y,c,count``.
 
-    Integer-coded, comma-separated, UTF-8.  A missing count column means
+    Integer-coded, comma-separated, UTF-8, one record per line; a line ends
+    at ``\\n``, ``\\r\\n`` or a lone ``\\r``.  A missing count column means
     count 1; duplicate rows are summed into their cell.  Raises
     :class:`ParseError` naming the first offending line, also for bytes
-    that are not UTF-8 and for a field beyond the ``csv`` field limit.
+    that are not UTF-8, for a field beyond the ``csv`` field limit and for
+    a quoted field that runs past the end of its line.
 
-    Identical records are tallied first, ``READ_BLOCK`` records at a time,
-    and each distinct record of a block is checked and parsed once, so the
-    cost scales with the distinct records rather than the rows; memory
-    stays bounded by the block plus the cells.
+    Identical lines are tallied first, about ``READ_BLOCK`` characters at a
+    time, and each distinct line of a block is parsed once, so the cost
+    scales with the distinct lines rather than the rows; memory stays
+    bounded by the block plus the cells.
     """
     cells: Counter[tuple[int, int, int, int]] = Counter()  # keyed by (c, a, m, y)
-    unreadable: list[ParseError] = []
+    width = 0  # fields per record, set by the header
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-
-        def records():
-            """The records of ``reader``, ending at the first that the csv module cannot read."""
-            try:
-                yield from reader
-            except csv.Error as err:
-                unreadable.append(ParseError(f"{path}: line {reader.line_num}: {err}"))
-
-        rows = records()
-        header = next(rows, None)
-        if header is None:
-            raise unreadable[0] if unreadable else ParseError(f"{path}: empty file")
-        header = [h.strip().lower() for h in header]
-        if header not in (["a", "m", "y", "c"], ["a", "m", "y", "c", "count"]):
-            raise ParseError(f"{path}: line 1: header must be a,m,y,c[,count], got {header}")
-        # records in first-appearance order: the first bad one is on the first bad line
-        while block := Counter(map(tuple, islice(rows, READ_BLOCK))):
-            for record, times in block.items():
+        if not (first := fh.readline()):
+            raise ParseError(f"{path}: empty file")
+        start, lines = 1, [first]  # the header is a block of its own
+        while lines:
+            # distinct lines in first-appearance order: the first bad one is on the first bad line
+            tally = Counter(lines)
+            records = csv.reader(tally)
+            for line, times in tally.items():
                 try:
-                    parsed = _parse_record(record, len(header))
-                except ParseError as err:
-                    if any("\udc80" <= ch <= "\udcff" for ch in "".join(record)):
+                    record = next(records)
+                    if '"' in line and any("\n" in f or "\r" in f for f in record):
+                        raise ParseError("a quoted field runs past the end of the line")
+                    if not width:
+                        header = [h.strip().lower() for h in record]
+                        if header not in (["a", "m", "y", "c"], ["a", "m", "y", "c", "count"]):
+                            raise ParseError(f"header must be a,m,y,c[,count], got {header}")
+                        width = len(header)
+                        continue
+                    parsed = _parse_record(record, width)
+                except (csv.Error, ParseError) as err:
+                    if any("\udc80" <= ch <= "\udcff" for ch in line):
                         err = "a byte sequence that is not UTF-8"  # kept as escapes on reading
-                    raise ParseError(f"{path}: line {_first_line(path, record)}: {err}") from None
+                    raise ParseError(f"{path}: line {start + lines.index(line)}: {err}") from None
                 if parsed is not None:
                     cell, count = parsed
                     cells[cell] += count * times
-    if unreadable:
-        raise unreadable[0]
+            start += len(lines)
+            lines = fh.readlines(READ_BLOCK)
     if not cells:
         raise ParseError(f"{path}: no data rows")
     return RecordTable.from_rows((a, m, y, c, n) for (c, a, m, y), n in cells.items())
 
 
 def _parse_record(
-    raw: tuple[str, ...], width: int
+    raw: list[str], width: int
 ) -> tuple[tuple[int, int, int, int], int] | None:
     """The cell ``(c, a, m, y)`` and count of one CSV record; None for a blank line."""
-    if not raw or all(not f.strip() for f in raw):
+    if not "".join(raw).strip():
         return None
     if len(raw) != width:
         raise ParseError(f"expected {width} fields, got {len(raw)}")
     try:
-        vals = [int(f.strip()) for f in raw]
+        vals = list(map(int, raw))  # int() ignores the whitespace around a field
     except ValueError:
-        raise ParseError(f"non-integer field in {list(raw)}") from None
+        raise ParseError(f"non-integer field in {raw}") from None
     a, m, y, c = vals[:4]
     count = vals[4] if width == 5 else 1
     if a not in (0, 1):
@@ -215,14 +214,6 @@ def _parse_record(
     if count <= 0:
         raise ParseError(f"count must be positive, got {count}")
     return (c, a, m, y), count
-
-
-def _first_line(path: str, record: tuple[str, ...]) -> int:
-    """Line number of the first occurrence of ``record``, counted as records after the header."""
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return next(lineno for lineno, raw in enumerate(reader, start=2) if tuple(raw) == record)
 
 
 def swap_exposure_records(records: RecordTable) -> RecordTable:

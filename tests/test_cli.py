@@ -630,9 +630,12 @@ class TestFlagSurface:
         assert exit.value.code == 2
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["bound", "cornfield", "sweep"])
-    @pytest.mark.parametrize("flag", ["--relabel-exposure", "--smoothing"])
-    def test_record_flag_without_records_exits_2(self, capsys, tmp_path, command, flag):
+    @pytest.mark.parametrize("flag, command", [
+        *((flag, command) for flag in ("--relabel-exposure", "--smoothing")
+          for command in ("bound", "cornfield", "sweep")),
+        ("--scale", "bound"),
+    ])
+    def test_record_flag_without_records_exits_2(self, capsys, tmp_path, flag, command):
         # estimates-only mode reads no records, so the flag would be dropped
         code = main([*valid_argv(command, tmp_path), flag, *FLAG_VALUES[flag]])
         out, err = capsys.readouterr()

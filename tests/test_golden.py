@@ -120,6 +120,10 @@ GOLDEN = {
         ("sweep", "--nde-rr", "1.72", *GRID, "--format", "json"),
         0, "a364be1ff73264c799f9b6e64ea3da7dbc4a9697c02f425aacaced96fcde99ed",
     ),
+    "sweep-csv-json-relabel": (
+        ("sweep", "--csv", F, *GRID, "--format", "json", "--relabel-exposure"),
+        0, "f64563597974231b3c9dd5bcdde765b598fdcb58fedb7af12a1b10f73341d071",
+    ),
     "estimate-csv-relabel": (
         ("estimate", "--csv", F, "--format", "csv", "--relabel-exposure"),
         0, "e71a2311ff2de43c79e54a6e404a0ad200d3ef7c4d9ca2bfd045c1d9a3af2513",

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -107,8 +108,8 @@ class TestCsv:
         plain.write_text("a,m,y,c,count\n1,0,1,0,3\n0,1,0,0,2\n1,0,1,0,1\n0,1,0,1,4\n")
         messy = tmp_path / "messy.csv"
         messy.write_bytes(
-            "\ufeffa, m ,y,c,count\r\n1, 0,1 ,0,3\r\n\r\n   \r\n 0,1,0,0 , 2\r\n"
-            " , ,\t, \r\n1,0,1,0,1\r\n\r\n0 ,1, 0,1,4\r\n".encode("utf-8")
+            "\ufeffa, m ,y,c,count\r\n1, 0,1 ,0,3\r\n\r\n   \r 0,1,0,0 , 2\r"
+            ' , ,\t, \r\n"1",0,"1",0,1\r\n\r0 ,1, 0,1,4\r'.encode("utf-8")
         )
         counts = read_records_csv(str(plain)).counts
         assert np.array_equal(read_records_csv(str(messy)).counts, counts)
@@ -131,6 +132,31 @@ class TestCsv:
         p.write_bytes(data)
         with pytest.raises(ParseError, match=f"line {line}:"):
             read_records_csv(str(p))
+
+    @pytest.mark.parametrize("data, line", [
+        (b'a,m,y,c\n0,0,0,0\n1,"0\n",1,0\n0,0,0,0\n', 3),
+        (b'a,m,y,c\r0,0,0,0\r1,0,0,0\r0,0,1,"0\r\n"\r', 4),
+        (b'a,"m\r\n",y,c\r\n0,0,0,0\r\n', 1),
+    ], ids=["record", "record-lone-cr", "header"])
+    def test_quoted_line_break_names_its_line(self, tmp_path, data, line):
+        # a record is one line, even where a quoted break only pads an integer
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        with pytest.raises(ParseError, match=f"line {line}: a quoted field runs past the end"):
+            read_records_csv(str(p))
+
+    def test_ingest_memory_is_bounded_by_one_block(self, tmp_path):
+        # every line is distinct, so only the block size keeps the tally small
+        p = tmp_path / "d.csv"
+        rows = (f"{i % 2},{i % 4},{i // 2 % 2},{i % 3},{i + 1}" for i in range(20_000))
+        p.write_text("\n".join(["a,m,y,c,count", *rows]) + "\n")
+        tracemalloc.start()
+        try:
+            assert read_records_csv(str(p)).total() == 20_000 * 20_001 // 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_oversized_field_names_its_line(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -143,12 +143,13 @@ class RecordTable:
 def read_records_csv(path: str) -> RecordTable:
     """Read records from a CSV file with header ``a,m,y,c`` or ``a,m,y,c,count``.
 
-    Integer-coded, comma-separated, UTF-8, one record per line; a line ends
-    at ``\\n``, ``\\r\\n`` or a lone ``\\r``.  A missing count column means
-    count 1; duplicate rows are summed into their cell.  Raises
-    :class:`ParseError` naming the first offending line, also for bytes
-    that are not UTF-8, for a field beyond the ``csv`` field limit and for
-    a quoted field that runs past the end of its line.
+    Integer-coded (ASCII digits, an optional ``-``, optional whitespace
+    around), comma-separated, UTF-8, one record per line; a line ends at
+    ``\\n``, ``\\r\\n``, a lone ``\\r`` or the end of the file.  A missing
+    count column means count 1; duplicate rows are summed into their cell.
+    Raises :class:`ParseError` naming the first offending line, also for
+    bytes that are not UTF-8, for a field beyond the ``csv`` field limit and
+    for a quoted field that runs past the end of its line.
 
     Identical lines are tallied first, about ``READ_BLOCK`` characters at a
     time, and each distinct line of a block is parsed once, so the cost
@@ -162,6 +163,8 @@ def read_records_csv(path: str) -> RecordTable:
             raise ParseError(f"{path}: empty file")
         start, lines = 1, [first]  # the header is a block of its own
         while lines:
+            if not lines[-1].endswith(("\n", "\r")):
+                lines[-1] += "\n"  # the last line: a quote left open now runs past its end
             # distinct lines in first-appearance order: the first bad one is on the first bad line
             tally = Counter(lines)
             records = csv.reader(tally)
@@ -195,14 +198,18 @@ def _parse_record(
     raw: list[str], width: int
 ) -> tuple[tuple[int, int, int, int], int] | None:
     """The cell ``(c, a, m, y)`` and count of one CSV record; None for a blank line."""
-    if not "".join(raw).strip():
+    text = "".join(raw)
+    if not text.strip():
         return None
     if len(raw) != width:
         raise ParseError(f"expected {width} fields, got {len(raw)}")
     try:
         vals = list(map(int, raw))  # int() ignores the whitespace around a field
     except ValueError:
-        raise ParseError(f"non-integer field in {raw}") from None
+        vals = None
+    # int() also takes "_", "+" and non-ASCII digits
+    if vals is None or "_" in text or "+" in text or not text.isascii():
+        raise ParseError(f"non-integer field in {raw}")
     a, m, y, c = vals[:4]
     count = vals[4] if width == 5 else 1
     if a not in (0, 1):

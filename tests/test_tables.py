@@ -97,6 +97,14 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 2"):
             read_records_csv(str(p))
 
+    @pytest.mark.parametrize("field", ["1_0", "+1", "\u0661", "1.0", "- 1"])
+    def test_integer_is_ascii_digits_with_an_optional_minus(self, tmp_path, field):
+        # Python's int() takes the first three; c=10, c=1 and c=1 would be read
+        p = tmp_path / "d.csv"
+        p.write_bytes(f"a,m,y,c\n0,0,0,0\n1,0,1,{field}\n".encode("utf-8"))
+        with pytest.raises(ParseError, match="line 3: non-integer field"):
+            read_records_csv(str(p))
+
     def test_total_beyond_int64_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text(f"a,m,y,c,count\n1,0,1,0,{2**62}\n0,0,1,0,{2**62}\n")
@@ -137,7 +145,8 @@ class TestCsv:
         (b'a,m,y,c\n0,0,0,0\n1,"0\n",1,0\n0,0,0,0\n', 3),
         (b'a,m,y,c\r0,0,0,0\r1,0,0,0\r0,0,1,"0\r\n"\r', 4),
         (b'a,"m\r\n",y,c\r\n0,0,0,0\r\n', 1),
-    ], ids=["record", "record-lone-cr", "header"])
+        (b'a,m,y,c\n0,0,0,0\n1,0,1,"0', 3),
+    ], ids=["record", "record-lone-cr", "header", "unterminated-last-line"])
     def test_quoted_line_break_names_its_line(self, tmp_path, data, line):
         # a record is one line, even where a quoted break only pads an integer
         p = tmp_path / "d.csv"
@@ -174,8 +183,8 @@ class TestCsv:
 ROW = st.tuples(
     st.integers(0, 1), st.integers(0, 2), st.integers(0, 1), st.integers(0, 2), st.integers(1, 4)
 )
-#: malformed a,m,y,c fields: bad exposure, bad outcome, negative code, non-integer, too few
-BAD_FIELDS = ("2,0,0,0", "0,0,3,0", "0,-1,0,0", "0,0,x,0", "0,0,0")
+#: malformed a,m,y,c fields: bad exposure, bad outcome, negative code, non-integers, too few
+BAD_FIELDS = ("2,0,0,0", "0,0,3,0", "0,-1,0,0", "0,0,x,0", "0,1_0,0,0", "+1,0,0,0", "0,0,0")
 
 
 @settings(max_examples=60, deadline=None)

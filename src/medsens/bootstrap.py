@@ -8,8 +8,11 @@ drawn and evaluated in batches: one multinomial call draws a batch of
 count tensors, :func:`~medsens.tables.estimate_tables` estimates them
 together, and :func:`~medsens.bounds.bound_report` forms the effects (and,
 optionally, bounds) as arrays over the batch.  The batches draw the same
-replicates, in the same order, as one draw at a time would.  Intervals are percentile intervals of the replicate
-statistics.
+replicates, in the same order, as one draw at a time would.  Intervals are
+percentile intervals of the replicate statistics, by numpy's default
+("linear") method written out in :func:`_percentiles`: it gives
+``np.percentile``'s bits without the ``np.unique`` call that loads
+``numpy.ma``.
 
 A replicate that empties a required table cell cannot be evaluated; it is
 redrawn, counted, and reported.  Everything is deterministic given the
@@ -29,7 +32,7 @@ from .tables import RecordTable, estimate_from_records, estimate_tables
 #: more than this many redraws per requested replicate raises DegenerateResample
 MAX_REDRAW_FACTOR = 10
 #: count-tensor cells drawn per batch of replicates, which bounds a batch's memory
-BATCH_CELLS = 1 << 18
+BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,7 @@ def run_bootstrap(
         draws.append(statistics(y[ok], w[ok]))
 
     lo_q = 100.0 * (1.0 - level) / 2.0
-    hi_q = 100.0 - lo_q
-    lo, hi = np.percentile(np.concatenate(draws), [lo_q, hi_q], axis=0)
+    lo, hi = _percentiles(np.concatenate(draws), [lo_q, 100.0 - lo_q])
     intervals = {
         c: {
             name: (float(lo[c, s]), float(point[c, s]), float(hi[c, s]))
@@ -116,3 +118,26 @@ def run_bootstrap(
         degenerate_redraws=redraws,
         intervals=intervals,
     )
+
+
+def _percentiles(x: np.ndarray, q) -> np.ndarray:
+    """``np.percentile(x, q, axis=0)`` by its linear method, bit for bit.
+
+    As numpy does, the order statistics next to each virtual index
+    ``(n - 1) * q / 100`` are placed by one partition at the same positions
+    (so equal values such as 0.0 and -0.0 land where numpy puts them),
+    blended by numpy's two-sided lerp, and a slice holding a NaN gives NaN.
+    """
+    n = len(x)
+    index = (n - 1) * np.true_divide(q, 100)
+    top = index >= n - 1  # numpy takes the last value twice here
+    below = np.where(top, -1, np.floor(index)).astype(np.intp)
+    above = np.where(top, -1, below + 1)
+    x = np.partition(x, sorted({0, -1, *below.tolist(), *above.tolist()}), axis=0)
+    t = (index - below).reshape(-1, *[1] * (x.ndim - 1))
+    a, b = x[below], x[above]
+    d = b - a
+    out = a + d * t
+    np.subtract(b, d * (1 - t), out=out, where=t >= 0.5)
+    np.copyto(out, x[-1], where=np.isnan(x[-1]))
+    return out

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -135,7 +136,7 @@ def _cmd_estimate(args) -> int:
     columns = {"c": np.arange(model.c_card)}
     columns.update((f, stats[f]) for f in _effect_fields(args.scale))
     if args.format == "csv":
-        report.write_csv(sys.stdout, list(columns), list(columns.values()))
+        report.write_csv(sys.stdout, list(columns), [list(columns.values())])
         return 0
     rows = [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
     doc = report.document(
@@ -259,33 +260,46 @@ def _cmd_cornfield(args) -> int:
 
 def _sweep_table(
     args, grid: SweepGrid
-) -> tuple[list[str], list[np.ndarray], str | None, list[str]]:
-    """Header, columns, digest and warnings of a sweep.
+) -> tuple[list[str], Iterator[list[np.ndarray]], str | None, list[str]]:
+    """Header, blocks of columns, digest and warnings of a sweep.
 
-    Rows run rr_au major, then rr_uy, then stratum.
+    Rows run rr_au major, then rr_uy, then stratum.  A block holds the rows
+    of consecutive grid points, about ``report.CSV_BLOCK`` of them, and is
+    formed by one bound call when it is drawn.  Every block covers every
+    stratum, so drawing the first one raises any error of the model before
+    a row is written.
     """
     au_values, uy_values = np.array(grid.rr_au_values), np.array(grid.rr_uy_values)
-    au, uy = np.meshgrid(au_values, uy_values, indexing="ij")
-    spec = bounds.SensitivitySpec(rr_au=au.reshape(-1, 1), rr_uy=uy.reshape(-1, 1))
-    bf = bounds.bounding_factor(spec)
     if args.csv is not None:
         model, digest, warnings = _load_model(args)
-        strata, stratum = model.c_card, [np.tile(np.arange(model.c_card), bf.size)]
-        stats = bounds.bound_report(model.y, model.w, spec)  # (grid point, stratum) in row order
         header = ["rr_au", "rr_uy", "bf", "c", *bounds.BOUND_STATS]
-        values = [stats[name] for name in bounds.BOUND_STATS]
     elif args.nde_rr is None:
         raise MedsensError("sweep needs --csv or --nde-rr")
     else:
-        strata, stratum, digest, warnings = 1, [], None, []
+        model, digest, warnings = None, None, []
         header = ["rr_au", "rr_uy", "bf", "nde_rr_lower"]
-        values = [bounds.adjust_nde_rr(args.nde_rr, bf)]
-        if args.nie_rr is not None:
-            header.append("nie_rr_upper")
-            values.append(bounds.adjust_nie_rr(args.nie_rr, bf))
-    cells = [np.repeat(au_values, uy_values.size * strata),
-             np.tile(np.repeat(uy_values, strata), au_values.size), np.repeat(bf, strata)]
-    return header, cells + stratum + [v.ravel() for v in values], digest, warnings
+        header += ["nie_rr_upper"] if args.nie_rr is not None else []
+    strata = 1 if model is None else model.c_card
+    size, step = au_values.size * uy_values.size, max(1, report.CSV_BLOCK // strata)
+
+    def blocks() -> Iterator[list[np.ndarray]]:
+        for start in range(0, size, step):
+            i, j = np.divmod(np.arange(start, min(start + step, size)), uy_values.size)
+            au, uy = au_values[i], uy_values[j]
+            spec = bounds.SensitivitySpec(rr_au=au[:, None], rr_uy=uy[:, None])
+            if model is None:
+                bf = bounds.bounding_factor(spec).ravel()
+                values = [bounds.adjust_nde_rr(args.nde_rr, bf)]
+                if args.nie_rr is not None:
+                    values.append(bounds.adjust_nie_rr(args.nie_rr, bf))
+                yield [au, uy, bf, *values]
+            else:
+                stats = bounds.bound_report(model.y, model.w, spec)  # (grid point, stratum)
+                cells = [np.repeat(v, strata) for v in (au, uy, stats["bf"])]
+                cells.append(np.tile(np.arange(strata), i.size))
+                yield cells + [stats[name].ravel() for name in bounds.BOUND_STATS]
+
+    return header, blocks(), digest, warnings
 
 
 def _cmd_sweep(args) -> int:
@@ -296,14 +310,14 @@ def _cmd_sweep(args) -> int:
         rr_au_values=_parse_grid(args.rr_au_grid, "rr_au"),
         rr_uy_values=_parse_grid(args.rr_uy_grid, "rr_uy"),
     )
-    header, columns, digest, warnings = _sweep_table(args, grid)
+    header, blocks, digest, warnings = _sweep_table(args, grid)
     if args.format == "json":
-        rows = list(zip(*(column.tolist() for column in columns)))
+        rows = [row for block in blocks for row in zip(*(column.tolist() for column in block))]
         doc = report.document("sweep", {"header": header, "rows": rows}, input_digest=digest,
                               warnings=warnings)
         sys.stdout.write(report.to_json(doc))
     else:
-        report.write_csv(sys.stdout, header, columns)
+        report.write_csv(sys.stdout, header, blocks)
     return 0
 
 
@@ -318,7 +332,7 @@ def _cmd_parametric(args) -> int:
         )
         sys.stdout.write(report.to_json(doc))
     else:
-        report.write_csv(sys.stdout, header, [np.array([r[h] for r in rows]) for h in header])
+        report.write_csv(sys.stdout, header, [[np.array([r[h] for r in rows]) for h in header]])
     return 0
 
 

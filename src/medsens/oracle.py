@@ -30,6 +30,7 @@ two-point family that attains it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -158,6 +159,26 @@ class Scm:
         return self.m_given.shape[-1]
 
 
+def _once_per_model(fn):
+    """``fn(scm)`` formed on the first call for each :class:`Scm` object and kept on it.
+
+    The arrays kept are read-only, and they go with the object.
+    """
+
+    @functools.wraps(fn)
+    def once(scm: Scm):
+        kept = scm.__dict__  # as functools.cached_property keeps a value on a frozen object
+        if fn.__name__ not in kept:
+            value = fn(scm)
+            for array in value if isinstance(value, tuple) else (value,):
+                array.flags.writeable = False
+            kept[fn.__name__] = value
+        return kept[fn.__name__]
+
+    return once
+
+
+@_once_per_model
 def _exposure_posteriors(scm: Scm) -> np.ndarray:
     """pr(u | A=a) as ``[..., a, u]``; the prior in both arms when exposure is independent of u."""
     prior = scm.u_prior[..., None, :]
@@ -172,6 +193,7 @@ def _exposure_posteriors(scm: Scm) -> np.ndarray:
     return joint / total
 
 
+@_once_per_model
 def _mediator_joint(scm: Scm) -> tuple[np.ndarray, np.ndarray]:
     """pr(u, m | a) as ``[..., a, u, m]`` and its marginal pr(m | a) as ``[..., a, m]``."""
     joint = _exposure_posteriors(scm)[..., None] * scm.m_given

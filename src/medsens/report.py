@@ -7,12 +7,16 @@ their shortest round-trip representation, and no timestamps are embedded.
 Infinities are written as "inf"/"-inf" (their ``repr``), in JSON as in
 CSV, so every JSON report is strict, standard JSON.
 
-CSV is written from numpy columns and streamed in blocks of rows, never held
-whole.  Every cell reads exactly as Python's ``repr`` of its value.  Each
-column of a block is formatted in C by ``orjson``, whose shortest round-trip
-digits equal ``repr``'s; only its notation differs, outside the magnitudes
-[1e-4, 1e16) (``1e16`` against ``1e+16``) and for inf and nan (``null``).
-Those cells, found by one mask per column, are formatted by ``repr``.
+CSV is written from blocks of numpy columns, one block of about
+``CSV_BLOCK`` rows at a time, never held whole: a command hands
+:func:`write_csv` its blocks as it forms them, so the values and their text
+in memory are one block, whatever the table's size.  Every cell reads
+exactly as Python's ``repr`` of its value.  Each column of a block is
+formatted in C by ``orjson``, whose shortest round-trip digits equal
+``repr``'s; only its notation differs, outside the magnitudes [1e-4, 1e16)
+(``1e16`` against ``1e+16``) and for inf and nan (``null``).
+Those cells, found by one mask per column (not formed when the column's
+smallest and largest magnitudes are in range), are formatted by ``repr``.
 ``orjson`` is imported on first use, so JSON-only commands never load it.
 """
 
@@ -21,14 +25,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Mapping, Sequence, TextIO
+from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
 SCHEMA = "medsens-report/1"
 
-#: rows formatted and written per block by :func:`write_csv`
-CSV_BLOCK = 1 << 12
+#: rows per block of a table that is formed and written a block at a time
+CSV_BLOCK = 1 << 10
 
 
 def _tool_version() -> str:
@@ -88,11 +92,18 @@ def _finite(value: Any) -> Any:
     return value
 
 
-def write_csv(out: TextIO, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Stream equal-length 1-d columns to ``out`` as CSV, ``CSV_BLOCK`` rows at a time."""
-    for start in range(0, max(len(columns[0]), 1), CSV_BLOCK):
-        block = [column[start:start + CSV_BLOCK] for column in columns]
-        out.write(to_csv(block, header if start == 0 else ()))
+def write_csv(
+    out: TextIO, header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]]
+) -> None:
+    """Write ``header`` and each block of equal-length 1-d columns to ``out`` as one CSV table.
+
+    A block's text is written once the block is formed and formatted, and
+    the header with the first block, so an error in forming the first block
+    leaves ``out`` untouched.
+    """
+    for block in blocks:
+        out.write(to_csv(block, header))
+        header = ()
 
 
 def to_csv(columns: Sequence[np.ndarray], header: Sequence[str] = ()) -> str:
@@ -111,6 +122,8 @@ def _cells(column: np.ndarray) -> list[str]:
     cells = text.split(",") if column.size else []
     if column.dtype.kind == "f":  # orjson's notation differs from repr's here, and nan/inf are null
         magnitude = np.abs(column)
+        if column.size and magnitude.min() >= 1e-4 and magnitude.max() < 1e16:
+            return cells
         other = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (column != 0.0)
         for i in np.flatnonzero(other).tolist():
             cells[i] = repr(float(column[i]))

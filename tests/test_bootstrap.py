@@ -1,9 +1,16 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import stratum_effects, worked_model
 from medsens import bootstrap
@@ -179,6 +186,39 @@ class TestRedrawBudget:
         message = f"^{redraws} degenerate replicates exceeded the redraw budget {redraws - 1}$"
         with pytest.raises(DegenerateResample, match=message):
             run_bootstrap(records, replicates=100, seed=0)
+
+
+class TestPercentiles:
+    @given(
+        hnp.arrays(float, st.tuples(st.integers(1, 300), st.integers(1, 3), st.integers(1, 2)),
+                   elements=st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan])
+                   | st.floats(allow_nan=True, allow_infinity=True)),
+        st.floats(0.5, 0.999),
+    )
+    def test_equal_numpy_bit_for_bit(self, x, level):
+        # equal values (0.0 and -0.0, NaNs of any payload) must land where numpy puts them
+        q = [100.0 * (1.0 - level) / 2.0, 100.0 - 100.0 * (1.0 - level) / 2.0]
+        with np.errstate(invalid="ignore"):  # inf - inf, as numpy's own lerp meets it
+            ours, theirs = bootstrap._percentiles(x, q), np.percentile(x, q, axis=0)
+        assert ours.tobytes() == theirs.tobytes()
+
+    def test_bootstrap_leaves_numpy_ma_unimported(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,m,y,c,count\n" + "".join(
+            f"{a},{m},{y},0,{count}\n" for (a, m, y), count in np.ndenumerate(REDRAW_COUNTS[0])))
+        script = (
+            "import contextlib, io, sys\n"
+            "import medsens.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = medsens.cli.main(['bootstrap', '--csv', {str(path)!r}, '--replicates', '200',"
+            " '--rr-au', '2', '--rr-uy', '2'])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert done.stderr == ""
+        assert done.stdout == "0 False\n"
 
 
 class TestCoverage:

@@ -357,7 +357,7 @@ class TestSweep:
         assert calls == [csv]
         assert doc["input_digest"] == digest_file(csv)
 
-    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("block", [None, 1, 2, 7])  # 1 and 2 rows hold fewer than 3 strata
     @pytest.mark.parametrize("au, uy, flags", [
         ("1,1.5,2,4", "1,2,8", ()),
         ("1,2.5", "1,3", ("--relabel-exposure",)),
@@ -377,7 +377,7 @@ class TestSweep:
                                        smoothing=0.5 if "--smoothing" in flags else 0.0)
         assert out == expected
 
-    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("block", [None, 1, 2, 7])
     @pytest.mark.parametrize("nie_rr", [None, 1.3])
     def test_estimates_sweep_matches_row_wise_reference(self, capsys, monkeypatch, block, nie_rr):
         if block is not None:
@@ -390,16 +390,18 @@ class TestSweep:
         assert out == reference_sweep_csv(au, uy, nde_rr=1.72, nie_rr=nie_rr)
 
     @pytest.mark.parametrize("source", [("--csv",), ("--nde-rr", "1.72", "--nie-rr", "1.3")])
-    def test_json_rows_equal_csv_rows(self, capsys, tmp_path, source):
+    def test_json_rows_equal_csv_rows(self, capsys, tmp_path, monkeypatch, source):
         if source == ("--csv",):
             source = ("--csv", write_strata_csv(tmp_path / "d.csv"))
         grid = ("--rr-au-grid", "1,2.5,1e300", "--rr-uy-grid", "1,3")
-        code, out = run(capsys, "sweep", *source, *grid)
-        code, doc = run_json(capsys, "sweep", *source, *grid, "--format", "json")
-        header, *lines = out.splitlines()
-        assert doc["result"]["header"] == header.split(",")
-        assert [",".join(v if isinstance(v, str) else repr(v) for v in row)
-                for row in doc["result"]["rows"]] == lines
+        for block in (report.CSV_BLOCK, 2):  # 2 rows hold fewer than the 3 strata
+            monkeypatch.setattr(report, "CSV_BLOCK", block)
+            code, out = run(capsys, "sweep", *source, *grid)
+            code, doc = run_json(capsys, "sweep", *source, *grid, "--format", "json")
+            header, *lines = out.splitlines()
+            assert doc["result"]["header"] == header.split(",")
+            assert [",".join(v if isinstance(v, str) else repr(v) for v in row)
+                    for row in doc["result"]["rows"]] == lines
 
     def test_empty_stratum_exits_2_before_any_output(self, capsys, tmp_path):
         path = tmp_path / "d.csv"

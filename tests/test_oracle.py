@@ -98,6 +98,17 @@ class TestObservedModel:
         assert w.tolist() == [list(row) for row in half]
         assert y.tolist() == [list(row) for row in half]
 
+    @pytest.mark.parametrize("dependent", [False, True])
+    def test_joint_is_formed_once_per_model_and_kept_read_only(self, dependent):
+        scm = sample_scm(np.random.default_rng(4), 3, 2, dependent_exposure=dependent, shape=(5,))
+        joint, w = oracle._mediator_joint(scm)
+        assert oracle._mediator_joint(scm)[0] is joint
+        assert oracle._exposure_posteriors(scm) is oracle._exposure_posteriors(scm)
+        for array in (joint, w, oracle._exposure_posteriors(scm)):
+            assert not array.flags.writeable
+        other = sample_scm(np.random.default_rng(4), 3, 2, dependent_exposure=dependent, shape=(5,))
+        assert oracle._mediator_joint(other)[0] is not joint
+
     def test_two_summation_orders_agree(self):
         rng = np.random.default_rng(31)
         for i in range(2000):

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -51,19 +52,29 @@ def test_int_cells_equal_repr():
     assert cells(values, dtype=np.int64) == [repr(v) for v in values]
 
 
-def test_blocks_join_into_one_table(monkeypatch):
-    monkeypatch.setattr(report, "CSV_BLOCK", 2)
+def test_blocks_join_into_one_table():
     ints, floats = np.arange(5), np.array([0.5, 1e-5, 2e16, math.inf, -3.25])
     out = io.StringIO()
-    report.write_csv(out, ["c", "x"], [ints, floats])
+    report.write_csv(out, ["c", "x"], ([ints[i:i + 2], floats[i:i + 2]] for i in range(0, 5, 2)))
     rows = [f"{c},{x!r}" for c, x in zip(ints.tolist(), floats.tolist())]
     assert out.getvalue() == "\n".join(["c,x", *rows]) + "\n"
 
 
 def test_no_rows_gives_the_header_alone():
     out = io.StringIO()
-    report.write_csv(out, ["c", "x"], [np.arange(0), np.zeros(0)])
+    report.write_csv(out, ["c", "x"], [[np.arange(0), np.zeros(0)]])
     assert out.getvalue() == "c,x\n"
+
+
+def test_an_error_in_the_first_block_writes_nothing():
+    def blocks():
+        raise ValueError("no block")
+        yield [np.arange(1)]
+
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="no block"):
+        report.write_csv(out, ["c"], blocks())
+    assert out.getvalue() == ""
 
 
 def test_json_commands_leave_orjson_unimported():

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import tempfile
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import worked_model
 from medsens import tables
+from medsens.cli import main
 from medsens.errors import (
     BadCode,
     BadParameter,
@@ -166,6 +168,24 @@ class TestCsv:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+    @pytest.mark.parametrize("source", ["records", "estimates"])
+    def test_sweep_memory_is_bounded_by_one_block(self, tmp_path, source):
+        # 480,000 and 160,000 rows: a table formed whole takes 34 and 11 MB, one block under 2 MB
+        p = tmp_path / "d.csv"
+        p.write_text("a,m,y,c,count\n" + "".join(
+            f"{a},{m},{y},{c},{1 + (a + m + y + c) % 5}\n"
+            for c in range(3) for a in (0, 1) for m in range(3) for y in (0, 1)))
+        grid = ",".join(repr(1.0 + i / 8) for i in range(400))
+        flags = ["--csv", str(p)] if source == "records" else ["--nde-rr", "1.72", "--nie-rr", "1.3"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", *flags, "--rr-au-grid", grid, "--rr-uy-grid", grid]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_oversized_field_names_its_line(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -17,10 +17,7 @@ import sys
 from .bounds import (
     CornfieldThresholds,
     SensitivitySpec,
-    adjust_nde_rr,
-    adjust_nie_rr,
-    bound_nde_rd,
-    bound_nie_rd,
+    adjust,
     bound_report,
     bounding_factor,
     cornfield_rd,
@@ -74,9 +71,8 @@ _LAZY = {
 _OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
-    "CornfieldThresholds", "SensitivitySpec", "adjust_nde_rr", "adjust_nie_rr", "bound_nde_rd",
-    "bound_nie_rd", "bound_report", "bounding_factor", "cornfield_rd", "cornfield_rr",
-    "required_partner", "stratum_envelopes",
+    "CornfieldThresholds", "SensitivitySpec", "adjust", "bound_report", "bounding_factor",
+    "cornfield_rd", "cornfield_rr", "required_partner", "stratum_envelopes",
     "Effects",
     "BadCode", "BadParameter", "BadTarget", "DegenerateResample", "EmptyCell", "Infeasible",
     "InternalCheckError", "MedsensError", "NotNormalized", "OutOfRangeProbability",

@@ -6,13 +6,15 @@ the original counts, which is exactly sampling N records with replacement;
 how the records were grouped into rows does not matter.  Replicates are
 drawn and evaluated in batches: one multinomial call draws a batch of
 count tensors, :func:`~medsens.tables.estimate_tables` estimates them
-together, and :func:`~medsens.bounds.bound_report` forms the effects (and,
-optionally, bounds) as arrays over the batch.  The batches draw the same
-replicates, in the same order, as one draw at a time would.  Intervals are
-percentile intervals of the replicate statistics, by numpy's default
-("linear") method written out in :func:`_percentiles`: it gives
-``np.percentile``'s bits without the ``np.unique`` call that loads
-``numpy.ma``.
+together, :func:`~medsens.bounds.bound_report` forms their effects as
+arrays over the batch, and with a spec :func:`~medsens.bounds.adjust` forms
+the bounds from those.  The batches draw the same replicates, in the same
+order, as one draw at a time would.  Intervals are percentile intervals of
+the replicate statistics, by numpy's default ("linear") method written out
+in :func:`_percentiles`: it gives ``np.percentile``'s bits without the
+``np.unique`` call that loads ``numpy.ma``.  A statistic that is the same
+infinity in every replicate (``nie_rr_upper`` at ``bf = inf``) gets that
+infinity as both limits, where the lerp would give inf - inf = NaN.
 
 A replicate that empties a required table cell cannot be evaluated; it is
 redrawn, counted, and reported.  Everything is deterministic given the
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BOUND_STATS, EFFECT_STATS, SensitivitySpec, bound_report
+from .bounds import BOUND_STATS, EFFECT_STATS, SensitivitySpec, adjust, bound_report
 from .errors import BadParameter, DegenerateResample
 from .tables import RecordTable, estimate_from_records, estimate_tables
 
@@ -73,8 +75,10 @@ def run_bootstrap(
     names = EFFECT_STATS + (BOUND_STATS if spec is not None else ())
 
     def statistics(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """The ``names`` of :func:`~medsens.bounds.bound_report` as ``[..., c, stat]``."""
-        report = bound_report(y, w, spec)
+        """The effects and, with a spec, the bounds of tables ``y``, ``w`` as ``[..., c, stat]``."""
+        report = bound_report(y, w)
+        if spec is not None:
+            report.update(adjust(report, spec))
         return np.stack([report[name] for name in names], axis=-1)
 
     model = estimate_from_records(records, smoothing)
@@ -103,7 +107,11 @@ def run_bootstrap(
         draws.append(statistics(y[ok], w[ok]))
 
     lo_q = 100.0 * (1.0 - level) / 2.0
-    lo, hi = _percentiles(np.concatenate(draws), [lo_q, 100.0 - lo_q])
+    stats = np.concatenate(draws)
+    with np.errstate(invalid="ignore"):  # inf - inf, in the lanes replaced below
+        limits = _percentiles(stats, [lo_q, 100.0 - lo_q])
+    np.copyto(limits, stats[0], where=np.isinf(stats[0]) & (stats == stats[0]).all(axis=0))
+    lo, hi = limits
     intervals = {
         c: {
             name: (float(lo[c, s]), float(point[c, s]), float(hi[c, s]))

@@ -31,8 +31,10 @@ direct effect down to a hypothesized true value, both parameters must exceed
 the ratio r = observed/true, and the larger must exceed r + sqrt(r (r - 1)).
 
 Everything here is a pure function of floats, arrays and small frozen
-dataclasses.  :func:`bound_report` forms every stratum's effects and bounds
-at once, as arrays over the strata.
+dataclasses.  Every caller forms the bounds in two steps:
+:func:`bound_report` forms every stratum's effects at once, as arrays over
+the strata, and :func:`adjust` forms ``bf`` and the bounds from them (or
+from published estimates) under a spec, for one grid point or a grid.
 When an observed effect is below its null (protective direction), relabel
 the exposure first; the CLI exposes a flag for that.
 """
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from .effects import Effects
 from .errors import BadParameter, BadTarget, Infeasible, ZeroDenominator
 from .tables import crossworld_sums
 
-#: effects and bounds of :func:`bound_report` per stratum, in output order
+#: effects of :func:`bound_report` and bounds of :func:`adjust`, in output order
 EFFECT_STATS = ("nde_rr", "nie_rr", "te_rr", "nde_rd", "nie_rd", "te_rd")
 BOUND_STATS = ("nde_rr_lower", "nie_rr_upper", "nde_rd_lower", "nie_rd_upper")
 
@@ -61,9 +64,10 @@ def _check_param(value, name: str):
     return value[()]
 
 
-def _check_effect(value) -> None:
+def _positive(value):
     if not np.all(np.asarray(value, dtype=float) > 0):
         raise BadParameter(f"observed ratio-scale effect must be positive, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -116,28 +120,6 @@ def bounding_factor(spec: SensitivitySpec) -> float:
                       lo / (1.0 + (lo - 1.0) / hi))
     bf = np.where(np.isinf(x), y, np.where(np.isinf(y), x, bf))
     return np.where((x == 1.0) | (y == 1.0), 1.0, np.minimum(bf, lo))[()]
-
-
-def adjust_nde_rr(nde_rr_obs: float, bf: float) -> float:
-    """Lower bound on the true ratio-scale direct effect: observed / bf."""
-    _check_effect(nde_rr_obs)
-    return nde_rr_obs / _check_param(bf, "bf")
-
-
-def adjust_nie_rr(nie_rr_obs: float, bf: float) -> float:
-    """Upper bound on the true ratio-scale indirect effect: observed * bf."""
-    _check_effect(nie_rr_obs)
-    return nie_rr_obs * _check_param(bf, "bf")
-
-
-def bound_nde_rd(n10: float, n00: float, bf: float) -> float:
-    """Lower bound on the true difference-scale direct effect: n10 / bf - n00."""
-    return n10 / _check_param(bf, "bf") - n00
-
-
-def bound_nie_rd(n10: float, n11: float, bf: float) -> float:
-    """Upper bound on the true difference-scale indirect effect: n11 - n10 / bf."""
-    return n11 - n10 / _check_param(bf, "bf")
 
 
 def _thresholds_from_ratio(r: float) -> CornfieldThresholds:
@@ -202,36 +184,48 @@ def required_partner(fixed: float, target_bf: float) -> float:
     return target_bf * (fixed - 1.0) / (fixed - target_bf)
 
 
-def bound_report(y: np.ndarray, w: np.ndarray, spec: SensitivitySpec | None = None) -> dict:
-    """Observed effects and, with a spec, bounds of every stratum of tables ``y``, ``w``.
+def bound_report(y: np.ndarray, w: np.ndarray) -> dict:
+    """Observed effects of every stratum of tables ``y``, ``w``: the first of the two steps.
 
     The tables are ``y[..., c, a, m]`` and ``w[..., c, a, m]``.  The result
     maps ``n10``, ``n00``, ``n11`` and each of ``EFFECT_STATS`` to an array
-    ``[..., c]``; with a spec also ``bf`` and each of ``BOUND_STATS``.  The
-    spec's arrays broadcast against the stratum axis, so a grid of shape
-    (G, 1) gives bounds of shape (G, C).  A zero denominator is reported for
-    the first entry and stratum that has one, as one stratum at a time would.
+    ``[..., c]``, ready for :func:`adjust`.  A zero denominator is reported
+    for the first entry and stratum that has one, as one stratum at a time
+    would.
     """
     sums = crossworld_sums(y, w)
     zero = np.flatnonzero((sums[0] == 0.0) | (sums[1] == 0.0))
     if zero.size:
         Effects.from_sums(*(s.flat[zero[0]] for s in sums), c=int(zero[0] % y.shape[-3]))
     eff = Effects.from_sums(*sums)
-    report = {name: getattr(eff, name) for name in ("n10", "n00", "n11", *EFFECT_STATS)}
-    if spec is not None:
-        bf = bounding_factor(spec)
-        report.update(
-            bf=bf,
-            nde_rr_lower=adjust_nde_rr(eff.nde_rr, bf),
-            nie_rr_upper=adjust_nie_rr(eff.nie_rr, bf),
-            nde_rd_lower=bound_nde_rd(eff.n10, eff.n00, bf),
-            nie_rd_upper=bound_nie_rd(eff.n10, eff.n11, bf),
-        )
-    return report
+    return {name: getattr(eff, name) for name in ("n10", "n00", "n11", *EFFECT_STATS)}
+
+
+def adjust(effects: Mapping, spec: SensitivitySpec) -> dict:
+    """``bf`` and each of ``BOUND_STATS`` that ``effects`` allows: the second of the two steps.
+
+    ``nde_rr`` gives ``nde_rr_lower`` and ``nie_rr`` gives ``nie_rr_upper``;
+    ``n10``, ``n00`` and ``n11`` give ``nde_rd_lower`` and ``nie_rd_upper``.
+    ``effects`` may be a :func:`bound_report` or observed estimates alone.
+    The spec's arrays broadcast against the effects, so a grid of shape
+    (G, 1) gives bounds of shape (G, C).  A ratio-scale effect must be
+    positive: at ``bf = inf`` a zero one would give 0 * inf.
+    """
+    bf = bounding_factor(spec)
+    out = {"bf": bf}
+    if "nde_rr" in effects:
+        out["nde_rr_lower"] = _positive(effects["nde_rr"]) / bf
+    if "nie_rr" in effects:
+        out["nie_rr_upper"] = _positive(effects["nie_rr"]) * bf
+    if "n10" in effects:
+        cross = effects["n10"] / bf
+        out["nde_rd_lower"] = cross - effects["n00"]
+        out["nie_rd_upper"] = effects["n11"] - cross
+    return out
 
 
 def stratum_envelopes(report: dict) -> dict[str, dict[str, float]]:
-    """Envelopes of the ratio-scale bounds of a :func:`bound_report` across its strata.
+    """Envelopes of the ratio-scale bounds of an :func:`adjust` across its strata.
 
     The population-level direct effect is at least the minimum of the
     per-stratum lower bounds ("heterogeneous" case) and, when one common

@@ -15,6 +15,7 @@ must never occur).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -75,6 +76,11 @@ def _check_observed(args, flag: str) -> None:
         raise MedsensError(
             f"{flag}-ci {ci[0]!r} {ci[1]!r} must be ascending limits around {flag} {point!r}"
         )
+
+
+def _observed(args) -> dict[str, float]:
+    """The observed ratio-scale effects given by ``--nde-rr`` and ``--nie-rr``."""
+    return {name: getattr(args, name) for name in ("nde_rr", "nie_rr") if getattr(args, name)}
 
 
 def _reject_with_records(args, *flags: str) -> None:
@@ -151,7 +157,8 @@ def _cmd_estimate(args) -> int:
 
 def _bound_payload_tables(model, spec, scale):
     """Per-stratum bounds and Cornfield thresholds at the null, and the envelopes across strata."""
-    stats = bounds.bound_report(model.y, model.w, spec)
+    stats = bounds.bound_report(model.y, model.w)
+    stats.update(bounds.adjust(stats, spec))
     values = {name: v.tolist() for name, v in stats.items()}
     rows = []
     for c in range(model.c_card):
@@ -178,7 +185,6 @@ def _cmd_bound(args) -> int:
     _check_observed(args, "--nde-rr")
     _check_observed(args, "--nie-rr")
     spec = bounds.SensitivitySpec(rr_au=args.rr_au, rr_uy=args.rr_uy)
-    bf = bounds.bounding_factor(spec)
     if args.csv is not None:
         model, digest, warnings = _load_model(args)
         payload = _bound_payload_tables(model, spec, args.scale)
@@ -187,16 +193,16 @@ def _cmd_bound(args) -> int:
         return 0
     if args.nde_rr is None and args.nie_rr is None:
         raise MedsensError("bound needs --csv or at least one of --nde-rr/--nie-rr")
-    payload: dict = {"bf": bf, "rr_au": spec.rr_au, "rr_uy": spec.rr_uy}
-    params: dict = {"rr_au": spec.rr_au, "rr_uy": spec.rr_uy}
-    for name, bound, adjust in (("nde_rr", "nde_rr_lower", bounds.adjust_nde_rr),
-                                ("nie_rr", "nie_rr_upper", bounds.adjust_nie_rr)):
-        point, ci = getattr(args, name), getattr(args, name + "_ci")
-        if point is not None:
-            payload[bound] = {"point": adjust(point, bf)}
-            if ci:
-                payload[bound]["ci"] = [adjust(v, bf) for v in ci]
-            params[name] = point
+    given = _observed(args)
+    # each effect as [point, *ci], so one call bounds the point and its limits
+    effects = {name: np.array([point, *(getattr(args, name + "_ci") or ())])
+               for name, point in given.items()}
+    adjusted = bounds.adjust(effects, spec)
+    payload: dict = {"bf": adjusted.pop("bf"), "rr_au": spec.rr_au, "rr_uy": spec.rr_uy}
+    for name, values in adjusted.items():
+        point, *ci = values.tolist()
+        payload[name] = {"point": point, "ci": ci} if ci else {"point": point}
+    params = {"rr_au": spec.rr_au, "rr_uy": spec.rr_uy, **given}
     doc = report.document("bound", payload, input_digest=report.digest_params(params))
     sys.stdout.write(report.to_json(doc))
     return 0
@@ -263,43 +269,37 @@ def _sweep_table(
 ) -> tuple[list[str], Iterator[list[np.ndarray]], str | None, list[str]]:
     """Header, blocks of columns, digest and warnings of a sweep.
 
-    Rows run rr_au major, then rr_uy, then stratum.  A block holds the rows
-    of consecutive grid points, about ``report.CSV_BLOCK`` of them, and is
-    formed by one bound call when it is drawn.  Every block covers every
-    stratum, so drawing the first one raises any error of the model before
-    a row is written.
+    Rows run rr_au major, then rr_uy, then stratum (records only).  The
+    effects are formed once; a block holds the rows of consecutive grid
+    points, about ``report.CSV_BLOCK`` of them, and is bounded by one
+    :func:`~medsens.bounds.adjust` call when it is drawn.  The first block
+    is drawn here, so any error of the model is raised before a row is
+    written, and the header follows from the bounds it holds.
     """
     au_values, uy_values = np.array(grid.rr_au_values), np.array(grid.rr_uy_values)
     if args.csv is not None:
         model, digest, warnings = _load_model(args)
-        header = ["rr_au", "rr_uy", "bf", "c", *bounds.BOUND_STATS]
+        effects, strata = bounds.bound_report(model.y, model.w), model.c_card
     elif args.nde_rr is None:
         raise MedsensError("sweep needs --csv or --nde-rr")
     else:
-        model, digest, warnings = None, None, []
-        header = ["rr_au", "rr_uy", "bf", "nde_rr_lower"]
-        header += ["nie_rr_upper"] if args.nie_rr is not None else []
-    strata = 1 if model is None else model.c_card
+        effects, strata, digest, warnings = _observed(args), 1, None, []
     size, step = au_values.size * uy_values.size, max(1, report.CSV_BLOCK // strata)
 
-    def blocks() -> Iterator[list[np.ndarray]]:
-        for start in range(0, size, step):
-            i, j = np.divmod(np.arange(start, min(start + step, size)), uy_values.size)
-            au, uy = au_values[i], uy_values[j]
-            spec = bounds.SensitivitySpec(rr_au=au[:, None], rr_uy=uy[:, None])
-            if model is None:
-                bf = bounds.bounding_factor(spec).ravel()
-                values = [bounds.adjust_nde_rr(args.nde_rr, bf)]
-                if args.nie_rr is not None:
-                    values.append(bounds.adjust_nie_rr(args.nie_rr, bf))
-                yield [au, uy, bf, *values]
-            else:
-                stats = bounds.bound_report(model.y, model.w, spec)  # (grid point, stratum)
-                cells = [np.repeat(v, strata) for v in (au, uy, stats["bf"])]
-                cells.append(np.tile(np.arange(strata), i.size))
-                yield cells + [stats[name].ravel() for name in bounds.BOUND_STATS]
+    def block(start: int) -> dict:
+        i, j = np.divmod(np.arange(start, min(start + step, size)), uy_values.size)
+        au, uy = au_values[i], uy_values[j]
+        spec = bounds.SensitivitySpec(rr_au=au[:, None], rr_uy=uy[:, None])
+        stats = bounds.adjust(effects, spec)  # (grid point, stratum)
+        columns = {"rr_au": au, "rr_uy": uy, "bf": stats.pop("bf")}
+        columns = {name: np.repeat(v, strata) for name, v in columns.items()}
+        if args.csv is not None:
+            columns["c"] = np.tile(np.arange(strata), i.size)
+        return columns | {name: v.ravel() for name, v in stats.items()}
 
-    return header, blocks(), digest, warnings
+    first = block(0)
+    rest = (list(block(start).values()) for start in range(step, size, step))
+    return list(first), itertools.chain([list(first.values())], rest), digest, warnings
 
 
 def _cmd_sweep(args) -> int:

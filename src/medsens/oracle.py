@@ -37,7 +37,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bounds import SensitivitySpec, bound_report, bounding_factor
+from .bounds import SensitivitySpec, adjust, bound_report, bounding_factor
 from .effects import Effects
 from .errors import (
     BadParameter,
@@ -331,10 +331,10 @@ def _check(name: str, lhs, rhs, tol: float) -> InequalityCheck:
 class ValidityReport:
     """Exact sensitivity parameters and the bound checks, per model.
 
-    ``observed`` is the :func:`~medsens.bounds.bound_report` of the model's
-    observed tables under its exact parameters, each entry shaped like the
-    batch; ``true`` holds the effects among the unexposed, which are the
-    natural effects when exposure is independent of the confounder.
+    ``observed`` holds the effects of the model's observed tables and their
+    bounds under its exact parameters, each entry shaped like the batch;
+    ``true`` holds the effects among the unexposed, which are the natural
+    effects when exposure is independent of the confounder.
     """
 
     observed: dict
@@ -356,8 +356,8 @@ class ValidityReport:
 def verify_bounds(scm: Scm, tol: float = VALIDITY_TOL) -> ValidityReport:
     """Check the bounds against the exact truth of a synthetic model or batch.
 
-    The observed side is one :func:`~medsens.bounds.bound_report` call on
-    the marginal tables, the code path users run, with the models on its
+    The observed side is the code path users run, ``bounds.bound_report``
+    then ``bounds.adjust`` on the marginal tables, with the models on the
     stratum axis; only the sensitivity parameters and the true effects come
     from the joint model.  The direct-effect bounds are checked against the
     effects among the unexposed, which survive exposure-confounder
@@ -368,8 +368,8 @@ def verify_bounds(scm: Scm, tol: float = VALIDITY_TOL) -> ValidityReport:
     """
     model = observed_model(scm)
     rau, ruy = rr_au_posterior(scm), rr_uy(scm)
-    spec = SensitivitySpec(rr_au=np.ravel(rau), rr_uy=np.ravel(ruy))
-    report = bound_report(model.y, model.w, spec)  # one "stratum" per model
+    report = bound_report(model.y, model.w)  # one "stratum" per model
+    report.update(adjust(report, SensitivitySpec(rr_au=np.ravel(rau), rr_uy=np.ravel(ruy))))
     obs = {name: value.reshape(scm.batch_shape)[()] for name, value in report.items()}
     true = Effects.from_sums(*_unexposed_sums(scm))
     prefix = "" if scm.a_independent_u else "unexposed_"

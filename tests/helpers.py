@@ -16,6 +16,15 @@ def stratum_effects(model: ConditionalModel, c: int) -> Effects:
     return Effects.from_sums(*(float(s) for s in crossworld_sums(model.y[c], model.w[c])), c=c)
 
 
+def plain_bounds(e: Effects, bf) -> dict:
+    """The four bounds of effects ``e`` at bounding factor ``bf``, by the paper's formulas.
+
+    The reference for :func:`medsens.bounds.adjust`; keys in ``BOUND_STATS`` order.
+    """
+    return {"nde_rr_lower": e.nde_rr / bf, "nie_rr_upper": e.nie_rr * bf,
+            "nde_rd_lower": e.n10 / bf - e.n00, "nie_rd_upper": e.n11 - e.n10 / bf}
+
+
 def worked_model() -> ConditionalModel:
     """The one-stratum worked example: pr(Y=1|a=0) = 0.275 and pr(Y=1|a=1) = 0.7."""
     return ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[0.75, 0.25], [0.25, 0.75]]])

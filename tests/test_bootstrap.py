@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -12,17 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import stratum_effects, worked_model
+from helpers import plain_bounds, stratum_effects, worked_model
 from medsens import bootstrap
-from medsens.bootstrap import BOUND_STATS, EFFECT_STATS, run_bootstrap
-from medsens.bounds import (
-    SensitivitySpec,
-    adjust_nde_rr,
-    adjust_nie_rr,
-    bound_nde_rd,
-    bound_nie_rd,
-    bounding_factor,
-)
+from medsens.bootstrap import EFFECT_STATS, run_bootstrap
+from medsens.bounds import SensitivitySpec, bounding_factor
+from medsens.cli import main
 from medsens.errors import BadParameter, DegenerateResample, EmptyCell, ZeroDenominator
 from medsens.tables import RecordTable, estimate_from_records
 
@@ -40,6 +35,10 @@ def fragile_strata():
     return RecordTable(counts)
 
 
+def reject_constant(token):
+    raise ValueError(f"report is not strict JSON: {token}")
+
+
 def one_at_a_time(records, replicates, seed, smoothing=0.0, spec=None, level=0.95):
     """Reference bootstrap: one multinomial draw, estimate and report per replicate."""
 
@@ -49,10 +48,7 @@ def one_at_a_time(records, replicates, seed, smoothing=0.0, spec=None, level=0.9
             eff = stratum_effects(model, c)
             out[c] = {name: getattr(eff, name) for name in EFFECT_STATS}
             if spec is not None:
-                bf = bounding_factor(spec)
-                bounds = (adjust_nde_rr(eff.nde_rr, bf), adjust_nie_rr(eff.nie_rr, bf),
-                          bound_nde_rd(eff.n10, eff.n00, bf), bound_nie_rd(eff.n10, eff.n11, bf))
-                out[c].update(zip(BOUND_STATS, bounds))
+                out[c].update(plain_bounds(eff, bounding_factor(spec)))
         return out
 
     rng = np.random.default_rng(seed)
@@ -132,6 +128,24 @@ class TestBasics:
         assert math.isclose(stats["nde_rr_lower"][1], obs.nde_rr / 1.5, rel_tol=1e-12)
         assert math.isclose(stats["nie_rr_upper"][1], obs.nie_rr * 1.5, rel_tol=1e-12)
         assert stats["nde_rr_lower"][0] <= stats["nde_rr_lower"][1] <= stats["nde_rr_lower"][2]
+
+    def test_infinite_parameters_report_infinite_limits(self, capsys, tmp_path):
+        # at bf = inf every replicate's nie_rr_upper is inf, where the lerp gives inf - inf
+        path = tmp_path / "d.csv"
+        path.write_text("a,m,y,c,count\n" + "".join(
+            f"{a},{m},{y},0,{count}\n" for (a, m, y), count in np.ndenumerate(REDRAW_COUNTS[0])))
+        code = main(["bootstrap", "--csv", str(path), "--replicates", "200", "--seed", "0",
+                     "--rr-au", "inf", "--rr-uy", "inf"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        stats = doc["result"]["strata"][0]["stats"]
+        assert stats.pop("nie_rr_upper") == {"lower": "inf", "point": "inf", "upper": "inf"}
+        with np.errstate(invalid="ignore"):  # the reference's own lerp meets inf - inf
+            intervals, _ = one_at_a_time(RecordTable(REDRAW_COUNTS[:1]), 200, 0,
+                                         spec=SensitivitySpec(math.inf, math.inf))
+        assert stats == {name: dict(zip(("lower", "point", "upper"), values))
+                         for name, values in intervals[0].items() if name != "nie_rr_upper"}
+        assert stats["nde_rr_lower"] == {"lower": 0.0, "point": 0.0, "upper": 0.0}
 
 
 class TestBatches:

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import stratum_effects
+from helpers import plain_bounds, stratum_effects
 from medsens.bounds import (
     BOUND_STATS,
     EFFECT_STATS,
     CornfieldThresholds,
     SensitivitySpec,
-    adjust_nde_rr,
-    adjust_nie_rr,
-    bound_nde_rd,
-    bound_nie_rd,
+    adjust,
     bound_report,
     bounding_factor,
     cornfield_rd,
@@ -114,48 +111,72 @@ class TestBoundingFactor:
                 SensitivitySpec(bad, 2.0)
 
 
+def spec_for(bf: float) -> SensitivitySpec:
+    """A spec whose bounding factor is exactly ``bf``: an infinite partner gives the other."""
+    return SensitivitySpec(math.inf, bf)
+
+
+def worked_effects() -> dict:
+    """The sums of stratum 0 of the worked model, the inputs of the difference-scale bounds."""
+    return dict(zip(("n10", "n00", "n11"), worked_sums()))
+
+
 class TestAdjust:
     def test_unit_factor_is_identity(self):
-        assert adjust_nde_rr(1.72, 1.0) == 1.72
-        assert adjust_nie_rr(1.03, 1.0) == 1.03
+        out = adjust({"nde_rr": 1.72, "nie_rr": 1.03}, spec_for(1.0))
+        assert out == {"bf": 1.0, "nde_rr_lower": 1.72, "nie_rr_upper": 1.03}
 
     def test_point_values(self):
-        assert math.isclose(adjust_nde_rr(1.72, 1.5), 1.146667, abs_tol=5e-7)
-        assert adjust_nie_rr(1.4, 1.5) == 1.4 * 1.5
+        out = adjust({"nde_rr": 1.72, "nie_rr": 1.4}, SensitivitySpec(2, 3))
+        assert out["bf"] == 1.5
+        assert math.isclose(out["nde_rr_lower"], 1.146667, abs_tol=5e-7)
+        assert out["nie_rr_upper"] == 1.4 * 1.5
 
     def test_interval_endpoints_divide_elementwise(self):
-        lo, hi = (adjust_nde_rr(v, 1.2) for v in (1.34, 2.21))
+        lo, hi = adjust({"nde_rr": np.array([1.34, 2.21])}, spec_for(1.2))["nde_rr_lower"]
         assert math.isclose(lo, 1.116667, abs_tol=5e-7)
         assert math.isclose(hi, 1.841667, abs_tol=5e-7)
 
+    def test_bounds_follow_the_effects_given(self):
+        spec = SensitivitySpec(2.0, 3.0)
+        assert list(adjust({"nie_rr": 1.3}, spec)) == ["bf", "nie_rr_upper"]
+        assert list(adjust(worked_effects(), spec)) == ["bf", "nde_rd_lower", "nie_rd_upper"]
+        model = worked_model()
+        assert list(adjust(bound_report(model.y, model.w), spec)) == ["bf", *BOUND_STATS]
+
     def test_rejects_nonpositive_effect(self):
         with pytest.raises(BadParameter):
-            adjust_nde_rr(0.0, 1.5)
+            adjust({"nde_rr": 0.0}, SensitivitySpec(2.0, 3.0))
+        # n11 = 0, so nie_rr = 0, and at bf = inf its bound would be 0 * inf = NaN
+        model = ConditionalModel(y=[[[0.2, 0.4], [0.0, 0.5]]], w=[[[0.5, 0.5], [1.0, 0.0]]])
+        effects = bound_report(model.y, model.w)
+        assert effects["n11"] == 0.0
+        with pytest.raises(BadParameter, match="positive"):
+            adjust(effects, SensitivitySpec(math.inf, math.inf))
 
 
 class TestRdBounds:
     def test_unit_factor_recovers_observed(self):
-        n10, n00, n11 = worked_sums()
+        out = adjust(worked_effects(), spec_for(1.0))
         e = stratum_effects(worked_model(), 0)
-        assert math.isclose(bound_nde_rd(n10, n00, 1.0), e.nde_rd, abs_tol=1e-15)
-        assert math.isclose(bound_nie_rd(n10, n11, 1.0), e.nie_rd, abs_tol=1e-15)
+        assert math.isclose(out["nde_rd_lower"], e.nde_rd, abs_tol=1e-15)
+        assert math.isclose(out["nie_rd_upper"], e.nie_rd, abs_tol=1e-15)
 
     def test_hand_value(self):
-        n10, n00, n11 = worked_sums()
-        assert math.isclose(bound_nde_rd(n10, n00, 1.25), 0.4 - 0.275, abs_tol=1e-12)
-        assert math.isclose(bound_nie_rd(n10, n11, 1.25), 0.7 - 0.4, abs_tol=1e-12)
+        out = adjust(worked_effects(), spec_for(1.25))
+        assert math.isclose(out["nde_rd_lower"], 0.4 - 0.275, abs_tol=1e-12)
+        assert math.isclose(out["nie_rd_upper"], 0.7 - 0.4, abs_tol=1e-12)
 
     def test_infinite_factor_limit(self):
-        n10, n00, n11 = worked_sums()
-        assert math.isclose(bound_nde_rd(n10, n00, math.inf), -0.275, abs_tol=1e-15)
-        assert math.isclose(bound_nie_rd(n10, n11, math.inf), 0.7, abs_tol=1e-15)
+        out = adjust(worked_effects(), SensitivitySpec(math.inf, math.inf))
+        assert math.isclose(out["nde_rd_lower"], -0.275, abs_tol=1e-15)
+        assert math.isclose(out["nie_rd_upper"], 0.7, abs_tol=1e-15)
 
     @given(st.floats(min_value=1.0, max_value=50.0))
     def test_complementarity_matches_total_effect(self, bf):
-        n10, n00, n11 = worked_sums()
+        out = adjust(worked_effects(), spec_for(bf))
         e = stratum_effects(worked_model(), 0)
-        total = bound_nde_rd(n10, n00, bf) + bound_nie_rd(n10, n11, bf)
-        assert math.isclose(total, e.te_rd, abs_tol=1e-12)
+        assert math.isclose(out["nde_rd_lower"] + out["nie_rd_upper"], e.te_rd, abs_tol=1e-12)
 
 
 class TestCornfieldRr:
@@ -253,18 +274,14 @@ class TestRequiredPartner:
 class TestReportAndEnvelopes:
     def test_report_fields_are_consistent(self):
         model = worked_model()
-        rep = bound_report(model.y, model.w, SensitivitySpec(2.0, 3.0))
+        rep = bound_report(model.y, model.w)
+        rep.update(adjust(rep, SensitivitySpec(2.0, 3.0)))
         assert rep["bf"] == 1.5
         for c in range(model.c_card):
             obs = stratum_effects(model, c)
             assert [rep[name][c] for name in ("n10", "n00", "n11", *EFFECT_STATS)] == [
                 getattr(obs, name) for name in ("n10", "n00", "n11", *EFFECT_STATS)]
-            assert math.isclose(rep["nde_rr_lower"][c], obs.nde_rr / 1.5, rel_tol=1e-15)
-            assert math.isclose(rep["nie_rr_upper"][c], obs.nie_rr * 1.5, rel_tol=1e-15)
-            assert math.isclose(rep["nde_rd_lower"][c], bound_nde_rd(obs.n10, obs.n00, 1.5),
-                                abs_tol=1e-15)
-            assert math.isclose(rep["nie_rd_upper"][c], bound_nie_rd(obs.n10, obs.n11, 1.5),
-                                abs_tol=1e-15)
+            assert [rep[name][c] for name in BOUND_STATS] == list(plain_bounds(obs, 1.5).values())
 
     def test_without_spec_only_effects(self):
         model = worked_model()
@@ -278,20 +295,19 @@ class TestReportAndEnvelopes:
             model = ConditionalModel(y=rng.uniform(0.05, 1.0, (strata, 2, m_card)),
                                      w=w / w.sum(axis=-1, keepdims=True))
             au, uy = rng.uniform(1.0, 30.0, (2, 12, 1))
-            rep = bound_report(model.y, model.w, SensitivitySpec(au, uy))
+            effects = bound_report(model.y, model.w)
+            rep = adjust(effects, SensitivitySpec(au, uy))
             assert rep["nde_rr_lower"].shape == (12, strata)
             for g in range(12):
                 bf = bounding_factor(SensitivitySpec(float(au[g, 0]), float(uy[g, 0])))
                 assert rep["bf"][g, 0] == bf
                 for c in range(strata):
-                    obs = stratum_effects(model, c)
-                    assert [rep[name][g, c] for name in BOUND_STATS] == [
-                        adjust_nde_rr(obs.nde_rr, bf), adjust_nie_rr(obs.nie_rr, bf),
-                        bound_nde_rd(obs.n10, obs.n00, bf), bound_nie_rd(obs.n10, obs.n11, bf)]
+                    want = plain_bounds(stratum_effects(model, c), bf)
+                    assert [rep[name][g, c] for name in BOUND_STATS] == list(want.values())
             for c in range(strata):
-                r = float(rep["n10"][c] / rep["n00"][c])
+                r = float(effects["n10"][c] / effects["n00"][c])
                 expected = r + math.sqrt(r * (r - 1.0)) if r > 1.0 else 1.0
-                th = cornfield_rd(float(rep["n10"][c]), float(rep["n00"][c]), 0.0)
+                th = cornfield_rd(float(effects["n10"][c]), float(effects["n00"][c]), 0.0)
                 assert th.max_must_exceed == expected
 
     def test_zero_denominator_names_the_stratum(self):
@@ -302,7 +318,7 @@ class TestReportAndEnvelopes:
 
     def test_envelopes_order_min_and_max(self):
         model = worked_model()
-        rep = bound_report(model.y, model.w, SensitivitySpec(2.0, 2.0))
+        rep = adjust(bound_report(model.y, model.w), SensitivitySpec(2.0, 2.0))
         env = stratum_envelopes(rep)
         lows, ups = rep["nde_rr_lower"].tolist(), rep["nie_rr_upper"].tolist()
         assert env["nde_rr_lower"] == {"heterogeneous": min(lows), "homogeneous": max(lows)}

@@ -10,16 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import expand_to_records, stratum_effects, worked_model
-from medsens.bounds import (
-    SensitivitySpec,
-    adjust_nde_rr,
-    adjust_nie_rr,
-    bound_nde_rd,
-    bound_nie_rd,
-    bounding_factor,
-    cornfield_rr,
-)
+from helpers import expand_to_records, plain_bounds, stratum_effects, worked_model
+from medsens.bounds import SensitivitySpec, bounding_factor, cornfield_rr
 from medsens import report
 from medsens.cli import main
 from medsens.loglinear import collider_ratio_grid
@@ -69,10 +61,10 @@ def reference_sweep_csv(au_text, uy_text, csv=None, relabel=False, smoothing=0.0
     cells = list(itertools.product(au_grid, uy_grid))
     if csv is None:
         header = ["rr_au", "rr_uy", "bf", "nde_rr_lower"]
-        columns = [bf.tolist(), adjust_nde_rr(nde_rr, bf).tolist()]
+        columns = [bf.tolist(), (nde_rr / bf).tolist()]
         if nie_rr is not None:
             header.append("nie_rr_upper")
-            columns.append(adjust_nie_rr(nie_rr, bf).tolist())
+            columns.append((nie_rr * bf).tolist())
         rows = [(*cell, *values) for cell, values in zip(cells, zip(*columns))]
     else:
         header = ["rr_au", "rr_uy", "bf", "c", "nde_rr_lower", "nie_rr_upper",
@@ -82,9 +74,7 @@ def reference_sweep_csv(au_text, uy_text, csv=None, relabel=False, smoothing=0.0
             records = swap_exposure_records(records)
         model = estimate_from_records(records, smoothing)
         effects = [stratum_effects(model, c) for c in range(model.c_card)]
-        rows = [(au_i, uy_i, bf_i, c, *map(float, (
-                    adjust_nde_rr(e.nde_rr, bf_i), adjust_nie_rr(e.nie_rr, bf_i),
-                    bound_nde_rd(e.n10, e.n00, bf_i), bound_nie_rd(e.n10, e.n11, bf_i))))
+        rows = [(au_i, uy_i, bf_i, c, *plain_bounds(e, bf_i).values())
                 for (au_i, uy_i), bf_i in zip(cells, bf.tolist()) for c, e in enumerate(effects)]
     return "".join(line + "\n" for line in [",".join(header), *(",".join(map(repr, r)) for r in rows)])
 
@@ -214,8 +204,9 @@ class TestBound:
         bf = bounding_factor(SensitivitySpec(2, 3))
         row = doc["result"]["strata"][0]
         assert row["bf"] == bf
-        assert row["nde_rr_lower"] == adjust_nde_rr(e.nde_rr, bf)
-        assert row["nde_rd_lower"] == bound_nde_rd(e.n10, e.n00, bf)
+        want = plain_bounds(e, bf)
+        assert row["nde_rr_lower"] == want["nde_rr_lower"]
+        assert row["nde_rd_lower"] == want["nde_rd_lower"]
         assert row["cornfield_rr"]["max_must_exceed"] == cornfield_rr(e.nde_rr).max_must_exceed
         assert doc["result"]["envelopes"]["nde_rr_lower"]["heterogeneous"] == row["nde_rr_lower"]
 

@@ -20,9 +20,8 @@ import medsens
 PUBLIC = {
     "bootstrap": ["BootstrapResult", "run_bootstrap"],
     "bounds": [
-        "CornfieldThresholds", "SensitivitySpec", "adjust_nde_rr", "adjust_nie_rr",
-        "bound_nde_rd", "bound_nie_rd", "bound_report", "bounding_factor", "cornfield_rd",
-        "cornfield_rr", "required_partner", "stratum_envelopes",
+        "CornfieldThresholds", "SensitivitySpec", "adjust", "bound_report", "bounding_factor",
+        "cornfield_rd", "cornfield_rr", "required_partner", "stratum_envelopes",
     ],
     "effects": ["Effects"],
     "errors": [

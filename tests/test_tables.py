@@ -171,12 +171,14 @@ class TestCsv:
 
     @pytest.mark.parametrize("source", ["records", "estimates"])
     def test_sweep_memory_is_bounded_by_one_block(self, tmp_path, source):
-        # 480,000 and 160,000 rows: a table formed whole takes 34 and 11 MB, one block under 2 MB
+        # 250 x 250 x 3 = 187,500 and 400 x 400 = 160,000 rows: a table formed whole takes 14.6
+        # and 11.2 MB, one block under 2 MB; a 250-point estimates table would take only 4.4 MB
         p = tmp_path / "d.csv"
         p.write_text("a,m,y,c,count\n" + "".join(
             f"{a},{m},{y},{c},{1 + (a + m + y + c) % 5}\n"
             for c in range(3) for a in (0, 1) for m in range(3) for y in (0, 1)))
-        grid = ",".join(repr(1.0 + i / 8) for i in range(400))
+        points = {"records": 250, "estimates": 400}[source]
+        grid = ",".join(repr(1.0 + i / 8) for i in range(points))
         flags = ["--csv", str(p)] if source == "records" else ["--nde-rr", "1.72", "--nie-rr", "1.3"]
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()

@@ -22,10 +22,10 @@ from .bounds import (
     bounding_factor,
     cornfield_rd,
     cornfield_rr,
+    effects_from_sums,
     required_partner,
     stratum_envelopes,
 )
-from .effects import Effects
 from .errors import (
     BadCode,
     BadParameter,
@@ -72,8 +72,7 @@ _OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "CornfieldThresholds", "SensitivitySpec", "adjust", "bound_report", "bounding_factor",
-    "cornfield_rd", "cornfield_rr", "required_partner", "stratum_envelopes",
-    "Effects",
+    "cornfield_rd", "cornfield_rr", "effects_from_sums", "required_partner", "stratum_envelopes",
     "BadCode", "BadParameter", "BadTarget", "DegenerateResample", "EmptyCell", "Infeasible",
     "InternalCheckError", "MedsensError", "NotNormalized", "OutOfRangeProbability",
     "ParseError", "UnreachableCell", "ZeroDenominator", "ZeroProbability",

@@ -30,6 +30,22 @@ Inverting the bound gives Cornfield-type thresholds: to push an observed
 direct effect down to a hypothesized true value, both parameters must exceed
 the ratio r = observed/true, and the larger must exceed r + sqrt(r (r - 1)).
 
+With y(a,m) = pr(Y=1|a,m,c) and w(a,m) = pr(m|a,c), every effect is a
+ratio or a difference of three sums n_ab = sum_m y(a,m) w(b,m), formed
+over the trailing (a, m) axes of the (..., 2, M) tables by
+:func:`~medsens.tables.crossworld_sums`:
+
+    nde_rr = n10 / n00        nie_rr = n11 / n10
+    nde_rd = n10 - n00        nie_rd = n11 - n10
+
+:func:`effects_from_sums` is the one place these are formed, for observed
+tables and for the oracle's true sums alike.  It forms te_rr = nde_rr *
+nie_rr and te_rd = nde_rd + nie_rd, so the decomposition identities hold
+exactly by construction.  The observed effects ignore the unmeasured
+confounder; they are the true conditional effects only when the measured
+covariates control mediator-outcome confounding.  Mean-mode tables, whose
+y entries are nonnegative outcome means, give the same identities.
+
 Everything here is a pure function of floats, arrays and small frozen
 dataclasses.  Every caller forms the bounds in two steps:
 :func:`bound_report` forms every stratum's effects at once, as arrays over
@@ -47,11 +63,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .effects import Effects
 from .errors import BadParameter, BadTarget, Infeasible, ZeroDenominator
 from .tables import crossworld_sums
 
-#: effects of :func:`bound_report` and bounds of :func:`adjust`, in output order
+#: effects of :func:`effects_from_sums` and bounds of :func:`adjust`, in output order
 EFFECT_STATS = ("nde_rr", "nie_rr", "te_rr", "nde_rd", "nie_rd", "te_rd")
 BOUND_STATS = ("nde_rr_lower", "nie_rr_upper", "nde_rd_lower", "nie_rd_upper")
 
@@ -184,21 +199,34 @@ def required_partner(fixed: float, target_bf: float) -> float:
     return target_bf * (fixed - 1.0) / (fixed - target_bf)
 
 
+def effects_from_sums(n10, n00, n11) -> dict:
+    """``n10``, ``n00``, ``n11`` and each of ``EFFECT_STATS``, from the sums of ``crossworld_sums``.
+
+    The sums are floats or arrays of one shape, exact ``Fraction`` objects
+    included.  A zero denominator is reported once, for the first entry
+    that has one, naming its stratum: its index on the last axis.
+    """
+    zero = np.atleast_1d((n00 == 0.0) | (n10 == 0.0))
+    if zero.any():
+        first = np.unravel_index(np.argmax(zero), zero.shape)
+        c = first[-1]
+        if np.atleast_1d(n00)[first] == 0.0:
+            raise ZeroDenominator(f"outcome marginal pr(Y=1|a=0) is 0 in stratum c={c}")
+        raise ZeroDenominator(f"cross-world outcome term for a=1, mediator under a=0, c={c} is 0")
+    nde_rr, nie_rr = n10 / n00, n11 / n10
+    nde_rd, nie_rd = n10 - n00, n11 - n10
+    return {"n10": n10, "n00": n00, "n11": n11, "nde_rr": nde_rr, "nie_rr": nie_rr,
+            "te_rr": nde_rr * nie_rr, "nde_rd": nde_rd, "nie_rd": nie_rd, "te_rd": nde_rd + nie_rd}
+
+
 def bound_report(y: np.ndarray, w: np.ndarray) -> dict:
     """Observed effects of every stratum of tables ``y``, ``w``: the first of the two steps.
 
     The tables are ``y[..., c, a, m]`` and ``w[..., c, a, m]``.  The result
-    maps ``n10``, ``n00``, ``n11`` and each of ``EFFECT_STATS`` to an array
-    ``[..., c]``, ready for :func:`adjust`.  A zero denominator is reported
-    for the first entry and stratum that has one, as one stratum at a time
-    would.
+    is :func:`effects_from_sums` of their sums, each an array ``[..., c]``,
+    ready for :func:`adjust`.
     """
-    sums = crossworld_sums(y, w)
-    zero = np.flatnonzero((sums[0] == 0.0) | (sums[1] == 0.0))
-    if zero.size:
-        Effects.from_sums(*(s.flat[zero[0]] for s in sums), c=int(zero[0] % y.shape[-3]))
-    eff = Effects.from_sums(*sums)
-    return {name: getattr(eff, name) for name in ("n10", "n00", "n11", *EFFECT_STATS)}
+    return effects_from_sums(*crossworld_sums(y, w))
 
 
 def adjust(effects: Mapping, spec: SensitivitySpec) -> dict:

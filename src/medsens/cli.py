@@ -19,7 +19,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Iterator
 
 import numpy as np
@@ -29,28 +29,17 @@ from . import bounds, loglinear, oracle, report, tables
 from .errors import Infeasible, InternalCheckError, MedsensError, ZeroDenominator
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    """Strictly ascending grids of the two sensitivity parameters."""
-
-    rr_au_values: tuple[float, ...]
-    rr_uy_values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for name, values in (("rr_au", self.rr_au_values), ("rr_uy", self.rr_uy_values)):
-            if not values:
-                raise MedsensError(f"{name} grid is empty")
-            if any(not math.isfinite(v) or v < 1.0 for v in values):
-                raise MedsensError(f"{name} grid values must be finite and >= 1")
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise MedsensError(f"{name} grid must be strictly ascending")
-
-
-def _parse_grid(text: str, name: str) -> tuple[float, ...]:
+def _parse_grid(text: str, name: str) -> np.ndarray:
+    """The ``name`` grid given as ``text``: finite values >= 1, strictly ascending."""
     try:
-        return tuple(float(v) for v in text.split(","))
+        values = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise MedsensError(f"{name} grid must be comma-separated numbers, got {text!r}") from None
+    if not (np.isfinite(values) & (values >= 1.0)).all():
+        raise MedsensError(f"{name} grid values must be finite and >= 1")
+    if (np.diff(values) <= 0.0).any():
+        raise MedsensError(f"{name} grid must be strictly ascending")
+    return values
 
 
 def _parse_param(text: str) -> float:
@@ -265,7 +254,7 @@ def _cmd_cornfield(args) -> int:
 
 
 def _sweep_table(
-    args, grid: SweepGrid
+    args, au_values: np.ndarray, uy_values: np.ndarray
 ) -> tuple[list[str], Iterator[list[np.ndarray]], str | None, list[str]]:
     """Header, blocks of columns, digest and warnings of a sweep.
 
@@ -276,7 +265,6 @@ def _sweep_table(
     is drawn here, so any error of the model is raised before a row is
     written, and the header follows from the bounds it holds.
     """
-    au_values, uy_values = np.array(grid.rr_au_values), np.array(grid.rr_uy_values)
     if args.csv is not None:
         model, digest, warnings = _load_model(args)
         effects, strata = bounds.bound_report(model.y, model.w), model.c_card
@@ -306,11 +294,9 @@ def _cmd_sweep(args) -> int:
     _reject_with_records(args, "--nde-rr", "--nie-rr")
     _check_observed(args, "--nde-rr")
     _check_observed(args, "--nie-rr")
-    grid = SweepGrid(
-        rr_au_values=_parse_grid(args.rr_au_grid, "rr_au"),
-        rr_uy_values=_parse_grid(args.rr_uy_grid, "rr_uy"),
+    header, blocks, digest, warnings = _sweep_table(
+        args, _parse_grid(args.rr_au_grid, "rr_au"), _parse_grid(args.rr_uy_grid, "rr_uy")
     )
-    header, blocks, digest, warnings = _sweep_table(args, grid)
     if args.format == "json":
         rows = [row for block in blocks for row in zip(*(column.tolist() for column in block))]
         doc = report.document("sweep", {"header": header, "rows": rows}, input_digest=digest,

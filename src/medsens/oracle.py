@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Literal
 
 import numpy as np
 
-from .bounds import SensitivitySpec, adjust, bound_report, bounding_factor
-from .effects import Effects
+from .bounds import SensitivitySpec, adjust, bound_report, bounding_factor, effects_from_sums
 from .errors import (
     BadParameter,
     InternalCheckError,
@@ -158,46 +157,29 @@ class Scm:
     def m_card(self) -> int:
         return self.m_given.shape[-1]
 
+    @functools.cached_property
+    def _exposure_posteriors(self) -> np.ndarray:
+        """pr(u | A=a) as ``[..., a, u]``; the prior in both arms if exposure is independent of u."""
+        prior = self.u_prior[..., None, :]
+        if self.a_independent_u:
+            return np.broadcast_to(prior, (*self.batch_shape, 2, self.u_card))  # read-only
+        exposed = self.a_given_u[..., None, :]
+        joint = np.where(np.array([[False], [True]]), exposed, 1.0 - exposed) * prior
+        total = c_order_sum(joint, keepdims=True)
+        if (total <= 0.0).any():
+            arm = _cell("a={}", total[..., 0] <= 0.0)
+            raise UnreachableCell(f"exposure arm {arm} has zero probability")
+        posteriors = joint / total
+        posteriors.flags.writeable = False
+        return posteriors
 
-def _once_per_model(fn):
-    """``fn(scm)`` formed on the first call for each :class:`Scm` object and kept on it.
-
-    The arrays kept are read-only, and they go with the object.
-    """
-
-    @functools.wraps(fn)
-    def once(scm: Scm):
-        kept = scm.__dict__  # as functools.cached_property keeps a value on a frozen object
-        if fn.__name__ not in kept:
-            value = fn(scm)
-            for array in value if isinstance(value, tuple) else (value,):
-                array.flags.writeable = False
-            kept[fn.__name__] = value
-        return kept[fn.__name__]
-
-    return once
-
-
-@_once_per_model
-def _exposure_posteriors(scm: Scm) -> np.ndarray:
-    """pr(u | A=a) as ``[..., a, u]``; the prior in both arms when exposure is independent of u."""
-    prior = scm.u_prior[..., None, :]
-    if scm.a_independent_u:
-        return np.broadcast_to(prior, (*scm.batch_shape, 2, scm.u_card))
-    exposed = scm.a_given_u[..., None, :]
-    joint = np.where(np.array([[False], [True]]), exposed, 1.0 - exposed) * prior
-    total = c_order_sum(joint, keepdims=True)
-    if (total <= 0.0).any():
-        arm = _cell("a={}", total[..., 0] <= 0.0)
-        raise UnreachableCell(f"exposure arm {arm} has zero probability")
-    return joint / total
-
-
-@_once_per_model
-def _mediator_joint(scm: Scm) -> tuple[np.ndarray, np.ndarray]:
-    """pr(u, m | a) as ``[..., a, u, m]`` and its marginal pr(m | a) as ``[..., a, m]``."""
-    joint = _exposure_posteriors(scm)[..., None] * scm.m_given
-    return joint, c_order_sum(joint, axis=-2)
+    @functools.cached_property
+    def _mediator_joint(self) -> tuple[np.ndarray, np.ndarray]:
+        """pr(u, m | a) as ``[..., a, u, m]`` and its marginal pr(m | a) as ``[..., a, m]``."""
+        joint = self._exposure_posteriors[..., None] * self.m_given
+        w = c_order_sum(joint, axis=-2)
+        joint.flags.writeable = w.flags.writeable = False
+        return joint, w
 
 
 def observed_model(scm: Scm) -> ConditionalModel:
@@ -208,7 +190,7 @@ def observed_model(scm: Scm) -> ConditionalModel:
     a=1 makes the direct-effect formulas undefined and raises
     :class:`UnreachableCell`.
     """
-    joint, w = _mediator_joint(scm)
+    joint, w = scm._mediator_joint
     unreachable = (w[..., 0, :] > 0.0) & (w[..., 1, :] == 0.0)
     if unreachable.any():
         raise UnreachableCell(
@@ -229,7 +211,7 @@ def _unexposed_sums(scm: Scm) -> tuple:
     the true cross-world sums.
     """
     per_u = crossworld_sums(np.moveaxis(scm.y_given, -1, -3), np.swapaxes(scm.m_given, -3, -2))
-    pu0 = _exposure_posteriors(scm)[..., 0, :]
+    pu0 = scm._exposure_posteriors[..., 0, :]
     return tuple(c_order_sum(s * pu0)[()] for s in per_u)
 
 
@@ -255,7 +237,7 @@ def _posterior_ratios(scm: Scm) -> tuple[np.ndarray, np.ndarray]:
 
     Levels not reachable under both arms hold 0, which never wins a maximum.
     """
-    joint, w = _mediator_joint(scm)
+    joint, w = scm._mediator_joint
     live = _live_mediators(w)
     with np.errstate(divide="ignore", invalid="ignore"):
         post = joint / w[..., None, :]
@@ -295,7 +277,7 @@ def rr_au_mediator_ratio(scm: Scm) -> float:
     """
     if not scm.a_independent_u:
         raise BadParameter("the mediator-ratio form needs exposure independent of the confounder")
-    _, w = _mediator_joint(scm)
+    _, w = scm._mediator_joint
     live = _live_mediators(w)[..., None, :]
     m0, m1 = scm.m_given[..., 0, :, :], scm.m_given[..., 1, :, :]
     zero = live & (m0 == 0.0)
@@ -333,12 +315,13 @@ class ValidityReport:
 
     ``observed`` holds the effects of the model's observed tables and their
     bounds under its exact parameters, each entry shaped like the batch;
-    ``true`` holds the effects among the unexposed, which are the natural
-    effects when exposure is independent of the confounder.
+    ``true`` holds, under the same keys, the effects among the unexposed,
+    which are the natural effects when exposure is independent of the
+    confounder.
     """
 
     observed: dict
-    true: Effects
+    true: dict
     rr_au: float
     rr_uy: float
     checks: tuple[InequalityCheck, ...]
@@ -350,7 +333,7 @@ class ValidityReport:
     @property
     def nde_rr_attainment(self) -> float:
         """How much of the ratio-scale direct-effect bound is used, in (0, 1]."""
-        return (self.observed["nde_rr"] / self.true.nde_rr) / self.observed["bf"]
+        return (self.observed["nde_rr"] / self.true["nde_rr"]) / self.observed["bf"]
 
 
 def verify_bounds(scm: Scm, tol: float = VALIDITY_TOL) -> ValidityReport:
@@ -371,16 +354,16 @@ def verify_bounds(scm: Scm, tol: float = VALIDITY_TOL) -> ValidityReport:
     report = bound_report(model.y, model.w)  # one "stratum" per model
     report.update(adjust(report, SensitivitySpec(rr_au=np.ravel(rau), rr_uy=np.ravel(ruy))))
     obs = {name: value.reshape(scm.batch_shape)[()] for name, value in report.items()}
-    true = Effects.from_sums(*_unexposed_sums(scm))
+    true = effects_from_sums(*_unexposed_sums(scm))
     prefix = "" if scm.a_independent_u else "unexposed_"
     checks = (
-        _check(f"{prefix}nde_rr_ratio_vs_bf", obs["nde_rr"] / true.nde_rr, obs["bf"], tol),
-        _check(f"{prefix}nde_rd_lower_vs_true", obs["nde_rd_lower"], true.nde_rd, tol),
+        _check(f"{prefix}nde_rr_ratio_vs_bf", obs["nde_rr"] / true["nde_rr"], obs["bf"], tol),
+        _check(f"{prefix}nde_rd_lower_vs_true", obs["nde_rd_lower"], true["nde_rd"], tol),
     )
     if scm.a_independent_u:
         checks += (
-            _check("nie_rr_true_vs_upper", true.nie_rr, obs["nie_rr_upper"], tol),
-            _check("nie_rd_true_vs_upper", true.nie_rd, obs["nie_rd_upper"], tol),
+            _check("nie_rr_true_vs_upper", true["nie_rr"], obs["nie_rr_upper"], tol),
+            _check("nie_rd_true_vs_upper", true["nie_rd"], obs["nie_rd_upper"], tol),
         )
     return ValidityReport(observed=obs, true=true, rr_au=rau, rr_uy=ruy, checks=checks)
 
@@ -643,27 +626,25 @@ def recipe_scm(
 
 @dataclass(frozen=True)
 class SharpnessReport:
-    """Best attainment found per bound; all four approach 1 under the recipe."""
+    """Best attainment found per bound, by effect; all four approach 1 under the recipe."""
 
     seed: int
     iterations: int
     evaluated: int
-    nde_rr: float
-    nie_rr: float
-    nde_rd: float
-    nie_rd: float
+    best_attainment: dict[str, float]
 
 
 def _attainments(report: ValidityReport) -> dict[str, np.ndarray]:
     """Attainment of each bound per model; rd ones are 0 where an effect or bound is <= 0."""
     true, obs = report.true, report.observed
     lower, upper = obs["nde_rd_lower"], obs["nie_rd_upper"]
+    nde_rd, nie_rd = true["nde_rd"], true["nie_rd"]
     with np.errstate(divide="ignore", invalid="ignore"):
         return {
             "nde_rr": report.nde_rr_attainment,
-            "nie_rr": true.nie_rr / obs["nie_rr_upper"],
-            "nde_rd": np.where((true.nde_rd > 0.0) & (lower > 0.0), lower / true.nde_rd, 0.0),
-            "nie_rd": np.where((true.nie_rd > 0.0) & (upper > 0.0), true.nie_rd / upper, 0.0),
+            "nie_rr": true["nie_rr"] / obs["nie_rr_upper"],
+            "nde_rd": np.where((nde_rd > 0.0) & (lower > 0.0), lower / nde_rd, 0.0),
+            "nie_rd": np.where((nie_rd > 0.0) & (upper > 0.0), nie_rd / upper, 0.0),
         }
 
 
@@ -720,7 +701,8 @@ def sharpness_search(seed: int, iterations: int = 200) -> SharpnessReport:
             )
         for key, value in _attainments(report).items():
             best[key] = max(best[key], float(value.max()))
-    return SharpnessReport(seed=seed, iterations=iterations, evaluated=10 * iterations, **best)
+    return SharpnessReport(seed=seed, iterations=iterations, evaluated=10 * iterations,
+                           best_attainment=best)
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +781,6 @@ def validity_battery(
         ratio_violations += int(np.count_nonzero(~ratio.holds))
         ratio_max_excess = max(ratio_max_excess, float(np.max(ratio.lhs - ratio.rhs)))
 
-    sharp = sharpness_search(seed=seed + 1, iterations=sharpness_iterations)
-
     return {
         "config": {
             "seed": seed,
@@ -828,15 +808,5 @@ def validity_battery(
             "violations": ratio_violations,
             "max_excess": ratio_max_excess,
         },
-        "sharpness": {
-            "seed": sharp.seed,
-            "iterations": sharp.iterations,
-            "evaluated": sharp.evaluated,
-            "best_attainment": {
-                "nde_rr": sharp.nde_rr,
-                "nie_rr": sharp.nie_rr,
-                "nde_rd": sharp.nde_rd,
-                "nie_rd": sharp.nie_rd,
-            },
-        },
+        "sharpness": asdict(sharpness_search(seed=seed + 1, iterations=sharpness_iterations)),
     }

@@ -6,23 +6,40 @@ another way, so a test can compare the two.
 
 import numpy as np
 
-from medsens.effects import Effects
-from medsens.errors import BadParameter
-from medsens.tables import ConditionalModel, RecordTable, crossworld_sums
+from medsens.errors import BadParameter, ZeroDenominator
+from medsens.tables import ConditionalModel, RecordTable
 
 
-def stratum_effects(model: ConditionalModel, c: int) -> Effects:
-    """All six effects of stratum ``c`` alone, the reference for the all-strata paths."""
-    return Effects.from_sums(*(float(s) for s in crossworld_sums(model.y[c], model.w[c])), c=c)
+def stratum_effects(model: ConditionalModel, c: int) -> dict:
+    """The sums and six effects of stratum ``c`` alone, by the paper's formulas, in Python floats.
+
+    The reference for :func:`medsens.bounds.bound_report`, with its keys and
+    its two zero-denominator messages.  Each sum adds its terms in order of
+    m, as numpy adds an axis of fewer than 8 entries, so the values are the
+    library's to the bit there.
+    """
+    (y0, y1), (w0, w1) = model.y[c].tolist(), model.w[c].tolist()
+    n10 = n00 = n11 = 0.0
+    for m in range(len(w0)):
+        n10 += y1[m] * w0[m]
+        n00 += y0[m] * w0[m]
+        n11 += y1[m] * w1[m]
+    if n00 == 0.0:
+        raise ZeroDenominator(f"outcome marginal pr(Y=1|a=0) is 0 in stratum c={c}")
+    if n10 == 0.0:
+        raise ZeroDenominator(f"cross-world outcome term for a=1, mediator under a=0, c={c} is 0")
+    nde_rr, nie_rr, nde_rd, nie_rd = n10 / n00, n11 / n10, n10 - n00, n11 - n10
+    return {"n10": n10, "n00": n00, "n11": n11, "nde_rr": nde_rr, "nie_rr": nie_rr,
+            "te_rr": nde_rr * nie_rr, "nde_rd": nde_rd, "nie_rd": nie_rd, "te_rd": nde_rd + nie_rd}
 
 
-def plain_bounds(e: Effects, bf) -> dict:
+def plain_bounds(e: dict, bf) -> dict:
     """The four bounds of effects ``e`` at bounding factor ``bf``, by the paper's formulas.
 
     The reference for :func:`medsens.bounds.adjust`; keys in ``BOUND_STATS`` order.
     """
-    return {"nde_rr_lower": e.nde_rr / bf, "nie_rr_upper": e.nie_rr * bf,
-            "nde_rd_lower": e.n10 / bf - e.n00, "nie_rd_upper": e.n11 - e.n10 / bf}
+    return {"nde_rr_lower": e["nde_rr"] / bf, "nie_rr_upper": e["nie_rr"] * bf,
+            "nde_rd_lower": e["n10"] / bf - e["n00"], "nie_rd_upper": e["n11"] - e["n10"] / bf}
 
 
 def worked_model() -> ConditionalModel:

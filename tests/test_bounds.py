@@ -159,8 +159,8 @@ class TestRdBounds:
     def test_unit_factor_recovers_observed(self):
         out = adjust(worked_effects(), spec_for(1.0))
         e = stratum_effects(worked_model(), 0)
-        assert math.isclose(out["nde_rd_lower"], e.nde_rd, abs_tol=1e-15)
-        assert math.isclose(out["nie_rd_upper"], e.nie_rd, abs_tol=1e-15)
+        assert math.isclose(out["nde_rd_lower"], e["nde_rd"], abs_tol=1e-15)
+        assert math.isclose(out["nie_rd_upper"], e["nie_rd"], abs_tol=1e-15)
 
     def test_hand_value(self):
         out = adjust(worked_effects(), spec_for(1.25))
@@ -176,7 +176,7 @@ class TestRdBounds:
     def test_complementarity_matches_total_effect(self, bf):
         out = adjust(worked_effects(), spec_for(bf))
         e = stratum_effects(worked_model(), 0)
-        assert math.isclose(out["nde_rd_lower"] + out["nie_rd_upper"], e.te_rd, abs_tol=1e-12)
+        assert math.isclose(out["nde_rd_lower"] + out["nie_rd_upper"], e["te_rd"], abs_tol=1e-12)
 
 
 class TestCornfieldRr:
@@ -218,7 +218,7 @@ class TestCornfieldRd:
 
     def test_observed_target_needs_no_confounding(self):
         n10, n00, _ = worked_sums()
-        nde_rd = stratum_effects(worked_model(), 0).nde_rd
+        nde_rd = stratum_effects(worked_model(), 0)["nde_rd"]
         assert cornfield_rd(n10, n00, nde_rd) == CornfieldThresholds(1.0, 1.0)
 
     def test_hand_value(self):
@@ -280,7 +280,7 @@ class TestReportAndEnvelopes:
         for c in range(model.c_card):
             obs = stratum_effects(model, c)
             assert [rep[name][c] for name in ("n10", "n00", "n11", *EFFECT_STATS)] == [
-                getattr(obs, name) for name in ("n10", "n00", "n11", *EFFECT_STATS)]
+                obs[name] for name in ("n10", "n00", "n11", *EFFECT_STATS)]
             assert [rep[name][c] for name in BOUND_STATS] == list(plain_bounds(obs, 1.5).values())
 
     def test_without_spec_only_effects(self):

@@ -109,7 +109,7 @@ class TestEstimate:
         row = doc["result"]["strata"][0]
         assert math.isclose(row["nde_rr"], 1.818182, abs_tol=1e-3)
         model = estimate_from_records(read_records_csv(csv))
-        assert row["nde_rr"] == stratum_effects(model, 0).nde_rr
+        assert row["nde_rr"] == stratum_effects(model, 0)["nde_rr"]
 
     def test_null_data(self, capsys, tmp_path):
         p = tmp_path / "null.csv"
@@ -207,7 +207,7 @@ class TestBound:
         want = plain_bounds(e, bf)
         assert row["nde_rr_lower"] == want["nde_rr_lower"]
         assert row["nde_rd_lower"] == want["nde_rd_lower"]
-        assert row["cornfield_rr"]["max_must_exceed"] == cornfield_rr(e.nde_rr).max_must_exceed
+        assert row["cornfield_rr"]["max_must_exceed"] == cornfield_rr(e["nde_rr"]).max_must_exceed
         assert doc["result"]["envelopes"]["nde_rr_lower"]["heterogeneous"] == row["nde_rr_lower"]
 
     def test_missing_inputs_rejected(self, capsys):
@@ -309,8 +309,8 @@ class TestSweep:
         values = dict(zip(header.split(","), row.split(",")))
         e = stratum_effects(estimate_from_records(read_records_csv(csv)), 0)
         assert float(values["bf"]) == 1.0
-        assert math.isclose(float(values["nde_rr_lower"]), e.nde_rr, rel_tol=1e-12)
-        assert math.isclose(float(values["nde_rd_lower"]), e.nde_rd, abs_tol=1e-12)
+        assert math.isclose(float(values["nde_rr_lower"]), e["nde_rr"], rel_tol=1e-12)
+        assert math.isclose(float(values["nde_rd_lower"]), e["nde_rd"], abs_tol=1e-12)
 
     def test_point_value_in_grid(self, capsys):
         code, out = run(

@@ -101,13 +101,13 @@ class TestObservedModel:
     @pytest.mark.parametrize("dependent", [False, True])
     def test_joint_is_formed_once_per_model_and_kept_read_only(self, dependent):
         scm = sample_scm(np.random.default_rng(4), 3, 2, dependent_exposure=dependent, shape=(5,))
-        joint, w = oracle._mediator_joint(scm)
-        assert oracle._mediator_joint(scm)[0] is joint
-        assert oracle._exposure_posteriors(scm) is oracle._exposure_posteriors(scm)
-        for array in (joint, w, oracle._exposure_posteriors(scm)):
+        joint, w = scm._mediator_joint
+        assert scm._mediator_joint[0] is joint
+        assert scm._exposure_posteriors is scm._exposure_posteriors
+        for array in (joint, w, scm._exposure_posteriors):
             assert not array.flags.writeable
         other = sample_scm(np.random.default_rng(4), 3, 2, dependent_exposure=dependent, shape=(5,))
-        assert oracle._mediator_joint(other)[0] is not joint
+        assert other._mediator_joint[0] is not joint
 
     def test_two_summation_orders_agree(self):
         rng = np.random.default_rng(31)
@@ -136,17 +136,17 @@ class TestTrueEffects:
         model = observed_model(scm)
         obs = bound_report(model.y, model.w)
         for field in ("nde_rr", "nie_rr", "te_rr", "nde_rd", "nie_rd", "te_rd"):
-            assert math.isclose(getattr(true, field), obs[field][0], rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(true[field], obs[field][0], rel_tol=1e-12, abs_tol=1e-12)
 
     def test_null_scm(self):
         same_m = ((0.6, 0.4), (0.3, 0.7))
         same_y = ((0.2, 0.5), (0.4, 0.1))
         scm = flat_scm(m_given=(same_m, same_m), y_given=(same_y, same_y))
         true = verify_bounds(scm).true
-        assert math.isclose(true.nde_rr, 1.0, rel_tol=1e-15)
-        assert math.isclose(true.nie_rr, 1.0, rel_tol=1e-15)
-        assert math.isclose(true.te_rr, 1.0, rel_tol=1e-15)
-        assert abs(true.nde_rd) < 1e-15 and abs(true.nie_rd) < 1e-15
+        assert math.isclose(true["nde_rr"], 1.0, rel_tol=1e-15)
+        assert math.isclose(true["nie_rr"], 1.0, rel_tol=1e-15)
+        assert math.isclose(true["te_rr"], 1.0, rel_tol=1e-15)
+        assert abs(true["nde_rd"]) < 1e-15 and abs(true["nie_rd"]) < 1e-15
 
     def test_matches_full_joint_enumeration(self):
         # independent oracle: build the joint tensor with numpy and contract it
@@ -164,10 +164,10 @@ class TestTrueEffects:
                     for ay in (0, 1)
                     for am in (0, 1)
                 }
-                assert math.isclose(true.nde_rr[b], cross[(1, 0)] / cross[(0, 0)], rel_tol=1e-12)
-                assert math.isclose(true.nie_rr[b], cross[(1, 1)] / cross[(1, 0)], rel_tol=1e-12)
-                assert math.isclose(true.nde_rd[b], cross[(1, 0)] - cross[(0, 0)], abs_tol=1e-12)
-                assert math.isclose(true.nie_rd[b], cross[(1, 1)] - cross[(1, 0)], abs_tol=1e-12)
+                assert math.isclose(true["nde_rr"][b], cross[(1, 0)] / cross[(0, 0)], rel_tol=1e-12)
+                assert math.isclose(true["nie_rr"][b], cross[(1, 1)] / cross[(1, 0)], rel_tol=1e-12)
+                assert math.isclose(true["nde_rd"][b], cross[(1, 0)] - cross[(0, 0)], abs_tol=1e-12)
+                assert math.isclose(true["nie_rd"][b], cross[(1, 1)] - cross[(1, 0)], abs_tol=1e-12)
 
     def test_loglinear_mediator_scm_agrees_across_modules(self):
         # mediator tables generated by the binary-mediator log-linear model:
@@ -200,10 +200,10 @@ class TestTrueEffects:
     def test_decomposition_identities(self):
         rng = np.random.default_rng(41)
         true = verify_bounds(sample_scm(rng, 2, 3, shape=(2000,))).true  # the same 2000 models
-        product = true.nde_rr * true.nie_rr
-        assert (np.abs(true.te_rr - product)
-                <= 1e-12 * np.maximum(np.abs(true.te_rr), np.abs(product))).all()
-        assert (np.abs(true.te_rd - (true.nde_rd + true.nie_rd)) <= 1e-12).all()
+        product = true["nde_rr"] * true["nie_rr"]
+        assert (np.abs(true["te_rr"] - product)
+                <= 1e-12 * np.maximum(np.abs(true["te_rr"]), np.abs(product))).all()
+        assert (np.abs(true["te_rd"] - (true["nde_rd"] + true["nie_rd"])) <= 1e-12).all()
 
     def test_requires_independent_exposure(self):
         # with exposure dependent on u only the effects among the unexposed are true ones
@@ -289,15 +289,15 @@ class TestVerifyBounds:
             # the adjusted quantities themselves never cross the truth
             obs = report.observed
             tol = 1e-10 * max(1.0, obs["bf"])
-            assert report.true.nde_rr >= obs["nde_rr"] / obs["bf"] - tol
-            assert report.true.nie_rr <= obs["nie_rr"] * obs["bf"] + tol
+            assert report.true["nde_rr"] >= obs["nde_rr"] / obs["bf"] - tol
+            assert report.true["nie_rr"] <= obs["nie_rr"] * obs["bf"] + tol
 
     def test_u_irrelevant_bounds_are_tight(self):
         report = verify_bounds(u_irrelevant_scm())
         assert report.observed["bf"] == 1.0
         assert math.isclose(report.nde_rr_attainment, 1.0, rel_tol=1e-12)
-        assert math.isclose(report.observed["nde_rd_lower"], report.true.nde_rd, abs_tol=1e-12)
-        assert math.isclose(report.observed["nie_rd_upper"], report.true.nie_rd, abs_tol=1e-12)
+        assert math.isclose(report.observed["nde_rd_lower"], report.true["nde_rd"], abs_tol=1e-12)
+        assert math.isclose(report.observed["nie_rd_upper"], report.true["nie_rd"], abs_tol=1e-12)
 
     def test_observed_side_reuses_identification_bit_for_bit(self):
         rng = np.random.default_rng(71)
@@ -344,15 +344,15 @@ def sharpness_reference(seed: int, iterations: int) -> SharpnessReport:
                 obs, true = report.observed, report.true
                 values = {
                     "nde_rr": report.nde_rr_attainment,
-                    "nie_rr": true.nie_rr / (obs["nie_rr"] * obs["bf"]),
+                    "nie_rr": true["nie_rr"] / (obs["nie_rr"] * obs["bf"]),
                 }
-                if true.nde_rd > 0.0 and obs["nde_rd_lower"] > 0.0:
-                    values["nde_rd"] = obs["nde_rd_lower"] / true.nde_rd
-                if true.nie_rd > 0.0 and obs["nie_rd_upper"] > 0.0:
-                    values["nie_rd"] = true.nie_rd / obs["nie_rd_upper"]
+                if true["nde_rd"] > 0.0 and obs["nde_rd_lower"] > 0.0:
+                    values["nde_rd"] = obs["nde_rd_lower"] / true["nde_rd"]
+                if true["nie_rd"] > 0.0 and obs["nie_rd_upper"] > 0.0:
+                    values["nie_rd"] = true["nie_rd"] / obs["nie_rd_upper"]
                 for key, value in values.items():
                     best[key] = max(best[key], float(value))
-    return SharpnessReport(seed=seed, iterations=iterations, evaluated=evaluated, **best)
+    return SharpnessReport(seed, iterations, evaluated, best_attainment=best)
 
 
 class TestSharpnessSearch:
@@ -361,7 +361,7 @@ class TestSharpnessSearch:
 
     def test_attainment_close_below_one(self):
         report = sharpness_search(seed=5, iterations=50)
-        for value in (report.nde_rr, report.nie_rr, report.nde_rd, report.nie_rd):
+        for value in report.best_attainment.values():
             assert 0.999 <= value <= 1.0 + 1e-10
 
     @pytest.mark.parametrize("iterations", [1, 7, 50])

@@ -21,9 +21,9 @@ PUBLIC = {
     "bootstrap": ["BootstrapResult", "run_bootstrap"],
     "bounds": [
         "CornfieldThresholds", "SensitivitySpec", "adjust", "bound_report", "bounding_factor",
-        "cornfield_rd", "cornfield_rr", "required_partner", "stratum_envelopes",
+        "cornfield_rd", "cornfield_rr", "effects_from_sums", "required_partner",
+        "stratum_envelopes",
     ],
-    "effects": ["Effects"],
     "errors": [
         "BadCode", "BadParameter", "BadTarget", "DegenerateResample", "EmptyCell", "Infeasible",
         "InternalCheckError", "MedsensError", "NotNormalized", "OutOfRangeProbability",

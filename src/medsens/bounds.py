@@ -150,9 +150,9 @@ def cornfield_rr(nde_rr_obs: float, nde_rr_true: float = 1.0) -> CornfieldThresh
     must exceed r + sqrt(r (r - 1)); targets at or above the observed value
     need no confounding at all and give (1, 1).
     """
-    if not (isinstance(nde_rr_true, (int, float)) and nde_rr_true > 0) or math.isnan(nde_rr_true):
+    if not (isinstance(nde_rr_true, (int, float)) and nde_rr_true > 0):
         raise BadTarget(f"target effect must be a positive real, got {nde_rr_true!r}")
-    if not (isinstance(nde_rr_obs, (int, float)) and nde_rr_obs > 0) or math.isnan(nde_rr_obs):
+    if not (isinstance(nde_rr_obs, (int, float)) and nde_rr_obs > 0):
         raise BadParameter(f"observed effect must be a positive real, got {nde_rr_obs!r}")
     return _thresholds_from_ratio(nde_rr_obs / nde_rr_true)
 

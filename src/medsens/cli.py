@@ -7,6 +7,10 @@ estimate, bound with --csv; --format {json,csv}: estimate, sweep,
 parametric; --seed: oracle, bootstrap, defaulting to the MEDSENS_SEED
 environment variable.
 
+bound, cornfield and sweep read records (--csv) or observed ratio-scale
+estimates (--nde-rr; bound and sweep also --nie-rr, bound their -ci
+limits), never both; with neither they exit 2.
+
 Exit codes: 0 success, 2 input error, 3 infeasibility of a requested
 solve, 4 internal assertion (a verification battery found a violation;
 must never occur).
@@ -42,14 +46,8 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
     return values
 
 
-def _parse_param(text: str) -> float:
-    if text.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
-def _check_observed(args, flag: str) -> None:
-    """The observed effect ``flag`` and its ``flag-ci`` limits, where given.
+def _check_observed(args, flag: str) -> np.ndarray | None:
+    """The observed effect ``flag`` and its ``flag-ci`` limits, where given, as ``[point, *ci]``.
 
     Each must be a finite positive real, and the limits must enclose the
     point estimate in ascending order.
@@ -65,11 +63,7 @@ def _check_observed(args, flag: str) -> None:
         raise MedsensError(
             f"{flag}-ci {ci[0]!r} {ci[1]!r} must be ascending limits around {flag} {point!r}"
         )
-
-
-def _observed(args) -> dict[str, float]:
-    """The observed ratio-scale effects given by ``--nde-rr`` and ``--nie-rr``."""
-    return {name: getattr(args, name) for name in ("nde_rr", "nie_rr") if getattr(args, name)}
+    return None if point is None else np.array([point, *(ci or ())])
 
 
 def _reject_with_records(args, *flags: str) -> None:
@@ -120,6 +114,28 @@ def _load_model(args) -> tuple[tables.ConditionalModel, str, list[str]]:
     return model, report.digest_file(args.csv), warnings
 
 
+def _inputs(args, *flags: str) -> tuple[dict, int, str | None, list[str]]:
+    """Effects, strata, digest and warnings of the records of ``--csv`` or the estimates ``flags``.
+
+    With ``--csv``: the :func:`~medsens.bounds.bound_report` of every
+    stratum, their count, the file's digest and the load warnings.  Without
+    it: each given estimate as the array ``[point, *ci]`` of its point and
+    ``-ci`` limits, so that one :func:`~medsens.bounds.adjust` call bounds
+    them all, as one stratum with no digest or warnings.  The flags of the
+    mode not in use, each of ``flags`` and its ``-ci`` limits with ``--csv``,
+    are refused first.
+    """
+    _reject_with_records(args, *(f for flag in flags for f in (flag, flag + "-ci")))
+    if args.csv is not None:
+        model, digest, warnings = _load_model(args)
+        return bounds.bound_report(model.y, model.w), model.c_card, digest, warnings
+    effects = {flag[2:].replace("-", "_"): v for flag in flags
+               if (v := _check_observed(args, flag)) is not None}
+    if not effects:
+        raise MedsensError(f"{args.command} needs {' or '.join(('--csv', *flags))}")
+    return effects, 1, None, []
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -144,24 +160,24 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _bound_payload_tables(model, spec, scale):
+def _bound_payload_tables(stats, strata, spec, scale):
     """Per-stratum bounds and Cornfield thresholds at the null, and the envelopes across strata."""
-    stats = bounds.bound_report(model.y, model.w)
-    stats.update(bounds.adjust(stats, spec))
+    stats = stats | bounds.adjust(stats, spec)
     values = {name: v.tolist() for name, v in stats.items()}
     rows = []
-    for c in range(model.c_card):
+    for c in range(strata):
         row = {"c": c, "observed": {f: values[f][c] for f in _effect_fields(scale)},
                "bf": values["bf"]}
+        # at a target of 0, n10 / (0.0 + n00) is nde_rr itself: both scales share these thresholds
+        null = asdict(bounds.cornfield_rd(values["n10"][c], values["n00"][c], 0.0))
         if scale != "rd":
             row["nde_rr_lower"] = values["nde_rr_lower"][c]
             row["nie_rr_upper"] = values["nie_rr_upper"][c]
-            row["cornfield_rr"] = asdict(bounds.cornfield_rr(values["nde_rr"][c]))
+            row["cornfield_rr"] = null
         if scale != "rr":
             row["nde_rd_lower"] = values["nde_rd_lower"][c]
             row["nie_rd_upper"] = values["nie_rd_upper"][c]
-            th = bounds.cornfield_rd(values["n10"][c], values["n00"][c], 0.0)
-            row["cornfield_rd"] = asdict(th)
+            row["cornfield_rd"] = null
         rows.append(row)
     payload = {"strata": rows, "rr_au": spec.rr_au, "rr_uy": spec.rr_uy}
     if scale != "rd":
@@ -170,87 +186,57 @@ def _bound_payload_tables(model, spec, scale):
 
 
 def _cmd_bound(args) -> int:
-    _reject_with_records(args, "--nde-rr", "--nde-rr-ci", "--nie-rr", "--nie-rr-ci")
-    _check_observed(args, "--nde-rr")
-    _check_observed(args, "--nie-rr")
     spec = bounds.SensitivitySpec(rr_au=args.rr_au, rr_uy=args.rr_uy)
+    effects, strata, digest, warnings = _inputs(args, "--nde-rr", "--nie-rr")
     if args.csv is not None:
-        model, digest, warnings = _load_model(args)
-        payload = _bound_payload_tables(model, spec, args.scale)
-        doc = report.document("bound", payload, input_digest=digest, warnings=warnings)
-        sys.stdout.write(report.to_json(doc))
-        return 0
-    if args.nde_rr is None and args.nie_rr is None:
-        raise MedsensError("bound needs --csv or at least one of --nde-rr/--nie-rr")
-    given = _observed(args)
-    # each effect as [point, *ci], so one call bounds the point and its limits
-    effects = {name: np.array([point, *(getattr(args, name + "_ci") or ())])
-               for name, point in given.items()}
-    adjusted = bounds.adjust(effects, spec)
-    payload: dict = {"bf": adjusted.pop("bf"), "rr_au": spec.rr_au, "rr_uy": spec.rr_uy}
-    for name, values in adjusted.items():
-        point, *ci = values.tolist()
-        payload[name] = {"point": point, "ci": ci} if ci else {"point": point}
-    params = {"rr_au": spec.rr_au, "rr_uy": spec.rr_uy, **given}
-    doc = report.document("bound", payload, input_digest=report.digest_params(params))
+        payload = _bound_payload_tables(effects, strata, spec, args.scale)
+    else:
+        adjusted = bounds.adjust(effects, spec)
+        payload = {"bf": adjusted.pop("bf"), "rr_au": spec.rr_au, "rr_uy": spec.rr_uy}
+        for name, values in adjusted.items():
+            point, *ci = values.tolist()
+            payload[name] = {"point": point, "ci": ci} if ci else {"point": point}
+        names = ("rr_au", "rr_uy", *(k for name in effects for k in (name, name + "_ci")))
+        digest = report.digest_params({k: getattr(args, k) for k in names
+                                       if getattr(args, k) is not None})
+    doc = report.document("bound", payload, input_digest=digest, warnings=warnings)
     sys.stdout.write(report.to_json(doc))
     return 0
 
 
 def _cmd_cornfield(args) -> int:
-    _reject_with_records(args, "--nde-rr")
-    _check_observed(args, "--nde-rr")
-    warnings: list[str] = []
-    infeasible = False
-
-    def partner_for(ratio: float) -> float | None:
-        nonlocal infeasible
-        if args.fixed_param is None:
-            return None
-        try:
-            return bounds.required_partner(args.fixed_param, ratio)
-        except Infeasible as exc:
-            infeasible = True
-            warnings.append(f"required partner for fixed {args.fixed_param}: {exc}")
-            return None
-
+    if args.fixed_param is not None and not args.fixed_param >= 1.0:
+        raise MedsensError(f"--fixed-param must be >= 1 (or +inf), got {args.fixed_param!r}")
+    effects, strata, digest, warnings = _inputs(args, "--nde-rr")
     if args.csv is not None:
-        model, digest, load_warnings = _load_model(args)
-        warnings.extend(load_warnings)
         target = 0.0 if args.target is None else args.target
-        stats = bounds.bound_report(model.y, model.w)
         rows = []
-        for c, (n10, n00) in enumerate(zip(stats["n10"].tolist(), stats["n00"].tolist())):
+        for c, (n10, n00) in enumerate(zip(effects["n10"].tolist(), effects["n00"].tolist())):
             try:
                 th = bounds.cornfield_rd(n10, n00, target)
             except ZeroDenominator as exc:
                 raise ZeroDenominator(f"stratum c={c}: {exc}") from None
-            row = {"c": c, "target_nde_rd": target, **asdict(th)}
-            partner = partner_for(th.both_must_exceed)
-            if args.fixed_param is not None:
-                row["required_partner"] = partner
-            rows.append(row)
+            rows.append({"c": c, "target_nde_rd": target, **asdict(th)})
         payload = {"scale": "rd", "strata": rows}
-        doc = report.document("cornfield", payload, input_digest=digest, warnings=warnings)
     else:
-        if args.nde_rr is None:
-            raise MedsensError("cornfield needs --csv (difference scale) or --nde-rr (ratio scale)")
         target = 1.0 if args.target is None else args.target
-        th = bounds.cornfield_rr(args.nde_rr, target)
-        payload = {"scale": "rr", "observed_nde_rr": args.nde_rr, "target_nde_rr": target,
-                   **asdict(th)}
-        partner = partner_for(th.both_must_exceed)
+        (nde_rr,) = effects["nde_rr"].tolist()
+        th = bounds.cornfield_rr(nde_rr, target)
+        payload = {"scale": "rr", "observed_nde_rr": nde_rr, "target_nde_rr": target, **asdict(th)}
         if args.fixed_param is not None:
-            payload["required_partner"] = partner
             payload["fixed_param"] = args.fixed_param
-        doc = report.document(
-            "cornfield",
-            payload,
-            input_digest=report.digest_params(payload),
-            warnings=warnings,
-        )
+        rows = [payload]
+    for row in rows if args.fixed_param is not None else ():
+        try:
+            row["required_partner"] = bounds.required_partner(args.fixed_param,
+                                                              row["both_must_exceed"])
+        except Infeasible as exc:
+            row["required_partner"] = None
+            warnings.append(f"required partner for fixed {args.fixed_param}: {exc}")
+    doc = report.document("cornfield", payload,
+                          input_digest=digest or report.digest_params(payload), warnings=warnings)
     sys.stdout.write(report.to_json(doc))
-    return 3 if infeasible else 0
+    return 3 if any(row.get("required_partner", 1.0) is None for row in rows) else 0
 
 
 def _sweep_table(
@@ -265,13 +251,7 @@ def _sweep_table(
     is drawn here, so any error of the model is raised before a row is
     written, and the header follows from the bounds it holds.
     """
-    if args.csv is not None:
-        model, digest, warnings = _load_model(args)
-        effects, strata = bounds.bound_report(model.y, model.w), model.c_card
-    elif args.nde_rr is None:
-        raise MedsensError("sweep needs --csv or --nde-rr")
-    else:
-        effects, strata, digest, warnings = _observed(args), 1, None, []
+    effects, strata, digest, warnings = _inputs(args, "--nde-rr", "--nie-rr")
     size, step = au_values.size * uy_values.size, max(1, report.CSV_BLOCK // strata)
 
     def block(start: int) -> dict:
@@ -291,9 +271,6 @@ def _sweep_table(
 
 
 def _cmd_sweep(args) -> int:
-    _reject_with_records(args, "--nde-rr", "--nie-rr")
-    _check_observed(args, "--nde-rr")
-    _check_observed(args, "--nie-rr")
     header, blocks, digest, warnings = _sweep_table(
         args, _parse_grid(args.rr_au_grid, "rr_au"), _parse_grid(args.rr_uy_grid, "rr_uy")
     )
@@ -324,28 +301,13 @@ def _cmd_parametric(args) -> int:
 
 def _cmd_oracle(args) -> int:
     seed = _default_seed() if args.seed is None else args.seed
-    result = oracle.validity_battery(
-        seed=seed,
-        iterations=args.iterations,
-        u_card=args.u_card,
-        m_card=args.m_card,
-        extreme=args.extreme,
-        mode=args.outcome,
-        dependent_exposure=args.dependent_exposure,
-        ratio_iterations=args.ratio_iterations,
-        sharpness_iterations=args.sharpness_iterations,
-    )
-    doc = report.document(
-        "oracle",
-        result,
-        input_digest=report.digest_params(result["config"]),
-        seed=seed,
-    )
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "seed")}
+    result = oracle.validity_battery(seed, **params)
+    doc = report.document("oracle", result, input_digest=report.digest_params(result["config"]),
+                          seed=seed)
     sys.stdout.write(report.to_json(doc))
-    total_violations = result["bound_validity"]["violations"] + result["ratio_bound_dominance"]["violations"]
-    if result["definition_equivalence"] is not None:
-        total_violations += result["definition_equivalence"]["violations"]
-    return 4 if total_violations else 0
+    checks = ("bound_validity", "ratio_bound_dominance", "definition_equivalence")
+    return 4 if any(result[k] and result[k]["violations"] for k in checks) else 0
 
 
 def _cmd_bootstrap(args) -> int:
@@ -356,14 +318,8 @@ def _cmd_bootstrap(args) -> int:
         if args.rr_au is None or args.rr_uy is None:
             raise MedsensError("bootstrap needs both --rr-au and --rr-uy or neither")
         spec = bounds.SensitivitySpec(rr_au=args.rr_au, rr_uy=args.rr_uy)
-    result = bootstrap_mod.run_bootstrap(
-        records,
-        replicates=args.replicates,
-        level=args.level,
-        seed=seed,
-        smoothing=args.smoothing,
-        spec=spec,
-    )
+    params = {name: getattr(args, name) for name in ("replicates", "level", "smoothing")}
+    result = bootstrap_mod.run_bootstrap(records, seed=seed, spec=spec, **params)
     strata = []
     for c in sorted(result.intervals):
         stats = {
@@ -426,9 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("bound", _cmd_bound, "bounding factor and adjusted effect bounds",
                 records=True, scale=True)
     p.add_argument("--csv", help="records file; enables difference-scale bounds")
-    p.add_argument("--rr-au", type=_parse_param, required=True,
+    p.add_argument("--rr-au", type=float, required=True,
                    help="exposure-confounder parameter (>= 1, 'inf' allowed)")
-    p.add_argument("--rr-uy", type=_parse_param, required=True,
+    p.add_argument("--rr-uy", type=float, required=True,
                    help="confounder-outcome parameter (>= 1, 'inf' allowed)")
     p.add_argument("--nde-rr", type=float, help="observed ratio-scale direct effect")
     p.add_argument("--nde-rr-ci", type=float, nargs=2, metavar=("LO", "HI"))
@@ -441,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nde-rr", type=float, help="observed ratio-scale direct effect")
     p.add_argument("--target", type=float,
                    help="target true effect (default 1 on rr scale, 0 on rd scale)")
-    p.add_argument("--fixed-param", type=_parse_param,
+    p.add_argument("--fixed-param", type=float,
                    help="solve for the partner of this fixed sensitivity parameter")
 
     p = command("sweep", _cmd_sweep, "bounds over a grid of sensitivity parameters",
@@ -465,7 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-card", type=int, default=2)
     p.add_argument("--m-card", type=int, default=2)
     p.add_argument("--extreme", action="store_true", help="remove the probability floor")
-    p.add_argument("--outcome", choices=("probability", "mean"), default="probability")
+    p.add_argument("--outcome", dest="mode", choices=("probability", "mean"),
+                   default="probability")
     p.add_argument("--dependent-exposure", action="store_true",
                    help="sample exposure-confounder dependence; checks unexposed bounds")
     p.add_argument("--ratio-iterations", type=int, default=1000)
@@ -476,8 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.add_argument("--replicates", type=int, required=True)
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--rr-au", type=_parse_param, help="include adjusted bounds")
-    p.add_argument("--rr-uy", type=_parse_param)
+    p.add_argument("--rr-au", type=float, help="include adjusted bounds")
+    p.add_argument("--rr-uy", type=float)
 
     return parser
 

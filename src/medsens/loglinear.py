@@ -59,9 +59,7 @@ DEFAULT_CONFOUNDER_COEFFS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
 def cumulant_k(t: float) -> float:
     """log((1 + e^t) / 2), evaluated stably for large |t|."""
-    if not math.isfinite(t):
-        if math.isinf(t):
-            return math.inf if t > 0 else -math.log(2.0)
+    if math.isnan(t):
         raise BadParameter(f"t must be a real number, got {t!r}")
     if t > 0:
         return t + math.log1p(math.exp(-t)) - math.log(2.0)

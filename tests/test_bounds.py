@@ -199,6 +199,13 @@ class TestCornfieldRr:
             cornfield_rr(1.5, 0.0)
         with pytest.raises(BadTarget):
             cornfield_rr(1.5, -1.0)
+        with pytest.raises(BadTarget):
+            cornfield_rr(1.5, math.nan)
+
+    @pytest.mark.parametrize("observed", [math.nan, 0.0, -1.5])
+    def test_rejects_bad_observed_effect(self, observed):
+        with pytest.raises(BadParameter, match="observed effect"):
+            cornfield_rr(observed)
 
     @settings(max_examples=1000)
     @given(st.floats(min_value=1.0 + 1e-9, max_value=100.0))
@@ -215,6 +222,11 @@ class TestCornfieldRd:
         rr = cornfield_rr(0.5 / 0.275, 1.0)
         assert math.isclose(rd.both_must_exceed, rr.both_must_exceed, rel_tol=1e-12)
         assert math.isclose(rd.max_must_exceed, rr.max_must_exceed, rel_tol=1e-12)
+
+    @given(st.floats(min_value=1e-6, max_value=1.0), st.floats(min_value=1e-6, max_value=1.0))
+    def test_null_target_is_the_ratio_scale_bit_for_bit(self, n10, n00):
+        # n10 / (0.0 + n00) is n10 / n00, so one result serves both scales at the null
+        assert cornfield_rd(n10, n00, 0.0) == cornfield_rr(n10 / n00)
 
     def test_observed_target_needs_no_confounding(self):
         n10, n00, _ = worked_sums()

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -13,8 +14,10 @@ import pytest
 from helpers import expand_to_records, plain_bounds, stratum_effects, worked_model
 from medsens.bounds import SensitivitySpec, bounding_factor, cornfield_rr
 from medsens import report
-from medsens.cli import main
+from medsens.bootstrap import run_bootstrap
+from medsens.cli import _build_parser, main
 from medsens.loglinear import collider_ratio_grid
+from medsens.oracle import validity_battery
 from medsens.tables import (
     ConditionalModel,
     estimate_from_records,
@@ -139,6 +142,16 @@ class TestEstimate:
         assert main(["estimate", "--csv", str(p)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [("", "empty file"), ("a,m,y,c\n", "no data rows")],
+                             ids=["empty", "header-only"])
+    def test_file_without_data_rows_exits_2(self, capsys, tmp_path, text, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        assert main(["estimate", "--csv", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{p}: {message}" in err
+
     def test_oversized_category_code_exits_2(self, capsys, tmp_path):
         # past int64, past the address space, and past the count-tensor cap
         for code in (10**20, 2**62, 200_000):
@@ -196,6 +209,12 @@ class TestBound:
         lo, hi = res["nde_rr_lower"]["ci"]
         assert math.isclose(lo, 1.005, abs_tol=1e-9)
         assert math.isclose(hi, 1.6575, abs_tol=1e-9)
+
+    def test_estimates_digest_covers_the_limits(self, capsys):
+        argv = ("bound", "--rr-au", "2", "--rr-uy", "2", "--nde-rr", "1.72", "--nde-rr-ci")
+        digests = {run_json(capsys, *argv, *ci)[1]["input_digest"]
+                   for ci in (("1.34", "2.21"), ("1.5", "2.21"), ("1.34", "2.0"))}
+        assert len(digests) == 3
 
     def test_matches_library_exactly(self, capsys, tmp_path):
         csv = write_worked_csv(tmp_path / "d.csv")
@@ -260,6 +279,33 @@ class TestCornfield:
         assert [row["required_partner"] for row in doc["result"]["strata"]] == [None, None]
         assert len(doc["warnings"]) == 2
         assert all("no finite partner" in w for w in doc["warnings"])
+
+    def test_nan_target_with_records_exits_2(self, capsys, tmp_path):
+        csv = write_worked_csv(tmp_path / "d.csv")
+        assert main(["cornfield", "--csv", csv, "--target", "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "target effect must be a real number" in err
+
+    def test_target_so_small_the_ratio_overflows_exits_3(self, capsys):
+        code, doc = run_json(capsys, "cornfield", "--nde-rr", "1.5", "--target", "1e-320",
+                             "--fixed-param", "2")
+        assert code == 3
+        assert doc["result"]["both_must_exceed"] == "inf"
+        assert doc["result"]["required_partner"] is None
+        assert doc["warnings"] == [
+            "required partner for fixed 2.0: no finite bounding factor reaches an infinite target"]
+
+    @pytest.mark.parametrize("value", ["0.5", "nan"])
+    @pytest.mark.parametrize("source", [("--nde-rr", "1.5"), ("--csv", "missing.csv")],
+                             ids=["estimates", "records"])
+    def test_bad_fixed_param_is_named_before_any_read(self, capsys, tmp_path, value, source):
+        # with --csv the flag is checked before the file, which does not exist, is opened
+        source = [str(tmp_path / v) if v.endswith(".csv") else v for v in source]
+        assert main(["cornfield", *source, "--fixed-param", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--fixed-param must be >= 1 (or +inf), got {float(value)!r}" in err
 
     def test_partner_solve(self, capsys):
         code, doc = run_json(capsys, "cornfield", "--nde-rr", "1.34", "--fixed-param", "1.40")
@@ -412,6 +458,25 @@ class TestSweep:
         assert out == ""
         assert f"{flag} " in err and "--csv" in err
 
+    @pytest.mark.parametrize("au, uy, message", [
+        ("1,x", "1", "rr_au grid must be comma-separated numbers, got '1,x'"),
+        ("0.5", "1", "rr_au grid values must be finite and >= 1"),
+        ("1", "1,inf", "rr_uy grid values must be finite and >= 1"),
+    ])
+    def test_bad_grid_value_exits_2(self, capsys, au, uy, message):
+        code = main(["sweep", "--nde-rr", "1.5", "--rr-au-grid", au, "--rr-uy-grid", uy])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_indirect_effect_alone(self, capsys):
+        code, out = run(capsys, "sweep", "--nie-rr", "1.3", "--rr-au-grid", "1,2",
+                        "--rr-uy-grid", "1,3")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "rr_au,rr_uy,bf,nie_rr_upper"
+        assert [float(row.split(",")[3]) for row in rows] == [1.3, 1.3, 1.3, 1.3 * 1.5]
+
     def test_unsorted_grid_rejected(self, capsys):
         code = main(["sweep", "--nde-rr", "1.5", "--rr-au-grid", "2,1", "--rr-uy-grid", "1"])
         assert code == 2
@@ -543,6 +608,13 @@ class TestBootstrapCommand:
         code = main(["bootstrap", "--csv", csv, "--replicates", "120", "--rr-au", "2"])
         assert code == 2
 
+    def test_level_outside_the_unit_interval_exits_2(self, capsys, tmp_path):
+        csv = write_worked_csv(tmp_path / "d.csv", denominator=200)
+        code = main(["bootstrap", "--csv", csv, "--replicates", "100", "--level", "1.5"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "level must be in (0, 1), got 1.5" in err
+
     def test_negative_seed_exits_2(self, capsys, tmp_path):
         csv = write_worked_csv(tmp_path / "d.csv", denominator=200)
         with pytest.raises(SystemExit) as exit:
@@ -634,6 +706,27 @@ class TestFlagSurface:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert f"{flag} " in err and "--csv" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bound", "--rr-au", "2", "--rr-uy", "2"), "bound needs --csv or --nde-rr or --nie-rr"),
+        (("cornfield", "--target", "1.1"), "cornfield needs --csv or --nde-rr"),
+        (("sweep", "--rr-au-grid", "1", "--rr-uy-grid", "1"),
+         "sweep needs --csv or --nde-rr or --nie-rr"),
+    ], ids=["bound", "cornfield", "sweep"])
+    def test_missing_input_exits_2(self, capsys, argv, message):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_flags_are_the_library_parameters_they_pass_by_name(self):
+        # a battery parameter without its flag, or a flag without its parameter, fails here
+        parser = _build_parser()
+        oracle_flags = set(vars(parser.parse_args(["oracle"]))) - {"command", "func", "seed"}
+        assert oracle_flags == set(inspect.signature(validity_battery).parameters) - {"seed"}
+        bootstrap_flags = set(vars(parser.parse_args(["bootstrap", "--csv", "d.csv",
+                                                      "--replicates", "100"])))
+        passed = {"replicates", "level", "smoothing"}
+        assert passed <= bootstrap_flags & set(inspect.signature(run_bootstrap).parameters)
 
     def test_seed_environment_not_read_without_a_seed(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MEDSENS_SEED", "abc")

@@ -82,7 +82,7 @@ GOLDEN = {
     "bound-estimates": (
         ("bound", "--rr-au", "1.8", "--rr-uy", "2.5", "--nde-rr", "1.72", "--nde-rr-ci",
          "1.34", "2.21", "--nie-rr", "1.3", "--nie-rr-ci", "1.1", "1.6"),
-        0, "d2de3d7ba72e4a137b158c3bc4155dbaad01c548229bf445c9b01895595d9fc9",
+        0, "20bb0717df48a485f55f78bf455fbc47a27c10047293217f836a69e39c6e3ca3",
     ),
     "cornfield-csv": (
         ("cornfield", "--csv", F),

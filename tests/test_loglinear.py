@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from medsens.errors import Infeasible, OutOfRangeProbability, ZeroProbability
+from medsens.errors import BadParameter, Infeasible, OutOfRangeProbability, ZeroProbability
 from medsens.loglinear import (
     DEFAULT_CONFOUNDER_COEFFS,
     DEFAULT_INTERCEPT_EXPOSURE_PAIRS,
@@ -31,6 +31,15 @@ class TestCumulant:
 
     def test_large_argument_stable(self):
         assert math.isclose(cumulant_k(800.0), 800.0 - math.log(2.0), rel_tol=1e-15)
+
+    def test_infinite_arguments_are_the_formula_limits(self):
+        # exp(-inf) is 0.0, so the general formula gives inf and 0.0 - log(2), bit for bit
+        assert cumulant_k(math.inf) == math.inf
+        assert cumulant_k(-math.inf).hex() == (-math.log(2.0)).hex() == "-0x1.62e42fefa39efp-1"
+
+    def test_nan_rejected(self):
+        with pytest.raises(BadParameter, match="real number"):
+            cumulant_k(math.nan)
 
     @given(st.floats(min_value=-30, max_value=30))
     def test_reflection_identity(self, t):

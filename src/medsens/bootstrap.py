@@ -105,6 +105,7 @@ def run_bootstrap(
                 f"{budget + 1} degenerate replicates exceeded the redraw budget {budget}"
             )
         draws.append(statistics(y[ok], w[ok]))
+        del counts, y, w, empty  # before the next batch is drawn
 
     lo_q = 100.0 * (1.0 - level) / 2.0
     stats = np.concatenate(draws)

@@ -417,16 +417,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("oracle", _cmd_oracle, "verification battery on random synthetic models",
                 seed=True)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--u-card", type=int, default=2)
-    p.add_argument("--m-card", type=int, default=2)
+    p.argument_default = argparse.SUPPRESS  # absent flags take validity_battery's defaults
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--u-card", type=int)
+    p.add_argument("--m-card", type=int)
     p.add_argument("--extreme", action="store_true", help="remove the probability floor")
-    p.add_argument("--outcome", dest="mode", choices=("probability", "mean"),
-                   default="probability")
+    p.add_argument("--outcome", dest="mode", choices=("probability", "mean"))
     p.add_argument("--dependent-exposure", action="store_true",
                    help="sample exposure-confounder dependence; checks unexposed bounds")
-    p.add_argument("--ratio-iterations", type=int, default=1000)
-    p.add_argument("--sharpness-iterations", type=int, default=50)
+    p.add_argument("--ratio-iterations", type=int)
+    p.add_argument("--sharpness-iterations", type=int)
 
     p = command("bootstrap", _cmd_bootstrap, "percentile bootstrap intervals over records",
                 records=True, seed=True)

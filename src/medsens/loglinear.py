@@ -164,31 +164,26 @@ def interaction_bound(p) -> float:
     return cross.max(axis=(-2, -1))[()]
 
 
-def collider_ratio_grid(
-    pairs: tuple[tuple[float, float], ...] = DEFAULT_INTERCEPT_EXPOSURE_PAIRS,
-    beta3_values: tuple[float, ...] = DEFAULT_CONFOUNDER_COEFFS,
-    beta_c: float = 0.0,
-    check_tol: float = EQUIV_TOL,
-) -> list[dict[str, float]]:
-    """Evaluate the closed form over a coefficient grid, brute-force checked as one batch.
+def collider_ratio_grid(beta_c: float = 0.0) -> list[dict[str, float]]:
+    """Evaluate the closed form over the reference grid, brute-force checked as one batch.
 
     Each row carries the raw parameter and its ratios to e^beta3 and
-    e^beta1 (both below 1 across the default grid: conditioning on the
-    mediator attenuates the association relative to either coefficient).
-    Raises :class:`InternalCheckError` if the closed form and the brute
-    force disagree beyond ``check_tol`` anywhere on the grid.
+    e^beta1 (both below 1 across the grid: conditioning on the mediator
+    attenuates the association relative to either coefficient).  Raises
+    :class:`InternalCheckError` if the closed form and the brute force
+    disagree beyond ``EQUIV_TOL`` anywhere on the grid.
     """
     specs = [
         LogLinearSpec(beta0=beta0, beta1=beta1, beta3=beta3, beta_c=beta_c)
-        for beta0, beta1 in pairs
-        for beta3 in beta3_values
+        for beta0, beta1 in DEFAULT_INTERCEPT_EXPOSURE_PAIRS
+        for beta3 in DEFAULT_CONFOUNDER_COEFFS
     ]
     coeffs = np.array([(s.beta0, s.beta1, s.beta3) for s in specs]).reshape(-1, 3)
     brute = rr_au_loglinear_bruteforce(*coeffs.T, beta_c).tolist()
     rows = []
     for spec, check in zip(specs, brute):
         rr = rr_au_loglinear(spec)
-        if abs(rr - check) > check_tol * max(1.0, abs(check)):
+        if abs(rr - check) > EQUIV_TOL * max(1.0, abs(check)):
             raise InternalCheckError(
                 f"closed form {rr!r} and brute force {check!r} disagree at "
                 f"beta0={spec.beta0}, beta1={spec.beta1}, beta3={spec.beta3}"

@@ -97,16 +97,16 @@ class Scm:
     function here evaluates at once, returning one value per model.  The
     fields are stored with the model axes innermost in memory, so that each
     array operation runs one long loop over the models.
-    With ``a_independent_u`` set, pr(A=1|u) must be constant in u and the
-    true-effect formulas apply; without it :func:`verify_bounds` checks the
-    direct-effect bounds among the unexposed only.
+    Whether exposure is independent of the confounder is read from
+    pr(A=1|u) (:attr:`a_independent_u`): if it is, the true-effect formulas
+    apply; if not, :func:`verify_bounds` checks the direct-effect bounds
+    among the unexposed only.
     """
 
     u_prior: np.ndarray
     a_given_u: np.ndarray
     m_given: np.ndarray
     y_given: np.ndarray
-    a_independent_u: bool = True
     mode: Literal["probability", "mean"] = "probability"
 
     def __post_init__(self) -> None:
@@ -136,8 +136,6 @@ class Scm:
         bad = ~((a_given >= 0.0) & (a_given <= 1.0))
         if bad.any():
             raise BadParameter(f"{_cell('pr(A=1|u={})', bad)} = {float(a_given[bad][0])!r}")
-        if self.a_independent_u and (np.ptp(a_given, axis=-1) > 1e-12).any():
-            raise BadParameter("a_independent_u set but pr(A=1|u) varies with u")
         _check_dist(m_given, "pr(m|a={},u={})")
         top = 1.0 if self.mode == "probability" else np.inf
         bad = ~(np.isfinite(y_given) & (y_given >= 0.0) & (y_given <= top))
@@ -156,6 +154,11 @@ class Scm:
     @property
     def m_card(self) -> int:
         return self.m_given.shape[-1]
+
+    @functools.cached_property
+    def a_independent_u(self) -> bool:
+        """True when pr(A=1|u) is constant in u, within 1e-12, in every model of the batch."""
+        return bool((np.ptp(self.a_given_u, axis=-1) <= 1e-12).all())
 
     @functools.cached_property
     def _exposure_posteriors(self) -> np.ndarray:
@@ -303,10 +306,11 @@ class InequalityCheck:
     holds: bool
 
 
-def _check(name: str, lhs, rhs, tol: float) -> InequalityCheck:
+def _check(name: str, lhs, rhs) -> InequalityCheck:
     slack = lhs - rhs
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return InequalityCheck(name=name, lhs=lhs, rhs=rhs, slack=slack, holds=slack <= tol * scale)
+    holds = slack <= VALIDITY_TOL * scale
+    return InequalityCheck(name=name, lhs=lhs, rhs=rhs, slack=slack, holds=holds)
 
 
 @dataclass(frozen=True)
@@ -336,7 +340,7 @@ class ValidityReport:
         return (self.observed["nde_rr"] / self.true["nde_rr"]) / self.observed["bf"]
 
 
-def verify_bounds(scm: Scm, tol: float = VALIDITY_TOL) -> ValidityReport:
+def verify_bounds(scm: Scm) -> ValidityReport:
     """Check the bounds against the exact truth of a synthetic model or batch.
 
     The observed side is the code path users run, ``bounds.bound_report``
@@ -357,13 +361,13 @@ def verify_bounds(scm: Scm, tol: float = VALIDITY_TOL) -> ValidityReport:
     true = effects_from_sums(*_unexposed_sums(scm))
     prefix = "" if scm.a_independent_u else "unexposed_"
     checks = (
-        _check(f"{prefix}nde_rr_ratio_vs_bf", obs["nde_rr"] / true["nde_rr"], obs["bf"], tol),
-        _check(f"{prefix}nde_rd_lower_vs_true", obs["nde_rd_lower"], true["nde_rd"], tol),
+        _check(f"{prefix}nde_rr_ratio_vs_bf", obs["nde_rr"] / true["nde_rr"], obs["bf"]),
+        _check(f"{prefix}nde_rd_lower_vs_true", obs["nde_rd_lower"], true["nde_rd"]),
     )
     if scm.a_independent_u:
         checks += (
-            _check("nie_rr_true_vs_upper", true["nie_rr"], obs["nie_rr_upper"], tol),
-            _check("nie_rd_true_vs_upper", true["nie_rd"], obs["nie_rd_upper"], tol),
+            _check("nie_rr_true_vs_upper", true["nie_rr"], obs["nie_rr_upper"]),
+            _check("nie_rd_true_vs_upper", true["nie_rd"], obs["nie_rd_upper"]),
         )
     return ValidityReport(observed=obs, true=true, rr_au=rau, rr_uy=ruy, checks=checks)
 
@@ -433,7 +437,7 @@ class RatioBoundResult:
     holds: bool
 
 
-def check_ratio_bound(inst: DiscreteRatioInstance, tol: float = RATIO_BOUND_TOL) -> RatioBoundResult:
+def check_ratio_bound(inst: DiscreteRatioInstance) -> RatioBoundResult:
     """Evaluate the weighted-mean ratio sum(r f1)/sum(r f0) against its cap.
 
     The cap is the bounding-factor combination of the maximal density ratio
@@ -449,7 +453,8 @@ def check_ratio_bound(inst: DiscreteRatioInstance, tol: float = RATIO_BOUND_TOL)
     lhs = (num / den)[()]
     # a density ratio that rounds just below its floor of 1 is taken as 1
     rhs = bounding_factor(SensitivitySpec(rr_au=np.maximum(g, 1.0), rr_uy=d))
-    return RatioBoundResult(lhs=lhs, rhs=rhs, density_ratio=g, weight_spread=d, holds=lhs <= rhs + tol)
+    return RatioBoundResult(lhs=lhs, rhs=rhs, density_ratio=g, weight_spread=d,
+                            holds=lhs <= rhs + RATIO_BOUND_TOL)
 
 
 def bernoulli_instance(density_ratio: float, weight_spread: float) -> DiscreteRatioInstance:
@@ -459,12 +464,7 @@ def bernoulli_instance(density_ratio: float, weight_spread: float) -> DiscreteRa
     r spreads by weight_spread; the weighted-mean ratio then equals the cap
     exactly.
     """
-    if (
-        density_ratio < 1.0
-        or weight_spread < 1.0
-        or math.isnan(density_ratio)
-        or math.isnan(weight_spread)
-    ):
+    if not (density_ratio >= 1.0 and weight_spread >= 1.0):  # NaN fails too
         raise BadParameter("density_ratio and weight_spread must be at least 1")
     return DiscreteRatioInstance(
         f0=(1.0 - 1.0 / density_ratio, 1.0 / density_ratio),
@@ -531,7 +531,6 @@ def sample_scm(
         else np.full((*shape, nu), 0.5),
         m_given=dist(table(m_raw, 2, nu, nm)),
         y_given=uniform(table(y_raw, 2, nm, nu), y_low, y_max),
-        a_independent_u=not dependent_exposure,
         mode=mode,
     )
 
@@ -676,7 +675,7 @@ def _recipe_batch(rng: np.random.Generator, iterations: int) -> Scm:
     )
 
 
-def sharpness_search(seed: int, iterations: int = 200) -> SharpnessReport:
+def sharpness_search(seed: int, iterations: int) -> SharpnessReport:
     """Drive every bound toward equality; deterministic given the seed.
 
     Sweeps the recipe over random parameter draws and a fixed grid of
@@ -725,17 +724,13 @@ def validity_battery(
     """Run the full verification battery and summarize it as a plain dict.
 
     Deterministic given the seed.  ``violations`` counts must be zero for a
-    healthy build; the CLI turns nonzero counts into exit code 4.
+    healthy build; the CLI turns nonzero counts into exit code 4.  The
+    report's ``config`` holds every parameter, in signature order.
     """
-    for name, value in (
-        ("iterations", iterations),
-        ("u_card", u_card),
-        ("m_card", m_card),
-        ("ratio_iterations", ratio_iterations),
-        ("sharpness_iterations", sharpness_iterations),
-    ):
-        if value < 1:
-            raise BadParameter(f"{name} must be at least 1, got {value}")
+    config = dict(locals())
+    for name in ("iterations", "u_card", "m_card", "ratio_iterations", "sharpness_iterations"):
+        if config[name] < 1:
+            raise BadParameter(f"{name} must be at least 1, got {config[name]}")
     if u_card * m_card > MAX_CARD_PRODUCT:
         raise BadParameter(
             f"u_card * m_card (--u-card times --m-card) must be at most {MAX_CARD_PRODUCT}, "
@@ -772,7 +767,7 @@ def validity_battery(
             worst = float(check.slack.max())
             worst_slack[check.name] = max(worst_slack.get(check.name, -math.inf), worst)
             violations += int(np.count_nonzero(~check.holds))
-        del scm, report  # before the next batch is drawn
+        del scm, report, other_form, check  # before the next batch is drawn
 
     ratio_violations, ratio_max_excess = 0, -math.inf
     for start in range(0, ratio_iterations, RATIO_BATCH):
@@ -782,17 +777,7 @@ def validity_battery(
         ratio_max_excess = max(ratio_max_excess, float(np.max(ratio.lhs - ratio.rhs)))
 
     return {
-        "config": {
-            "seed": seed,
-            "iterations": iterations,
-            "u_card": u_card,
-            "m_card": m_card,
-            "extreme": extreme,
-            "mode": mode,
-            "dependent_exposure": dependent_exposure,
-            "ratio_iterations": ratio_iterations,
-            "sharpness_iterations": sharpness_iterations,
-        },
+        "config": config,
         "bound_validity": {
             "iterations": iterations,
             "violations": violations,

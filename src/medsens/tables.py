@@ -88,17 +88,12 @@ class RecordTable:
         object.__setattr__(self, "counts", counts)
 
     @classmethod
-    def from_rows(
-        cls,
-        rows: Iterable[Sequence[int]],
-        m_card: int | None = None,
-        c_card: int | None = None,
-    ) -> "RecordTable":
+    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "RecordTable":
         """Collapse ``(a, m, y, c, count)`` rows into cell counts, summing duplicates.
 
-        Cardinalities are inferred as max code + 1 when not declared.  Codes
-        that would make the count tensor larger than ``MAX_CELLS`` cells raise
-        :class:`BadCode` before it is allocated.
+        Each cardinality is the largest code + 1.  Codes that would make the
+        count tensor larger than ``MAX_CELLS`` cells raise :class:`BadCode`
+        before it is allocated.
         """
         fixed = [tuple(int(v) for v in row) for row in rows]
         if not fixed or any(len(row) != 5 for row in fixed):
@@ -113,8 +108,7 @@ class RecordTable:
                 if abs(code) > INT64_MAX:
                     raise BadCode(f"{name}={code} exceeds the int64 range")
         a, m, y, c, n = np.array(fixed, dtype=np.int64).T
-        m_card = int(m.max()) + 1 if m_card is None else m_card
-        c_card = int(c.max()) + 1 if c_card is None else c_card
+        m_card, c_card = int(m.max()) + 1, int(c.max()) + 1
         for name, codes, card in (("a", a, 2), ("m", m, m_card), ("y", y, 2), ("c", c, c_card)):
             bad = codes[(codes < 0) | (codes >= card)]
             if bad.size:
@@ -308,7 +302,7 @@ def crossworld_sums(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def estimate_tables(
-    counts: np.ndarray, smoothing: float = 0.0
+    counts: np.ndarray, smoothing: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Empirical tables ``y``, ``w`` of count tensors ``counts[..., c, a, m, y]``.
 
@@ -324,6 +318,9 @@ def estimate_tables(
     if not (isinstance(smoothing, (int, float)) and math.isfinite(smoothing)) or smoothing < 0:
         raise BadParameter(f"smoothing must be a finite nonnegative real, got {smoothing!r}")
     k = float(smoothing)
+    # the denominators n + k*M and n + 2k overflow exactly when k*M or 2k does, for any int64 n
+    if not math.isfinite(k * max(counts.shape[-2], 2)):
+        raise BadParameter(f"smoothing {smoothing!r} is so large that the smoothed counts overflow")
     n_cell = counts.sum(axis=-1)  # (..., c, a, m)
     n_arm = n_cell.sum(axis=-1, keepdims=True)  # (..., c, a, 1)
     denom = n_arm + k * n_cell.shape[-1]

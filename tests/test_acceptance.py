@@ -31,6 +31,7 @@ from medsens.loglinear import (
 )
 from medsens.loglinear import interaction_bound
 from medsens.oracle import (
+    EQUIV_TOL,
     bernoulli_instance,
     check_ratio_bound,
     rr_au_mediator_ratio,
@@ -205,8 +206,9 @@ RATIO_TO_EXP_BETA1 = (
 def test_criterion_03_reference_table_reproduction(capsys):
     t0 = time.time()
     # the closed form is confirmed against the brute-force definition within
-    # 1e-10 inside collider_ratio_grid; a disagreement raises
-    grid = collider_ratio_grid(check_tol=1e-10)
+    # EQUIV_TOL = 1e-10 inside collider_ratio_grid; a disagreement raises
+    assert EQUIV_TOL == 1e-10
+    grid = collider_ratio_grid()
     assert len(grid) == 42
     # the subcommand output must carry the same 42 rows
     code = main(["parametric"])

@@ -77,7 +77,7 @@ def one_at_a_time(records, replicates, seed, smoothing=0.0, spec=None, level=0.9
 
 class TestBasics:
     def test_zero_variance_collapses_to_point(self):
-        records = RecordTable.from_rows([(1, 0, 1, 0, 5), (0, 0, 1, 0, 5)], m_card=1)
+        records = RecordTable.from_rows([(1, 0, 1, 0, 5), (0, 0, 1, 0, 5)])
         result = run_bootstrap(records, replicates=100, seed=1)
         for stat, (lo, point, hi) in result.intervals[0].items():
             assert lo == point == hi, stat
@@ -95,7 +95,7 @@ class TestBasics:
     def test_degenerate_replicates_are_redrawn_and_counted(self):
         # the a=1 arm holds a single record; many resamples drop it entirely
         rows = [(0, 0, 1, 0, 30), (0, 0, 0, 0, 30), (1, 0, 1, 0, 1)]
-        records = RecordTable.from_rows(rows, m_card=1)
+        records = RecordTable.from_rows(rows)
         result = run_bootstrap(records, replicates=100, seed=2)
         assert result.degenerate_redraws > 0
         assert all(len(v) == 3 for v in result.intervals[0].values())
@@ -113,7 +113,7 @@ class TestBasics:
         assert unit.intervals == grouped.intervals
 
     def test_replicate_floor(self):
-        records = RecordTable.from_rows([(1, 0, 1, 0, 5), (0, 0, 1, 0, 5)], m_card=1)
+        records = RecordTable.from_rows([(1, 0, 1, 0, 5), (0, 0, 1, 0, 5)])
         with pytest.raises(BadParameter):
             run_bootstrap(records, replicates=50)
 
@@ -257,7 +257,7 @@ class TestCoverage:
         for rep in range(meta):
             counts = rng.multinomial(n, probs_arr)
             rows = [(a, m, y, c, int(k)) for (a, m, y, c), k in zip(cells, counts) if k > 0]
-            records = RecordTable.from_rows(rows, m_card=2, c_card=1)
+            records = RecordTable.from_rows(rows)
             result = run_bootstrap(records, replicates=150, seed=rep)
             lo, _, hi = result.intervals[0]["nde_rr"]
             covered += lo <= truth <= hi

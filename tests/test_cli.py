@@ -575,6 +575,17 @@ class TestOracle:
         assert (code, out) == (2, "")
         assert "--u-card" in err and "--m-card" in err and "4096" in err
 
+    def test_single_confounder_level_is_independent_of_exposure(self, capsys):
+        # pr(A=1|u) of a lone level cannot vary with u: all four checks apply
+        code, doc = run_json(capsys, "oracle", "--u-card", "1", "--dependent-exposure",
+                             "--iterations", "20", "--ratio-iterations", "5",
+                             "--sharpness-iterations", "1")
+        assert code == 0
+        assert doc["result"]["definition_equivalence"] is None
+        assert list(doc["result"]["bound_validity"]["worst_slack"]) == [
+            "nde_rd_lower_vs_true", "nde_rr_ratio_vs_bf", "nie_rd_true_vs_upper",
+            "nie_rr_true_vs_upper"]
+
     def test_single_mediator_level_runs(self, capsys):
         # pr(m=0|a) of a lone level sums over u to one give or take an ulp
         code, doc = run_json(capsys, "oracle", "--u-card", "3", "--m-card", "1",
@@ -645,6 +656,18 @@ class TestHugeParameters:
         result = json.loads(done.stdout)["result"]
         assert result["bf"] == 5e199
         assert result["nde_rr_lower"]["point"] == 1.5 / 5e199
+
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+    @pytest.mark.parametrize("m_card", [3, 1], ids=["three-levels", "one-level"])
+    def test_overflowing_smoothing_exits_2(self, capsys, tmp_path, command, m_card):
+        # n + k*M overflows with three mediator levels, n + 2k with one
+        csv = write_strata_csv(tmp_path / "d.csv", m_card=m_card)
+        argv = [command, "--csv", csv, *(("--replicates", "100") if command == "bootstrap" else ())]
+        assert main([*argv, "--smoothing", "1e308"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "smoothing 1e+308" in err
+        assert main([*argv, "--smoothing", "1e300"]) == 0
 
 
 class TestFormatGuard:
@@ -718,11 +741,23 @@ class TestFlagSurface:
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    def test_flags_are_the_library_parameters_they_pass_by_name(self):
-        # a battery parameter without its flag, or a flag without its parameter, fails here
+    def test_flags_are_the_library_parameters_they_pass_by_name(self, capsys):
+        # a battery parameter without its flag, a flag without its parameter, or a battery
+        # default written into the parser as well fails here
         parser = _build_parser()
-        oracle_flags = set(vars(parser.parse_args(["oracle"]))) - {"command", "func", "seed"}
-        assert oracle_flags == set(inspect.signature(validity_battery).parameters) - {"seed"}
+        every = ["oracle", "--iterations", "1", "--u-card", "1", "--m-card", "1", "--extreme",
+                 "--outcome", "mean", "--dependent-exposure", "--ratio-iterations", "1",
+                 "--sharpness-iterations", "1"]
+        oracle_flags = set(vars(parser.parse_args(every))) - {"command", "func", "seed"}
+        battery = inspect.signature(validity_battery).parameters
+        assert oracle_flags == set(battery) - {"seed"}
+        assert set(vars(parser.parse_args(["oracle"]))) == {"command", "func", "seed"}
+        code, doc = run_json(capsys, "oracle", "--seed", "3", "--iterations", "5",
+                             "--ratio-iterations", "5", "--sharpness-iterations", "1")
+        assert code == 0
+        given = {"seed": 3, "iterations": 5, "ratio_iterations": 5, "sharpness_iterations": 1}
+        defaults = {k: p.default for k, p in battery.items() if k not in given}
+        assert doc["result"]["config"] == given | defaults
         bootstrap_flags = set(vars(parser.parse_args(["bootstrap", "--csv", "d.csv",
                                                       "--replicates", "100"])))
         passed = {"replicates", "level", "smoothing"}

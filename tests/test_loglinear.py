@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from medsens.errors import BadParameter, Infeasible, OutOfRangeProbability, ZeroProbability
+from medsens import loglinear
+from medsens.cli import main
+from medsens.errors import (
+    BadParameter,
+    Infeasible,
+    InternalCheckError,
+    OutOfRangeProbability,
+    ZeroProbability,
+)
 from medsens.loglinear import (
     DEFAULT_CONFOUNDER_COEFFS,
     DEFAULT_INTERCEPT_EXPOSURE_PAIRS,
@@ -110,6 +118,20 @@ class TestReferenceGridValues:
             assert len(series) == len(DEFAULT_CONFOUNDER_COEFFS)
             assert all(a < b for a, b in zip(series, series[1:]))
             assert all(v >= 1.0 for v in series)
+
+    @pytest.mark.parametrize("scale, fails", [(1 + 1e-9, True), (1 + 1e-11, False)])
+    def test_cross_check_tolerance(self, monkeypatch, capsys, scale, fails):
+        # a closed form off by 1e-9 fails the 1e-10 cross-check; one off by 1e-11 passes
+        closed_form = loglinear.rr_au_loglinear
+        monkeypatch.setattr(loglinear, "rr_au_loglinear", lambda spec: scale * closed_form(spec))
+        if fails:
+            with pytest.raises(InternalCheckError, match="beta0=-2.3, beta1=0.2, beta3=0.1"):
+                collider_ratio_grid()
+            assert main(["parametric"]) == 4
+            assert capsys.readouterr().out == ""
+        else:
+            assert len(collider_ratio_grid()) == 42
+            assert main(["parametric"]) == 0
 
 
 class TestInteractionBound:

@@ -420,6 +420,12 @@ class TestRatioBound:
             assert abs(res.lhs - res.rhs) <= 1e-12 * max(1.0, res.rhs)
             assert res.holds
 
+    @pytest.mark.parametrize("density_ratio, spread", [(math.nan, 2.0), (2.0, math.nan),
+                                                       (0.5, 2.0)])
+    def test_bernoulli_family_rejects_nan_or_below_one(self, density_ratio, spread):
+        with pytest.raises(BadParameter, match="at least 1"):
+            bernoulli_instance(density_ratio, spread)
+
     def test_huge_parameters_do_not_overflow(self):
         # the product of the two parameters overflows; the warning is an error here
         res = check_ratio_bound(bernoulli_instance(1e200, 1e200))
@@ -498,20 +504,28 @@ class TestRatioBound:
 
 
 class TestUnexposedBound:
-    def test_constant_exposure_flagged_either_way_gives_the_same_direct_checks(self):
-        rng = np.random.default_rng(83)
-        scm = sample_scm(rng)
-        flagged = Scm(scm.u_prior, scm.a_given_u, scm.m_given, scm.y_given, a_independent_u=False)
-        overall, unexposed = verify_bounds(scm), verify_bounds(flagged)
+    def test_vanishing_dependence_keeps_the_direct_checks(self):
+        scm = sample_scm(np.random.default_rng(83))
+        nearly = Scm(scm.u_prior, (0.5, 0.5 + 1e-9), scm.m_given, scm.y_given)
+        assert scm.a_independent_u and not nearly.a_independent_u
+        overall, unexposed = verify_bounds(scm), verify_bounds(nearly)
         assert [c.name for c in overall.checks] == [
             "nde_rr_ratio_vs_bf", "nde_rd_lower_vs_true", "nie_rr_true_vs_upper",
             "nie_rd_true_vs_upper"]
         assert [c.name for c in unexposed.checks] == [
             "unexposed_nde_rr_ratio_vs_bf", "unexposed_nde_rd_lower_vs_true"]
-        (rr, rd), (rr_flag, rd_flag) = overall.checks[:2], unexposed.checks
-        for side in ("lhs", "rhs"):
-            assert math.isclose(getattr(rr_flag, side), getattr(rr, side), rel_tol=1e-12)
-            assert math.isclose(getattr(rd_flag, side), getattr(rd, side), abs_tol=1e-12)
+        for want, got in zip(overall.checks[:2], unexposed.checks, strict=True):
+            for side in ("lhs", "rhs"):
+                assert abs(getattr(got, side) - getattr(want, side)) <= 1e-8
+
+    def test_batch_with_one_varying_exposure_is_dependent(self):
+        scm = sample_scm(np.random.default_rng(97), shape=(2,))
+        mixed = Scm(scm.u_prior, ((0.5, 0.5), (0.3, 0.6)), scm.m_given, scm.y_given)
+        assert not mixed.a_independent_u
+        report = verify_bounds(mixed)
+        assert [c.name for c in report.checks] == [
+            "unexposed_nde_rr_ratio_vs_bf", "unexposed_nde_rd_lower_vs_true"]
+        assert report.all_hold
 
     def test_thousand_dependent_scms_hold(self):
         rng = np.random.default_rng(89)
@@ -525,8 +539,8 @@ class TestUnexposedBound:
             a_given_u=(0.05, 0.95),
             m_given=(((0.8, 0.2), (0.3, 0.7)), ((0.5, 0.5), (0.1, 0.9))),
             y_given=(((0.2, 0.2), (0.5, 0.5)), ((0.4, 0.4), (0.7, 0.7))),
-            a_independent_u=False,
         )
+        assert not scm.a_independent_u
         report = verify_bounds(scm)
         assert report.observed["bf"] == 1.0
         for check in report.checks:

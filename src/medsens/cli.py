@@ -318,7 +318,9 @@ def _cmd_bootstrap(args) -> int:
         if args.rr_au is None or args.rr_uy is None:
             raise MedsensError("bootstrap needs both --rr-au and --rr-uy or neither")
         spec = bounds.SensitivitySpec(rr_au=args.rr_au, rr_uy=args.rr_uy)
-    params = {name: getattr(args, name) for name in ("replicates", "level", "smoothing")}
+    # an absent --level is None and takes run_bootstrap's default
+    params = {name: getattr(args, name) for name in ("replicates", "level", "smoothing")
+              if getattr(args, name) is not None}
     result = bootstrap_mod.run_bootstrap(records, seed=seed, spec=spec, **params)
     strata = []
     for c in sorted(result.intervals):
@@ -432,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 records=True, seed=True)
     p.add_argument("--csv", required=True)
     p.add_argument("--replicates", type=int, required=True)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=float)
     p.add_argument("--rr-au", type=float, help="include adjusted bounds")
     p.add_argument("--rr-uy", type=float)
 

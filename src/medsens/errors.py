@@ -36,7 +36,7 @@ class NotNormalized(MedsensError):
 
 
 class OutOfRangeProbability(MedsensError):
-    """A table entry lies outside [0, 1] in probability mode, or is negative in mean mode."""
+    """A table entry is not finite, or lies outside [0, 1] (means and weights: below 0)."""
 
 
 class ZeroDenominator(MedsensError):

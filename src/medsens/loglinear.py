@@ -35,14 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadParameter,
-    Infeasible,
-    InternalCheckError,
-    OutOfRangeProbability,
-    ZeroProbability,
-)
+from .errors import BadParameter, Infeasible, InternalCheckError, ZeroProbability
 from .oracle import EQUIV_TOL, Scm, rr_au_posterior
+from .tables import check_table, first_cell
 
 #: the (beta0, beta1) pairs and beta3 values of the reference grid emitted
 #: by the CLI `parametric` subcommand
@@ -128,10 +123,8 @@ def rr_au_loglinear_bruteforce(beta0, beta1, beta3, beta_c=0.0):
     b0, b1, b3, bc = (v[..., None, None] for v in np.broadcast_arrays(beta0, beta1, beta3, beta_c))
     lp = b0 + b1 * np.array([[0.0], [1.0]]) + bc + b3 * np.array([0.0, 1.0])  # [..., a, u]
     p = np.exp(lp)
-    bad = np.argwhere(p >= 1.0)
-    if bad.size:
-        *_, a, u = bad[0]
-        _checked_exp(float(lp[tuple(bad[0])]), f"cell a={a}, u={u}")
+    if (p >= 1.0).any():
+        _checked_exp(float(lp[p >= 1.0][0]), first_cell("cell a={}, u={}", p >= 1.0))
     half = np.full(lp.shape[:-1], 0.5)
     scm = Scm(u_prior=half, a_given_u=half, m_given=np.stack([1.0 - p, p], axis=-1),
               y_given=np.full((*lp.shape, 2), 0.5))
@@ -152,13 +145,10 @@ def interaction_bound(p) -> float:
     p = np.asarray(p, dtype=float)
     if p.ndim < 2 or p.shape[-2] != 2 or p.shape[-1] == 0:
         raise BadParameter("grid needs rows for a=0 and a=1 over a common u range")
-    bad = ~(np.isfinite(p) & (p > 0.0) & (p <= 1.0))
-    if bad.any():
-        index = tuple(np.argwhere(bad)[0])
-        cell = "pr(m|a={},u={})".format(*index[-2:])
-        if p[index] <= 0.0:
-            raise ZeroProbability(f"{cell} must be strictly positive")
-        raise OutOfRangeProbability(f"{cell} = {float(p[index])!r}")
+    cell = "pr(m|a={},u={})"
+    check_table(p, cell)
+    if (p == 0.0).any():
+        raise ZeroProbability(f"{first_cell(cell, p == 0.0)} must be strictly positive")
     p0, p1 = p[..., 0, :, None], p[..., 1, :, None]
     cross = (p1 * np.swapaxes(p0, -1, -2)) / (p0 * np.swapaxes(p1, -1, -2))  # [..., u, u']
     return cross.max(axis=(-2, -1))[()]

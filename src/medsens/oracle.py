@@ -45,7 +45,7 @@ from .errors import (
     ZeroDenominator,
     ZeroProbability,
 )
-from .tables import ConditionalModel, c_order_sum, crossworld_sums
+from .tables import ConditionalModel, c_order_sum, check_table, crossworld_sums, first_cell
 
 #: inequality checks allow this much relative slack for float rounding
 VALIDITY_TOL = 1e-10
@@ -67,24 +67,6 @@ MAX_CARD_PRODUCT = 4096
 _SCM_TABLES = ("u_prior", "a_given_u", "m_given", "y_given")
 
 
-def _cell(what: str, mask: np.ndarray) -> str:
-    """``what`` filled with the trailing indices of the first True entry of ``mask``."""
-    index = np.argwhere(mask)[0]
-    return what.format(*index[index.size - what.count("{}"):])
-
-
-def _check_dist(values, what: str) -> None:
-    """Each row over the last axis must be a distribution; ``what`` names a row by its indices."""
-    values = np.asarray(values, dtype=float)
-    bad = ~(np.isfinite(values) & (values >= 0.0)).all(axis=-1)
-    if bad.any():
-        raise BadParameter(f"{_cell(what, bad)} has a negative or non-finite entry")
-    total = c_order_sum(values)
-    bad = ~(np.abs(total - 1.0) <= _DIST_TOL)
-    if bad.any():
-        raise BadParameter(f"{_cell(what, bad)} sums to {float(total[bad][0])!r}, not 1")
-
-
 @dataclass(frozen=True, eq=False)
 class Scm:
     """Synthetic joint model over (A, M, Y, U) for one covariate stratum.
@@ -100,7 +82,10 @@ class Scm:
     Whether exposure is independent of the confounder is read from
     pr(A=1|u) (:attr:`a_independent_u`): if it is, the true-effect formulas
     apply; if not, :func:`verify_bounds` checks the direct-effect bounds
-    among the unexposed only.
+    among the unexposed only.  Mismatched shapes raise :class:`BadParameter`,
+    an entry that is not finite or outside [0, 1] (outcome means in mean
+    mode: [0, inf)) :class:`OutOfRangeProbability`, and a pr(u) or pr(m|a,u)
+    that does not sum to 1 within ``_DIST_TOL`` :class:`NotNormalized`.
     """
 
     u_prior: np.ndarray
@@ -132,16 +117,14 @@ class Scm:
             tables[name] = table.transpose(*range(own, table.ndim), *range(own))
             object.__setattr__(self, name, tables[name])
         prior, a_given, m_given, y_given = tables.values()
-        _check_dist(prior, "u_prior")
-        bad = ~((a_given >= 0.0) & (a_given <= 1.0))
-        if bad.any():
-            raise BadParameter(f"{_cell('pr(A=1|u={})', bad)} = {float(a_given[bad][0])!r}")
-        _check_dist(m_given, "pr(m|a={},u={})")
-        top = 1.0 if self.mode == "probability" else np.inf
-        bad = ~(np.isfinite(y_given) & (y_given >= 0.0) & (y_given <= top))
-        if bad.any():
-            cell = _cell("y_given[a={}][m={}][u={}]", bad)
-            raise BadParameter(f"{cell} = {float(y_given[bad][0])!r}")
+        check_table(prior, "pr(u={})", 1.0 + _DIST_TOL, rows="pr(u)", tol=_DIST_TOL)
+        check_table(a_given, "pr(A=1|u={})")
+        check_table(m_given, "pr(m={2}|a={0},u={1})", 1.0 + _DIST_TOL, rows="pr(m|a={},u={})",
+                    tol=_DIST_TOL)
+        if self.mode == "probability":
+            check_table(y_given, "pr(Y=1|a={},m={},u={})")
+        else:
+            check_table(y_given, "E[Y|a={},m={},u={}]", np.inf)
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -170,7 +153,7 @@ class Scm:
         joint = np.where(np.array([[False], [True]]), exposed, 1.0 - exposed) * prior
         total = c_order_sum(joint, keepdims=True)
         if (total <= 0.0).any():
-            arm = _cell("a={}", total[..., 0] <= 0.0)
+            arm = first_cell("a={}", total[..., 0] <= 0.0)
             raise UnreachableCell(f"exposure arm {arm} has zero probability")
         posteriors = joint / total
         posteriors.flags.writeable = False
@@ -196,9 +179,8 @@ def observed_model(scm: Scm) -> ConditionalModel:
     joint, w = scm._mediator_joint
     unreachable = (w[..., 0, :] > 0.0) & (w[..., 1, :] == 0.0)
     if unreachable.any():
-        raise UnreachableCell(
-            f"mediator level {_cell('m={}', unreachable)} reachable under a=0 but not under a=1"
-        )
+        level = first_cell("m={}", unreachable)
+        raise UnreachableCell(f"mediator level {level} reachable under a=0 but not under a=1")
     y_joint = c_order_sum(joint * np.swapaxes(scm.y_given, -1, -2), axis=-2)
     y = np.zeros_like(w)
     np.divide(y_joint, w, out=y, where=w > 0.0)
@@ -223,7 +205,7 @@ def rr_uy(scm: Scm) -> float:
     y1 = scm.y_given[..., 1, :, :]
     low = y1.min(axis=-1)
     if (low <= 0.0).any():
-        raise ZeroProbability(f"{_cell('pr(Y=1|a=1,m={},u)', low <= 0.0)} has a zero cell")
+        raise ZeroProbability(f"{first_cell('pr(Y=1|a=1,m={},u)', low <= 0.0)} has a zero cell")
     return (y1.max(axis=-1) / low).max(axis=-1)[()]
 
 
@@ -247,7 +229,7 @@ def _posterior_ratios(scm: Scm) -> tuple[np.ndarray, np.ndarray]:
         ratio = post[..., 1, :, :] / post[..., 0, :, :]
     zero = live[..., None, :] & (post[..., 0, :, :] == 0.0)
     if (zero & (post[..., 1, :, :] > 0.0)).any():
-        where = _cell("u={},m={}", zero & (post[..., 1, :, :] > 0.0))
+        where = first_cell("u={},m={}", zero & (post[..., 1, :, :] > 0.0))
         raise ZeroProbability(f"pr(u|a=0,m) = 0 while pr(u|a=1,m) > 0 at {where}")
     ratio = np.where(live[..., None, :] & ~zero, ratio, 0.0)
     return ratio.max(axis=-2), live
@@ -285,7 +267,7 @@ def rr_au_mediator_ratio(scm: Scm) -> float:
     m0, m1 = scm.m_given[..., 0, :, :], scm.m_given[..., 1, :, :]
     zero = live & (m0 == 0.0)
     if (zero & (m1 > 0.0)).any():
-        where = _cell("u={},m={}", zero & (m1 > 0.0))
+        where = first_cell("u={},m={}", zero & (m1 > 0.0))
         raise ZeroProbability(f"pr(m|a=0,u) = 0 while pr(m|a=1,u) > 0 at {where}")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (m1 / m0) / (w[..., None, 1, :] / w[..., None, 0, :])
@@ -387,7 +369,10 @@ class DiscreteRatioInstance:
     evaluate at once, one value per instance.  Instances of different
     domain sizes share a batch when padded with ``f0 = f1 = 0`` and
     ``r = r[..., 0]``: the padding changes no sum, no density ratio and no
-    weight spread.
+    weight spread.  Mismatched domains raise :class:`BadParameter`, an entry
+    that is not finite or negative (of f0 or f1: above 1)
+    :class:`OutOfRangeProbability`, and an f0 or f1 that does not sum to 1
+    within ``_DIST_TOL`` :class:`NotNormalized`.
     """
 
     f0: np.ndarray
@@ -398,11 +383,9 @@ class DiscreteRatioInstance:
         f0, f1, r = (np.array(getattr(self, name), dtype=float) for name in ("f0", "f1", "r"))
         if f0.ndim == 0 or f0.shape[-1] == 0 or f1.shape != f0.shape or r.shape != f0.shape:
             raise BadParameter("f0, f1, r must share one nonempty domain")
-        _check_dist(f0, "f0")
-        _check_dist(f1, "f1")
-        bad = ~(np.isfinite(r) & (r >= 0.0))
-        if bad.any():
-            raise BadParameter(f"r must be nonnegative and finite, got {float(r[bad][0])!r}")
+        for name, f in (("f0", f0), ("f1", f1)):
+            check_table(f, name + "(x={})", 1.0 + _DIST_TOL, rows=name, tol=_DIST_TOL)
+        check_table(r, "r(x={})", np.inf)
         for name, values in (("f0", f0), ("f1", f1), ("r", r)):
             values.setflags(write=False)
             object.__setattr__(self, name, values)
@@ -412,7 +395,7 @@ class DiscreteRatioInstance:
         mass = self.f1 > 0.0
         orphan = mass & (self.f0 == 0.0)
         if orphan.any():
-            raise ZeroDenominator(f"f1 puts mass on {_cell('x={}', orphan)} where f0 has none")
+            raise ZeroDenominator(f"f1 puts mass on {first_cell('x={}', orphan)} where f0 has none")
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(mass, self.f1 / self.f0, 0.0).max(axis=-1)[()]
 
@@ -485,7 +468,6 @@ def sample_scm(
     *,
     floor: float = 1e-4,
     mode: Literal["probability", "mean"] = "probability",
-    y_max: float = 1.0,
     dependent_exposure: bool = False,
     shape: tuple[int, ...] = (),
 ) -> Scm:
@@ -493,14 +475,12 @@ def sample_scm(
 
     Cells are drawn uniformly then normalized.  ``floor`` keeps drawn cells
     away from zero so ratio parameters stay moderate; pass 0.0 for stress
-    tests.  ``y_max`` above 1 requires mean mode.  Exposure is a constant
-    1/2 unless ``dependent_exposure``.  Each model takes one consecutive
-    block of the generator's stream, so a batch of B models is the same B
-    models, and leaves the generator in the same state, as B unbatched
-    calls.
+    tests.  Outcome cells are drawn up to 1, or up to 5 in mean mode.
+    Exposure is a constant 1/2 unless ``dependent_exposure``.  Each model
+    takes one consecutive block of the generator's stream, so a batch of B
+    models is the same B models, and leaves the generator in the same
+    state, as B unbatched calls.
     """
-    if mode == "probability" and y_max > 1.0:
-        raise BadParameter("probability mode caps outcome cells at 1")
     if floor < 0.0 or floor >= 1.0:
         raise BadParameter("floor must be in [0, 1)")
     nu, nm = u_card, m_card
@@ -524,6 +504,7 @@ def sample_scm(
         cells /= c_order_sum(cells, keepdims=True)
         return cells
 
+    y_max = 5.0 if mode == "mean" else 1.0
     y_low = floor * y_max if floor > 0.0 else 1e-12
     return Scm(
         u_prior=dist(table(u_raw, nu)),
@@ -591,8 +572,6 @@ def recipe_scm(
                   & (target >= 1.0)):
         raise BadParameter("need 0 < anchor < 1, 0 < outcome_ceiling <= 1, target_nde_rr >= 1")
     prior_mass = p / rr_au
-    if (prior_mass > 1.0).any():
-        raise BadParameter("posterior_mass/rr_au must not exceed 1")
     with np.errstate(divide="ignore", invalid="ignore"):
         anchor_other = np.where(
             p == 1.0, 0.0, anchor * prior_mass * (1.0 - p) / (p * (1.0 - prior_mass))
@@ -738,12 +717,12 @@ def validity_battery(
         )
     rng = np.random.default_rng(seed)
     floor = 0.0 if extreme else 1e-4
-    y_max = 5.0 if mode == "mean" else 1.0
 
     worst_slack: dict[str, float] = {}
     violations = 0
     equiv_max = 0.0
     equiv_violations = 0
+    compared = False  # whether any batch had exposure independent of the confounder
     # at least 8 models, or the loops over the innermost model axis grow too short to pay
     batch = max(8, BATTERY_CELLS // (u_card * m_card))
     for start in range(0, iterations, batch):
@@ -753,13 +732,13 @@ def validity_battery(
             m_card,
             floor=floor,
             mode=mode,
-            y_max=y_max,
             dependent_exposure=dependent_exposure,
             shape=(min(batch, iterations - start),),
         )
-        other_form = None if dependent_exposure else rr_au_mediator_ratio(scm)
+        other_form = rr_au_mediator_ratio(scm) if scm.a_independent_u else None
         report = verify_bounds(scm)
         if other_form is not None:
+            compared = True
             rel = np.abs(report.rr_au - other_form) / np.maximum(1.0, report.rr_au)
             equiv_max = max(equiv_max, float(rel.max()))
             equiv_violations += int(np.count_nonzero(rel > EQUIV_TOL))
@@ -784,9 +763,9 @@ def validity_battery(
             "worst_slack": {k: worst_slack[k] for k in sorted(worst_slack)},
         },
         "definition_equivalence": (
-            None
-            if dependent_exposure
-            else {"max_relative_difference": equiv_max, "violations": equiv_violations}
+            {"max_relative_difference": equiv_max, "violations": equiv_violations}
+            if compared
+            else None
         ),
         "ratio_bound_dominance": {
             "iterations": ratio_iterations,

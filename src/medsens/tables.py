@@ -108,11 +108,12 @@ class RecordTable:
                 if abs(code) > INT64_MAX:
                     raise BadCode(f"{name}={code} exceeds the int64 range")
         a, m, y, c, n = np.array(fixed, dtype=np.int64).T
-        m_card, c_card = int(m.max()) + 1, int(c.max()) + 1
-        for name, codes, card in (("a", a, 2), ("m", m, m_card), ("y", y, 2), ("c", c, c_card)):
-            bad = codes[(codes < 0) | (codes >= card)]
+        for name, codes in zip("amyc", (a, m, y, c)):
+            binary = name in "ay"  # m and c take any code from 0: their cardinality is inferred
+            bad = codes[(codes < 0) | (binary & (codes > 1))]
             if bad.size:
-                raise BadCode(f"{name}={bad[0]} outside 0..{card - 1}")
+                raise BadCode(f"{name}={bad[0]} " + ("outside 0..1" if binary else "is negative"))
+        m_card, c_card = int(m.max()) + 1, int(c.max()) + 1
         if c_card * 2 * m_card * 2 > MAX_CELLS:
             raise BadCode(
                 f"codes m={m_card - 1}, c={c_card - 1} need {c_card * 2 * m_card * 2} count cells,"
@@ -242,22 +243,12 @@ class ConditionalModel:
             raise BadParameter(
                 f"tables need one shape (c_card, 2, m_card): y {y.shape}, w {w.shape}"
             )
-        total = c_order_sum(w, axis=2)
-        bad = ~(np.abs(total - 1.0) <= SUM_TOL)
-        if bad.any():
-            c, a = np.argwhere(bad)[0]
-            raise NotNormalized(f"pr(m|a={a},c={c}) sums to {float(total[c, a])!r}, not 1")
-        bad = ~((w >= 0.0) & (w <= 1.0 + SUM_TOL))  # a lone level may round just above 1
-        if bad.any():
-            c, a, m = np.argwhere(bad)[0]
-            raise OutOfRangeProbability(f"pr(m={m}|a={a},c={c}) = {float(w[c, a, m])!r}")
-        top = 1.0 if self.mode == "probability" else np.inf
-        bad = ~(np.isfinite(y) & (y >= 0.0) & (y <= top))
-        if bad.any():
-            c, a, m = np.argwhere(bad)[0]
-            cell = f"a={a},m={m},c={c}"
-            cell = f"pr(Y=1|{cell})" if self.mode == "probability" else f"E[Y|{cell}]"
-            raise OutOfRangeProbability(f"{cell} = {float(y[c, a, m])!r}")
+        # a lone level may round just above 1
+        check_table(w, "pr(m={2}|a={1},c={0})", 1.0 + SUM_TOL, rows="pr(m|a={1},c={0})")
+        if self.mode == "probability":
+            check_table(y, "pr(Y=1|a={1},m={2},c={0})")
+        else:
+            check_table(y, "E[Y|a={1},m={2},c={0}]", np.inf)
         for name, table in (("y", y), ("w", w)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
@@ -269,6 +260,40 @@ class ConditionalModel:
     @property
     def m_card(self) -> int:
         return self.y.shape[2]
+
+
+def first_cell(what: str, mask: np.ndarray) -> str:
+    """``what`` filled with the trailing indices of the first True entry of ``mask``.
+
+    ``what`` takes one index per ``{``, the last ones of the entry, so a
+    template names any of its axes in any order: ``"pr(m={2}|a={1},c={0})"``.
+    """
+    index = np.argwhere(mask)[0]
+    return what.format(*index[index.size - what.count("{"):])
+
+
+def check_table(
+    values, what: str, high: float = 1.0, *, rows: str = "", tol: float = SUM_TOL
+) -> np.ndarray:
+    """``values`` as a float array, checked as a table of probabilities or means.
+
+    Every entry must be finite and in [0, ``high``], or
+    :class:`OutOfRangeProbability` names the first that is not through the
+    template ``what`` (see :func:`first_cell`).  Given ``rows``, a template
+    naming a row by its indices before the last axis, each row over the
+    last axis must also sum to 1 within ``tol``, or :class:`NotNormalized`
+    names the first that does not.
+    """
+    values = np.asarray(values, dtype=float)
+    bad = ~(np.isfinite(values) & (values >= 0.0) & (values <= high))
+    if bad.any():
+        raise OutOfRangeProbability(f"{first_cell(what, bad)} = {float(values[bad][0])!r}")
+    if rows:
+        total = c_order_sum(values)
+        bad = ~(np.abs(total - 1.0) <= tol)
+        if bad.any():
+            raise NotNormalized(f"{first_cell(rows, bad)} sums to {float(total[bad][0])!r}, not 1")
+    return values
 
 
 def c_order_sum(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
@@ -348,16 +373,13 @@ def estimate_from_records(records: RecordTable, smoothing: float = 0.0) -> Condi
     alone would report it as a null effect.
     """
     y, w, empty = estimate_tables(records.counts, smoothing)
-    if empty.any():
-        # a wholly marked stratum or arm has no records at all
-        strata = np.flatnonzero(empty.all(axis=(1, 2)))
-        if strata.size:
-            raise EmptyCell(f"no records in stratum c={strata[0]}")
-        arms = np.argwhere(empty.all(axis=2))
-        if arms.size:
-            c, a = arms[0]
-            raise EmptyCell(f"no records for exposure a={a} in stratum c={c}")
-        c, a, m = np.argwhere(empty)[0]
-        raise EmptyCell(f"no records for cell a={a}, m={m} in stratum c={c}")
+    # a wholly marked stratum or arm has no records at all
+    for what, mask in (
+        ("no records in stratum c={}", empty.all(axis=(1, 2))),
+        ("no records for exposure a={1} in stratum c={0}", empty.all(axis=2)),
+        ("no records for cell a={1}, m={2} in stratum c={0}", empty),
+    ):
+        if mask.any():
+            raise EmptyCell(first_cell(what, mask))
     return ConditionalModel(y, w)
 

@@ -97,7 +97,7 @@ def sweep() -> SweepResults:
     for (mode, dependent, m_card), stream in zip(SWEEP_GROUPS, streams):
         scm = sample_scm(
             np.random.default_rng(stream), u_card=2, m_card=m_card, mode=mode,
-            y_max=5.0 if mode == "mean" else 1.0, dependent_exposure=dependent, shape=(5000,),
+            dependent_exposure=dependent, shape=(5000,),
         )
         rep = verify_bounds(scm)
         if dependent:

@@ -207,6 +207,10 @@ class TestCornfieldRr:
         with pytest.raises(BadParameter, match="observed effect"):
             cornfield_rr(observed)
 
+    def test_thresholds_keep_their_order(self):
+        with pytest.raises(BadParameter, match="ordering"):
+            CornfieldThresholds(2.0, 1.0)
+
     @settings(max_examples=1000)
     @given(st.floats(min_value=1.0 + 1e-9, max_value=100.0))
     def test_threshold_solves_the_symmetric_equation(self, r):

@@ -576,12 +576,14 @@ class TestOracle:
         assert "--u-card" in err and "--m-card" in err and "4096" in err
 
     def test_single_confounder_level_is_independent_of_exposure(self, capsys):
-        # pr(A=1|u) of a lone level cannot vary with u: all four checks apply
+        # pr(A=1|u) of a lone level cannot vary with u: all four checks and both
+        # forms of the collider parameter apply
         code, doc = run_json(capsys, "oracle", "--u-card", "1", "--dependent-exposure",
                              "--iterations", "20", "--ratio-iterations", "5",
                              "--sharpness-iterations", "1")
         assert code == 0
-        assert doc["result"]["definition_equivalence"] is None
+        assert doc["result"]["definition_equivalence"] == {
+            "max_relative_difference": 0.0, "violations": 0}
         assert list(doc["result"]["bound_validity"]["worst_slack"]) == [
             "nde_rd_lower_vs_true", "nde_rr_ratio_vs_bf", "nie_rd_true_vs_upper",
             "nie_rr_true_vs_upper"]

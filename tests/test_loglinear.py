@@ -53,6 +53,13 @@ class TestCumulant:
     def test_reflection_identity(self, t):
         assert math.isclose(cumulant_k(t), t + cumulant_k(-t), abs_tol=1e-12)
 
+    @pytest.mark.parametrize("name", ["beta0", "beta1", "beta3", "beta_c"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_spec_rejects_non_finite_coefficients(self, name, value):
+        coeffs = {"beta0": -2.3, "beta1": 0.2, "beta3": 0.1} | {name: value}
+        with pytest.raises(BadParameter, match=f"{name} must be a finite real"):
+            LogLinearSpec(**coeffs)
+
 
 def sample_feasible_spec(rng) -> LogLinearSpec:
     b1 = float(rng.uniform(-1.5, 1.5))
@@ -173,3 +180,13 @@ class TestInteractionBound:
             interaction_bound([[1.2, 0.4], [0.3, 0.9]])
         with pytest.raises(OutOfRangeProbability, match=r"pr\(m\|a=1,u=1\)"):
             interaction_bound([[[0.2, 0.4], [0.3, 0.9]], [[0.2, 0.4], [0.3, math.nan]]])
+
+    def test_negative_cell_is_out_of_range(self):
+        with pytest.raises(OutOfRangeProbability, match=r"^pr\(m\|a=1,u=0\) = -0\.3$"):
+            interaction_bound([[0.2, 0.4], [-0.3, 0.9]])
+
+    @pytest.mark.parametrize("grid", [[0.2, 0.4], [[0.2, 0.4]], [[], []]],
+                             ids=["one-axis", "one-row", "no-levels"])
+    def test_rejects_a_grid_without_two_rows(self, grid):
+        with pytest.raises(BadParameter, match="rows for a=0 and a=1"):
+            interaction_bound(grid)

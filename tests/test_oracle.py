@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -9,6 +10,7 @@ from medsens.bounds import SensitivitySpec, adjust, bound_report
 from medsens.errors import (
     BadParameter,
     InternalCheckError,
+    OutOfRangeProbability,
     UnreachableCell,
     ZeroDenominator,
     ZeroProbability,
@@ -597,3 +599,89 @@ class TestBatches:
         monkeypatch.setattr(oracle, "RATIO_BATCH", 7)
         monkeypatch.setattr(oracle, "SHARPNESS_BATCH", 2)
         assert oracle.validity_battery(**args) == whole
+
+
+#: the cell of each table that a test corrupts, with its name
+SCM_CELLS = {
+    "u_prior": ((1,), "pr(u=1)"),
+    "a_given_u": ((1,), "pr(A=1|u=1)"),
+    "m_given": ((1, 0, 1), "pr(m=1|a=1,u=0)"),
+    "y_given": ((1, 0, 1), "pr(Y=1|a=1,m=0,u=1)"),
+}
+
+
+def scm_tables(batch: int = 0) -> dict[str, np.ndarray]:
+    """Writable copies of the tables of :func:`u_irrelevant_scm`, stacked ``batch`` times."""
+    scm = u_irrelevant_scm()
+    return {name: np.array([getattr(scm, name)] * batch if batch else getattr(scm, name))
+            for name in SCM_CELLS}
+
+
+class TestTableValidation:
+    # a NaN entry and a row off one are checked with every other table in test_tables
+    @pytest.mark.parametrize("batch", [0, 3])
+    @pytest.mark.parametrize("value", [-0.1, 1.5])
+    @pytest.mark.parametrize("name", list(SCM_CELLS))
+    def test_bad_scm_entry_is_named(self, name, value, batch):
+        index, cell = SCM_CELLS[name]
+        tables = scm_tables(batch)
+        tables[name][(batch - 1,) * bool(batch) + index] = value  # the last model of a batch
+        with pytest.raises(OutOfRangeProbability, match=f"^{re.escape(f'{cell} = {value!r}')}$"):
+            Scm(**tables)
+
+    def test_mean_outcome_may_exceed_one_but_not_be_infinite(self):
+        tables = scm_tables()
+        tables["y_given"][1, 0, 1] = 5.0
+        assert Scm(**tables, mode="mean").y_given[1, 0, 1] == 5.0
+        tables["y_given"][1, 0, 1] = math.inf
+        with pytest.raises(OutOfRangeProbability, match=re.escape("E[Y|a=1,m=0,u=1] = inf")):
+            Scm(**tables, mode="mean")
+
+    @pytest.mark.parametrize("fields, error, message", [
+        (dict(f0=(0.5, 0.5), f1=(0.5, 0.5), r=(1.0, 2.0, 3.0)), BadParameter, "one nonempty"),
+        (dict(f0=(0.5, 0.5), f1=(1.0,), r=(1.0, 2.0)), BadParameter, "one nonempty"),
+        (dict(f0=(0.5, 0.5), f1=(0.5, 0.5), r=(1.0, -1.0)), OutOfRangeProbability,
+         r"^r\(x=1\) = -1\.0$"),
+    ], ids=["r", "f1", "negative-r"])
+    def test_bad_ratio_instance(self, fields, error, message):
+        with pytest.raises(error, match=message):
+            DiscreteRatioInstance(**fields)
+
+    def test_sampler_floor_below_one(self):
+        with pytest.raises(BadParameter, match="floor"):
+            sample_scm(np.random.default_rng(0), floor=1.0)
+
+    def test_recipe_anchor_below_one(self):
+        with pytest.raises(BadParameter, match="anchor"):
+            recipe_scm(2.0, 2.0, 0.999, anchor=1.0)
+
+
+class TestZeroProbability:
+    def test_zero_exposure_arm(self):
+        tables = scm_tables() | {"u_prior": (1.0, 0.0), "a_given_u": (0.0, 0.5)}
+        scm = Scm(**tables)
+        with pytest.raises(UnreachableCell, match="exposure arm a=1 has zero probability"):
+            observed_model(scm)
+
+    @pytest.mark.parametrize("form", [rr_au_posterior, rr_au_mediator_ratio])
+    def test_no_mediator_level_in_both_arms(self, form):
+        scm = flat_scm(m_given=(((1.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (0.0, 1.0))),
+                       y_given=u_irrelevant_scm().y_given)
+        with pytest.raises(ZeroProbability, match="no mediator level is reachable"):
+            form(scm)
+
+    @pytest.mark.parametrize("form, named", [
+        (rr_au_posterior, "pr(u|a=0,m) = 0 while pr(u|a=1,m) > 0 at u=0,m=1"),
+        (rr_au_mediator_ratio, "pr(m|a=0,u) = 0 while pr(m|a=1,u) > 0 at u=0,m=1"),
+    ], ids=["posterior", "mediator-ratio"])
+    def test_unexposed_posterior_zero_where_exposed_is_not(self, form, named):
+        # level m=1 is live in both arms, but under a=0 only u=1 reaches it
+        scm = flat_scm(m_given=(((1.0, 0.0), (0.5, 0.5)), ((0.5, 0.5), (0.5, 0.5))),
+                       y_given=u_irrelevant_scm().y_given)
+        with pytest.raises(ZeroProbability, match=re.escape(named)):
+            form(scm)
+
+    def test_ratio_bound_zero_denominator(self):
+        inst = DiscreteRatioInstance(f0=(0.5, 0.5), f1=(0.5, 0.5), r=(0.0, 0.0))
+        with pytest.raises(ZeroDenominator, match="sum of r against f0 is zero"):
+            check_ratio_bound(inst)

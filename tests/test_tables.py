@@ -1,6 +1,7 @@
 import contextlib
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -21,6 +22,8 @@ from medsens.errors import (
     OutOfRangeProbability,
     ParseError,
 )
+from medsens.loglinear import interaction_bound
+from medsens.oracle import DiscreteRatioInstance, Scm
 from medsens.tables import (
     ConditionalModel,
     RecordTable,
@@ -44,6 +47,20 @@ class TestRecordTable:
         with pytest.raises(BadParameter):
             RecordTable.from_rows([(0, 0, 0, 0, 0)])
 
+
+    @pytest.mark.parametrize("row, message", [
+        ((0, -3, 0, 0, 1), "m=-3 is negative"),
+        ((0, 1, 0, -2, 1), "c=-2 is negative"),
+        ((2, 0, 0, 0, 1), "a=2 outside 0..1"),
+        ((0, 0, -1, 0, 1), "y=-1 outside 0..1"),
+    ], ids=["m", "c", "a", "y"])
+    def test_bad_code_names_its_range(self, row, message):
+        with pytest.raises(BadCode, match=f"^{re.escape(message)}$"):
+            RecordTable.from_rows([(0, 0, 0, 0, 1), row])
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(BadParameter, match="one or more rows"):
+            RecordTable.from_rows([])
 
     def test_codes_past_the_cell_cap_rejected(self, monkeypatch):
         monkeypatch.setattr(tables, "MAX_CELLS", 4 * 6)  # c_card * 2 * m_card * 2
@@ -361,11 +378,74 @@ class TestValidate:
         with pytest.raises(OutOfRangeProbability, match="m=0"):
             ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[1.0 + 1e-9, -1e-9], [0.5, 0.5]]])
 
+    @pytest.mark.parametrize("y, w", [
+        ([[[0.2, 0.5], [0.4, 0.8]]], [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]),
+        ([[[0.2], [0.4], [0.6]]], [[[1.0], [1.0], [1.0]]]),
+        ([[0.2, 0.5], [0.4, 0.8]], [[0.5, 0.5], [0.5, 0.5]]),
+    ], ids=["mismatched", "three-arms", "no-strata"])
+    def test_rejects_bad_shapes(self, y, w):
+        with pytest.raises(BadParameter, match="one shape"):
+            ConditionalModel(y=y, w=w)
+
     def test_mean_mode_allows_values_above_one(self):
         model = ConditionalModel(
             y=[[[0.2, 0.5], [1.2, 0.8]]], w=[[[0.5, 0.5], [0.5, 0.5]]], mode="mean"
         )
         assert math.isfinite(crossworld_sums(model.y[0], model.w[0])[2])
+
+
+#: each type that validates a table: how it is built from its tables, valid tables, and
+#: per table the entry a test makes NaN with its name, and the row it puts off by 1e-6
+#: with its name (None for a table without rows)
+TABLE_OWNERS = [
+    ("ConditionalModel", ConditionalModel,
+     {"y": [[[0.2, 0.5], [0.4, 0.8]]] * 2, "w": [[[0.5, 0.5], [0.25, 0.75]]] * 2},
+     {"y": ((1, 0, 1), "pr(Y=1|a=0,m=1,c=1)", None, None),
+      "w": ((1, 0, 1), "pr(m=1|a=0,c=1)", (1, 0), "pr(m|a=0,c=1)")}),
+    ("Scm", Scm,
+     {"u_prior": (0.4, 0.6), "a_given_u": (0.5, 0.5),
+      "m_given": (((0.75, 0.25), (0.75, 0.25)), ((0.25, 0.75), (0.25, 0.75))),
+      "y_given": (((0.2, 0.2), (0.5, 0.5)), ((0.4, 0.4), (0.8, 0.8)))},
+     {"u_prior": ((1,), "pr(u=1)", (), "pr(u)"),
+      "a_given_u": ((1,), "pr(A=1|u=1)", None, None),
+      "m_given": ((1, 0, 1), "pr(m=1|a=1,u=0)", (1, 0), "pr(m|a=1,u=0)"),
+      "y_given": ((1, 0, 1), "pr(Y=1|a=1,m=0,u=1)", None, None)}),
+    ("DiscreteRatioInstance", DiscreteRatioInstance,
+     {"f0": (0.25, 0.75), "f1": (0.5, 0.5), "r": (1.0, 2.0)},
+     {"f0": ((1,), "f0(x=1)", (), "f0"), "f1": ((1,), "f1(x=1)", (), "f1"),
+      "r": ((1,), "r(x=1)", None, None)}),
+    ("interaction_bound", interaction_bound,
+     {"p": ((0.2, 0.4), (0.3, 0.9))},
+     {"p": ((1, 0), "pr(m|a=1,u=0)", None, None)}),
+]
+
+
+def table_cases(rows: bool) -> list:
+    """One case per table: build, valid tables, table name, and its entry or row with the name."""
+    return [pytest.param(build, valid, name, *cells[name][2:] if rows else cells[name][:2],
+                         id=f"{owner}.{name}")
+            for owner, build, valid, cells in TABLE_OWNERS for name in cells
+            if not rows or cells[name][2] is not None]
+
+
+class TestOneTableCheck:
+    """Every table is checked by ``tables.check_table``, so its errors read alike."""
+
+    @pytest.mark.parametrize("build, valid, name, entry, named", table_cases(rows=False))
+    def test_nan_entry_is_out_of_range_and_named(self, build, valid, name, entry, named):
+        tables = {k: np.array(v, dtype=float) for k, v in valid.items()}
+        build(**tables)
+        tables[name][entry] = math.nan
+        with pytest.raises(OutOfRangeProbability, match=f"^{re.escape(named)} = nan$"):
+            build(**tables)
+
+    @pytest.mark.parametrize("build, valid, name, row, named", table_cases(rows=True))
+    def test_row_off_by_a_millionth_is_not_normalized_and_named(self, build, valid, name, row,
+                                                                 named):
+        tables = {k: np.array(v, dtype=float) for k, v in valid.items()}
+        tables[name][row + (0,)] += 1e-6
+        with pytest.raises(NotNormalized, match=rf"^{re.escape(named)} sums to \S+, not 1$"):
+            build(**tables)
 
 
 class TestSwapExposure:

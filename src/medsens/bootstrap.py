@@ -9,12 +9,19 @@ count tensors, :func:`~medsens.tables.estimate_tables` estimates them
 together, :func:`~medsens.bounds.bound_report` forms their effects as
 arrays over the batch, and with a spec :func:`~medsens.bounds.adjust` forms
 the bounds from those.  The batches draw the same replicates, in the same
-order, as one draw at a time would.  Intervals are percentile intervals of
-the replicate statistics, by numpy's default ("linear") method written out
-in :func:`_percentiles`: it gives ``np.percentile``'s bits without the
-``np.unique`` call that loads ``numpy.ma``.  A statistic that is the same
-infinity in every replicate (``nie_rr_upper`` at ``bf = inf``) gets that
-infinity as both limits, where the lerp would give inf - inf = NaN.
+order, as one draw at a time would.
+
+Working memory is one table of replicates x strata x statistics floats,
+preallocated, plus one batch of at most ``BATCH_CELLS`` count-tensor cells:
+each batch writes its statistics into its slice of the table, and the
+percentiles partition the table in place.
+
+Intervals are percentile intervals of the replicate statistics, by numpy's
+default ("linear") method written out in :func:`_percentiles`: it gives
+``np.percentile``'s bits without the ``np.unique`` call that loads
+``numpy.ma``.  A statistic that is the same infinity in every replicate
+(``nie_rr_upper`` at ``bf = inf``) gets that infinity as both limits, where
+the lerp would give inf - inf = NaN.
 
 A replicate that empties a required table cell cannot be evaluated; it is
 redrawn, counted, and reported.  Everything is deterministic given the
@@ -34,7 +41,7 @@ from .tables import RecordTable, estimate_from_records, estimate_tables
 #: more than this many redraws per requested replicate raises DegenerateResample
 MAX_REDRAW_FACTOR = 10
 #: count-tensor cells drawn per batch of replicates, which bounds a batch's memory
-BATCH_CELLS = 1 << 16
+BATCH_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,7 @@ def run_bootstrap(
     total = records.total()
     probs = records.counts.ravel() / total
     batch = max(1, BATCH_CELLS // records.counts.size)
-    draws: list[np.ndarray] = []
+    stats = np.empty((replicates, *point.shape))
     kept = redraws = 0
     budget = MAX_REDRAW_FACTOR * replicates
     while kept < replicates:
@@ -98,21 +105,17 @@ def run_bootstrap(
         counts = rng.multinomial(total, probs, size=size).reshape(size, *shape)
         y, w, empty = estimate_tables(counts, smoothing)
         ok = ~empty.any(axis=(1, 2, 3))
-        kept += int(ok.sum())
-        redraws += size - int(ok.sum())
+        good = int(ok.sum())
+        redraws += size - good
         if redraws > budget:
             raise DegenerateResample(
                 f"{budget + 1} degenerate replicates exceeded the redraw budget {budget}"
             )
-        draws.append(statistics(y[ok], w[ok]))
+        stats[kept:kept + good] = statistics(y[ok], w[ok])
+        kept += good
         del counts, y, w, empty  # before the next batch is drawn
 
-    lo_q = 100.0 * (1.0 - level) / 2.0
-    stats = np.concatenate(draws)
-    with np.errstate(invalid="ignore"):  # inf - inf, in the lanes replaced below
-        limits = _percentiles(stats, [lo_q, 100.0 - lo_q])
-    np.copyto(limits, stats[0], where=np.isinf(stats[0]) & (stats == stats[0]).all(axis=0))
-    lo, hi = limits
+    lo, hi = _limits(stats, level)
     intervals = {
         c: {
             name: (float(lo[c, s]), float(point[c, s]), float(hi[c, s]))
@@ -129,6 +132,21 @@ def run_bootstrap(
     )
 
 
+def _limits(stats: np.ndarray, level: float) -> np.ndarray:
+    """The two-sided ``level`` percentile limits of ``stats[replicate, ...]``, as ``[lo, hi]``.
+
+    Partitions ``stats`` in place (see :func:`_percentiles`).  A lane that is
+    one infinity throughout gets that infinity as both limits.
+    """
+    lo_q = 100.0 * (1.0 - level) / 2.0
+    with np.errstate(invalid="ignore"):  # inf - inf, in the lanes replaced below
+        limits = _percentiles(stats, [lo_q, 100.0 - lo_q])
+    # the partition put each lane's minimum first and its maximum last
+    low, high = stats[0], stats[-1]
+    np.copyto(limits, low, where=np.isinf(low) & (low == high))
+    return limits
+
+
 def _percentiles(x: np.ndarray, q) -> np.ndarray:
     """``np.percentile(x, q, axis=0)`` by its linear method, bit for bit.
 
@@ -136,13 +154,15 @@ def _percentiles(x: np.ndarray, q) -> np.ndarray:
     ``(n - 1) * q / 100`` are placed by one partition at the same positions
     (so equal values such as 0.0 and -0.0 land where numpy puts them),
     blended by numpy's two-sided lerp, and a slice holding a NaN gives NaN.
+    The partition reorders ``x`` in place, with no copy: afterwards
+    ``x[0]`` is each lane's minimum and ``x[-1]`` its maximum, or a NaN.
     """
     n = len(x)
     index = (n - 1) * np.true_divide(q, 100)
     top = index >= n - 1  # numpy takes the last value twice here
     below = np.where(top, -1, np.floor(index)).astype(np.intp)
     above = np.where(top, -1, below + 1)
-    x = np.partition(x, sorted({0, -1, *below.tolist(), *above.tolist()}), axis=0)
+    x.partition(sorted({0, -1, *below.tolist(), *above.tolist()}), axis=0)
     t = (index - below).reshape(-1, *[1] * (x.ndim - 1))
     a, b = x[below], x[above]
     d = b - a

@@ -16,7 +16,7 @@ M=0 it is a ratio of four survivor terms 1 - e^(linear predictor) evaluated
 at the worst-case u, which is u=0 when beta1*beta3 >= 0 and u=1 otherwise.
 
 :func:`rr_au_loglinear` implements the closed form;
-:func:`rr_au_loglinear_bruteforce` builds the same two-point models as an
+:func:`_rr_au_loglinear_bruteforce` builds the same two-point models as an
 oracle :class:`~medsens.oracle.Scm` batch and evaluates the defining
 posterior ratio through :func:`~medsens.oracle.rr_au_posterior`.  The two
 must agree to ~1e-10, which pins down the intercept convention: ``beta0``
@@ -52,7 +52,7 @@ DEFAULT_INTERCEPT_EXPOSURE_PAIRS = (
 DEFAULT_CONFOUNDER_COEFFS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
 
-def cumulant_k(t: float) -> float:
+def _cumulant_k(t: float) -> float:
     """log((1 + e^t) / 2), evaluated stably for large |t|."""
     if math.isnan(t):
         raise BadParameter(f"t must be a real number, got {t!r}")
@@ -81,7 +81,7 @@ class LogLinearSpec:
                 raise BadParameter(f"{name} must be a finite real, got {v!r}")
 
     def marginal_intercept(self) -> float:
-        return self.beta0 + cumulant_k(self.beta3)
+        return self.beta0 + _cumulant_k(self.beta3)
 
 
 def _checked_exp(lp: float, what: str) -> float:
@@ -111,7 +111,7 @@ def rr_au_loglinear(spec: LogLinearSpec) -> float:
     return max(1.0, num / den)
 
 
-def rr_au_loglinear_bruteforce(beta0, beta1, beta3, beta_c=0.0):
+def _rr_au_loglinear_bruteforce(beta0, beta1, beta3, beta_c=0.0):
     """Collider-bias parameter from the defining posterior ratio, one per coefficient entry.
 
     The coefficients broadcast to one batch of exact two-point models
@@ -169,7 +169,7 @@ def collider_ratio_grid(beta_c: float = 0.0) -> list[dict[str, float]]:
         for beta3 in DEFAULT_CONFOUNDER_COEFFS
     ]
     coeffs = np.array([(s.beta0, s.beta1, s.beta3) for s in specs]).reshape(-1, 3)
-    brute = rr_au_loglinear_bruteforce(*coeffs.T, beta_c).tolist()
+    brute = _rr_au_loglinear_bruteforce(*coeffs.T, beta_c).tolist()
     rows = []
     for spec, check in zip(specs, brute):
         rr = rr_au_loglinear(spec)

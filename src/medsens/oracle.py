@@ -235,18 +235,6 @@ def _posterior_ratios(scm: Scm) -> tuple[np.ndarray, np.ndarray]:
     return ratio.max(axis=-2), live
 
 
-def rr_au_posterior_per_mediator(scm: Scm) -> dict[int, float]:
-    """Collider parameter per mediator level, posterior form.
-
-    For each m reachable under both arms: max over u of
-    pr(u|A=1,m) / pr(u|A=0,m), computed by Bayes' rule.  Works with or
-    without exposure-confounder dependence.  For a batch, the keys are the
-    levels reachable in some model, with 0 for the models where they are not.
-    """
-    per_m, live = _posterior_ratios(scm)
-    return {m: per_m[..., m][()] for m in range(scm.m_card) if live[..., m].any()}
-
-
 def rr_au_posterior(scm: Scm) -> float:
     """Collider parameter: max over mediator levels of the posterior form."""
     return _posterior_ratios(scm)[0].max(axis=-1)[()]
@@ -403,10 +391,16 @@ class DiscreteRatioInstance:
         """max r / min r; 1 for any constant r."""
         high, low = self.r.max(axis=-1), self.r.min(axis=-1)
         constant = high == low
-        if (~constant & (low <= 0.0)).any():
-            raise BadParameter("non-constant r needs a strictly positive minimum")
+        bad = ~constant & (low <= 0.0)
+        if bad.any():
+            raise BadParameter("non-constant r needs a strictly positive minimum" + _instance(bad))
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(constant, 1.0, high / low)[()]
+
+
+def _instance(mask: np.ndarray) -> str:
+    """`` in instance i`` for the first True entry of a batch ``mask``; nothing for one instance."""
+    return first_cell(" in instance " + ", ".join(["{}"] * mask.ndim), mask) if mask.ndim else ""
 
 
 @dataclass(frozen=True)
@@ -430,7 +424,7 @@ def check_ratio_bound(inst: DiscreteRatioInstance) -> RatioBoundResult:
     num = (inst.r * inst.f1).sum(axis=-1)
     den = (inst.r * inst.f0).sum(axis=-1)
     if (den == 0.0).any():
-        raise ZeroDenominator("sum of r against f0 is zero")
+        raise ZeroDenominator("sum of r against f0 is zero" + _instance(den == 0.0))
     g = inst.max_density_ratio()
     d = inst.weight_spread()
     lhs = (num / den)[()]
@@ -438,22 +432,6 @@ def check_ratio_bound(inst: DiscreteRatioInstance) -> RatioBoundResult:
     rhs = bounding_factor(SensitivitySpec(rr_au=np.maximum(g, 1.0), rr_uy=d))
     return RatioBoundResult(lhs=lhs, rhs=rhs, density_ratio=g, weight_spread=d,
                             holds=lhs <= rhs + RATIO_BOUND_TOL)
-
-
-def bernoulli_instance(density_ratio: float, weight_spread: float) -> DiscreteRatioInstance:
-    """The two-point family attaining the ratio bound with equality.
-
-    f1 concentrates on x=1, f0 gives that point mass 1/density_ratio, and
-    r spreads by weight_spread; the weighted-mean ratio then equals the cap
-    exactly.
-    """
-    if not (density_ratio >= 1.0 and weight_spread >= 1.0):  # NaN fails too
-        raise BadParameter("density_ratio and weight_spread must be at least 1")
-    return DiscreteRatioInstance(
-        f0=(1.0 - 1.0 / density_ratio, 1.0 / density_ratio),
-        f1=(0.0, 1.0),
-        r=(1.0, weight_spread),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,13 @@ class RecordTable:
         counts = counts.astype(np.int64)
         if counts.ndim != 4 or counts.shape[1::2] != (2, 2) or 0 in counts.shape:
             raise BadParameter(f"record counts need shape (c_card, 2, m_card, 2): {counts.shape}")
-        if (counts < 0).any() or counts.sum() <= 0:
-            raise BadParameter("record counts must be nonnegative with a positive total")
+        negative = counts < 0
+        if negative.any():
+            cell = first_cell("counts[{}, {}, {}, {}]", negative)
+            raise BadParameter(f"record counts must be nonnegative: {cell} = {counts[negative][0]}")
+        total = counts.sum()
+        if total <= 0:
+            raise BadParameter(f"record counts must have a positive total, got {total}")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 

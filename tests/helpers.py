@@ -1,12 +1,15 @@
 """References that several test files share.
 
-Each is a plain, independent route to a quantity the package computes
-another way, so a test can compare the two.
+Most are a plain, independent route to a quantity the package computes
+another way, so a test can compare the two.  The last two are views of the
+oracle that only tests use: the collider parameter per mediator level, and
+the two-point family that attains the scalar ratio bound.
 """
 
 import numpy as np
 
 from medsens.errors import BadParameter, ZeroDenominator
+from medsens.oracle import DiscreteRatioInstance, Scm, _posterior_ratios
 from medsens.tables import ConditionalModel, RecordTable
 
 
@@ -67,3 +70,32 @@ def expand_to_records(model: ConditionalModel, denominator: int) -> RecordTable:
         count = float(raw[c, a, m, y])
         raise BadParameter(f"cell a={a},m={m},y={y},c={c}: {count!r} is not an integer count")
     return RecordTable(counts.astype(np.int64))
+
+
+def rr_au_posterior_per_mediator(scm: Scm) -> dict[int, float]:
+    """Collider parameter per mediator level, posterior form.
+
+    For each m reachable under both arms: max over u of
+    pr(u|A=1,m) / pr(u|A=0,m), computed by Bayes' rule.  Works with or
+    without exposure-confounder dependence.  For a batch, the keys are the
+    levels reachable in some model, with 0 for the models where they are not.
+    :func:`medsens.oracle.rr_au_posterior` is the maximum of these.
+    """
+    per_m, live = _posterior_ratios(scm)
+    return {m: per_m[..., m][()] for m in range(scm.m_card) if live[..., m].any()}
+
+
+def bernoulli_instance(density_ratio: float, weight_spread: float) -> DiscreteRatioInstance:
+    """The two-point family attaining the ratio bound with equality.
+
+    f1 concentrates on x=1, f0 gives that point mass 1/density_ratio, and
+    r spreads by weight_spread; the weighted-mean ratio then equals the cap
+    of :func:`medsens.oracle.check_ratio_bound` exactly.
+    """
+    if not (density_ratio >= 1.0 and weight_spread >= 1.0):  # NaN fails too
+        raise BadParameter("density_ratio and weight_spread must be at least 1")
+    return DiscreteRatioInstance(
+        f0=(1.0 - 1.0 / density_ratio, 1.0 / density_ratio),
+        f1=(0.0, 1.0),
+        r=(1.0, weight_spread),
+    )

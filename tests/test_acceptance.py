@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from helpers import bernoulli_instance, rr_au_posterior_per_mediator
 from medsens.bounds import SensitivitySpec, bounding_factor, cornfield_rr, required_partner
 from medsens.cli import main
 from medsens.errors import Infeasible
@@ -32,11 +33,9 @@ from medsens.loglinear import (
 from medsens.loglinear import interaction_bound
 from medsens.oracle import (
     EQUIV_TOL,
-    bernoulli_instance,
     check_ratio_bound,
     rr_au_mediator_ratio,
     rr_au_posterior,
-    rr_au_posterior_per_mediator,
     sample_ratio_instances,
     sample_scm,
     sharpness_search,

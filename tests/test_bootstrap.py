@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 from helpers import plain_bounds, stratum_effects, worked_model
 from medsens import bootstrap
 from medsens.bootstrap import EFFECT_STATS, run_bootstrap
-from medsens.bounds import SensitivitySpec, bounding_factor
+from medsens.bounds import BOUND_STATS, SensitivitySpec, bounding_factor
 from medsens.cli import main
 from medsens.errors import BadParameter, DegenerateResample, EmptyCell, ZeroDenominator
 from medsens.tables import RecordTable, estimate_from_records
@@ -202,19 +203,43 @@ class TestRedrawBudget:
             run_bootstrap(records, replicates=100, seed=0)
 
 
+#: the values one lane of a replicate table draws from: one repeated infinity,
+#: infinities mixed with NaN or with each other, and anything at all
+LANE_VALUES = [
+    st.just(math.inf), st.just(-math.inf), st.sampled_from([math.inf, math.nan]),
+    st.sampled_from([-math.inf, math.inf]),
+    st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan])
+    | st.floats(allow_nan=True, allow_infinity=True),
+]
+
+
+@st.composite
+def replicate_tables(draw):
+    """A table ``x[replicate, c, stat]`` whose lanes each draw from one of ``LANE_VALUES``."""
+    n, c_card, s_card = draw(st.integers(1, 300)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lanes = [draw(hnp.arrays(float, n, elements=draw(st.sampled_from(LANE_VALUES))))
+             for _ in range(c_card * s_card)]
+    return np.stack(lanes, axis=-1).reshape(n, c_card, s_card)
+
+
 class TestPercentiles:
-    @given(
-        hnp.arrays(float, st.tuples(st.integers(1, 300), st.integers(1, 3), st.integers(1, 2)),
-                   elements=st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan])
-                   | st.floats(allow_nan=True, allow_infinity=True)),
-        st.floats(0.5, 0.999),
-    )
+    @given(replicate_tables(), st.floats(0.5, 0.999))
     def test_equal_numpy_bit_for_bit(self, x, level):
-        # equal values (0.0 and -0.0, NaNs of any payload) must land where numpy puts them
+        # equal values (0.0 and -0.0, NaNs of any payload) must land where numpy puts them;
+        # _percentiles partitions its argument, so numpy sees the untouched table
         q = [100.0 * (1.0 - level) / 2.0, 100.0 - 100.0 * (1.0 - level) / 2.0]
         with np.errstate(invalid="ignore"):  # inf - inf, as numpy's own lerp meets it
-            ours, theirs = bootstrap._percentiles(x, q), np.percentile(x, q, axis=0)
+            ours, theirs = bootstrap._percentiles(x.copy(), q), np.percentile(x, q, axis=0)
         assert ours.tobytes() == theirs.tobytes()
+
+    @given(replicate_tables(), st.floats(0.5, 0.999))
+    def test_limits_give_a_constant_infinity_as_both_limits(self, x, level):
+        # the reference compares every replicate with the first, on the untouched table
+        q = [100.0 * (1.0 - level) / 2.0, 100.0 - 100.0 * (1.0 - level) / 2.0]
+        with np.errstate(invalid="ignore"):
+            expected = np.percentile(x, q, axis=0)
+        np.copyto(expected, x[0], where=np.isinf(x[0]) & (x == x[0]).all(axis=0))
+        assert bootstrap._limits(x.copy(), level).tobytes() == expected.tobytes()
 
     def test_bootstrap_leaves_numpy_ma_unimported(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -233,6 +258,28 @@ class TestPercentiles:
                               env=env)
         assert done.stderr == ""
         assert done.stdout == "0 False\n"
+
+
+class TestMemory:
+    def test_peak_is_one_replicate_table_and_one_small_batch(self):
+        # 48 cells (3 strata, 4 mediator levels): the 2000 x 3 x 10 table of replicate
+        # statistics is 480 kB, and a batch of count tensors and its estimates must
+        # stay small next to it
+        counts = (np.arange(48).reshape(3, 2, 4, 2) % 7 + 5) * 11
+        records, spec = RecordTable(counts), SensitivitySpec(2.0, 2.0)
+        run_bootstrap(records, replicates=100, spec=spec)  # first-call set-up is not the table's
+        table = 2000 * 3 * len(EFFECT_STATS + BOUND_STATS) * 8
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_bootstrap(records, replicates=2000, seed=1, spec=spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 2.5 * table, f"peak {peak} B is {peak / table:.2f} replicate tables"
 
 
 class TestCoverage:

@@ -18,40 +18,40 @@ from medsens.loglinear import (
     DEFAULT_CONFOUNDER_COEFFS,
     DEFAULT_INTERCEPT_EXPOSURE_PAIRS,
     LogLinearSpec,
+    _cumulant_k,
+    _rr_au_loglinear_bruteforce,
     collider_ratio_grid,
-    cumulant_k,
     interaction_bound,
     rr_au_loglinear,
-    rr_au_loglinear_bruteforce,
 )
 
 
 class TestCumulant:
     def test_zero(self):
-        assert cumulant_k(0.0) == 0.0
+        assert _cumulant_k(0.0) == 0.0
 
     def test_half(self):
         # frozen from a 50-digit evaluation of log((1 + e^0.5)/2)
-        assert math.isclose(cumulant_k(0.5), 0.2809298036201614, abs_tol=1e-15)
+        assert math.isclose(_cumulant_k(0.5), 0.2809298036201614, abs_tol=1e-15)
 
     def test_negative_limit(self):
-        assert math.isclose(cumulant_k(-50.0), -math.log(2.0), abs_tol=1e-15)
+        assert math.isclose(_cumulant_k(-50.0), -math.log(2.0), abs_tol=1e-15)
 
     def test_large_argument_stable(self):
-        assert math.isclose(cumulant_k(800.0), 800.0 - math.log(2.0), rel_tol=1e-15)
+        assert math.isclose(_cumulant_k(800.0), 800.0 - math.log(2.0), rel_tol=1e-15)
 
     def test_infinite_arguments_are_the_formula_limits(self):
         # exp(-inf) is 0.0, so the general formula gives inf and 0.0 - log(2), bit for bit
-        assert cumulant_k(math.inf) == math.inf
-        assert cumulant_k(-math.inf).hex() == (-math.log(2.0)).hex() == "-0x1.62e42fefa39efp-1"
+        assert _cumulant_k(math.inf) == math.inf
+        assert _cumulant_k(-math.inf).hex() == (-math.log(2.0)).hex() == "-0x1.62e42fefa39efp-1"
 
     def test_nan_rejected(self):
         with pytest.raises(BadParameter, match="real number"):
-            cumulant_k(math.nan)
+            _cumulant_k(math.nan)
 
     @given(st.floats(min_value=-30, max_value=30))
     def test_reflection_identity(self, t):
-        assert math.isclose(cumulant_k(t), t + cumulant_k(-t), abs_tol=1e-12)
+        assert math.isclose(_cumulant_k(t), t + _cumulant_k(-t), abs_tol=1e-12)
 
     @pytest.mark.parametrize("name", ["beta0", "beta1", "beta3", "beta_c"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -75,16 +75,16 @@ class TestClosedFormAgainstBruteForce:
         specs = [sample_feasible_spec(rng) for _ in range(10_000)]
         closed = np.array([rr_au_loglinear(spec) for spec in specs])
         coeffs = np.array([(s.beta0, s.beta1, s.beta3) for s in specs])
-        brute = rr_au_loglinear_bruteforce(*coeffs.T)
+        brute = _rr_au_loglinear_bruteforce(*coeffs.T)
         assert brute.shape == (10_000,)
         assert (np.abs(closed - brute) <= 1e-10 * np.maximum(1.0, brute)).all()
 
     def test_opposite_sign_branch(self):
         spec = LogLinearSpec(beta0=-2.0, beta1=0.5, beta3=-0.8)
-        assert math.isclose(rr_au_loglinear(spec), rr_au_loglinear_bruteforce(-2.0, 0.5, -0.8),
+        assert math.isclose(rr_au_loglinear(spec), _rr_au_loglinear_bruteforce(-2.0, 0.5, -0.8),
                             rel_tol=1e-12)
         spec = LogLinearSpec(beta0=-2.0, beta1=-0.5, beta3=0.8)
-        assert math.isclose(rr_au_loglinear(spec), rr_au_loglinear_bruteforce(-2.0, -0.5, 0.8),
+        assert math.isclose(rr_au_loglinear(spec), _rr_au_loglinear_bruteforce(-2.0, -0.5, 0.8),
                             rel_tol=1e-12)
 
     def test_no_confounder_effect(self):
@@ -97,9 +97,9 @@ class TestClosedFormAgainstBruteForce:
         with pytest.raises(Infeasible):
             rr_au_loglinear(LogLinearSpec(beta0=-0.1, beta1=0.5, beta3=0.5))
         with pytest.raises(Infeasible, match="cell a=0, u=1: linear predictor 0.4 gives"):
-            rr_au_loglinear_bruteforce(-0.1, 0.5, 0.5)
+            _rr_au_loglinear_bruteforce(-0.1, 0.5, 0.5)
         with pytest.raises(Infeasible, match="cell a=1, u=1"):
-            rr_au_loglinear_bruteforce([-2.0, -2.0, -0.1], [0.2, 0.7, 0.5], [0.1, 0.6, 0.5], 0.8)
+            _rr_au_loglinear_bruteforce([-2.0, -2.0, -0.1], [0.2, 0.7, 0.5], [0.1, 0.6, 0.5], 0.8)
 
 
 class TestReferenceGridValues:

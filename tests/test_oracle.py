@@ -5,6 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from helpers import bernoulli_instance, rr_au_posterior_per_mediator
 from medsens import bounds
 from medsens.bounds import SensitivitySpec, adjust, bound_report
 from medsens.errors import (
@@ -21,13 +22,11 @@ from medsens.oracle import (
     DiscreteRatioInstance,
     Scm,
     SharpnessReport,
-    bernoulli_instance,
     check_ratio_bound,
     observed_model,
     recipe_scm,
     rr_au_mediator_ratio,
     rr_au_posterior,
-    rr_au_posterior_per_mediator,
     rr_uy,
     sample_ratio_instances,
     sample_scm,
@@ -683,5 +682,15 @@ class TestZeroProbability:
 
     def test_ratio_bound_zero_denominator(self):
         inst = DiscreteRatioInstance(f0=(0.5, 0.5), f1=(0.5, 0.5), r=(0.0, 0.0))
-        with pytest.raises(ZeroDenominator, match="sum of r against f0 is zero"):
+        with pytest.raises(ZeroDenominator, match="^sum of r against f0 is zero$"):
+            check_ratio_bound(inst)
+
+    @pytest.mark.parametrize("r, error, message", [
+        ((0.0, 0.0), ZeroDenominator, "sum of r against f0 is zero in instance 1"),
+        ((0.0, 1.0), BadParameter,
+         "non-constant r needs a strictly positive minimum in instance 1"),
+    ], ids=["zero-sum", "zero-minimum"])
+    def test_ratio_bound_names_the_instance_of_a_batch(self, r, error, message):
+        inst = DiscreteRatioInstance(f0=((0.5, 0.5),) * 2, f1=((0.5, 0.5),) * 2, r=((1.0, 2.0), r))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             check_ratio_bound(inst)

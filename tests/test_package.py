@@ -29,16 +29,12 @@ PUBLIC = {
         "InternalCheckError", "MedsensError", "NotNormalized", "OutOfRangeProbability",
         "ParseError", "UnreachableCell", "ZeroDenominator", "ZeroProbability",
     ],
-    "loglinear": [
-        "LogLinearSpec", "collider_ratio_grid", "cumulant_k", "interaction_bound",
-        "rr_au_loglinear", "rr_au_loglinear_bruteforce",
-    ],
+    "loglinear": ["LogLinearSpec", "collider_ratio_grid", "interaction_bound", "rr_au_loglinear"],
     "oracle": [
         "DiscreteRatioInstance", "InequalityCheck", "RatioBoundResult", "Scm", "SharpnessReport",
-        "ValidityReport", "bernoulli_instance", "check_ratio_bound", "observed_model",
-        "recipe_scm", "rr_au_mediator_ratio", "rr_au_posterior", "rr_au_posterior_per_mediator",
-        "rr_uy", "sample_ratio_instances", "sample_scm", "sharpness_search", "validity_battery",
-        "verify_bounds",
+        "ValidityReport", "check_ratio_bound", "observed_model", "recipe_scm",
+        "rr_au_mediator_ratio", "rr_au_posterior", "rr_uy", "sample_ratio_instances",
+        "sample_scm", "sharpness_search", "validity_battery", "verify_bounds",
     ],
     "tables": [
         "ConditionalModel", "RecordTable", "crossworld_sums", "estimate_from_records",

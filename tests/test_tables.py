@@ -73,6 +73,15 @@ class TestRecordTable:
                 RecordTable.from_rows([row])
         zeros.assert_not_called()
 
+    def test_bad_counts_are_named(self):
+        counts = np.ones((2, 2, 3, 2), dtype=np.int64)
+        counts[1, 0, 2, 1] = counts[1, 1, 0, 0] = -1
+        message = "record counts must be nonnegative: counts[1, 0, 2, 1] = -1"
+        with pytest.raises(BadParameter, match=f"^{re.escape(message)}$"):
+            RecordTable(counts)
+        with pytest.raises(BadParameter, match="^record counts must have a positive total, got 0$"):
+            RecordTable(np.zeros((2, 2, 3, 2), dtype=np.int64))
+
     def test_counts_are_checked_and_frozen(self):
         for bad in (np.zeros((1, 2, 1, 2), int), -np.ones((1, 2, 1, 2), int),
                     np.ones((1, 3, 1, 2), int), np.ones((2, 1, 2)), np.ones((1, 2, 1, 2))):

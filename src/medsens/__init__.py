@@ -58,10 +58,10 @@ _LAZY = {
     "bootstrap": ("BootstrapResult", "run_bootstrap"),
     "loglinear": ("LogLinearSpec", "collider_ratio_grid", "interaction_bound", "rr_au_loglinear"),
     "oracle": (
-        "DiscreteRatioInstance", "InequalityCheck", "RatioBoundResult", "Scm", "SharpnessReport",
-        "ValidityReport", "check_ratio_bound", "observed_model", "recipe_scm",
-        "rr_au_mediator_ratio", "rr_au_posterior", "rr_uy", "sample_ratio_instances",
-        "sample_scm", "sharpness_search", "validity_battery", "verify_bounds",
+        "InequalityCheck", "Scm", "SharpnessReport", "ValidityReport", "observed_model",
+        "recipe_scm", "rr_au_mediator_ratio", "rr_au_posterior", "rr_uy",
+        "sample_ratio_instances", "sample_scm", "sharpness_search", "validity_battery",
+        "verify_bounds",
     ),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in names}

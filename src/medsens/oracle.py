@@ -21,11 +21,6 @@ under a=0 are therefore legal, which the sharpness construction exploits:
 direct-effect bound to equality as its posterior-mass parameter approaches
 one, and :func:`sharpness_search` reports the best attainment found over
 batches of recipe models.
-
-:func:`check_ratio_bound` verifies the scalar inequality underlying all of the
-bounds (the weighted-mean ratio capped by the bounding factor) on explicit
-discrete instances, one or a padded batch at a time, including the
-two-point family that attains it.
 """
 
 from __future__ import annotations
@@ -37,12 +32,11 @@ from typing import Literal
 
 import numpy as np
 
-from .bounds import SensitivitySpec, adjust, bound_report, bounding_factor, effects_from_sums
+from .bounds import SensitivitySpec, adjust, bound_report, effects_from_sums
 from .errors import (
     BadParameter,
     InternalCheckError,
     UnreachableCell,
-    ZeroDenominator,
     ZeroProbability,
 )
 from .tables import ConditionalModel, c_order_sum, check_table, crossworld_sums, first_cell
@@ -51,8 +45,6 @@ from .tables import ConditionalModel, c_order_sum, check_table, crossworld_sums,
 VALIDITY_TOL = 1e-10
 #: two forms of the collider parameter (also the log-linear closed form) must agree within this
 EQUIV_TOL = 1e-10
-#: discrete instances must satisfy the scalar bound within this
-RATIO_BOUND_TOL = 1e-12
 
 _DIST_TOL = 1e-9  # constructed distributions must sum to one within this
 #: u_card * m_card cells per model, summed over the models checked at once by
@@ -60,8 +52,8 @@ _DIST_TOL = 1e-9  # constructed distributions must sum to one within this
 BATTERY_CELLS = 1 << 13
 #: iterations of :func:`sharpness_search` checked at once, 10 models each; bounds its peak memory
 SHARPNESS_BATCH = 1000
-#: scalar-inequality instances checked at once by :func:`validity_battery`
-RATIO_BATCH = 4096
+#: scalar-inequality instances checked at once by :func:`validity_battery`; bounds its peak memory
+RATIO_BATCH = 384
 #: largest u_card * m_card of :func:`validity_battery`
 MAX_CARD_PRODUCT = 4096
 _SCM_TABLES = ("u_prior", "a_given_u", "m_given", "y_given")
@@ -343,98 +335,6 @@ def verify_bounds(scm: Scm) -> ValidityReport:
 
 
 # ---------------------------------------------------------------------------
-# The scalar inequality on explicit discrete instances
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteRatioInstance:
-    """Two probability vectors and a nonnegative weight function on a finite domain.
-
-    Fields are read-only float arrays ``f0[..., x]``, ``f1[..., x]`` and
-    ``r[..., x]``.  Optional leading axes, the same on every field, make a
-    batch of instances that the methods here and :func:`check_ratio_bound`
-    evaluate at once, one value per instance.  Instances of different
-    domain sizes share a batch when padded with ``f0 = f1 = 0`` and
-    ``r = r[..., 0]``: the padding changes no sum, no density ratio and no
-    weight spread.  Mismatched domains raise :class:`BadParameter`, an entry
-    that is not finite or negative (of f0 or f1: above 1)
-    :class:`OutOfRangeProbability`, and an f0 or f1 that does not sum to 1
-    within ``_DIST_TOL`` :class:`NotNormalized`.
-    """
-
-    f0: np.ndarray
-    f1: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self) -> None:
-        f0, f1, r = (np.array(getattr(self, name), dtype=float) for name in ("f0", "f1", "r"))
-        if f0.ndim == 0 or f0.shape[-1] == 0 or f1.shape != f0.shape or r.shape != f0.shape:
-            raise BadParameter("f0, f1, r must share one nonempty domain")
-        for name, f in (("f0", f0), ("f1", f1)):
-            check_table(f, name + "(x={})", 1.0 + _DIST_TOL, rows=name, tol=_DIST_TOL)
-        check_table(r, "r(x={})", np.inf)
-        for name, values in (("f0", f0), ("f1", f1), ("r", r)):
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
-
-    def max_density_ratio(self) -> float:
-        """Largest f1/f0 over the domain; needs f1 absolutely continuous w.r.t. f0."""
-        mass = self.f1 > 0.0
-        orphan = mass & (self.f0 == 0.0)
-        if orphan.any():
-            raise ZeroDenominator(f"f1 puts mass on {first_cell('x={}', orphan)} where f0 has none")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(mass, self.f1 / self.f0, 0.0).max(axis=-1)[()]
-
-    def weight_spread(self) -> float:
-        """max r / min r; 1 for any constant r."""
-        high, low = self.r.max(axis=-1), self.r.min(axis=-1)
-        constant = high == low
-        bad = ~constant & (low <= 0.0)
-        if bad.any():
-            raise BadParameter("non-constant r needs a strictly positive minimum" + _instance(bad))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(constant, 1.0, high / low)[()]
-
-
-def _instance(mask: np.ndarray) -> str:
-    """`` in instance i`` for the first True entry of a batch ``mask``; nothing for one instance."""
-    return first_cell(" in instance " + ", ".join(["{}"] * mask.ndim), mask) if mask.ndim else ""
-
-
-@dataclass(frozen=True)
-class RatioBoundResult:
-    """The scalar inequality on one instance, or one entry per instance of a batch."""
-
-    lhs: float
-    rhs: float
-    density_ratio: float
-    weight_spread: float
-    holds: bool
-
-
-def check_ratio_bound(inst: DiscreteRatioInstance) -> RatioBoundResult:
-    """Evaluate the weighted-mean ratio sum(r f1)/sum(r f0) against its cap.
-
-    The cap is the bounding-factor combination of the maximal density ratio
-    and the weight spread; this scalar inequality is what every effect
-    bound in this package reduces to.
-    """
-    num = (inst.r * inst.f1).sum(axis=-1)
-    den = (inst.r * inst.f0).sum(axis=-1)
-    if (den == 0.0).any():
-        raise ZeroDenominator("sum of r against f0 is zero" + _instance(den == 0.0))
-    g = inst.max_density_ratio()
-    d = inst.weight_spread()
-    lhs = (num / den)[()]
-    # a density ratio that rounds just below its floor of 1 is taken as 1
-    rhs = bounding_factor(SensitivitySpec(rr_au=np.maximum(g, 1.0), rr_uy=d))
-    return RatioBoundResult(lhs=lhs, rhs=rhs, density_ratio=g, weight_spread=d,
-                            holds=lhs <= rhs + RATIO_BOUND_TOL)
-
-
-# ---------------------------------------------------------------------------
 # Samplers and the sharpness construction
 # ---------------------------------------------------------------------------
 
@@ -494,23 +394,48 @@ def sample_scm(
     )
 
 
-def sample_ratio_instances(rng: np.random.Generator, count: int) -> DiscreteRatioInstance:
-    """A batch of ``count`` random instances with strictly positive densities and weights.
+def _ratio_scm(f0, f1, r) -> Scm:
+    """The scalar inequality under every bound as a model, or a batch over the leading axes.
 
-    Each instance draws its domain size from ``rng.integers(2, 7)``, then f0
-    and f1 from uniform(0.05, 1) normalized, and r from uniform(0.1, 10), so
-    the batch takes the stream of drawing its instances one by one.  It is
-    padded to the widest domain, 6.
+    f0 and f1 are distributions over the confounder levels ``[..., u]`` and
+    r positive weights on them.  One mediator level and outcome means
+    ``r`` in both arms, with pr(u) = (f0 + f1) / 2 and pr(A=1|u) =
+    f1 / (f0 + f1), make pr(u|A=1) = f1 and pr(u|A=0) = f0.  The model's
+    collider parameter is then max f1/f0 and its confounder-outcome one
+    max r / min r, and the first check of :func:`verify_bounds` is the
+    inequality sum(r f1) / sum(r f0) <= bf.  Levels with f0 = f1 = 0 pad a batch to
+    one width; they take pr(A=1|u) = 1/2 and, to keep the spread of r, a
+    weight already present.
     """
-    raw = np.full((count, 3, 6), np.nan)
-    for row in raw:
-        size = rng.integers(2, 7)
-        row[:, :size] = rng.random((3, size))  # one uniform(size) draw each for f0, f1, r
-    pad = np.isnan(raw[:, 0])
-    f = np.where(pad[:, None], 0.0, 0.05 + (1.0 - 0.05) * raw[:, :2])
+    f0, f1, r = (np.asarray(v, dtype=float) for v in (f0, f1, r))
+    mass = f0 + f1
+    arms = (*r.shape[:-1], 2, 1, r.shape[-1])  # [..., a, m, u]
+    return Scm(
+        u_prior=mass / 2.0,
+        a_given_u=np.divide(f1, mass, out=np.full(mass.shape, 0.5), where=mass > 0.0),
+        m_given=np.ones(arms).swapaxes(-1, -2),
+        y_given=np.broadcast_to(r[..., None, None, :], arms),
+        mode="mean",
+    )
+
+
+def sample_ratio_instances(rng: np.random.Generator, count: int) -> Scm:
+    """A batch of ``count`` random instances of the scalar inequality, as :func:`_ratio_scm` models.
+
+    Each instance takes one block of 19 uniforms from the stream, so a batch
+    of B instances is the same B instances, and leaves the generator in the
+    same state, as B batches of one.  The block's first uniform gives the
+    domain size, 2 to 6; the next 18 give f0 and f1 from uniform(0.05, 1)
+    normalized, and r from uniform(0.1, 10), six cells each, of which those
+    past the size are padding.
+    """
+    raw = rng.random((count, 19))
+    pad = np.arange(6) >= 2 + (5.0 * raw[:, :1]).astype(int)
+    cells = raw[:, 1:].reshape(count, 3, 6)
+    f = np.where(pad[:, None], 0.0, 0.05 + (1.0 - 0.05) * cells[:, :2])
     f /= f.sum(axis=-1, keepdims=True)
-    r = 0.1 + (10.0 - 0.1) * raw[:, 2]
-    return DiscreteRatioInstance(f0=f[:, 0], f1=f[:, 1], r=np.where(pad, r[:, :1], r))
+    r = 0.1 + (10.0 - 0.1) * cells[:, 2]
+    return _ratio_scm(f[:, 0], f[:, 1], np.where(pad, r[:, :1], r))
 
 
 def recipe_scm(
@@ -729,9 +654,10 @@ def validity_battery(
     ratio_violations, ratio_max_excess = 0, -math.inf
     for start in range(0, ratio_iterations, RATIO_BATCH):
         count = min(RATIO_BATCH, ratio_iterations - start)
-        ratio = check_ratio_bound(sample_ratio_instances(rng, count))
-        ratio_violations += int(np.count_nonzero(~ratio.holds))
-        ratio_max_excess = max(ratio_max_excess, float(np.max(ratio.lhs - ratio.rhs)))
+        report = verify_bounds(sample_ratio_instances(rng, count))
+        ratio_violations += sum(int(np.count_nonzero(~check.holds)) for check in report.checks)
+        ratio_max_excess = max(ratio_max_excess, float(report.checks[0].slack.max()))
+        del report
 
     return {
         "config": config,

@@ -86,7 +86,10 @@ class RecordTable:
         if negative.any():
             cell = first_cell("counts[{}, {}, {}, {}]", negative)
             raise BadParameter(f"record counts must be nonnegative: {cell} = {counts[negative][0]}")
-        total = counts.sum()
+        running = np.cumsum(counts)  # of nonnegative terms, so the first that wraps goes negative
+        if (running < 0).any():
+            raise BadParameter("total record count exceeds the int64 range")
+        total = running[-1]
         if total <= 0:
             raise BadParameter(f"record counts must have a positive total, got {total}")
         counts.setflags(write=False)

@@ -9,7 +9,7 @@ the two-point family that attains the scalar ratio bound.
 import numpy as np
 
 from medsens.errors import BadParameter, ZeroDenominator
-from medsens.oracle import DiscreteRatioInstance, Scm, _posterior_ratios
+from medsens.oracle import Scm, _posterior_ratios, _ratio_scm
 from medsens.tables import ConditionalModel, RecordTable
 
 
@@ -85,16 +85,17 @@ def rr_au_posterior_per_mediator(scm: Scm) -> dict[int, float]:
     return {m: per_m[..., m][()] for m in range(scm.m_card) if live[..., m].any()}
 
 
-def bernoulli_instance(density_ratio: float, weight_spread: float) -> DiscreteRatioInstance:
-    """The two-point family attaining the ratio bound with equality.
+def bernoulli_instance(density_ratio: float, weight_spread: float) -> Scm:
+    """The two-point family attaining the scalar ratio bound with equality, as a model.
 
-    f1 concentrates on x=1, f0 gives that point mass 1/density_ratio, and
-    r spreads by weight_spread; the weighted-mean ratio then equals the cap
-    of :func:`medsens.oracle.check_ratio_bound` exactly.
+    f1 concentrates on u=1, f0 gives that level mass 1/density_ratio, and
+    r spreads by weight_spread; the weighted-mean ratio sum(r f1) / sum(r f0)
+    then equals bf(density_ratio, weight_spread), the cap that the first
+    check of :func:`medsens.oracle.verify_bounds` puts on it.
     """
     if not (density_ratio >= 1.0 and weight_spread >= 1.0):  # NaN fails too
         raise BadParameter("density_ratio and weight_spread must be at least 1")
-    return DiscreteRatioInstance(
+    return _ratio_scm(
         f0=(1.0 - 1.0 / density_ratio, 1.0 / density_ratio),
         f1=(0.0, 1.0),
         r=(1.0, weight_spread),

@@ -33,7 +33,6 @@ from medsens.loglinear import (
 from medsens.loglinear import interaction_bound
 from medsens.oracle import (
     EQUIV_TOL,
-    check_ratio_bound,
     rr_au_mediator_ratio,
     rr_au_posterior,
     sample_ratio_instances,
@@ -271,14 +270,14 @@ def test_criterion_05_sharpness():
 def test_criterion_06_discrete_ratio_oracle():
     t0 = time.time()
     rng = np.random.default_rng(SEED + 3)
-    res = check_ratio_bound(sample_ratio_instances(rng, 10_000))
-    violations = int(np.count_nonzero(~res.holds))
+    report = verify_bounds(sample_ratio_instances(rng, 10_000))
+    violations = sum(int(np.count_nonzero(~c.holds)) for c in report.checks)
     worst_gap = 0.0
     for _ in range(500):
         density_ratio = float(rng.uniform(1.0, 50.0))
         spread = float(rng.uniform(1.0, 50.0))
-        res = check_ratio_bound(bernoulli_instance(density_ratio, spread))
-        worst_gap = max(worst_gap, abs(res.lhs - res.rhs) / max(1.0, res.rhs))
+        check = verify_bounds(bernoulli_instance(density_ratio, spread)).checks[0]
+        worst_gap = max(worst_gap, abs(check.lhs - check.rhs) / max(1.0, check.rhs))
     ok = violations == 0 and worst_gap <= 1e-12
     report_line(
         "6",

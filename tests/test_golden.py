@@ -8,10 +8,15 @@ but finite ones are in it, for the float notation they produce.
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 
 from medsens.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import check_oracle  # noqa: E402
 
 
 def write_golden_csv(path):
@@ -157,31 +162,31 @@ GOLDEN = {
     ),
     "oracle": (
         ("oracle", "--iterations", "50", "--seed", "3"),
-        0, "9610c1ccd04e2a8c5eb0e2c496bb932e3127f048adabd8532306bb64ad0b5c16",
+        0, "5d14453f71b649190abc8c0fd7c2bd5a67aa5a90110deec41361dfc9e134f2fc",
     ),
     # 300 models span two check batches
     "oracle-dependent": (
         ("oracle", "--iterations", "300", "--seed", "3", "--dependent-exposure"),
-        0, "74643a458c28e78ecf186a3b89b4bb8a6b186e37cbc1894c0c4231567959f40e",
+        0, "a8b219e0a2eec2d617b1db0f1a7c943e43a79719d0180c3eaea16fd93a3f1c60",
     ),
     "oracle-mean": (
         ("oracle", "--iterations", "50", "--seed", "3", "--outcome", "mean"),
-        0, "901238cfccbb468ac68088757d7870c22072c876d5636540c5d8e930c978bad2",
+        0, "e948a73005f7888311d231a8edb69feb06f582477305250f934f8c71e0fca1db",
     ),
     "oracle-extreme-3-4": (
         ("oracle", "--iterations", "50", "--seed", "3", "--extreme", "--u-card", "3",
          "--m-card", "4"),
-        0, "e6cff3b7eb4018d62bcbaeba91e513485403d74bf78a53ed5957767a94460ff3",
+        0, "6a991e0935e34fff08d2038b7973e9fed31236dbb94e733791a12d4a67cd6264",
     ),
     # u or m axes of 8 or more entries, which numpy sums pairwise when contiguous
     "oracle-extreme-dependent-6-8": (
         ("oracle", "--iterations", "300", "--seed", "3", "--u-card", "6", "--m-card", "8",
          "--extreme", "--dependent-exposure"),
-        0, "39131e9e19d07ec82a03663e1aba176ddaa088ae7a6270dd2f7cca89bc096232",
+        0, "0212a16813c1b937088e79635c1757f960d73acdefb3053cf96e81e9e0795577",
     ),
     "oracle-9-9": (
         ("oracle", "--iterations", "300", "--seed", "3", "--u-card", "9", "--m-card", "9"),
-        0, "f0e4489c932c83a510009df672dcee36995394e2cad9cc2bf9526deb72d11d5f",
+        0, "51253185a79b76c6af83c65721f9dadea8f0d4073d6cb8626e246b10c582e0a6",
     ),
     "bootstrap": (
         ("bootstrap", "--csv", F, "--replicates", "200", "--seed", "1"),
@@ -202,3 +207,12 @@ def test_stdout_digest(name, capsys, tmp_path):
     assert main([arg.format(csv=csv) for arg in argv]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(name for name in GOLDEN if name.startswith("oracle")))
+def test_oracle_report_passes_the_benchmark_check(name, capsys):
+    """The benchmark reads these reports too: a change to them must not fail only there."""
+    argv, code, _ = GOLDEN[name]
+    assert main(list(argv)) == code
+    iterations = int(argv[argv.index("--iterations") + 1])
+    assert check_oracle(iterations)(capsys.readouterr().out.encode("utf-8")) == []

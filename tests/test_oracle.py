@@ -13,16 +13,14 @@ from medsens.errors import (
     InternalCheckError,
     OutOfRangeProbability,
     UnreachableCell,
-    ZeroDenominator,
     ZeroProbability,
 )
 from medsens import oracle
 from medsens.loglinear import interaction_bound
 from medsens.oracle import (
-    DiscreteRatioInstance,
     Scm,
     SharpnessReport,
-    check_ratio_bound,
+    _ratio_scm,
     observed_model,
     recipe_scm,
     rr_au_mediator_ratio,
@@ -398,28 +396,45 @@ class TestSharpnessSearch:
             recipe_scm(2.0, 2.0, [0.999, 1.5])
 
 
+def nde_rr_check(scm: Scm):
+    """The report of a :func:`_ratio_scm` instance and its check sum(r f1) / sum(r f0) <= bf."""
+    report = verify_bounds(scm)
+    assert report.checks[0].name.endswith("nde_rr_ratio_vs_bf")
+    return report, report.checks[0]
+
+
 class TestRatioBound:
+    """The scalar inequality under every bound, checked as :func:`_ratio_scm` models."""
+
     def test_constant_weight(self):
-        inst = DiscreteRatioInstance(f0=(0.3, 0.7), f1=(0.6, 0.4), r=(2.0, 2.0))
-        res = check_ratio_bound(inst)
-        assert res.lhs == 1.0
-        assert res.weight_spread == 1.0
-        assert res.holds
+        report, check = nde_rr_check(_ratio_scm(f0=(0.3, 0.7), f1=(0.6, 0.4), r=(2.0, 2.0)))
+        assert report.rr_uy == 1.0 and report.observed["bf"] == 1.0
+        assert abs(check.lhs - 1.0) <= 1e-15
+        assert report.all_hold
 
     def test_equal_measures(self):
-        inst = DiscreteRatioInstance(f0=(0.3, 0.7), f1=(0.3, 0.7), r=(1.0, 5.0))
-        res = check_ratio_bound(inst)
-        assert res.lhs == 1.0 and res.density_ratio == 1.0
-        assert res.holds
+        report, check = nde_rr_check(_ratio_scm(f0=(0.3, 0.7), f1=(0.3, 0.7), r=(1.0, 5.0)))
+        assert check.lhs == 1.0 and report.rr_au == 1.0
+        assert report.all_hold
+
+    def test_model_has_the_instance_as_its_exposure_posteriors(self):
+        f0, f1, r = (0.2, 0.3, 0.5), (0.6, 0.1, 0.3), (1.5, 4.0, 0.5)
+        scm = _ratio_scm(f0, f1, r)
+        assert not scm.a_independent_u and scm.m_card == 1
+        assert np.allclose(scm._exposure_posteriors, (f0, f1), rtol=1e-15, atol=0.0)
+        report = verify_bounds(scm)
+        assert report.rr_au == pytest.approx(3.0, rel=1e-15)  # max f1/f0, at u=0
+        assert report.rr_uy == 8.0
+        assert report.true["nde_rr"] == 1.0
 
     def test_bernoulli_family_attains_equality(self):
         rng = np.random.default_rng(73)
         for _ in range(200):
             density_ratio = float(rng.uniform(1.0, 20.0))
             spread = float(rng.uniform(1.0, 20.0))
-            res = check_ratio_bound(bernoulli_instance(density_ratio, spread))
-            assert abs(res.lhs - res.rhs) <= 1e-12 * max(1.0, res.rhs)
-            assert res.holds
+            report, check = nde_rr_check(bernoulli_instance(density_ratio, spread))
+            assert abs(check.lhs - check.rhs) <= 1e-12 * max(1.0, check.rhs)
+            assert report.all_hold
 
     @pytest.mark.parametrize("density_ratio, spread", [(math.nan, 2.0), (2.0, math.nan),
                                                        (0.5, 2.0)])
@@ -427,81 +442,86 @@ class TestRatioBound:
         with pytest.raises(BadParameter, match="at least 1"):
             bernoulli_instance(density_ratio, spread)
 
-    def test_huge_parameters_do_not_overflow(self):
-        # the product of the two parameters overflows; the warning is an error here
-        res = check_ratio_bound(bernoulli_instance(1e200, 1e200))
-        assert res.lhs == res.rhs == 5e199
-        assert res.holds
-
     def test_density_ratio_rounding_below_one_counts_as_one(self):
         f1 = (0.5 - 1e-12, 0.5 - 1e-12)  # a distribution within tolerance, below f0 everywhere
-        res = check_ratio_bound(DiscreteRatioInstance(f0=(0.5, 0.5), f1=f1, r=(1.0, 3.0)))
-        assert res.density_ratio < 1.0
-        assert res.rhs == 1.0 and res.holds
+        report, check = nde_rr_check(_ratio_scm(f0=(0.5, 0.5), f1=f1, r=(1.0, 3.0)))
+        assert report.rr_au == 1.0
+        assert check.rhs == 1.0 and report.all_hold
 
     def test_random_instances_hold_strictly(self):
         # non-degenerate instances never attain the bound; equality needs
         # the two-point structure
         rng = np.random.default_rng(79)
-        res = check_ratio_bound(sample_ratio_instances(rng, 2000))
-        assert res.holds.shape == (2000,)
-        assert res.holds.all()
-        assert (res.lhs < res.rhs).all()
+        report, check = nde_rr_check(sample_ratio_instances(rng, 2000))
+        assert check.holds.shape == (2000,)
+        assert report.all_hold
+        assert (check.lhs < check.rhs).all()
 
     def test_batch_draws_match_per_instance_draws(self):
+        # each instance takes one block of 19 uniforms: its size, then six cells of f0, f1 and r
         rng, rng_single = np.random.default_rng(107), np.random.default_rng(107)
         batch = sample_ratio_instances(rng, 300)
-        for b in range(300):
-            size = int(rng_single.integers(2, 7))
-            f0, f1 = (v / v.sum() for v in (rng_single.uniform(0.05, 1.0, size),
-                                              rng_single.uniform(0.05, 1.0, size)))
-            r = rng_single.uniform(0.1, 10.0, size)
-            assert np.array_equal(batch.f0[b, :size], f0)
-            assert np.array_equal(batch.f1[b, :size], f1)
-            assert np.array_equal(batch.r[b, :size], r)
-            # the padding: no mass, and the first weight repeated
-            assert not batch.f0[b, size:].any() and not batch.f1[b, size:].any()
-            assert (batch.r[b, size:] == r[0]).all()
+        singles = [sample_ratio_instances(rng_single, 1) for _ in range(300)]
         assert rng.bit_generator.state == rng_single.bit_generator.state
+        for name in ("u_prior", "a_given_u", "m_given", "y_given"):
+            for b, scm in enumerate(singles):
+                assert np.array_equal(getattr(batch, name)[b], getattr(scm, name)[0])
+        blocks = np.random.default_rng(107).random((300, 19))
+        sizes = 2 + np.floor(5.0 * blocks[:, 0])
+        assert set(sizes) == {2, 3, 4, 5, 6}
+        assert ((batch.u_prior > 0.0).sum(axis=-1) == sizes).all()
+        r = 0.1 + (10.0 - 0.1) * blocks[:, 13:]
+        past = np.arange(6) >= sizes[:, None]
+        assert np.array_equal(batch.y_given[:, 1, 0], np.where(past, r[:, :1], r))
 
     def test_batch_matches_fsum_reference(self):
-        inst = sample_ratio_instances(np.random.default_rng(109), 5000)
-        res = check_ratio_bound(inst)
+        rng = np.random.default_rng(109)
+        sizes = rng.integers(2, 7, 5000)
+        pad = np.arange(6) >= sizes[:, None]
+        f0, f1 = (np.where(pad, 0.0, rng.uniform(0.05, 1.0, (5000, 6))) for _ in range(2))
+        f0, f1 = f0 / f0.sum(axis=-1, keepdims=True), f1 / f1.sum(axis=-1, keepdims=True)
+        r = rng.uniform(0.1, 10.0, (5000, 6))
+        report, check = nde_rr_check(_ratio_scm(f0, f1, np.where(pad, r[:, :1], r)))
         for b in range(5000):
-            f0, f1, r = (v.tolist() for v in (inst.f0[b], inst.f1[b], inst.r[b]))
-            lhs = math.fsum(w * p for w, p in zip(r, f1)) / math.fsum(w * p for w, p in zip(r, f0))
-            g = max(p1 / p0 for p0, p1 in zip(f0, f1) if p1 > 0.0)
-            d = max(r) / min(r)
+            n = int(sizes[b])
+            f0_b, f1_b, r_b = f0[b, :n].tolist(), f1[b, :n].tolist(), r[b, :n].tolist()
+            lhs = math.fsum(w * p for w, p in zip(r_b, f1_b)) / math.fsum(
+                w * p for w, p in zip(r_b, f0_b))
+            g = max(p1 / p0 for p0, p1 in zip(f0_b, f1_b))
+            d = max(r_b) / min(r_b)
             rhs = g * d / (g + d - 1.0)
-            assert abs(res.lhs[b] - lhs) <= 4 * math.ulp(lhs)
-            assert abs(res.rhs[b] - rhs) <= 4 * math.ulp(rhs)
-            assert res.holds[b] == (lhs <= rhs + 1e-12)
+            # the model forms pr(u|A=a) by Bayes' rule, a few roundings from f0 and f1
+            assert abs(check.lhs[b] - lhs) <= 1e-14 * lhs
+            assert abs(check.rhs[b] - rhs) <= 1e-14 * rhs
+        assert report.all_hold
 
     def test_padding_changes_nothing(self):
-        plain = DiscreteRatioInstance(f0=(0.2, 0.3, 0.5), f1=(0.6, 0.1, 0.3), r=(1.5, 4.0, 0.5))
-        padded = DiscreteRatioInstance(
+        plain = _ratio_scm(f0=(0.2, 0.3, 0.5), f1=(0.6, 0.1, 0.3), r=(1.5, 4.0, 0.5))
+        padded = _ratio_scm(
             f0=(0.2, 0.3, 0.5, 0.0, 0.0), f1=(0.6, 0.1, 0.3, 0.0, 0.0), r=(1.5, 4.0, 0.5, 1.5, 1.5)
         )
-        for got, want in zip(astuple(check_ratio_bound(padded)), astuple(check_ratio_bound(plain))):
-            assert got == want
+        for got, want in zip(verify_bounds(padded).checks, verify_bounds(plain).checks,
+                             strict=True):
+            assert astuple(got) == astuple(want)
 
     def test_one_bad_instance_in_a_batch_raises(self):
         f0 = ((0.5, 0.5), (1.0, 0.0))
         f1 = ((0.5, 0.5), (0.5, 0.5))
-        with pytest.raises(ZeroDenominator):
-            check_ratio_bound(DiscreteRatioInstance(f0=f0, f1=f1, r=((1.0, 2.0), (1.0, 2.0))))
-        with pytest.raises(BadParameter):
-            check_ratio_bound(DiscreteRatioInstance(f0=f1, f1=f1, r=((1.0, 2.0), (0.0, 2.0))))
+        with pytest.raises(ZeroProbability, match=re.escape("pr(u|a=0,m) = 0")):
+            verify_bounds(_ratio_scm(f0=f0, f1=f1, r=((1.0, 2.0), (1.0, 2.0))))
+        with pytest.raises(ZeroProbability, match="has a zero cell"):
+            verify_bounds(_ratio_scm(f0=f1, f1=f1, r=((1.0, 2.0), (0.0, 2.0))))
 
     def test_absolute_continuity_required(self):
-        inst = DiscreteRatioInstance(f0=(1.0, 0.0), f1=(0.5, 0.5), r=(1.0, 2.0))
-        with pytest.raises(ZeroDenominator):
-            check_ratio_bound(inst)
+        scm = _ratio_scm(f0=(1.0, 0.0), f1=(0.5, 0.5), r=(1.0, 2.0))
+        with pytest.raises(ZeroProbability, match=re.escape("pr(u|a=0,m) = 0 while pr(u|a=1,m) > 0 "
+                                                            "at u=1,m=0")):
+            verify_bounds(scm)
 
     def test_zero_minimum_weight_rejected_when_nonconstant(self):
-        inst = DiscreteRatioInstance(f0=(0.5, 0.5), f1=(0.5, 0.5), r=(0.0, 2.0))
-        with pytest.raises(BadParameter):
-            check_ratio_bound(inst)
+        scm = _ratio_scm(f0=(0.5, 0.5), f1=(0.5, 0.5), r=(0.0, 2.0))
+        with pytest.raises(ZeroProbability, match=re.escape("pr(Y=1|a=1,m=0,u) has a zero cell")):
+            verify_bounds(scm)
 
 
 class TestUnexposedBound:
@@ -636,16 +656,6 @@ class TestTableValidation:
         with pytest.raises(OutOfRangeProbability, match=re.escape("E[Y|a=1,m=0,u=1] = inf")):
             Scm(**tables, mode="mean")
 
-    @pytest.mark.parametrize("fields, error, message", [
-        (dict(f0=(0.5, 0.5), f1=(0.5, 0.5), r=(1.0, 2.0, 3.0)), BadParameter, "one nonempty"),
-        (dict(f0=(0.5, 0.5), f1=(1.0,), r=(1.0, 2.0)), BadParameter, "one nonempty"),
-        (dict(f0=(0.5, 0.5), f1=(0.5, 0.5), r=(1.0, -1.0)), OutOfRangeProbability,
-         r"^r\(x=1\) = -1\.0$"),
-    ], ids=["r", "f1", "negative-r"])
-    def test_bad_ratio_instance(self, fields, error, message):
-        with pytest.raises(error, match=message):
-            DiscreteRatioInstance(**fields)
-
     def test_sampler_floor_below_one(self):
         with pytest.raises(BadParameter, match="floor"):
             sample_scm(np.random.default_rng(0), floor=1.0)
@@ -681,16 +691,6 @@ class TestZeroProbability:
             form(scm)
 
     def test_ratio_bound_zero_denominator(self):
-        inst = DiscreteRatioInstance(f0=(0.5, 0.5), f1=(0.5, 0.5), r=(0.0, 0.0))
-        with pytest.raises(ZeroDenominator, match="^sum of r against f0 is zero$"):
-            check_ratio_bound(inst)
-
-    @pytest.mark.parametrize("r, error, message", [
-        ((0.0, 0.0), ZeroDenominator, "sum of r against f0 is zero in instance 1"),
-        ((0.0, 1.0), BadParameter,
-         "non-constant r needs a strictly positive minimum in instance 1"),
-    ], ids=["zero-sum", "zero-minimum"])
-    def test_ratio_bound_names_the_instance_of_a_batch(self, r, error, message):
-        inst = DiscreteRatioInstance(f0=((0.5, 0.5),) * 2, f1=((0.5, 0.5),) * 2, r=((1.0, 2.0), r))
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            check_ratio_bound(inst)
+        scm = _ratio_scm(f0=(0.5, 0.5), f1=(0.5, 0.5), r=(0.0, 0.0))
+        with pytest.raises(ZeroProbability, match=re.escape("pr(Y=1|a=1,m=0,u) has a zero cell")):
+            verify_bounds(scm)

@@ -31,10 +31,10 @@ PUBLIC = {
     ],
     "loglinear": ["LogLinearSpec", "collider_ratio_grid", "interaction_bound", "rr_au_loglinear"],
     "oracle": [
-        "DiscreteRatioInstance", "InequalityCheck", "RatioBoundResult", "Scm", "SharpnessReport",
-        "ValidityReport", "check_ratio_bound", "observed_model", "recipe_scm",
-        "rr_au_mediator_ratio", "rr_au_posterior", "rr_uy", "sample_ratio_instances",
-        "sample_scm", "sharpness_search", "validity_battery", "verify_bounds",
+        "InequalityCheck", "Scm", "SharpnessReport", "ValidityReport", "observed_model",
+        "recipe_scm", "rr_au_mediator_ratio", "rr_au_posterior", "rr_uy",
+        "sample_ratio_instances", "sample_scm", "sharpness_search", "validity_battery",
+        "verify_bounds",
     ],
     "tables": [
         "ConditionalModel", "RecordTable", "crossworld_sums", "estimate_from_records",

@@ -23,7 +23,7 @@ from medsens.errors import (
     ParseError,
 )
 from medsens.loglinear import interaction_bound
-from medsens.oracle import DiscreteRatioInstance, Scm
+from medsens.oracle import Scm
 from medsens.tables import (
     ConditionalModel,
     RecordTable,
@@ -81,6 +81,15 @@ class TestRecordTable:
             RecordTable(counts)
         with pytest.raises(BadParameter, match="^record counts must have a positive total, got 0$"):
             RecordTable(np.zeros((2, 2, 3, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("cells", [(tables.INT64_MAX,) * 3 + (1,),
+                                       (tables.INT64_MAX, 1, 1, 1)],
+                             ids=["wraps-to-positive", "wraps-to-negative"])
+    def test_total_beyond_int64_is_rejected_not_wrapped(self, cells):
+        # an int64 sum of these counts wraps to 9223372036854775806 and -9223372036854775806
+        counts = np.array(cells, dtype=np.int64).reshape(1, 2, 1, 2)
+        with pytest.raises(BadParameter, match="^total record count exceeds the int64 range$"):
+            RecordTable(counts)
 
     def test_counts_are_checked_and_frozen(self):
         for bad in (np.zeros((1, 2, 1, 2), int), -np.ones((1, 2, 1, 2), int),
@@ -419,10 +428,6 @@ TABLE_OWNERS = [
       "a_given_u": ((1,), "pr(A=1|u=1)", None, None),
       "m_given": ((1, 0, 1), "pr(m=1|a=1,u=0)", (1, 0), "pr(m|a=1,u=0)"),
       "y_given": ((1, 0, 1), "pr(Y=1|a=1,m=0,u=1)", None, None)}),
-    ("DiscreteRatioInstance", DiscreteRatioInstance,
-     {"f0": (0.25, 0.75), "f1": (0.5, 0.5), "r": (1.0, 2.0)},
-     {"f0": ((1,), "f0(x=1)", (), "f0"), "f1": ((1,), "f1(x=1)", (), "f1"),
-      "r": ((1,), "r(x=1)", None, None)}),
     ("interaction_bound", interaction_bound,
      {"p": ((0.2, 0.4), (0.3, 0.9))},
      {"p": ((1, 0), "pr(m|a=1,u=0)", None, None)}),

@@ -73,7 +73,8 @@ def run_bootstrap(
     ``level`` is the two-sided coverage (0.95 gives the 2.5 and 97.5
     percentiles).  Replicates hitting an empty required cell are redrawn;
     more than ``MAX_REDRAW_FACTOR * replicates`` total redraws raises
-    :class:`DegenerateResample`.
+    :class:`DegenerateResample`.  So many replicates that their table of
+    statistics cannot be allocated raise :class:`BadParameter`.
     """
     if replicates < 100:
         raise BadParameter("need at least 100 replicates for percentile intervals")
@@ -95,7 +96,12 @@ def run_bootstrap(
     total = records.total()
     probs = records.counts.ravel() / total
     batch = max(1, BATCH_CELLS // records.counts.size)
-    stats = np.empty((replicates, *point.shape))
+    try:
+        stats = np.empty((replicates, *point.shape))
+    except (MemoryError, ValueError):  # ValueError: a size past the index range
+        raise BadParameter(
+            f"replicates={replicates} needs a table of {replicates} x {records.c_card} strata x "
+            f"{len(names)} statistics floats, too many to allocate") from None
     kept = redraws = 0
     budget = MAX_REDRAW_FACTOR * replicates
     while kept < replicates:

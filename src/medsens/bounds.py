@@ -64,7 +64,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BadParameter, BadTarget, Infeasible, ZeroDenominator
-from .tables import crossworld_sums
+from .tables import crossworld_sums, first_cell
 
 #: effects of :func:`effects_from_sums` and bounds of :func:`adjust`, in output order
 EFFECT_STATS = ("nde_rr", "nie_rr", "te_rr", "nde_rd", "nie_rd", "te_rd")
@@ -79,10 +79,14 @@ def _check_param(value, name: str):
     return value[()]
 
 
-def _positive(value):
-    if not np.all(np.asarray(value, dtype=float) > 0):
-        raise BadParameter(f"observed ratio-scale effect must be positive, got {value!r}")
-    return value
+def _positive(effects: Mapping, key: str):
+    """``effects[key]``, a ratio-scale effect, checked positive; the first bad entry is named."""
+    value = np.atleast_1d(effects[key])
+    bad = ~(value.astype(float) > 0)
+    if bad.any():
+        raise BadParameter(f"observed {key} must be positive, got {float(value[bad][0])!r} in "
+                           f"stratum {first_cell('c={}', bad)}")
+    return effects[key]
 
 
 @dataclass(frozen=True)
@@ -242,9 +246,9 @@ def adjust(effects: Mapping, spec: SensitivitySpec) -> dict:
     bf = bounding_factor(spec)
     out = {"bf": bf}
     if "nde_rr" in effects:
-        out["nde_rr_lower"] = _positive(effects["nde_rr"]) / bf
+        out["nde_rr_lower"] = _positive(effects, "nde_rr") / bf
     if "nie_rr" in effects:
-        out["nie_rr_upper"] = _positive(effects["nie_rr"]) * bf
+        out["nie_rr_upper"] = _positive(effects, "nie_rr") * bf
     if "n10" in effects:
         cross = effects["n10"] / bf
         out["nde_rd_lower"] = cross - effects["n00"]

@@ -205,8 +205,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_cornfield(args) -> int:
-    if args.fixed_param is not None and not args.fixed_param >= 1.0:
-        raise MedsensError(f"--fixed-param must be >= 1 (or +inf), got {args.fixed_param!r}")
+    if args.fixed_param is not None:
+        bounds._check_param(args.fixed_param, "--fixed-param")
     effects, strata, digest, warnings = _inputs(args, "--nde-rr")
     if args.csv is not None:
         target = 0.0 if args.target is None else args.target

@@ -28,25 +28,19 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Literal
 
 import numpy as np
 
 from .bounds import SensitivitySpec, adjust, bound_report, effects_from_sums
-from .errors import (
-    BadParameter,
-    InternalCheckError,
-    UnreachableCell,
-    ZeroProbability,
-)
-from .tables import ConditionalModel, c_order_sum, check_table, crossworld_sums, first_cell
+from .errors import BadParameter, InternalCheckError, UnreachableCell, ZeroProbability
+from .tables import (ConditionalModel, OutcomeMode, _check_outcomes, c_order_sum, check_table,
+                     crossworld_sums, first_cell)
 
 #: inequality checks allow this much relative slack for float rounding
 VALIDITY_TOL = 1e-10
 #: two forms of the collider parameter (also the log-linear closed form) must agree within this
 EQUIV_TOL = 1e-10
 
-_DIST_TOL = 1e-9  # constructed distributions must sum to one within this
 #: u_card * m_card cells per model, summed over the models checked at once by
 #: :func:`validity_battery`; bounds its peak memory whatever the cardinalities
 BATTERY_CELLS = 1 << 13
@@ -74,49 +68,40 @@ class Scm:
     Whether exposure is independent of the confounder is read from
     pr(A=1|u) (:attr:`a_independent_u`): if it is, the true-effect formulas
     apply; if not, :func:`verify_bounds` checks the direct-effect bounds
-    among the unexposed only.  Mismatched shapes raise :class:`BadParameter`,
-    an entry that is not finite or outside [0, 1] (outcome means in mean
-    mode: [0, inf)) :class:`OutOfRangeProbability`, and a pr(u) or pr(m|a,u)
-    that does not sum to 1 within ``_DIST_TOL`` :class:`NotNormalized`.
+    among the unexposed only.  Mismatched shapes and an outcome mode other
+    than ``probability`` or ``mean`` raise :class:`BadParameter`, an entry
+    that is not finite or outside [0, 1] (outcome means in mean mode:
+    [0, inf)) :class:`OutOfRangeProbability`, and a pr(u) or pr(m|a,u) that
+    does not sum to 1 within ``tables.SUM_TOL`` :class:`NotNormalized`.
     """
 
     u_prior: np.ndarray
     a_given_u: np.ndarray
     m_given: np.ndarray
     y_given: np.ndarray
-    mode: Literal["probability", "mean"] = "probability"
+    mode: OutcomeMode = "probability"
 
     def __post_init__(self) -> None:
         tables = {name: np.asarray(getattr(self, name), dtype=float) for name in _SCM_TABLES}
         prior, a_given, m_given, y_given = tables.values()
         batch, nu = prior.shape[:-1], prior.shape[-1]
         nm = m_given.shape[-1]
-        if (
-            a_given.shape != (*batch, nu)
-            or m_given.shape != (*batch, 2, nu, nm)
-            or y_given.shape != (*batch, 2, nm, nu)
-        ):
+        if (a_given.shape, m_given.shape, y_given.shape) != (
+                (*batch, nu), (*batch, 2, nu, nm), (*batch, 2, nm, nu)):
             raise BadParameter(
                 f"need u_prior[..., u], a_given_u[..., u], m_given[..., a, u, m] and "
                 f"y_given[..., a, m, u]; got shapes {prior.shape}, {a_given.shape}, "
-                f"{m_given.shape}, {y_given.shape}"
-            )
+                f"{m_given.shape}, {y_given.shape}")
+        check_table(prior, "pr(u={})", rows="pr(u)")
+        check_table(a_given, "pr(A=1|u={})")
+        check_table(m_given, "pr(m={2}|a={0},u={1})", rows="pr(m|a={},u={})")
+        _check_outcomes(y_given, self.mode, "a={},m={},u={}")
         models = len(batch)
         for name, table in tables.items():  # a read-only copy, the model axes innermost
             own = table.ndim - models
             table = np.array(table.transpose(*range(models, table.ndim), *range(models)), order="C")
             table.setflags(write=False)
-            tables[name] = table.transpose(*range(own, table.ndim), *range(own))
-            object.__setattr__(self, name, tables[name])
-        prior, a_given, m_given, y_given = tables.values()
-        check_table(prior, "pr(u={})", 1.0 + _DIST_TOL, rows="pr(u)", tol=_DIST_TOL)
-        check_table(a_given, "pr(A=1|u={})")
-        check_table(m_given, "pr(m={2}|a={0},u={1})", 1.0 + _DIST_TOL, rows="pr(m|a={},u={})",
-                    tol=_DIST_TOL)
-        if self.mode == "probability":
-            check_table(y_given, "pr(Y=1|a={},m={},u={})")
-        else:
-            check_table(y_given, "E[Y|a={},m={},u={}]", np.inf)
+            object.__setattr__(self, name, table.transpose(*range(own, table.ndim), *range(own)))
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -345,7 +330,7 @@ def sample_scm(
     m_card: int = 2,
     *,
     floor: float = 1e-4,
-    mode: Literal["probability", "mean"] = "probability",
+    mode: OutcomeMode = "probability",
     dependent_exposure: bool = False,
     shape: tuple[int, ...] = (),
 ) -> Scm:
@@ -469,8 +454,7 @@ def recipe_scm(
     )
     if not np.all((0.0 < p) & (p <= 1.0)):
         raise BadParameter("posterior_mass must be in (0, 1]")
-    if not np.all((rr_au >= 1.0) & (rr_uy >= 1.0)):
-        raise BadParameter("rr_au and rr_uy must be at least 1")
+    SensitivitySpec(rr_au, rr_uy)  # names a parameter below 1, or NaN
     if not np.all((0.0 < anchor) & (anchor < 1.0) & (0.0 < ceiling) & (ceiling <= 1.0)
                   & (target >= 1.0)):
         raise BadParameter("need 0 < anchor < 1, 0 < outcome_ceiling <= 1, target_nde_rr >= 1")
@@ -598,7 +582,7 @@ def validity_battery(
     m_card: int = 2,
     *,
     extreme: bool = False,
-    mode: Literal["probability", "mean"] = "probability",
+    mode: OutcomeMode = "probability",
     dependent_exposure: bool = False,
     ratio_iterations: int = 1000,
     sharpness_iterations: int = 50,
@@ -629,15 +613,9 @@ def validity_battery(
     # at least 8 models, or the loops over the innermost model axis grow too short to pay
     batch = max(8, BATTERY_CELLS // (u_card * m_card))
     for start in range(0, iterations, batch):
-        scm = sample_scm(
-            rng,
-            u_card,
-            m_card,
-            floor=floor,
-            mode=mode,
-            dependent_exposure=dependent_exposure,
-            shape=(min(batch, iterations - start),),
-        )
+        scm = sample_scm(rng, u_card, m_card, floor=floor, mode=mode,
+                         dependent_exposure=dependent_exposure,
+                         shape=(min(batch, iterations - start),))
         other_form = rr_au_mediator_ratio(scm) if scm.a_independent_u else None
         report = verify_bounds(scm)
         if other_form is not None:

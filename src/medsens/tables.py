@@ -237,7 +237,8 @@ class ConditionalModel:
 
     Both are read-only float arrays of shape (c_card, 2, m_card), checked
     once at construction; the stratum code ``c`` is the index of the
-    leading axis.
+    leading axis.  Each row pr(m|a,c) must sum to 1 within ``SUM_TOL``, and
+    ``y`` holds outcomes of ``mode`` (see :func:`_check_outcomes`).
     """
 
     y: np.ndarray
@@ -251,12 +252,8 @@ class ConditionalModel:
             raise BadParameter(
                 f"tables need one shape (c_card, 2, m_card): y {y.shape}, w {w.shape}"
             )
-        # a lone level may round just above 1
-        check_table(w, "pr(m={2}|a={1},c={0})", 1.0 + SUM_TOL, rows="pr(m|a={1},c={0})")
-        if self.mode == "probability":
-            check_table(y, "pr(Y=1|a={1},m={2},c={0})")
-        else:
-            check_table(y, "E[Y|a={1},m={2},c={0}]", np.inf)
+        check_table(w, "pr(m={2}|a={1},c={0})", rows="pr(m|a={1},c={0})")
+        _check_outcomes(y, self.mode, "a={1},m={2},c={0}")
         for name, table in (("y", y), ("w", w)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
@@ -280,28 +277,42 @@ def first_cell(what: str, mask: np.ndarray) -> str:
     return what.format(*index[index.size - what.count("{"):])
 
 
-def check_table(
-    values, what: str, high: float = 1.0, *, rows: str = "", tol: float = SUM_TOL
-) -> np.ndarray:
+def check_table(values, what: str, high: float = 1.0, *, rows: str = "") -> np.ndarray:
     """``values`` as a float array, checked as a table of probabilities or means.
 
     Every entry must be finite and in [0, ``high``], or
     :class:`OutOfRangeProbability` names the first that is not through the
     template ``what`` (see :func:`first_cell`).  Given ``rows``, a template
-    naming a row by its indices before the last axis, each row over the
-    last axis must also sum to 1 within ``tol``, or :class:`NotNormalized`
-    names the first that does not.
+    naming a row by its indices before the last axis, the table holds
+    distributions over the last axis: each row must sum to 1 within
+    ``SUM_TOL``, or :class:`NotNormalized` names the first that does not,
+    and its entries may reach ``1 + SUM_TOL``, as a lone level may round.
+    Outcome tables are checked through :func:`_check_outcomes`, by mode.
     """
     values = np.asarray(values, dtype=float)
+    if rows:
+        high = 1.0 + SUM_TOL
     bad = ~(np.isfinite(values) & (values >= 0.0) & (values <= high))
     if bad.any():
         raise OutOfRangeProbability(f"{first_cell(what, bad)} = {float(values[bad][0])!r}")
     if rows:
         total = c_order_sum(values)
-        bad = ~(np.abs(total - 1.0) <= tol)
+        bad = ~(np.abs(total - 1.0) <= SUM_TOL)
         if bad.any():
             raise NotNormalized(f"{first_cell(rows, bad)} sums to {float(total[bad][0])!r}, not 1")
     return values
+
+
+def _check_outcomes(values, mode: str, given: str) -> np.ndarray:
+    """``values`` checked as pr(Y=1|given) in [0, 1], or in mode ``mean`` as E[Y|given] in [0, inf).
+
+    ``given`` templates the conditions; any other mode raises :class:`BadParameter`.
+    """
+    if mode == "probability":
+        return check_table(values, f"pr(Y=1|{given})")
+    if mode == "mean":
+        return check_table(values, f"E[Y|{given}]", np.inf)
+    raise BadParameter(f"outcome mode must be 'probability' or 'mean', got {mode!r}")
 
 
 def c_order_sum(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:

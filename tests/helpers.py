@@ -1,15 +1,17 @@
 """References that several test files share.
 
 Most are a plain, independent route to a quantity the package computes
-another way, so a test can compare the two.  The last two are views of the
-oracle that only tests use: the collider parameter per mediator level, and
-the two-point family that attains the scalar ratio bound.
+another way, so a test can compare the two.  The last three are views of the
+oracle that only tests use: the collider parameter per mediator level, the
+two-point family that attains the scalar ratio bound, and the recipe models
+that attain the Cornfield thresholds.
 """
 
 import numpy as np
 
+from medsens.bounds import cornfield_rr, required_partner
 from medsens.errors import BadParameter, ZeroDenominator
-from medsens.oracle import Scm, _posterior_ratios, _ratio_scm
+from medsens.oracle import Scm, _posterior_ratios, _ratio_scm, recipe_scm, verify_bounds
 from medsens.tables import ConditionalModel, RecordTable
 
 
@@ -100,3 +102,28 @@ def bernoulli_instance(density_ratio: float, weight_spread: float) -> Scm:
         f1=(0.0, 1.0),
         r=(1.0, weight_spread),
     )
+
+
+#: posterior masses of the sharpness recipe, approaching 1, at which a threshold is checked
+CORNFIELD_MASSES = (1 - 1e-3, 1 - 1e-5, 1 - 1e-7)
+
+
+def assert_cornfield_thresholds_attained(obs: float, target: float) -> None:
+    """The Cornfield thresholds of ``obs`` down to ``target`` are sharp, by the oracle.
+
+    Parameters at the thresholds give bf = obs / target: both at
+    ``max_must_exceed``, and 4 with its :func:`required_partner`.  At each,
+    the recipe models over ``CORNFIELD_MASSES`` hold every check, have the
+    true NDE_rr ``target``, and have an observed NDE_rr that rises toward
+    ``obs`` and is within 1e-7 of it at the last mass.  So no threshold can
+    be raised: a confounder at it explains ``obs`` down to ``target`` in
+    the limit.
+    """
+    t = cornfield_rr(obs, target).max_must_exceed
+    for rr_au, rr_uy in ((t, t), (4.0, required_partner(4.0, obs / target))):
+        report = verify_bounds(recipe_scm(rr_au, rr_uy, CORNFIELD_MASSES, target_nde_rr=target))
+        assert report.all_hold
+        true, observed = report.true["nde_rr"], report.observed["nde_rr"]
+        assert np.all(np.abs(true - target) <= 1e-15 * target), (rr_au, rr_uy, true)
+        assert np.all(np.diff(observed) > 0.0), (rr_au, rr_uy, observed)
+        assert abs(observed[-1] - obs) <= 1e-7 * obs, (rr_au, rr_uy, observed)

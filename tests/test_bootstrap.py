@@ -118,6 +118,14 @@ class TestBasics:
         with pytest.raises(BadParameter):
             run_bootstrap(records, replicates=50)
 
+    @pytest.mark.parametrize("replicates", [10**13, 2**62], ids=["no-memory", "past-index-range"])
+    def test_a_table_too_large_to_allocate_is_named(self, replicates):
+        # both fail when the table is allocated, before anything is drawn
+        records = RecordTable.from_rows([(1, 0, 1, 0, 5), (0, 0, 1, 0, 5)])
+        named = f"replicates={replicates} needs a table of {replicates} x 1 strata x 6 statistics"
+        with pytest.raises(BadParameter, match=f"^{named} floats"):
+            run_bootstrap(records, replicates=replicates)
+
     def test_bound_statistics_match_adjusted_point(self):
         rows = [(a, m, y, 0, 5 + a + 2 * m + 3 * y) for a in (0, 1) for m in (0, 1) for y in (0, 1)]
         records = RecordTable.from_rows(rows)

@@ -145,13 +145,18 @@ class TestAdjust:
         assert list(adjust(bound_report(model.y, model.w), spec)) == ["bf", *BOUND_STATS]
 
     def test_rejects_nonpositive_effect(self):
-        with pytest.raises(BadParameter):
+        with pytest.raises(BadParameter, match=r"^observed nde_rr must be positive, got 0\.0 in"):
             adjust({"nde_rr": 0.0}, SensitivitySpec(2.0, 3.0))
+        # the first bad entry of a stratum array is named with its stratum, not the array
+        with pytest.raises(BadParameter,
+                           match=r"^observed nde_rr must be positive, got 0\.0 in stratum c=1$"):
+            adjust({"nde_rr": np.array([1.2, 0.0, 1.5])}, SensitivitySpec(2.0, 3.0))
         # n11 = 0, so nie_rr = 0, and at bf = inf its bound would be 0 * inf = NaN
         model = ConditionalModel(y=[[[0.2, 0.4], [0.0, 0.5]]], w=[[[0.5, 0.5], [1.0, 0.0]]])
         effects = bound_report(model.y, model.w)
         assert effects["n11"] == 0.0
-        with pytest.raises(BadParameter, match="positive"):
+        with pytest.raises(BadParameter,
+                           match=r"^observed nie_rr must be positive, got 0\.0 in stratum c=0$"):
             adjust(effects, SensitivitySpec(math.inf, math.inf))
 
 

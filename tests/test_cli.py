@@ -628,6 +628,13 @@ class TestBootstrapCommand:
         assert (code, out) == (2, "")
         assert "level must be in (0, 1), got 1.5" in err
 
+    def test_replicates_too_many_to_allocate_exit_2(self, capsys, tmp_path):
+        csv = write_worked_csv(tmp_path / "d.csv", denominator=200)
+        code = main(["bootstrap", "--csv", csv, "--replicates", str(10**13)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert f"replicates={10**13} needs a table of {10**13} x 1 strata x 6 statistics" in err
+
     def test_negative_seed_exits_2(self, capsys, tmp_path):
         csv = write_worked_csv(tmp_path / "d.csv", denominator=200)
         with pytest.raises(SystemExit) as exit:

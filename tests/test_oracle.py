@@ -5,12 +5,17 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from helpers import bernoulli_instance, rr_au_posterior_per_mediator
+from helpers import (
+    assert_cornfield_thresholds_attained,
+    bernoulli_instance,
+    rr_au_posterior_per_mediator,
+)
 from medsens import bounds
 from medsens.bounds import SensitivitySpec, adjust, bound_report
 from medsens.errors import (
     BadParameter,
     InternalCheckError,
+    NotNormalized,
     OutOfRangeProbability,
     UnreachableCell,
     ZeroProbability,
@@ -620,6 +625,12 @@ class TestBatches:
         assert oracle.validity_battery(**args) == whole
 
 
+class TestCornfieldSharpness:
+    @pytest.mark.parametrize("obs, target", [(1.72, 1.0), (1.72, 1.3), (1.34, 1.0), (3.0, 1.2)])
+    def test_thresholds_are_attained_in_the_limit(self, obs, target):
+        assert_cornfield_thresholds_attained(obs, target)
+
+
 #: the cell of each table that a test corrupts, with its name
 SCM_CELLS = {
     "u_prior": ((1,), "pr(u=1)"),
@@ -647,6 +658,27 @@ class TestTableValidation:
         tables[name][(batch - 1,) * bool(batch) + index] = value  # the last model of a batch
         with pytest.raises(OutOfRangeProbability, match=f"^{re.escape(f'{cell} = {value!r}')}$"):
             Scm(**tables)
+
+    def test_mismatched_shapes_are_named(self):
+        tables = scm_tables() | {"y_given": np.ones((2, 2, 3))}  # three levels of u, not two
+        named = "got shapes (2,), (2,), (2, 2, 2), (2, 2, 3)"
+        with pytest.raises(BadParameter, match=f"{re.escape(named)}$"):
+            Scm(**tables)
+
+    def test_row_off_one_by_more_than_sum_tol_is_named_at_construction(self):
+        # the model's own row is named, not the observed pr(m|a,c) formed from it later
+        tables = scm_tables()
+        tables["m_given"][0, 0, 0] += 5e-10
+        with pytest.raises(NotNormalized, match=r"^pr\(m\|a=0,u=0\) sums to 1\.0000000005"):
+            Scm(**tables)
+
+    @pytest.mark.parametrize("rr_au, rr_uy, named", [
+        (0.5, 2.0, "rr_au must be >= 1 (or +inf), got 0.5"),
+        (2.0, math.nan, "rr_uy must be >= 1 (or +inf), got nan"),
+    ], ids=["rr_au", "rr_uy"])
+    def test_recipe_parameter_below_one_is_named(self, rr_au, rr_uy, named):
+        with pytest.raises(BadParameter, match=f"^{re.escape(named)}$"):
+            recipe_scm(rr_au, rr_uy, 0.999)
 
     def test_mean_outcome_may_exceed_one_but_not_be_infinite(self):
         tables = scm_tables()

@@ -4,6 +4,9 @@ import argparse
 import re
 from pathlib import Path
 
+import pytest
+
+from medsens import bootstrap, oracle
 from medsens.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -42,3 +45,23 @@ def test_command_line_flags_are_taken():
         assert set(flags) <= taken, f"{command} does not take {sorted(set(flags) - taken)}"
         shown += len(flags)
     assert shown > 20
+
+
+#: each module constant the README quotes: its value, and a pattern of the quoting text
+#: whose group is the number
+QUOTED_CONSTANTS = {
+    "oracle.BATTERY_CELLS": (oracle.BATTERY_CELLS, r"random battery in blocks of ([\d,]+) "),
+    "oracle.SHARPNESS_BATCH": (oracle.SHARPNESS_BATCH, r"sharpness search in blocks of ([\d,]+) "),
+    "oracle.RATIO_BATCH": (oracle.RATIO_BATCH, r"scalar inequality in blocks of ([\d,]+) "),
+    "bootstrap.BATCH_CELLS": (bootstrap.BATCH_CELLS, r"`bootstrap\.BATCH_CELLS` \(([\d,]+)\)"),
+    "oracle.MAX_CARD_PRODUCT": (oracle.MAX_CARD_PRODUCT,
+                                r"exceeds ([\d,]+)\s+\(`oracle\.MAX_CARD_PRODUCT`\)"),
+}
+
+
+@pytest.mark.parametrize("value, quote", QUOTED_CONSTANTS.values(), ids=list(QUOTED_CONSTANTS))
+def test_quoted_constant_matches_the_code(value, quote):
+    """A constant that changes without the sentence that quotes it fails here."""
+    quoted = re.findall(quote, README.read_text(encoding="utf-8"))
+    assert quoted, f"the README no longer quotes it as {quote!r}"
+    assert [int(number.replace(",", "")) for number in quoted] == [value] * len(quoted)

@@ -23,7 +23,7 @@ from medsens.errors import (
     ParseError,
 )
 from medsens.loglinear import interaction_bound
-from medsens.oracle import Scm
+from medsens.oracle import Scm, sample_scm, validity_battery
 from medsens.tables import (
     ConditionalModel,
     RecordTable,
@@ -460,6 +460,29 @@ class TestOneTableCheck:
         tables[name][row + (0,)] += 1e-6
         with pytest.raises(NotNormalized, match=rf"^{re.escape(named)} sums to \S+, not 1$"):
             build(**tables)
+
+
+#: each caller that takes an outcome mode, building from the mode it is given; the
+#: ConditionalModel's y holds 1.5, a mean but not a probability, so no mode may be guessed
+MODE_TAKERS = {
+    "ConditionalModel": lambda mode: ConditionalModel(
+        y=[[[0.2, 0.5], [1.5, 0.8]]], w=[[[0.5, 0.5], [0.5, 0.5]]], mode=mode),
+    "Scm": lambda mode: Scm(**TABLE_OWNERS[1][2], mode=mode),
+    "sample_scm": lambda mode: sample_scm(np.random.default_rng(0), mode=mode),
+    "validity_battery": lambda mode: validity_battery(
+        1, 1, mode=mode, ratio_iterations=1, sharpness_iterations=1),
+}
+
+
+class TestOneOutcomeModeRule:
+    """Every outcome mode is read by one rule, which refuses all but its two modes."""
+
+    @pytest.mark.parametrize("mode", ["probabilty", "Mean", "means"])
+    @pytest.mark.parametrize("build", MODE_TAKERS.values(), ids=list(MODE_TAKERS))
+    def test_misspelled_mode_is_refused(self, build, mode):
+        named = f"outcome mode must be 'probability' or 'mean', got {mode!r}"
+        with pytest.raises(BadParameter, match=f"^{re.escape(named)}$"):
+            build(mode)
 
 
 class TestSwapExposure:

@@ -85,10 +85,13 @@ class LogLinearSpec:
 
 
 def _checked_exp(lp: float, what: str) -> float:
-    """e^lp as a probability; the M=0 formulas need it strictly below 1."""
-    p = math.exp(lp)
+    """e^lp as a probability; the M=0 formulas need it strictly below 1.
+
+    A positive ``lp`` is refused without forming e^lp, which may overflow.
+    """
+    p = math.exp(min(lp, 0.0))
     if p >= 1.0:
-        raise Infeasible(f"{what}: linear predictor {lp!r} gives probability {p!r} >= 1")
+        raise Infeasible(f"{what}: linear predictor {lp!r} gives a probability >= 1")
     return p
 
 
@@ -122,7 +125,7 @@ def _rr_au_loglinear_bruteforce(beta0, beta1, beta3, beta_c=0.0):
     """
     b0, b1, b3, bc = (v[..., None, None] for v in np.broadcast_arrays(beta0, beta1, beta3, beta_c))
     lp = b0 + b1 * np.array([[0.0], [1.0]]) + bc + b3 * np.array([0.0, 1.0])  # [..., a, u]
-    p = np.exp(lp)
+    p = np.exp(np.minimum(lp, 0.0))  # as _checked_exp forms it
     if (p >= 1.0).any():
         _checked_exp(float(lp[p >= 1.0][0]), first_cell("cell a={}, u={}", p >= 1.0))
     half = np.full(lp.shape[:-1], 0.5)

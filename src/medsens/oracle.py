@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import SensitivitySpec, adjust, bound_report, effects_from_sums
+from .bounds import BOUND_STATS, SensitivitySpec, adjust, bound_report, effects_from_sums
 from .errors import BadParameter, InternalCheckError, UnreachableCell, ZeroProbability
 from .tables import (ConditionalModel, OutcomeMode, _check_outcomes, c_order_sum, check_table,
                      crossworld_sums, first_cell)
@@ -252,6 +252,12 @@ class InequalityCheck:
     slack: float
     holds: bool
 
+    @property
+    def attainment(self) -> float:
+        """How much of the bound is used, lhs / rhs, where both sides are positive; else 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((self.lhs > 0.0) & (self.rhs > 0.0), self.lhs / self.rhs, 0.0)[()]
+
 
 def _check(name: str, lhs, rhs) -> InequalityCheck:
     slack = lhs - rhs
@@ -281,11 +287,6 @@ class ValidityReport:
     def all_hold(self) -> bool:
         return all(bool(np.all(c.holds)) for c in self.checks)
 
-    @property
-    def nde_rr_attainment(self) -> float:
-        """How much of the ratio-scale direct-effect bound is used, in (0, 1]."""
-        return (self.observed["nde_rr"] / self.true["nde_rr"]) / self.observed["bf"]
-
 
 def verify_bounds(scm: Scm) -> ValidityReport:
     """Check the bounds against the exact truth of a synthetic model or batch.
@@ -293,12 +294,14 @@ def verify_bounds(scm: Scm) -> ValidityReport:
     The observed side is the code path users run, ``bounds.bound_report``
     then ``bounds.adjust`` on the marginal tables, with the models on the
     stratum axis; only the sensitivity parameters and the true effects come
-    from the joint model.  The direct-effect bounds are checked against the
-    effects among the unexposed, which survive exposure-confounder
-    dependence; those checks are named ``unexposed_...`` when exposure
-    depends on the confounder, and the indirect-effect bounds are checked
-    only when it does not.  Any failed check indicates a bug, not an
-    unlucky draw.
+    from the joint model.  Each bound of ``bounds.BOUND_STATS``, in that
+    order, is one check: a ``*_lower`` bound must not exceed the true effect
+    of its name, and the true effect must not exceed a ``*_upper`` bound.
+    The direct-effect bounds are checked against the effects among the
+    unexposed, which survive exposure-confounder dependence; those checks
+    are named ``unexposed_...`` when exposure depends on the confounder, and
+    the indirect-effect bounds are checked only when it does not.  Any
+    failed check indicates a bug, not an unlucky draw.
     """
     model = observed_model(scm)
     rau, ruy = rr_au_posterior(scm), rr_uy(scm)
@@ -307,16 +310,14 @@ def verify_bounds(scm: Scm) -> ValidityReport:
     obs = {name: value.reshape(scm.batch_shape)[()] for name, value in report.items()}
     true = effects_from_sums(*_unexposed_sums(scm))
     prefix = "" if scm.a_independent_u else "unexposed_"
-    checks = (
-        _check(f"{prefix}nde_rr_ratio_vs_bf", obs["nde_rr"] / true["nde_rr"], obs["bf"]),
-        _check(f"{prefix}nde_rd_lower_vs_true", obs["nde_rd_lower"], true["nde_rd"]),
-    )
-    if scm.a_independent_u:
-        checks += (
-            _check("nie_rr_true_vs_upper", true["nie_rr"], obs["nie_rr_upper"]),
-            _check("nie_rd_true_vs_upper", true["nie_rd"], obs["nie_rd_upper"]),
-        )
-    return ValidityReport(observed=obs, true=true, rr_au=rau, rr_uy=ruy, checks=checks)
+    checks = []
+    for bound in BOUND_STATS:  # the lower bounds are the direct-effect ones
+        effect, side = bound.rsplit("_", 1)
+        if side == "lower":
+            checks.append(_check(f"{prefix}{bound}_vs_true", obs[bound], true[effect]))
+        elif scm.a_independent_u:
+            checks.append(_check(f"{effect}_true_vs_upper", true[effect], obs[bound]))
+    return ValidityReport(observed=obs, true=true, rr_au=rau, rr_uy=ruy, checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +388,11 @@ def _ratio_scm(f0, f1, r) -> Scm:
     ``r`` in both arms, with pr(u) = (f0 + f1) / 2 and pr(A=1|u) =
     f1 / (f0 + f1), make pr(u|A=1) = f1 and pr(u|A=0) = f0.  The model's
     collider parameter is then max f1/f0 and its confounder-outcome one
-    max r / min r, and the first check of :func:`verify_bounds` is the
-    inequality sum(r f1) / sum(r f0) <= bf.  Levels with f0 = f1 = 0 pad a batch to
-    one width; they take pr(A=1|u) = 1/2 and, to keep the spread of r, a
-    weight already present.
+    max r / min r, its observed ``nde_rr`` is sum(r f1) / sum(r f0) and its
+    true one 1, so the first check of :func:`verify_bounds`, ``nde_rr_lower``
+    against the truth, is the inequality sum(r f1) / sum(r f0) <= bf.  Levels
+    with f0 = f1 = 0 pad a batch to one width; they take pr(A=1|u) = 1/2
+    and, to keep the spread of r, a weight already present.
     """
     f0, f1, r = (np.asarray(v, dtype=float) for v in (f0, f1, r))
     mass = f0 + f1
@@ -499,20 +501,6 @@ class SharpnessReport:
     best_attainment: dict[str, float]
 
 
-def _attainments(report: ValidityReport) -> dict[str, np.ndarray]:
-    """Attainment of each bound per model; rd ones are 0 where an effect or bound is <= 0."""
-    true, obs = report.true, report.observed
-    lower, upper = obs["nde_rd_lower"], obs["nie_rd_upper"]
-    nde_rd, nie_rd = true["nde_rd"], true["nie_rd"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return {
-            "nde_rr": report.nde_rr_attainment,
-            "nie_rr": true["nie_rr"] / obs["nie_rr_upper"],
-            "nde_rd": np.where((nde_rd > 0.0) & (lower > 0.0), lower / nde_rd, 0.0),
-            "nie_rd": np.where((nie_rd > 0.0) & (upper > 0.0), nie_rd / upper, 0.0),
-        }
-
-
 _POSTERIOR_MASS_GRID = (0.999, 0.9999, 0.99999, 0.999999)
 #: uniform ranges of the per-iteration draws of :func:`sharpness_search`, in draw order:
 #: rr_au, rr_uy, outcome ceiling, target, anchor, jitter - 1, extra posterior mass
@@ -546,15 +534,15 @@ def sharpness_search(seed: int, iterations: int) -> SharpnessReport:
 
     Sweeps the recipe over random parameter draws and a fixed grid of
     posterior-mass values approaching 1, plus jittered variants, and
-    returns the supremum attainment seen per bound.  Each iteration draws
-    seven uniforms and builds 10 models: 5 posterior masses times the
-    drawn and the jittered parameter pair.  Up to ``SHARPNESS_BATCH``
-    iterations form one :class:`Scm` batch, checked by one
-    :func:`verify_bounds` call; a violation raises
+    returns the supremum attainment of each check, by the effect it
+    bounds.  Each iteration draws seven uniforms and builds 10 models: 5
+    posterior masses times the drawn and the jittered parameter pair.  Up
+    to ``SHARPNESS_BATCH`` iterations form one :class:`Scm` batch, checked
+    by one :func:`verify_bounds` call; a violation raises
     :class:`InternalCheckError`.
     """
     rng = np.random.default_rng(seed)
-    best = dict.fromkeys(("nde_rr", "nie_rr", "nde_rd", "nie_rd"), 0.0)
+    best = dict.fromkeys((bound.rsplit("_", 1)[0] for bound in BOUND_STATS), 0.0)
     for start in range(0, iterations, SHARPNESS_BATCH):
         report = verify_bounds(_recipe_batch(rng, min(SHARPNESS_BATCH, iterations - start)))
         if not report.all_hold:
@@ -564,8 +552,8 @@ def sharpness_search(seed: int, iterations: int) -> SharpnessReport:
                 f"sharpness construction violated a bound at (iteration, mass, pair) "
                 f"{(start + int(bad[0]), int(bad[1]), int(bad[2]))}: slacks {slacks!r}"
             )
-        for key, value in _attainments(report).items():
-            best[key] = max(best[key], float(value.max()))
+        for key, check in zip(best, report.checks, strict=True):  # both follow BOUND_STATS
+            best[key] = max(best[key], float(check.attainment.max()))
     return SharpnessReport(seed=seed, iterations=iterations, evaluated=10 * iterations,
                            best_attainment=best)
 
@@ -634,6 +622,7 @@ def validity_battery(
         count = min(RATIO_BATCH, ratio_iterations - start)
         report = verify_bounds(sample_ratio_instances(rng, count))
         ratio_violations += sum(int(np.count_nonzero(~check.holds)) for check in report.checks)
+        # the first check, nde_rr_lower against the truth, is the scalar inequality
         ratio_max_excess = max(ratio_max_excess, float(report.checks[0].slack.max()))
         del report
 

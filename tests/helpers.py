@@ -91,9 +91,10 @@ def bernoulli_instance(density_ratio: float, weight_spread: float) -> Scm:
     """The two-point family attaining the scalar ratio bound with equality, as a model.
 
     f1 concentrates on u=1, f0 gives that level mass 1/density_ratio, and
-    r spreads by weight_spread; the weighted-mean ratio sum(r f1) / sum(r f0)
-    then equals bf(density_ratio, weight_spread), the cap that the first
-    check of :func:`medsens.oracle.verify_bounds` puts on it.
+    r spreads by weight_spread; the weighted-mean ratio sum(r f1) / sum(r f0),
+    the model's observed NDE_rr, then equals bf(density_ratio, weight_spread),
+    so the first check of :func:`medsens.oracle.verify_bounds`, its
+    ``nde_rr_lower`` against the true NDE_rr of 1, holds with equality.
     """
     if not (density_ratio >= 1.0 and weight_spread >= 1.0):  # NaN fails too
         raise BadParameter("density_ratio and weight_spread must be at least 1")

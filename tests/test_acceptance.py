@@ -276,7 +276,9 @@ def test_criterion_06_discrete_ratio_oracle():
     for _ in range(500):
         density_ratio = float(rng.uniform(1.0, 50.0))
         spread = float(rng.uniform(1.0, 50.0))
+        # the nde_rr_lower check: the weighted-mean ratio over bf, against the true NDE_rr of 1
         check = verify_bounds(bernoulli_instance(density_ratio, spread)).checks[0]
+        assert check.name == "unexposed_nde_rr_lower_vs_true"
         worst_gap = max(worst_gap, abs(check.lhs - check.rhs) / max(1.0, check.rhs))
     ok = violations == 0 and worst_gap <= 1e-12
     report_line(

@@ -503,10 +503,13 @@ class TestParametric:
         assert len(doc["result"]["rows"]) == 42
 
     def test_probability_above_one_exits_3_naming_the_cell(self, capsys):
-        assert main(["parametric", "--beta-c", "0.8"]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "cell a=1, u=1: linear predictor" in err and ">= 1" in err
+        # the first cell at or above 1; e^1000 overflows a float
+        for beta_c, cell in (("0.8", "a=1, u=1"), ("1000", "a=0, u=0")):
+            assert main(["parametric", "--beta-c", beta_c]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"cell {cell}: linear predictor" in err and ">= 1" in err
+            assert len(err.splitlines()) == 1, err
 
 
 class TestOracle:
@@ -527,7 +530,7 @@ class TestOracle:
         )
         assert code == 0
         assert doc["result"]["definition_equivalence"] is None
-        assert "unexposed_nde_rr_ratio_vs_bf" in doc["result"]["bound_validity"]["worst_slack"]
+        assert "unexposed_nde_rr_lower_vs_true" in doc["result"]["bound_validity"]["worst_slack"]
 
     def test_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("MEDSENS_SEED", "123")
@@ -585,7 +588,7 @@ class TestOracle:
         assert doc["result"]["definition_equivalence"] == {
             "max_relative_difference": 0.0, "violations": 0}
         assert list(doc["result"]["bound_validity"]["worst_slack"]) == [
-            "nde_rd_lower_vs_true", "nde_rr_ratio_vs_bf", "nie_rd_true_vs_upper",
+            "nde_rd_lower_vs_true", "nde_rr_lower_vs_true", "nie_rd_true_vs_upper",
             "nie_rr_true_vs_upper"]
 
     def test_single_mediator_level_runs(self, capsys):

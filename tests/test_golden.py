@@ -162,31 +162,31 @@ GOLDEN = {
     ),
     "oracle": (
         ("oracle", "--iterations", "50", "--seed", "3"),
-        0, "5d14453f71b649190abc8c0fd7c2bd5a67aa5a90110deec41361dfc9e134f2fc",
+        0, "d1e70ea05e8a32dba706192487365d9655cc3f7abbc8b8d602ebb32d8f159241",
     ),
     # 300 models span two check batches
     "oracle-dependent": (
         ("oracle", "--iterations", "300", "--seed", "3", "--dependent-exposure"),
-        0, "a8b219e0a2eec2d617b1db0f1a7c943e43a79719d0180c3eaea16fd93a3f1c60",
+        0, "c1dea2d41d9bf016f7bc3a14a832a332eb315787a9c459cdca539d680fec696c",
     ),
     "oracle-mean": (
         ("oracle", "--iterations", "50", "--seed", "3", "--outcome", "mean"),
-        0, "e948a73005f7888311d231a8edb69feb06f582477305250f934f8c71e0fca1db",
+        0, "efa576b75022683f88e10a1cc78373febb4f51c53b4f92885619f1bf3dff5dc7",
     ),
     "oracle-extreme-3-4": (
         ("oracle", "--iterations", "50", "--seed", "3", "--extreme", "--u-card", "3",
          "--m-card", "4"),
-        0, "6a991e0935e34fff08d2038b7973e9fed31236dbb94e733791a12d4a67cd6264",
+        0, "62dfbd7a26cd254d4f2b1698d6c1507be64ffff530a63a021720f9acfa780b7c",
     ),
     # u or m axes of 8 or more entries, which numpy sums pairwise when contiguous
     "oracle-extreme-dependent-6-8": (
         ("oracle", "--iterations", "300", "--seed", "3", "--u-card", "6", "--m-card", "8",
          "--extreme", "--dependent-exposure"),
-        0, "0212a16813c1b937088e79635c1757f960d73acdefb3053cf96e81e9e0795577",
+        0, "2e4d3426230a7c6282778b762abd2b09ba30317a52d2a748df2b4176e19da688",
     ),
     "oracle-9-9": (
         ("oracle", "--iterations", "300", "--seed", "3", "--u-card", "9", "--m-card", "9"),
-        0, "51253185a79b76c6af83c65721f9dadea8f0d4073d6cb8626e246b10c582e0a6",
+        0, "1f13e8ff6535e2fb3c4b1a0e0eca7f51f3fe5063199a81c198c820d4e7ec3111",
     ),
     "bootstrap": (
         ("bootstrap", "--csv", F, "--replicates", "200", "--seed", "1"),

@@ -214,7 +214,7 @@ class TestTrueEffects:
         rng = np.random.default_rng(43)
         report = verify_bounds(sample_scm(rng, dependent_exposure=True))
         assert [c.name for c in report.checks] == [
-            "unexposed_nde_rr_ratio_vs_bf", "unexposed_nde_rd_lower_vs_true"]
+            "unexposed_nde_rr_lower_vs_true", "unexposed_nde_rd_lower_vs_true"]
 
 
 class TestSensitivityParameters:
@@ -299,7 +299,8 @@ class TestVerifyBounds:
     def test_u_irrelevant_bounds_are_tight(self):
         report = verify_bounds(u_irrelevant_scm())
         assert report.observed["bf"] == 1.0
-        assert math.isclose(report.nde_rr_attainment, 1.0, rel_tol=1e-12)
+        for check in report.checks:
+            assert math.isclose(check.attainment, 1.0, rel_tol=1e-12), check.name
         assert math.isclose(report.observed["nde_rd_lower"], report.true["nde_rd"], abs_tol=1e-12)
         assert math.isclose(report.observed["nie_rd_upper"], report.true["nie_rd"], abs_tol=1e-12)
 
@@ -318,7 +319,8 @@ class TestVerifyBounds:
     def test_recipe_scm_attains_the_bound(self):
         report = verify_bounds(recipe_scm(2.5, 3.5, posterior_mass=0.999))
         assert report.all_hold
-        assert report.nde_rr_attainment >= 0.999
+        assert report.checks[0].name == "nde_rr_lower_vs_true"
+        assert report.checks[0].attainment >= 0.999
 
     def test_recipe_parameters_are_exact(self):
         scm = recipe_scm(2.5, 3.5, posterior_mass=0.999)
@@ -347,7 +349,7 @@ def sharpness_reference(seed: int, iterations: int) -> SharpnessReport:
                 evaluated += 1
                 obs, true = report.observed, report.true
                 values = {
-                    "nde_rr": report.nde_rr_attainment,
+                    "nde_rr": obs["nde_rr"] / obs["bf"] / true["nde_rr"],
                     "nie_rr": true["nie_rr"] / (obs["nie_rr"] * obs["bf"]),
                 }
                 if true["nde_rd"] > 0.0 and obs["nde_rd_lower"] > 0.0:
@@ -382,7 +384,7 @@ class TestSharpnessSearch:
         real = bounds.bounding_factor
         monkeypatch.setattr(bounds, "bounding_factor",
                             lambda spec: np.maximum(1.0, 0.99 * real(spec)))
-        with pytest.raises(InternalCheckError, match="nde_rr_ratio_vs_bf"):
+        with pytest.raises(InternalCheckError, match="nde_rr_lower_vs_true"):
             sharpness_search(0, 3)
 
     def test_recipe_batch_matches_single_models(self):
@@ -401,25 +403,30 @@ class TestSharpnessSearch:
             recipe_scm(2.0, 2.0, [0.999, 1.5])
 
 
-def nde_rr_check(scm: Scm):
-    """The report of a :func:`_ratio_scm` instance and its check sum(r f1) / sum(r f0) <= bf."""
+def ratio_report(scm: Scm):
+    """The report of a :func:`_ratio_scm` instance, its ratio sum(r f1) / sum(r f0) and its cap bf.
+
+    The true NDE_rr of the instance is 1, so its ``nde_rr_lower`` check is
+    the ratio, divided by the cap, against 1.
+    """
     report = verify_bounds(scm)
-    assert report.checks[0].name.endswith("nde_rr_ratio_vs_bf")
-    return report, report.checks[0]
+    assert report.checks[0].name.endswith("nde_rr_lower_vs_true")
+    assert np.all(report.true["nde_rr"] == 1.0)
+    return report, report.observed["nde_rr"], report.observed["bf"]
 
 
 class TestRatioBound:
     """The scalar inequality under every bound, checked as :func:`_ratio_scm` models."""
 
     def test_constant_weight(self):
-        report, check = nde_rr_check(_ratio_scm(f0=(0.3, 0.7), f1=(0.6, 0.4), r=(2.0, 2.0)))
-        assert report.rr_uy == 1.0 and report.observed["bf"] == 1.0
-        assert abs(check.lhs - 1.0) <= 1e-15
+        report, ratio, cap = ratio_report(_ratio_scm(f0=(0.3, 0.7), f1=(0.6, 0.4), r=(2.0, 2.0)))
+        assert report.rr_uy == 1.0 and cap == 1.0
+        assert abs(ratio - 1.0) <= 1e-15
         assert report.all_hold
 
     def test_equal_measures(self):
-        report, check = nde_rr_check(_ratio_scm(f0=(0.3, 0.7), f1=(0.3, 0.7), r=(1.0, 5.0)))
-        assert check.lhs == 1.0 and report.rr_au == 1.0
+        report, ratio, _ = ratio_report(_ratio_scm(f0=(0.3, 0.7), f1=(0.3, 0.7), r=(1.0, 5.0)))
+        assert ratio == 1.0 and report.rr_au == 1.0
         assert report.all_hold
 
     def test_model_has_the_instance_as_its_exposure_posteriors(self):
@@ -437,8 +444,8 @@ class TestRatioBound:
         for _ in range(200):
             density_ratio = float(rng.uniform(1.0, 20.0))
             spread = float(rng.uniform(1.0, 20.0))
-            report, check = nde_rr_check(bernoulli_instance(density_ratio, spread))
-            assert abs(check.lhs - check.rhs) <= 1e-12 * max(1.0, check.rhs)
+            report, ratio, cap = ratio_report(bernoulli_instance(density_ratio, spread))
+            assert abs(ratio - cap) <= 1e-12 * max(1.0, cap)
             assert report.all_hold
 
     @pytest.mark.parametrize("density_ratio, spread", [(math.nan, 2.0), (2.0, math.nan),
@@ -449,18 +456,18 @@ class TestRatioBound:
 
     def test_density_ratio_rounding_below_one_counts_as_one(self):
         f1 = (0.5 - 1e-12, 0.5 - 1e-12)  # a distribution within tolerance, below f0 everywhere
-        report, check = nde_rr_check(_ratio_scm(f0=(0.5, 0.5), f1=f1, r=(1.0, 3.0)))
+        report, _, cap = ratio_report(_ratio_scm(f0=(0.5, 0.5), f1=f1, r=(1.0, 3.0)))
         assert report.rr_au == 1.0
-        assert check.rhs == 1.0 and report.all_hold
+        assert cap == 1.0 and report.all_hold
 
     def test_random_instances_hold_strictly(self):
         # non-degenerate instances never attain the bound; equality needs
         # the two-point structure
         rng = np.random.default_rng(79)
-        report, check = nde_rr_check(sample_ratio_instances(rng, 2000))
-        assert check.holds.shape == (2000,)
+        report, ratio, cap = ratio_report(sample_ratio_instances(rng, 2000))
+        assert report.checks[0].holds.shape == (2000,)
         assert report.all_hold
-        assert (check.lhs < check.rhs).all()
+        assert (ratio < cap).all()
 
     def test_batch_draws_match_per_instance_draws(self):
         # each instance takes one block of 19 uniforms: its size, then six cells of f0, f1 and r
@@ -486,7 +493,7 @@ class TestRatioBound:
         f0, f1 = (np.where(pad, 0.0, rng.uniform(0.05, 1.0, (5000, 6))) for _ in range(2))
         f0, f1 = f0 / f0.sum(axis=-1, keepdims=True), f1 / f1.sum(axis=-1, keepdims=True)
         r = rng.uniform(0.1, 10.0, (5000, 6))
-        report, check = nde_rr_check(_ratio_scm(f0, f1, np.where(pad, r[:, :1], r)))
+        report, ratio, cap = ratio_report(_ratio_scm(f0, f1, np.where(pad, r[:, :1], r)))
         for b in range(5000):
             n = int(sizes[b])
             f0_b, f1_b, r_b = f0[b, :n].tolist(), f1[b, :n].tolist(), r[b, :n].tolist()
@@ -496,8 +503,8 @@ class TestRatioBound:
             d = max(r_b) / min(r_b)
             rhs = g * d / (g + d - 1.0)
             # the model forms pr(u|A=a) by Bayes' rule, a few roundings from f0 and f1
-            assert abs(check.lhs[b] - lhs) <= 1e-14 * lhs
-            assert abs(check.rhs[b] - rhs) <= 1e-14 * rhs
+            assert abs(ratio[b] - lhs) <= 1e-14 * lhs
+            assert abs(cap[b] - rhs) <= 1e-14 * rhs
         assert report.all_hold
 
     def test_padding_changes_nothing(self):
@@ -536,11 +543,11 @@ class TestUnexposedBound:
         assert scm.a_independent_u and not nearly.a_independent_u
         overall, unexposed = verify_bounds(scm), verify_bounds(nearly)
         assert [c.name for c in overall.checks] == [
-            "nde_rr_ratio_vs_bf", "nde_rd_lower_vs_true", "nie_rr_true_vs_upper",
+            "nde_rr_lower_vs_true", "nie_rr_true_vs_upper", "nde_rd_lower_vs_true",
             "nie_rd_true_vs_upper"]
         assert [c.name for c in unexposed.checks] == [
-            "unexposed_nde_rr_ratio_vs_bf", "unexposed_nde_rd_lower_vs_true"]
-        for want, got in zip(overall.checks[:2], unexposed.checks, strict=True):
+            "unexposed_nde_rr_lower_vs_true", "unexposed_nde_rd_lower_vs_true"]
+        for want, got in zip(overall.checks[::2], unexposed.checks, strict=True):
             for side in ("lhs", "rhs"):
                 assert abs(getattr(got, side) - getattr(want, side)) <= 1e-8
 
@@ -550,7 +557,7 @@ class TestUnexposedBound:
         assert not mixed.a_independent_u
         report = verify_bounds(mixed)
         assert [c.name for c in report.checks] == [
-            "unexposed_nde_rr_ratio_vs_bf", "unexposed_nde_rd_lower_vs_true"]
+            "unexposed_nde_rr_lower_vs_true", "unexposed_nde_rd_lower_vs_true"]
         assert report.all_hold
 
     def test_thousand_dependent_scms_hold(self):

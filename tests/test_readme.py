@@ -29,7 +29,7 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(library_example(), str(README), "exec"), {})
     out = capsys.readouterr().out
-    assert "True" in out and "unexposed_nde_rr_ratio_vs_bf" in out
+    assert "True" in out and "unexposed_nde_rr_lower_vs_true" in out
 
 
 def test_command_line_flags_are_taken():

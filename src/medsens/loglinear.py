@@ -128,8 +128,7 @@ def _rr_au_loglinear_bruteforce(beta0, beta1, beta3, beta_c=0.0):
     p = np.exp(np.minimum(lp, 0.0))  # as _checked_exp forms it
     if (p >= 1.0).any():
         _checked_exp(float(lp[p >= 1.0][0]), first_cell("cell a={}, u={}", p >= 1.0))
-    half = np.full(lp.shape[:-1], 0.5)
-    scm = Scm(u_prior=half, a_given_u=half, m_given=np.stack([1.0 - p, p], axis=-1),
+    scm = Scm(u_given_a=np.full(lp.shape, 0.5), m_given=np.stack([1.0 - p, p], axis=-1),
               y_given=np.full((*lp.shape, 2), 0.5))
     return np.maximum(1.0, rr_au_posterior(scm))[()]
 

@@ -1,12 +1,14 @@
 """Ground-truth engine for validity and sharpness of the sensitivity bounds.
 
-An :class:`Scm` is a fully specified discrete factorization over
-(A, M, Y, U) within one covariate stratum:
+An :class:`Scm` is a fully specified discrete model of (M, Y, U) given
+exposure A within one covariate stratum:
 
-    pr(u), pr(A=1|u), pr(m|a,u), pr(Y=1|a,m,u)
+    pr(u|A=a), pr(m|a,u), pr(Y=1|a,m,u)
 
-From it everything is computable exactly: the observed conditional tables
-(marginalizing U by Bayes' rule), the true natural effects (averaging over
+Every natural effect and both sensitivity parameters condition on exposure,
+so pr(A) enters none of them and the model does not hold it.  From the
+model everything is computable exactly: the observed conditional tables
+(marginalizing U within each arm), the true natural effects (averaging over
 the confounder before mediator weighting), and the two sensitivity
 parameters by their definitions.  :func:`verify_bounds` then asserts that
 the observed effects, pushed through the bound formulas with the exact
@@ -50,50 +52,47 @@ SHARPNESS_BATCH = 1000
 RATIO_BATCH = 384
 #: largest u_card * m_card of :func:`validity_battery`
 MAX_CARD_PRODUCT = 4096
-_SCM_TABLES = ("u_prior", "a_given_u", "m_given", "y_given")
+_SCM_TABLES = ("u_given_a", "m_given", "y_given")
 
 
 @dataclass(frozen=True, eq=False)
 class Scm:
-    """Synthetic joint model over (A, M, Y, U) for one covariate stratum.
+    """Synthetic model of (M, Y, U) given exposure A, for one covariate stratum.
 
-    Fields are read-only float arrays ``u_prior[..., u]``,
-    ``a_given_u[..., u]`` = pr(A=1|u), ``m_given[..., a, u, m]`` = pr(m|a,u)
-    and ``y_given[..., a, m, u]`` = pr(Y=1|a,m,u), so one model is indexed
+    Fields are read-only float arrays ``u_given_a[..., a, u]`` = pr(u|A=a),
+    ``m_given[..., a, u, m]`` = pr(m|a,u) and ``y_given[..., a, m, u]`` =
+    pr(Y=1|a,m,u), so one model is indexed ``u_given_a[a][u]``,
     ``m_given[a][u][m]`` and ``y_given[a][m][u]``.  Optional leading axes,
     the same on every field, make the Scm a batch of models that every
     function here evaluates at once, returning one value per model.  The
     fields are stored with the model axes innermost in memory, so that each
     array operation runs one long loop over the models.
     Whether exposure is independent of the confounder is read from
-    pr(A=1|u) (:attr:`a_independent_u`): if it is, the true-effect formulas
+    pr(u|A=a) (:attr:`a_independent_u`): if it is, the true-effect formulas
     apply; if not, :func:`verify_bounds` checks the direct-effect bounds
     among the unexposed only.  Mismatched shapes and an outcome mode other
     than ``probability`` or ``mean`` raise :class:`BadParameter`, an entry
     that is not finite or outside [0, 1] (outcome means in mean mode:
-    [0, inf)) :class:`OutOfRangeProbability`, and a pr(u) or pr(m|a,u) that
-    does not sum to 1 within ``tables.SUM_TOL`` :class:`NotNormalized`.
+    [0, inf)) :class:`OutOfRangeProbability`, and a pr(u|A=a) or pr(m|a,u)
+    that does not sum to 1 within ``tables.SUM_TOL`` :class:`NotNormalized`,
+    so an exposure arm with no mass is refused as an empty row.
     """
 
-    u_prior: np.ndarray
-    a_given_u: np.ndarray
+    u_given_a: np.ndarray
     m_given: np.ndarray
     y_given: np.ndarray
     mode: OutcomeMode = "probability"
 
     def __post_init__(self) -> None:
         tables = {name: np.asarray(getattr(self, name), dtype=float) for name in _SCM_TABLES}
-        prior, a_given, m_given, y_given = tables.values()
-        batch, nu = prior.shape[:-1], prior.shape[-1]
-        nm = m_given.shape[-1]
-        if (a_given.shape, m_given.shape, y_given.shape) != (
-                (*batch, nu), (*batch, 2, nu, nm), (*batch, 2, nm, nu)):
+        u_given, m_given, y_given = tables.values()
+        batch, nu, nm = u_given.shape[:-2], u_given.shape[-1], m_given.shape[-1]
+        if (u_given.shape, m_given.shape, y_given.shape) != (
+                (*batch, 2, nu), (*batch, 2, nu, nm), (*batch, 2, nm, nu)):
             raise BadParameter(
-                f"need u_prior[..., u], a_given_u[..., u], m_given[..., a, u, m] and "
-                f"y_given[..., a, m, u]; got shapes {prior.shape}, {a_given.shape}, "
-                f"{m_given.shape}, {y_given.shape}")
-        check_table(prior, "pr(u={})", rows="pr(u)")
-        check_table(a_given, "pr(A=1|u={})")
+                f"need u_given_a[..., a, u], m_given[..., a, u, m] and y_given[..., a, m, u]; "
+                f"got shapes {u_given.shape}, {m_given.shape}, {y_given.shape}")
+        check_table(u_given, "pr(u={1}|A={0})", rows="pr(u|A={})")
         check_table(m_given, "pr(m={2}|a={0},u={1})", rows="pr(m|a={},u={})")
         _check_outcomes(y_given, self.mode, "a={},m={},u={}")
         models = len(batch)
@@ -105,11 +104,11 @@ class Scm:
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
-        return self.u_prior.shape[:-1]
+        return self.u_given_a.shape[:-2]
 
     @property
     def u_card(self) -> int:
-        return self.u_prior.shape[-1]
+        return self.u_given_a.shape[-1]
 
     @property
     def m_card(self) -> int:
@@ -117,29 +116,13 @@ class Scm:
 
     @functools.cached_property
     def a_independent_u(self) -> bool:
-        """True when pr(A=1|u) is constant in u, within 1e-12, in every model of the batch."""
-        return bool((np.ptp(self.a_given_u, axis=-1) <= 1e-12).all())
-
-    @functools.cached_property
-    def _exposure_posteriors(self) -> np.ndarray:
-        """pr(u | A=a) as ``[..., a, u]``; the prior in both arms if exposure is independent of u."""
-        prior = self.u_prior[..., None, :]
-        if self.a_independent_u:
-            return np.broadcast_to(prior, (*self.batch_shape, 2, self.u_card))  # read-only
-        exposed = self.a_given_u[..., None, :]
-        joint = np.where(np.array([[False], [True]]), exposed, 1.0 - exposed) * prior
-        total = c_order_sum(joint, keepdims=True)
-        if (total <= 0.0).any():
-            arm = first_cell("a={}", total[..., 0] <= 0.0)
-            raise UnreachableCell(f"exposure arm {arm} has zero probability")
-        posteriors = joint / total
-        posteriors.flags.writeable = False
-        return posteriors
+        """True when pr(u|A=1) equals pr(u|A=0), within 1e-12, in every model of the batch."""
+        return bool((np.ptp(self.u_given_a, axis=-2) <= 1e-12).all())
 
     @functools.cached_property
     def _mediator_joint(self) -> tuple[np.ndarray, np.ndarray]:
         """pr(u, m | a) as ``[..., a, u, m]`` and its marginal pr(m | a) as ``[..., a, m]``."""
-        joint = self._exposure_posteriors[..., None] * self.m_given
+        joint = self.u_given_a[..., None] * self.m_given
         w = c_order_sum(joint, axis=-2)
         joint.flags.writeable = w.flags.writeable = False
         return joint, w
@@ -173,7 +156,7 @@ def _unexposed_sums(scm: Scm) -> tuple:
     the true cross-world sums.
     """
     per_u = crossworld_sums(np.moveaxis(scm.y_given, -1, -3), np.swapaxes(scm.m_given, -3, -2))
-    pu0 = scm._exposure_posteriors[..., 0, :]
+    pu0 = scm.u_given_a[..., 0, :]
     return tuple(c_order_sum(s * pu0)[()] for s in per_u)
 
 
@@ -294,7 +277,7 @@ def verify_bounds(scm: Scm) -> ValidityReport:
     The observed side is the code path users run, ``bounds.bound_report``
     then ``bounds.adjust`` on the marginal tables, with the models on the
     stratum axis; only the sensitivity parameters and the true effects come
-    from the joint model.  Each bound of ``bounds.BOUND_STATS``, in that
+    from the synthetic model.  Each bound of ``bounds.BOUND_STATS``, in that
     order, is one check: a ``*_lower`` bound must not exceed the true effect
     of its name, and the true effect must not exceed a ``*_upper`` bound.
     The direct-effect bounds are checked against the effects among the
@@ -340,10 +323,11 @@ def sample_scm(
     Cells are drawn uniformly then normalized.  ``floor`` keeps drawn cells
     away from zero so ratio parameters stay moderate; pass 0.0 for stress
     tests.  Outcome cells are drawn up to 1, or up to 5 in mean mode.
-    Exposure is a constant 1/2 unless ``dependent_exposure``.  Each model
-    takes one consecutive block of the generator's stream, so a batch of B
-    models is the same B models, and leaves the generator in the same
-    state, as B unbatched calls.
+    pr(u|A=a) is the drawn pr(u) in both arms unless ``dependent_exposure``;
+    then it is formed by Bayes' rule from pr(u) and a drawn pr(A=1|u) in
+    [0.05, 0.95].  Each model takes one consecutive block of the
+    generator's stream, so a batch of B models is the same B models, and
+    leaves the generator in the same state, as B unbatched calls.
     """
     if floor < 0.0 or floor >= 1.0:
         raise BadParameter("floor must be in [0, 1)")
@@ -368,12 +352,17 @@ def sample_scm(
         cells /= c_order_sum(cells, keepdims=True)
         return cells
 
+    prior = dist(table(u_raw, nu))  # in place, so u_raw holds it cell-major
+    if dependent_exposure:  # Bayes' rule over the cell-major block, the models innermost
+        exposed = uniform(a_raw, 0.05, 0.95)
+        joint = table(np.stack([1.0 - exposed, exposed]) * u_raw, 2, nu)
+        u_given_a = joint / c_order_sum(joint, keepdims=True)
+    else:
+        u_given_a = np.broadcast_to(prior[..., None, :], (*shape, 2, nu))
     y_max = 5.0 if mode == "mean" else 1.0
     y_low = floor * y_max if floor > 0.0 else 1e-12
     return Scm(
-        u_prior=dist(table(u_raw, nu)),
-        a_given_u=uniform(table(a_raw, nu), 0.05, 0.95) if dependent_exposure
-        else np.full((*shape, nu), 0.5),
+        u_given_a=u_given_a,
         m_given=dist(table(m_raw, 2, nu, nm)),
         y_given=uniform(table(y_raw, 2, nm, nu), y_low, y_max),
         mode=mode,
@@ -384,22 +373,19 @@ def _ratio_scm(f0, f1, r) -> Scm:
     """The scalar inequality under every bound as a model, or a batch over the leading axes.
 
     f0 and f1 are distributions over the confounder levels ``[..., u]`` and
-    r positive weights on them.  One mediator level and outcome means
-    ``r`` in both arms, with pr(u) = (f0 + f1) / 2 and pr(A=1|u) =
-    f1 / (f0 + f1), make pr(u|A=1) = f1 and pr(u|A=0) = f0.  The model's
-    collider parameter is then max f1/f0 and its confounder-outcome one
-    max r / min r, its observed ``nde_rr`` is sum(r f1) / sum(r f0) and its
+    r positive weights on them.  One mediator level and outcome means ``r``
+    in both arms, with pr(u|A=0) = f0 and pr(u|A=1) = f1, make the model's
+    collider parameter max f1/f0 and its confounder-outcome one
+    max r / min r, its observed ``nde_rr`` sum(r f1) / sum(r f0) and its
     true one 1, so the first check of :func:`verify_bounds`, ``nde_rr_lower``
     against the truth, is the inequality sum(r f1) / sum(r f0) <= bf.  Levels
-    with f0 = f1 = 0 pad a batch to one width; they take pr(A=1|u) = 1/2
-    and, to keep the spread of r, a weight already present.
+    with f0 = f1 = 0 pad a batch to one width; to keep the spread of r, they
+    take a weight already present.
     """
-    f0, f1, r = (np.asarray(v, dtype=float) for v in (f0, f1, r))
-    mass = f0 + f1
+    r = np.asarray(r, dtype=float)
     arms = (*r.shape[:-1], 2, 1, r.shape[-1])  # [..., a, m, u]
     return Scm(
-        u_prior=mass / 2.0,
-        a_given_u=np.divide(f1, mass, out=np.full(mass.shape, 0.5), where=mass > 0.0),
+        u_given_a=np.stack([f0, f1], axis=-2),
         m_given=np.ones(arms).swapaxes(-1, -2),
         y_given=np.broadcast_to(r[..., None, None, :], arms),
         mode="mean",
@@ -476,8 +462,7 @@ def recipe_scm(
         return np.moveaxis(np.array(nested), range(ndim), range(-ndim, 0))
 
     return Scm(
-        u_prior=table((1.0 - prior_mass, prior_mass), 1),
-        a_given_u=np.full((*p.shape, 2), 0.5),
+        u_given_a=table(((1.0 - prior_mass, prior_mass),) * 2, 2),
         m_given=table(
             (((zero, one), (zero, one)),
              ((1.0 - anchor_other, anchor_other), (1.0 - anchor, anchor))),

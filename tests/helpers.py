@@ -78,8 +78,9 @@ def rr_au_posterior_per_mediator(scm: Scm) -> dict[int, float]:
     """Collider parameter per mediator level, posterior form.
 
     For each m reachable under both arms: max over u of
-    pr(u|A=1,m) / pr(u|A=0,m), computed by Bayes' rule.  Works with or
-    without exposure-confounder dependence.  For a batch, the keys are the
+    pr(u|A=1,m) / pr(u|A=0,m), each pr(u|A=a,m) formed by Bayes' rule from
+    the model's pr(u|A=a) and pr(m|a,u).  Works with or without
+    exposure-confounder dependence.  For a batch, the keys are the
     levels reachable in some model, with 0 for the models where they are not.
     :func:`medsens.oracle.rr_au_posterior` is the maximum of these.
     """

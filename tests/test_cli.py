@@ -579,7 +579,7 @@ class TestOracle:
         assert "--u-card" in err and "--m-card" in err and "4096" in err
 
     def test_single_confounder_level_is_independent_of_exposure(self, capsys):
-        # pr(A=1|u) of a lone level cannot vary with u: all four checks and both
+        # a lone level has pr(u|A=a) = 1 in both arms: all four checks and both
         # forms of the collider parameter apply
         code, doc = run_json(capsys, "oracle", "--u-card", "1", "--dependent-exposure",
                              "--iterations", "20", "--ratio-iterations", "5",

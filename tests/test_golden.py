@@ -182,7 +182,7 @@ GOLDEN = {
     "oracle-extreme-dependent-6-8": (
         ("oracle", "--iterations", "300", "--seed", "3", "--u-card", "6", "--m-card", "8",
          "--extreme", "--dependent-exposure"),
-        0, "2e4d3426230a7c6282778b762abd2b09ba30317a52d2a748df2b4176e19da688",
+        0, "21a13933f4a14d45c9d6066889f5b7dec5b5f6af39bb314047ccff5690f27740",
     ),
     "oracle-9-9": (
         ("oracle", "--iterations", "300", "--seed", "3", "--u-card", "9", "--m-card", "9"),

@@ -74,6 +74,17 @@ def test_ratio_battery_and_sharpness_kill_a_wrong_direct_bound(monkeypatch):
     assert result["ratio_bound_dominance"]["violations"] > 0
 
 
+def test_dependent_bound_validity_kills_unexposed_sums_over_the_exposed_arm(monkeypatch):
+    # the true effects among the unexposed averaged over pr(u|A=1) in place of pr(u|A=0)
+    real = oracle._unexposed_sums
+    monkeypatch.setattr(oracle, "_unexposed_sums", lambda scm: real(
+        oracle.Scm(scm.u_given_a[..., [1, 1], :], scm.m_given, scm.y_given, mode=scm.mode)))
+    stub_sharpness(monkeypatch)
+    result = oracle.validity_battery(seed=1, iterations=1000, dependent_exposure=True,
+                                     ratio_iterations=1)
+    assert result["bound_validity"]["violations"] > 0
+
+
 def test_cornfield_sharpness_kills_the_minus_root(monkeypatch):
     def minus_root(r):
         if r <= 1.0:

@@ -39,14 +39,8 @@ from medsens.oracle import (
 from medsens.tables import crossworld_sums
 
 
-def flat_scm(y_given, m_given, u_prior=(0.4, 0.6), a_given_u=None, **kw) -> Scm:
-    return Scm(
-        u_prior=u_prior,
-        a_given_u=a_given_u if a_given_u is not None else (0.5,) * len(u_prior),
-        m_given=m_given,
-        y_given=y_given,
-        **kw,
-    )
+def flat_scm(y_given, m_given, u_given_a=((0.4, 0.6), (0.4, 0.6)), **kw) -> Scm:
+    return Scm(u_given_a=u_given_a, m_given=m_given, y_given=y_given, **kw)
 
 
 def u_irrelevant_scm() -> Scm:
@@ -60,10 +54,8 @@ def u_irrelevant_scm() -> Scm:
 
 def outcome_marginal(scm: Scm, a: int) -> float:
     """pr(Y=1|a) of one model by direct double summation, bypassing the conditional tables."""
-    arm = [p if a else 1.0 - p for p in scm.a_given_u]
-    joint = [prior * p for prior, p in zip(scm.u_prior, arm)]
     return math.fsum(
-        joint[u] / math.fsum(joint)
+        scm.u_given_a[a][u]
         * math.fsum(scm.m_given[a][u][m] * scm.y_given[a][m][u] for m in range(scm.m_card))
         for u in range(scm.u_card)
     )
@@ -84,7 +76,7 @@ class TestObservedModel:
 
     def test_degenerate_prior_picks_one_slice(self):
         scm = flat_scm(
-            u_prior=(0.0, 1.0),
+            u_given_a=((0.0, 1.0), (0.0, 1.0)),
             m_given=(((0.5, 0.5), (0.7, 0.3)), ((0.5, 0.5), (0.2, 0.8))),
             y_given=(((0.1, 0.3), (0.2, 0.4)), ((0.3, 0.5), (0.4, 0.9))),
         )
@@ -95,8 +87,7 @@ class TestObservedModel:
 
     def test_uniform_everything_gives_uniform_tables(self):
         half = ((0.5, 0.5), (0.5, 0.5))
-        scm = flat_scm(u_prior=(0.5, 0.5), m_given=(half, half),
-                       y_given=(half, half))
+        scm = flat_scm(u_given_a=half, m_given=(half, half), y_given=(half, half))
         model = observed_model(scm)
         y, w = model.y[0], model.w[0]
         assert w.tolist() == [list(row) for row in half]
@@ -107,8 +98,7 @@ class TestObservedModel:
         scm = sample_scm(np.random.default_rng(4), 3, 2, dependent_exposure=dependent, shape=(5,))
         joint, w = scm._mediator_joint
         assert scm._mediator_joint[0] is joint
-        assert scm._exposure_posteriors is scm._exposure_posteriors
-        for array in (joint, w, scm._exposure_posteriors):
+        for array in (joint, w, scm.u_given_a):
             assert not array.flags.writeable
         other = sample_scm(np.random.default_rng(4), 3, 2, dependent_exposure=dependent, shape=(5,))
         assert other._mediator_joint[0] is not joint
@@ -160,7 +150,7 @@ class TestTrueEffects:
         for scm in scms:
             true = verify_bounds(scm).true
             for b in np.ndindex(scm.batch_shape):
-                prior = np.array(scm.u_prior[b])
+                prior = np.array(scm.u_given_a[b][0])  # pr(u), the same in both arms
                 m = np.array(scm.m_given[b])   # [a][u][m]
                 y = np.array(scm.y_given[b])   # [a][m][u]
                 cross = {
@@ -196,7 +186,7 @@ class TestTrueEffects:
                 tuple(tuple(float(v) for v in rng.uniform(0.05, 0.95, 2)) for _ in (0, 1))
                 for _ in (0, 1)
             )
-            scm = flat_scm(u_prior=(0.5, 0.5), m_given=m_given, y_given=y_given)
+            scm = flat_scm(u_given_a=((0.5, 0.5), (0.5, 0.5)), m_given=m_given, y_given=y_given)
             assert math.isclose(rr_au_posterior(scm), rr_au_loglinear(spec), rel_tol=1e-10)
             report = verify_bounds(scm)
             assert report.all_hold
@@ -393,7 +383,7 @@ class TestSharpnessSearch:
         assert batch.batch_shape == (2, 3)
         for i, j in np.ndindex(2, 3):
             single = recipe_scm(float(rr_au[j]), float(rr_uy[i, 0]), 1.0, anchor=0.7)
-            for name in ("u_prior", "a_given_u", "m_given", "y_given"):
+            for name in ("u_given_a", "m_given", "y_given"):
                 assert np.array_equal(getattr(batch, name)[i, j], getattr(single, name))
 
     def test_recipe_rejects_any_bad_entry(self):
@@ -433,7 +423,7 @@ class TestRatioBound:
         f0, f1, r = (0.2, 0.3, 0.5), (0.6, 0.1, 0.3), (1.5, 4.0, 0.5)
         scm = _ratio_scm(f0, f1, r)
         assert not scm.a_independent_u and scm.m_card == 1
-        assert np.allclose(scm._exposure_posteriors, (f0, f1), rtol=1e-15, atol=0.0)
+        assert np.array_equal(scm.u_given_a, (f0, f1))
         report = verify_bounds(scm)
         assert report.rr_au == pytest.approx(3.0, rel=1e-15)  # max f1/f0, at u=0
         assert report.rr_uy == 8.0
@@ -448,6 +438,17 @@ class TestRatioBound:
             assert abs(ratio - cap) <= 1e-12 * max(1.0, cap)
             assert report.all_hold
 
+    def test_huge_density_ratio_holds_with_equality(self):
+        # pr(u|A=0) is stored as given, so its 1/density_ratio is not lost to rounding
+        report, ratio, cap = ratio_report(bernoulli_instance(1e200, 1e200))
+        assert report.all_hold
+        assert ratio == cap == 5e199
+
+    @pytest.mark.parametrize("density_ratio", [1e6, 1e10, 1e15])
+    def test_collider_parameter_is_the_density_ratio_to_the_ulp(self, density_ratio):
+        got = rr_au_posterior(bernoulli_instance(density_ratio, 2.0))
+        assert abs(got - density_ratio) <= np.spacing(density_ratio)
+
     @pytest.mark.parametrize("density_ratio, spread", [(math.nan, 2.0), (2.0, math.nan),
                                                        (0.5, 2.0)])
     def test_bernoulli_family_rejects_nan_or_below_one(self, density_ratio, spread):
@@ -455,10 +456,15 @@ class TestRatioBound:
             bernoulli_instance(density_ratio, spread)
 
     def test_density_ratio_rounding_below_one_counts_as_one(self):
-        f1 = (0.5 - 1e-12, 0.5 - 1e-12)  # a distribution within tolerance, below f0 everywhere
+        f1 = (0.5 - 2.5e-13, 0.5 - 2.5e-13)  # a distribution within tolerance, below f0 everywhere
         report, _, cap = ratio_report(_ratio_scm(f0=(0.5, 0.5), f1=f1, r=(1.0, 3.0)))
         assert report.rr_au == 1.0
         assert cap == 1.0 and report.all_hold
+
+    def test_arm_off_one_by_more_than_sum_tol_is_refused(self):
+        f1 = (0.5 - 1e-12, 0.5 - 1e-12)  # sums to 1 - 2e-12
+        with pytest.raises(NotNormalized, match=re.escape("pr(u|A=1) sums to 0.999999999998")):
+            _ratio_scm(f0=(0.5, 0.5), f1=f1, r=(1.0, 3.0))
 
     def test_random_instances_hold_strictly(self):
         # non-degenerate instances never attain the bound; equality needs
@@ -475,13 +481,13 @@ class TestRatioBound:
         batch = sample_ratio_instances(rng, 300)
         singles = [sample_ratio_instances(rng_single, 1) for _ in range(300)]
         assert rng.bit_generator.state == rng_single.bit_generator.state
-        for name in ("u_prior", "a_given_u", "m_given", "y_given"):
+        for name in ("u_given_a", "m_given", "y_given"):
             for b, scm in enumerate(singles):
                 assert np.array_equal(getattr(batch, name)[b], getattr(scm, name)[0])
         blocks = np.random.default_rng(107).random((300, 19))
         sizes = 2 + np.floor(5.0 * blocks[:, 0])
         assert set(sizes) == {2, 3, 4, 5, 6}
-        assert ((batch.u_prior > 0.0).sum(axis=-1) == sizes).all()
+        assert ((batch.u_given_a > 0.0).sum(axis=-1) == sizes[:, None]).all()
         r = 0.1 + (10.0 - 0.1) * blocks[:, 13:]
         past = np.arange(6) >= sizes[:, None]
         assert np.array_equal(batch.y_given[:, 1, 0], np.where(past, r[:, :1], r))
@@ -502,7 +508,7 @@ class TestRatioBound:
             g = max(p1 / p0 for p0, p1 in zip(f0_b, f1_b))
             d = max(r_b) / min(r_b)
             rhs = g * d / (g + d - 1.0)
-            # the model forms pr(u|A=a) by Bayes' rule, a few roundings from f0 and f1
+            # the model holds f0 and f1 as given; its sums and bf round a few times each
             assert abs(ratio[b] - lhs) <= 1e-14 * lhs
             assert abs(cap[b] - rhs) <= 1e-14 * rhs
         assert report.all_hold
@@ -539,7 +545,8 @@ class TestRatioBound:
 class TestUnexposedBound:
     def test_vanishing_dependence_keeps_the_direct_checks(self):
         scm = sample_scm(np.random.default_rng(83))
-        nearly = Scm(scm.u_prior, (0.5, 0.5 + 1e-9), scm.m_given, scm.y_given)
+        prior = scm.u_given_a[0]
+        nearly = Scm((prior, prior + (1e-9, -1e-9)), scm.m_given, scm.y_given)
         assert scm.a_independent_u and not nearly.a_independent_u
         overall, unexposed = verify_bounds(scm), verify_bounds(nearly)
         assert [c.name for c in overall.checks] == [
@@ -553,12 +560,29 @@ class TestUnexposedBound:
 
     def test_batch_with_one_varying_exposure_is_dependent(self):
         scm = sample_scm(np.random.default_rng(97), shape=(2,))
-        mixed = Scm(scm.u_prior, ((0.5, 0.5), (0.3, 0.6)), scm.m_given, scm.y_given)
+        u_given_a = np.array(scm.u_given_a)
+        u_given_a[1, 1] = (0.2, 0.8)  # the second model's exposed arm only
+        mixed = Scm(u_given_a, scm.m_given, scm.y_given)
         assert not mixed.a_independent_u
         report = verify_bounds(mixed)
         assert [c.name for c in report.checks] == [
             "unexposed_nde_rr_lower_vs_true", "unexposed_nde_rd_lower_vs_true"]
         assert report.all_hold
+
+    @pytest.mark.parametrize("u_card", [3, 9])  # 9: numpy sums the u axis pairwise
+    def test_dependent_models_store_bayes_rule_of_their_draws(self, u_card):
+        # each model's block starts with u_card uniforms for pr(u), then u_card for pr(A=1|u)
+        scm = sample_scm(np.random.default_rng(113), u_card, 2, dependent_exposure=True,
+                         shape=(200,))
+        blocks = np.random.default_rng(113).random((200, 2 * u_card + 8 * u_card))
+        for b in range(200):
+            cells = [x * (1.0 - 1e-4) + 1e-4 for x in blocks[b, :u_card].tolist()]
+            prior = [c / math.fsum(cells) for c in cells]
+            exposed = [x * (0.95 - 0.05) + 0.05 for x in blocks[b, u_card:2 * u_card].tolist()]
+            for a in (0, 1):
+                joint = [p * (e if a else 1.0 - e) for p, e in zip(prior, exposed)]
+                want = [j / math.fsum(joint) for j in joint]
+                assert np.allclose(scm.u_given_a[b, a], want, rtol=0.0, atol=1e-15), (b, a)
 
     def test_thousand_dependent_scms_hold(self):
         rng = np.random.default_rng(89)
@@ -569,7 +593,7 @@ class TestUnexposedBound:
 
     def test_strong_dependence_with_u_irrelevant_to_y_is_tight(self):
         scm = flat_scm(
-            a_given_u=(0.05, 0.95),
+            u_given_a=((0.95, 0.05), (0.05, 0.95)),
             m_given=(((0.8, 0.2), (0.3, 0.7)), ((0.5, 0.5), (0.1, 0.9))),
             y_given=(((0.2, 0.2), (0.5, 0.5)), ((0.4, 0.4), (0.7, 0.7))),
         )
@@ -583,7 +607,7 @@ class TestUnexposedBound:
 
 class TestBatches:
     def test_batch_matches_unbatched_calls(self):
-        fields = ("u_prior", "a_given_u", "m_given", "y_given")
+        fields = ("u_given_a", "m_given", "y_given")
         for dependent in (False, True):
             rng, rng_single = np.random.default_rng(101), np.random.default_rng(101)
             batch = sample_scm(rng, 3, 4, floor=0.0, dependent_exposure=dependent, shape=(40,))
@@ -610,7 +634,7 @@ class TestBatches:
         batch = sample_scm(rng, 9, 9, floor=0.0, dependent_exposure=dependent, shape=(40,))
         singles = [sample_scm(rng_single, 9, 9, floor=0.0, dependent_exposure=dependent)
                    for _ in range(40)]
-        for name in ("u_prior", "a_given_u", "m_given", "y_given"):
+        for name in ("u_given_a", "m_given", "y_given"):
             table = getattr(batch, name)
             assert table.strides[0] == table.itemsize == min(table.strides)  # models innermost
             for b, scm in enumerate(singles):
@@ -640,8 +664,7 @@ class TestCornfieldSharpness:
 
 #: the cell of each table that a test corrupts, with its name
 SCM_CELLS = {
-    "u_prior": ((1,), "pr(u=1)"),
-    "a_given_u": ((1,), "pr(A=1|u=1)"),
+    "u_given_a": ((1, 1), "pr(u=1|A=1)"),
     "m_given": ((1, 0, 1), "pr(m=1|a=1,u=0)"),
     "y_given": ((1, 0, 1), "pr(Y=1|a=1,m=0,u=1)"),
 }
@@ -668,7 +691,7 @@ class TestTableValidation:
 
     def test_mismatched_shapes_are_named(self):
         tables = scm_tables() | {"y_given": np.ones((2, 2, 3))}  # three levels of u, not two
-        named = "got shapes (2,), (2,), (2, 2, 2), (2, 2, 3)"
+        named = "got shapes (2, 2), (2, 2, 2), (2, 2, 3)"
         with pytest.raises(BadParameter, match=f"{re.escape(named)}$"):
             Scm(**tables)
 
@@ -706,10 +729,10 @@ class TestTableValidation:
 
 class TestZeroProbability:
     def test_zero_exposure_arm(self):
-        tables = scm_tables() | {"u_prior": (1.0, 0.0), "a_given_u": (0.0, 0.5)}
-        scm = Scm(**tables)
-        with pytest.raises(UnreachableCell, match="exposure arm a=1 has zero probability"):
-            observed_model(scm)
+        # an arm with no mass has no pr(u|A=a): its row is empty, not a distribution
+        tables = scm_tables() | {"u_given_a": ((1.0, 0.0), (0.0, 0.0))}
+        with pytest.raises(NotNormalized, match=re.escape("pr(u|A=1) sums to 0.0, not 1")):
+            Scm(**tables)
 
     @pytest.mark.parametrize("form", [rr_au_posterior, rr_au_mediator_ratio])
     def test_no_mediator_level_in_both_arms(self, form):

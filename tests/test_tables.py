@@ -421,11 +421,10 @@ TABLE_OWNERS = [
      {"y": ((1, 0, 1), "pr(Y=1|a=0,m=1,c=1)", None, None),
       "w": ((1, 0, 1), "pr(m=1|a=0,c=1)", (1, 0), "pr(m|a=0,c=1)")}),
     ("Scm", Scm,
-     {"u_prior": (0.4, 0.6), "a_given_u": (0.5, 0.5),
+     {"u_given_a": ((0.4, 0.6), (0.4, 0.6)),
       "m_given": (((0.75, 0.25), (0.75, 0.25)), ((0.25, 0.75), (0.25, 0.75))),
       "y_given": (((0.2, 0.2), (0.5, 0.5)), ((0.4, 0.4), (0.8, 0.8)))},
-     {"u_prior": ((1,), "pr(u=1)", (), "pr(u)"),
-      "a_given_u": ((1,), "pr(A=1|u=1)", None, None),
+     {"u_given_a": ((1, 1), "pr(u=1|A=1)", (1,), "pr(u|A=1)"),
       "m_given": ((1, 0, 1), "pr(m=1|a=1,u=0)", (1, 0), "pr(m|a=1,u=0)"),
       "y_given": ((1, 0, 1), "pr(Y=1|a=1,m=0,u=1)", None, None)}),
     ("interaction_bound", interaction_bound,

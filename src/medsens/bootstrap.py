@@ -6,10 +6,11 @@ the original counts, which is exactly sampling N records with replacement;
 how the records were grouped into rows does not matter.  Replicates are
 drawn and evaluated in batches: one multinomial call draws a batch of
 count tensors, :func:`~medsens.tables.estimate_tables` estimates them
-together, :func:`~medsens.bounds.bound_report` forms their effects as
-arrays over the batch, and with a spec :func:`~medsens.bounds.adjust` forms
-the bounds from those.  The batches draw the same replicates, in the same
-order, as one draw at a time would.
+together, :func:`~medsens.tables.crossworld_sums` forms their sums and
+:func:`~medsens.bounds.effects_from_sums` their effects as arrays over the
+batch, and with a spec :func:`~medsens.bounds.adjust` forms the bounds from
+those.  The batches draw the same replicates, in the same order, as one
+draw at a time would.
 
 Working memory is one table of replicates x strata x statistics floats,
 preallocated, plus one batch of at most ``BATCH_CELLS`` count-tensor cells:
@@ -23,9 +24,9 @@ default ("linear") method written out in :func:`_percentiles`: it gives
 (``nie_rr_upper`` at ``bf = inf``) gets that infinity as both limits, where
 the lerp would give inf - inf = NaN.
 
-A replicate that empties a required table cell cannot be evaluated; it is
-redrawn, counted, and reported.  Everything is deterministic given the
-seed.
+A replicate that empties a required table cell, or whose n10 or n00 is 0
+in some stratum, cannot be evaluated; it is redrawn, counted, and
+reported.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BOUND_STATS, EFFECT_STATS, SensitivitySpec, adjust, bound_report
+from .bounds import BOUND_STATS, EFFECT_STATS, SensitivitySpec, adjust, effects_from_sums
 from .errors import BadParameter, DegenerateResample
-from .tables import RecordTable, estimate_from_records, estimate_tables
+from .tables import RecordTable, crossworld_sums, estimate_from_records, estimate_tables
 
 #: more than this many redraws per requested replicate raises DegenerateResample
 MAX_REDRAW_FACTOR = 10
@@ -71,7 +72,8 @@ def run_bootstrap(
     """Percentile bootstrap intervals for observed effects and adjusted bounds.
 
     ``level`` is the two-sided coverage (0.95 gives the 2.5 and 97.5
-    percentiles).  Replicates hitting an empty required cell are redrawn;
+    percentiles).  Replicates hitting an empty required cell or a zero
+    denominator are redrawn;
     more than ``MAX_REDRAW_FACTOR * replicates`` total redraws raises
     :class:`DegenerateResample`.  So many replicates that their table of
     statistics cannot be allocated raise :class:`BadParameter`.
@@ -82,15 +84,15 @@ def run_bootstrap(
         raise BadParameter(f"level must be in (0, 1), got {level!r}")
     names = EFFECT_STATS + (BOUND_STATS if spec is not None else ())
 
-    def statistics(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """The effects and, with a spec, the bounds of tables ``y``, ``w`` as ``[..., c, stat]``."""
-        report = bound_report(y, w)
+    def statistics(n10: np.ndarray, n00: np.ndarray, n11: np.ndarray) -> np.ndarray:
+        """The effects and, with a spec, the bounds of the sums as ``[..., c, stat]``."""
+        report = effects_from_sums(n10, n00, n11)
         if spec is not None:
             report.update(adjust(report, spec))
         return np.stack([report[name] for name in names], axis=-1)
 
     model = estimate_from_records(records, smoothing)
-    point = statistics(model.y, model.w)
+    point = statistics(*crossworld_sums(model.y, model.w))
     rng = np.random.default_rng(seed)
     shape = records.counts.shape
     total = records.total()
@@ -110,16 +112,17 @@ def run_bootstrap(
         size = min(replicates - kept, batch)
         counts = rng.multinomial(total, probs, size=size).reshape(size, *shape)
         y, w, empty = estimate_tables(counts, smoothing)
-        ok = ~empty.any(axis=(1, 2, 3))
+        n10, n00, n11 = crossworld_sums(y, w)
+        ok = ~empty.any(axis=(1, 2, 3)) & (n10 != 0.0).all(axis=1) & (n00 != 0.0).all(axis=1)
         good = int(ok.sum())
         redraws += size - good
         if redraws > budget:
             raise DegenerateResample(
                 f"{budget + 1} degenerate replicates exceeded the redraw budget {budget}"
             )
-        stats[kept:kept + good] = statistics(y[ok], w[ok])
+        stats[kept:kept + good] = statistics(n10[ok], n00[ok], n11[ok])
         kept += good
-        del counts, y, w, empty  # before the next batch is drawn
+        del counts, y, w, empty, n10, n00, n11  # before the next batch is drawn
 
     lo, hi = _limits(stats, level)
     intervals = {

@@ -179,28 +179,31 @@ def cornfield_rd(n10: float, n00: float, nde_rd_true: float) -> CornfieldThresho
     return _thresholds_from_ratio(n10 / denom)
 
 
-def required_partner(fixed: float, target_bf: float) -> float:
-    """Smallest partner value y with bf(fixed, y) >= target_bf.
+def required_partner(fixed, target_bf):
+    """Smallest partner value y with bf(fixed, y) >= target_bf, elementwise over arrays.
 
     The bounding factor is capped strictly below the fixed parameter for
     any finite partner, so a target at or above the fixed parameter is
-    unattainable and raises :class:`Infeasible`.  The solve is exact:
-    bf(fixed, result) == target_bf.
+    unattainable and raises :class:`Infeasible`, naming the first such
+    entry of an array.  The solve is exact: bf(fixed, result) == target_bf.
     """
-    fixed = _check_param(fixed, "fixed")
-    target_bf = _check_param(target_bf, "target_bf")
-    if math.isinf(target_bf):
-        raise Infeasible("no finite bounding factor reaches an infinite target")
-    if target_bf == 1.0:
-        return 1.0
-    if math.isinf(fixed):
-        return target_bf
-    if fixed <= target_bf:
+    fixed, target_bf = np.broadcast_arrays(_check_param(fixed, "fixed"),
+                                           _check_param(target_bf, "target_bf"))
+    infinite = np.isinf(target_bf)
+    bad = infinite | ((fixed <= target_bf) & (target_bf != 1.0))
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0].tolist())
+        entry = f" (entry {list(first)})" if bad.ndim else ""
+        if infinite[first]:
+            raise Infeasible("no finite bounding factor reaches an infinite target" + entry)
         raise Infeasible(
-            f"fixed parameter {fixed} caps the bounding factor below {target_bf}; "
-            f"no finite partner exists (the fixed parameter itself must exceed the target)"
+            f"fixed parameter {fixed[first]} caps the bounding factor below {target_bf[first]}; "
+            f"no finite partner exists (the fixed parameter itself must exceed the target){entry}"
         )
-    return target_bf * (fixed - 1.0) / (fixed - target_bf)
+    with np.errstate(invalid="ignore"):  # inf / inf and 0 / 0, replaced below
+        partner = target_bf * (fixed - 1.0) / (fixed - target_bf)
+    partner = np.where(np.isinf(fixed), target_bf, partner)
+    return np.where(target_bf == 1.0, 1.0, partner)[()]
 
 
 def effects_from_sums(n10, n00, n11) -> dict:
@@ -248,7 +251,8 @@ def adjust(effects: Mapping, spec: SensitivitySpec) -> dict:
     if "nde_rr" in effects:
         out["nde_rr_lower"] = _positive(effects, "nde_rr") / bf
     if "nie_rr" in effects:
-        out["nie_rr_upper"] = _positive(effects, "nie_rr") * bf
+        with np.errstate(over="ignore"):  # an upper bound of +inf still holds
+            out["nie_rr_upper"] = _positive(effects, "nie_rr") * bf
     if "n10" in effects:
         cross = effects["n10"] / bf
         out["nde_rd_lower"] = cross - effects["n00"]

@@ -86,9 +86,10 @@ class Scm:
     def __post_init__(self) -> None:
         tables = {name: np.asarray(getattr(self, name), dtype=float) for name in _SCM_TABLES}
         u_given, m_given, y_given = tables.values()
-        batch, nu, nm = u_given.shape[:-2], u_given.shape[-1], m_given.shape[-1]
+        # each level count as a tuple, empty for a 0-d table, which then cannot match
+        batch, nu, nm = u_given.shape[:-2], u_given.shape[-1:], m_given.shape[-1:]
         if (u_given.shape, m_given.shape, y_given.shape) != (
-                (*batch, 2, nu), (*batch, 2, nu, nm), (*batch, 2, nm, nu)):
+                (*batch, 2, *nu), (*batch, 2, *nu, *nm), (*batch, 2, *nm, *nu)):
             raise BadParameter(
                 f"need u_given_a[..., a, u], m_given[..., a, u, m] and y_given[..., a, m, u]; "
                 f"got shapes {u_given.shape}, {m_given.shape}, {y_given.shape}")

@@ -37,7 +37,7 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .errors import (
 #: conditional distributions must sum to one within this
 SUM_TOL = 1e-12
 
-#: largest value a record code or count may take
+#: largest count a cell of record data may hold
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 #: characters of CSV lines tallied per block during ingest, about 4,096 unit records
@@ -70,7 +70,9 @@ class RecordTable:
 
     ``counts`` is a read-only int64 array of shape (c_card, 2, m_card, 2).
     Every estimator uses record data only through these counts, so row order
-    and the grouping of records into weighted rows do not matter.
+    and the grouping of records into weighted rows do not matter.  The
+    tensor's rules are checked here: an integer dtype, that shape, no
+    negative count, and a positive total within the int64 range.
     """
 
     counts: np.ndarray
@@ -95,42 +97,6 @@ class RecordTable:
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "RecordTable":
-        """Collapse ``(a, m, y, c, count)`` rows into cell counts, summing duplicates.
-
-        Each cardinality is the largest code + 1.  Codes that would make the
-        count tensor larger than ``MAX_CELLS`` cells raise :class:`BadCode`
-        before it is allocated.
-        """
-        fixed = [tuple(int(v) for v in row) for row in rows]
-        if not fixed or any(len(row) != 5 for row in fixed):
-            raise BadParameter("record table needs one or more rows (a, m, y, c, count)")
-        if any(row[4] <= 0 for row in fixed):
-            low = min(row[4] for row in fixed)
-            raise BadParameter(f"count must be a positive integer, got {low}")
-        if sum(row[4] for row in fixed) > INT64_MAX:
-            raise BadParameter("total record count exceeds the int64 range")
-        for row in fixed:
-            for name, code in zip("amyc", row):
-                if abs(code) > INT64_MAX:
-                    raise BadCode(f"{name}={code} exceeds the int64 range")
-        a, m, y, c, n = np.array(fixed, dtype=np.int64).T
-        for name, codes in zip("amyc", (a, m, y, c)):
-            binary = name in "ay"  # m and c take any code from 0: their cardinality is inferred
-            bad = codes[(codes < 0) | (binary & (codes > 1))]
-            if bad.size:
-                raise BadCode(f"{name}={bad[0]} " + ("outside 0..1" if binary else "is negative"))
-        m_card, c_card = int(m.max()) + 1, int(c.max()) + 1
-        if c_card * 2 * m_card * 2 > MAX_CELLS:
-            raise BadCode(
-                f"codes m={m_card - 1}, c={c_card - 1} need {c_card * 2 * m_card * 2} count cells,"
-                f" over the cap of {MAX_CELLS}; recode m and c as consecutive codes from 0"
-            )
-        counts = np.zeros((c_card, 2, m_card, 2), dtype=np.int64)
-        np.add.at(counts, (c, a, m, y), n)
-        return cls(counts)
-
     @property
     def c_card(self) -> int:
         return self.counts.shape[0]
@@ -153,6 +119,12 @@ def read_records_csv(path: str) -> RecordTable:
     Raises :class:`ParseError` naming the first offending line, also for
     bytes that are not UTF-8, for a field beyond the ``csv`` field limit and
     for a quoted field that runs past the end of its line.
+
+    Each line is checked by :func:`_parse_record`; the file as a whole is
+    checked here, before the count tensor is allocated: each cardinality
+    is the largest code + 1, codes needing more than ``MAX_CELLS`` cells
+    raise :class:`BadCode`, and a cell count past the int64 range raises
+    :class:`BadParameter`.
 
     Identical lines are tallied first, about ``READ_BLOCK`` characters at a
     time, and each distinct line of a block is parsed once, so the cost
@@ -194,13 +166,29 @@ def read_records_csv(path: str) -> RecordTable:
             lines = fh.readlines(READ_BLOCK)
     if not cells:
         raise ParseError(f"{path}: no data rows")
-    return RecordTable.from_rows((a, m, y, c, n) for (c, a, m, y), n in cells.items())
+    c_card = 1 + max(c for c, _, _, _ in cells)
+    m_card = 1 + max(m for _, _, m, _ in cells)
+    if c_card * 2 * m_card * 2 > MAX_CELLS:  # also any code past int64
+        raise BadCode(
+            f"codes m={m_card - 1}, c={c_card - 1} need {c_card * 2 * m_card * 2} count cells,"
+            f" over the cap of {MAX_CELLS}; recode m and c as consecutive codes from 0"
+        )
+    if max(cells.values()) > INT64_MAX:
+        raise BadParameter("total record count exceeds the int64 range")
+    counts = np.zeros((c_card, 2, m_card, 2), dtype=np.int64)
+    for cell, count in cells.items():
+        counts[cell] = count
+    return RecordTable(counts)
 
 
 def _parse_record(
     raw: list[str], width: int
 ) -> tuple[tuple[int, int, int, int], int] | None:
-    """The cell ``(c, a, m, y)`` and count of one CSV record; None for a blank line."""
+    """The cell ``(c, a, m, y)`` and count of one CSV record; None for a blank line.
+
+    The rules of a line: ``width`` integer fields, ``a`` and ``y`` in {0, 1},
+    ``m`` and ``c`` nonnegative, and a positive count.
+    """
     text = "".join(raw)
     if not text.strip():
         return None

@@ -52,6 +52,18 @@ def worked_model() -> ConditionalModel:
     return ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[0.75, 0.25], [0.25, 0.75]]])
 
 
+def tally_records(rows) -> RecordTable:
+    """``(a, m, y, c, count)`` rows summed into their cells, with no check of their own.
+
+    Each cardinality is the largest code + 1, as the CSV reader infers it;
+    only :class:`~medsens.tables.RecordTable` checks the counts.
+    """
+    a, m, y, c, n = np.array(rows, dtype=np.int64).T
+    counts = np.zeros((c.max() + 1, 2, m.max() + 1, 2), dtype=np.int64)
+    np.add.at(counts, (c, a, m, y), n)
+    return RecordTable(counts)
+
+
 def expand_to_records(model: ConditionalModel, denominator: int) -> RecordTable:
     """Exact inverse of :func:`medsens.tables.estimate_from_records` for rational tables.
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,11 @@ class TestAdjust:
         model = worked_model()
         assert list(adjust(bound_report(model.y, model.w), spec)) == ["bf", *BOUND_STATS]
 
+    def test_overflowing_indirect_upper_bound_is_inf(self):
+        # nie_rr * bf passes the float range; +inf is still an upper bound, and no warning
+        # is raised (warnings are errors here)
+        assert adjust({"nie_rr": 1e300}, SensitivitySpec(1e300, 1e20))["nie_rr_upper"] == math.inf
+
     def test_rejects_nonpositive_effect(self):
         with pytest.raises(BadParameter, match=r"^observed nde_rr must be positive, got 0\.0 in"):
             adjust({"nde_rr": 0.0}, SensitivitySpec(2.0, 3.0))
@@ -269,6 +275,29 @@ class TestRequiredPartner:
 
     def test_infinite_fixed_parameter(self):
         assert required_partner(math.inf, 2.5) == 2.5
+
+    def test_arrays_equal_the_scalar_calls(self):
+        # the unit targets, an infinite fixed parameter, then random feasible pairs
+        rng = np.random.default_rng(11)
+        target = np.concatenate([[1.0, 1.0, 3.0], rng.uniform(1.0, 50.0, 200)])
+        fixed = np.concatenate([[1.0, 7.3, math.inf], target[3:] * rng.uniform(1.001, 4.0, 200)])
+        scalar = [required_partner(float(f), float(t)) for f, t in zip(fixed, target)]
+        assert required_partner(fixed, target).tolist() == scalar
+        # every fixed parameter here exceeds 1.001, so a (200, 1) by (2,) grid is feasible
+        targets = (1.0, 1.0005)
+        grid = required_partner(fixed[3:, None], targets)
+        assert grid.tolist() == [[required_partner(f, t) for t in targets] for f in fixed[3:]]
+
+    @pytest.mark.parametrize("fixed, target, named", [
+        ([3.0, 1.5, 1.0], [2.0, 2.0, 1.0], "fixed parameter 1.5 caps the bounding factor below "
+         "2.0; no finite partner exists (the fixed parameter itself must exceed the target) "
+         "(entry [1])"),
+        ([[3.0], [4.0]], [2.0, math.inf],
+         "no finite bounding factor reaches an infinite target (entry [0, 1])"),
+    ], ids=["capped", "infinite-target"])
+    def test_first_infeasible_entry_is_named(self, fixed, target, named):
+        with pytest.raises(Infeasible, match=f"^{re.escape(named)}$"):
+            required_partner(fixed, target)
 
     @settings(max_examples=500)
     @given(

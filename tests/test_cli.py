@@ -654,6 +654,22 @@ class TestBootstrapCommand:
         assert code == 2
         assert "1001 degenerate replicates exceeded the redraw budget 1000" in capsys.readouterr().err
 
+    def test_replicates_without_an_unexposed_event_are_redrawn(self, capsys, tmp_path):
+        # two events among 400 unexposed records: about 13% of replicates draw none, so
+        # n00 = 0 there, though every cell the estimate needs has records
+        path = tmp_path / "rare.csv"
+        path.write_text("a,m,y,c,count\n0,0,0,0,199\n0,0,1,0,1\n0,1,0,0,199\n0,1,1,0,1\n"
+                        "1,0,0,0,180\n1,0,1,0,20\n1,1,0,0,160\n1,1,1,0,40\n")
+        code, doc = run_json(capsys, "estimate", "--csv", str(path))
+        assert (code, doc["result"]["strata"][0]["nde_rr"]) == (0, 30.000000000000004)
+        code, doc = run_json(capsys, "bootstrap", "--csv", str(path), "--replicates", "100",
+                             "--seed", "1")
+        assert code == 0
+        assert doc["result"]["degenerate_redraws"] > 0
+        limits = [entry[end] for entry in doc["result"]["strata"][0]["stats"].values()
+                  for end in ("lower", "upper")]
+        assert len(limits) == 12 and all(math.isfinite(x) for x in limits)
+
 
 class TestHugeParameters:
     def test_sweep_reaches_the_largest_grid_values(self):
@@ -668,6 +684,16 @@ class TestHugeParameters:
         result = json.loads(done.stdout)["result"]
         assert result["bf"] == 5e199
         assert result["nde_rr_lower"]["point"] == 1.5 / 5e199
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--nie-rr", "1e300", "--rr-au", "1e10", "--rr-uy", "1e10"),
+        ("sweep", "--nde-rr", "1e-300", "--nie-rr", "1e300", "--rr-au-grid", "1,1e17,1e300",
+         "--rr-uy-grid", "1,2.5,1e20"),
+    ], ids=["bound", "sweep"])
+    def test_overflowing_indirect_upper_bound_is_inf_without_a_warning(self, argv):
+        done = run_fresh(*argv)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "inf" in done.stdout
 
     @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
     @pytest.mark.parametrize("m_card", [3, 1], ids=["three-levels", "one-level"])

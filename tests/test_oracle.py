@@ -690,10 +690,12 @@ class TestTableValidation:
             Scm(**tables)
 
     def test_mismatched_shapes_are_named(self):
-        tables = scm_tables() | {"y_given": np.ones((2, 2, 3))}  # three levels of u, not two
-        named = "got shapes (2, 2), (2, 2, 2), (2, 2, 3)"
-        with pytest.raises(BadParameter, match=f"{re.escape(named)}$"):
-            Scm(**tables)
+        # three levels of u in y_given, not two; then a 0-d table, which has no level axis
+        for changed, named in (({"y_given": np.ones((2, 2, 3))}, "(2, 2), (2, 2, 2), (2, 2, 3)"),
+                               ({"u_given_a": 0.5}, "(), (2, 2, 2), (2, 2, 2)"),
+                               ({"m_given": np.float64(0.5)}, "(2, 2), (), (2, 2, 2)")):
+            with pytest.raises(BadParameter, match=f"got shapes {re.escape(named)}$"):
+                Scm(**scm_tables() | changed)
 
     def test_row_off_one_by_more_than_sum_tol_is_named_at_construction(self):
         # the model's own row is named, not the observed pr(m|a,c) formed from it later

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import worked_model
+from helpers import tally_records, worked_model
 from medsens import tables
 from medsens.cli import main
 from medsens.errors import (
@@ -34,43 +34,53 @@ from medsens.tables import (
 )
 
 
+def read_csv_text(tmp_path, text: str) -> RecordTable:
+    """:func:`read_records_csv` of a file that holds ``text``."""
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    return read_records_csv(str(path))
+
+
 class TestRecordTable:
-    def test_infers_cardinalities(self):
-        t = RecordTable.from_rows([(0, 2, 1, 1, 3), (1, 0, 0, 0, 1)])
+    """Record data becomes a ``RecordTable``: the reader's rules, then the tensor's own."""
+
+    def test_infers_cardinalities(self, tmp_path):
+        t = read_csv_text(tmp_path, "a,m,y,c,count\n0,2,1,1,3\n1,0,0,0,1\n")
         assert t.m_card == 3
         assert t.c_card == 2
         assert t.total() == 4
 
-    def test_rejects_bad_codes(self):
-        with pytest.raises(BadCode):
-            RecordTable.from_rows([(2, 0, 0, 0, 1)])
-        with pytest.raises(BadParameter):
-            RecordTable.from_rows([(0, 0, 0, 0, 0)])
+    def test_rejects_bad_codes(self, tmp_path):
+        for line, message in (("-1,0,0,0,1", "exposure code must be 0 or 1, got -1"),
+                              ("0,0,0,0,-2", "count must be positive, got -2")):
+            with pytest.raises(ParseError, match=f"line 2: {message}$"):
+                read_csv_text(tmp_path, f"a,m,y,c,count\n{line}\n")
 
-
-    @pytest.mark.parametrize("row, message", [
-        ((0, -3, 0, 0, 1), "m=-3 is negative"),
-        ((0, 1, 0, -2, 1), "c=-2 is negative"),
-        ((2, 0, 0, 0, 1), "a=2 outside 0..1"),
-        ((0, 0, -1, 0, 1), "y=-1 outside 0..1"),
+    @pytest.mark.parametrize("line, message", [
+        ("0,-3,0,0", "negative category code"),
+        ("0,1,0,-2", "negative category code"),
+        ("2,0,0,0", "exposure code must be 0 or 1, got 2"),
+        ("0,0,-1,0", "outcome code must be 0 or 1, got -1"),
     ], ids=["m", "c", "a", "y"])
-    def test_bad_code_names_its_range(self, row, message):
-        with pytest.raises(BadCode, match=f"^{re.escape(message)}$"):
-            RecordTable.from_rows([(0, 0, 0, 0, 1), row])
+    def test_bad_code_names_its_range(self, tmp_path, line, message):
+        with pytest.raises(ParseError, match=f"line 3: {re.escape(message)}$"):
+            read_csv_text(tmp_path, f"a,m,y,c\n0,0,0,0\n{line}\n")
 
-    def test_no_rows_rejected(self):
-        with pytest.raises(BadParameter, match="one or more rows"):
-            RecordTable.from_rows([])
+    def test_no_rows_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="no data rows$"):
+            read_csv_text(tmp_path, "a,m,y,c\n\n  \n")
 
-    def test_codes_past_the_cell_cap_rejected(self, monkeypatch):
+    def test_codes_past_the_cell_cap_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tables, "MAX_CELLS", 4 * 6)  # c_card * 2 * m_card * 2
-        assert RecordTable.from_rows([(0, 2, 0, 1, 1)]).counts.shape == (2, 2, 3, 2)
-        assert RecordTable.from_rows([(0, 5, 0, 0, 1)]).m_card == 6
+        assert read_csv_text(tmp_path, "a,m,y,c\n0,2,0,1\n").counts.shape == (2, 2, 3, 2)
+        assert read_csv_text(tmp_path, "a,m,y,c\n0,5,0,0\n").m_card == 6
         zeros = mock.Mock(side_effect=AssertionError("allocated"))
         monkeypatch.setattr(tables.np, "zeros", zeros)
-        for row, named in (((0, 6, 0, 0, 1), "m=6"), ((0, 2, 0, 2, 1), "c=2")):
+        # a code past int64 is past the cap too
+        for line, named in (("0,6,0,0", "m=6"), ("0,2,0,2", "c=2"),
+                            (f"0,0,0,{10**20}", f"c={10**20}")):
             with pytest.raises(BadCode, match=f"{named}.*recode"):
-                RecordTable.from_rows([row])
+                read_csv_text(tmp_path, f"a,m,y,c\n{line}\n")
         zeros.assert_not_called()
 
     def test_bad_counts_are_named(self):
@@ -109,7 +119,7 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("a,m,y,c,count\n1,0,1,0,3\n0,1,0,0,2\n")
         t = read_records_csv(str(p))
-        expected = RecordTable.from_rows([(1, 0, 1, 0, 3), (0, 1, 0, 0, 2)])
+        expected = tally_records([(1, 0, 1, 0, 3), (0, 1, 0, 0, 2)])
         assert np.array_equal(t.counts, expected.counts)
 
     def test_count_defaults_to_one(self, tmp_path):
@@ -139,10 +149,11 @@ class TestCsv:
             read_records_csv(str(p))
 
     def test_total_beyond_int64_rejected(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text(f"a,m,y,c,count\n1,0,1,0,{2**62}\n0,0,1,0,{2**62}\n")
-        with pytest.raises(BadParameter, match="int64"):
-            read_records_csv(str(p))
+        # two cells whose int64 sum wraps, one line past int64, and one cell summed past it
+        for lines in (f"1,0,1,0,{2**62}\n0,0,1,0,{2**62}\n", f"1,0,1,0,{2**63}\n",
+                      f"1,0,1,0,{2**62}\n" * 2):
+            with pytest.raises(BadParameter, match="^total record count exceeds the int64 range$"):
+                read_csv_text(tmp_path, "a,m,y,c,count\n" + lines)
 
     def test_bom_crlf_blank_lines_and_spaces_read_like_the_plain_file(self, tmp_path):
         plain = tmp_path / "plain.csv"
@@ -154,7 +165,7 @@ class TestCsv:
         )
         counts = read_records_csv(str(plain)).counts
         assert np.array_equal(read_records_csv(str(messy)).counts, counts)
-        assert np.array_equal(counts, RecordTable.from_rows(
+        assert np.array_equal(counts, tally_records(
             [(1, 0, 1, 0, 4), (0, 1, 0, 0, 2), (0, 1, 0, 1, 4)]).counts)
 
     def test_bad_header(self, tmp_path):
@@ -267,7 +278,6 @@ def test_csv_ingest_matches_independent_tally(rows, data):
             fh.write("\n".join([header, *lines]) + "\n")
         counts = read_records_csv(path).counts
         assert np.array_equal(counts, tally)
-        assert np.array_equal(counts, RecordTable.from_rows(rows).counts)
 
         # the bad line is written twice; the first one is named
         bad_lines = list(BAD_FIELDS) if unit else [f + ",1" for f in BAD_FIELDS] + ["0,0,0,0,0"]
@@ -290,7 +300,7 @@ class TestEstimate:
             (0, 0, 1, 0, 2),
             (0, 1, 0, 0, 2),
         ]
-        model = estimate_from_records(RecordTable.from_rows(rows))
+        model = estimate_from_records(tally_records(rows))
         y, w = model.y[0], model.w[0]
         assert y[1][1] == 3 / 4
         assert tuple(w[1]) == (2 / 6, 4 / 6)
@@ -298,8 +308,8 @@ class TestEstimate:
     def test_duplicate_rows_merge(self):
         rows = [(1, 0, 1, 0, 2), (0, 0, 1, 0, 1), (0, 0, 0, 0, 1)]
         split = [(1, 0, 1, 0, 1), (1, 0, 1, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 0, 1)]
-        a = estimate_from_records(RecordTable.from_rows(rows))
-        b = estimate_from_records(RecordTable.from_rows(split))
+        a = estimate_from_records(tally_records(rows))
+        b = estimate_from_records(tally_records(split))
         assert np.array_equal(a.y, b.y) and np.array_equal(a.w, b.w)
 
     def test_matches_independent_tally(self):
@@ -310,7 +320,7 @@ class TestEstimate:
              int(rng.integers(2)), int(rng.integers(1, 5)))
             for _ in range(200)
         ]
-        records = RecordTable.from_rows(rows)
+        records = tally_records(rows)
         model = estimate_from_records(records)
         for code in range(model.c_card):
             y_tab, w_tab = model.y[code], model.w[code]
@@ -326,7 +336,7 @@ class TestEstimate:
                         assert math.isclose(y_tab[a][m], ones / cell, abs_tol=1e-12)
 
     def test_empty_arm_raises(self):
-        records = RecordTable.from_rows([(1, 0, 1, 0, 1)])
+        records = tally_records([(1, 0, 1, 0, 1)])
         with pytest.raises(EmptyCell):
             estimate_from_records(records)
 
@@ -334,17 +344,17 @@ class TestEstimate:
         # m=1 occurs under a=0, so pr(Y=1|a=1,m=1) is needed but inestimable
         rows = [(0, 0, 1, 0, 1), (0, 1, 1, 0, 1), (1, 0, 1, 0, 1)]
         with pytest.raises(EmptyCell, match="a=1, m=1"):
-            estimate_from_records(RecordTable.from_rows(rows))
+            estimate_from_records(tally_records(rows))
 
     def test_unweighted_cell_is_filled_not_raised(self):
         # m=1 never occurs under a=0: pr(Y=1|a=0,m=1) carries no weight
         rows = [(0, 0, 1, 0, 2), (1, 0, 1, 0, 1), (1, 1, 0, 0, 1)]
-        model = estimate_from_records(RecordTable.from_rows(rows))
+        model = estimate_from_records(tally_records(rows))
         assert model.y[0, 0, 1] == 0.0
 
     def test_smoothing_rescues_empty_cells(self):
         # no records under a=0; the second row makes m_card 2
-        records = RecordTable.from_rows([(1, 0, 1, 0, 1), (1, 1, 0, 0, 1)])
+        records = tally_records([(1, 0, 1, 0, 1), (1, 1, 0, 0, 1)])
         model = estimate_from_records(records, smoothing=1.0)
         y, w = model.y[0], model.w[0]
         assert tuple(w[0]) == (0.5, 0.5)
@@ -352,7 +362,7 @@ class TestEstimate:
 
     def test_large_smoothing_tends_uniform(self):
         rows = [(a, m, y, 0, 1 + a + m + y) for a in (0, 1) for m in (0, 1, 2) for y in (0, 1)]
-        model = estimate_from_records(RecordTable.from_rows(rows), smoothing=1e9)
+        model = estimate_from_records(tally_records(rows), smoothing=1e9)
         y, w = model.y[0], model.w[0]
         for a in (0, 1):
             for m in range(3):
@@ -362,13 +372,13 @@ class TestEstimate:
     def test_missing_stratum_code_raises_whatever_the_smoothing(self):
         # c codes {0, 2}: stratum 1 has no records and must not become a null effect
         rows = [(a, 0, y, c, 1) for a in (0, 1) for y in (0, 1) for c in (0, 2)]
-        records = RecordTable.from_rows(rows)
+        records = tally_records(rows)
         for k in (0.0, 1.0):
             with pytest.raises(EmptyCell, match="stratum c=1"):
                 estimate_from_records(records, smoothing=k)
 
     def test_negative_smoothing_rejected(self):
-        records = RecordTable.from_rows([(0, 0, 0, 0, 1), (1, 0, 0, 0, 1)])
+        records = tally_records([(0, 0, 0, 0, 1), (1, 0, 0, 0, 1)])
         with pytest.raises(BadParameter):
             estimate_from_records(records, smoothing=-1.0)
 
@@ -486,12 +496,12 @@ class TestOneOutcomeModeRule:
 
 class TestSwapExposure:
     def test_involution(self):
-        records = RecordTable.from_rows([(1, 0, 1, 0, 2), (0, 1, 0, 0, 1), (1, 1, 1, 1, 3)])
+        records = tally_records([(1, 0, 1, 0, 2), (0, 1, 0, 0, 1), (1, 1, 1, 1, 3)])
         twice = swap_exposure_records(swap_exposure_records(records))
         assert np.array_equal(twice.counts, records.counts)
 
     def test_records_swap(self):
-        records = RecordTable.from_rows([(1, 0, 1, 0, 2), (0, 0, 0, 0, 1)])
+        records = tally_records([(1, 0, 1, 0, 2), (0, 0, 0, 0, 1)])
         swapped = swap_exposure_records(records)
-        expected = RecordTable.from_rows([(0, 0, 1, 0, 2), (1, 0, 0, 0, 1)])
+        expected = tally_records([(0, 0, 1, 0, 2), (1, 0, 0, 0, 1)])
         assert np.array_equal(swapped.counts, expected.counts)

@@ -13,7 +13,7 @@ those.  The batches draw the same replicates, in the same order, as one
 draw at a time would.
 
 Working memory is one table of replicates x strata x statistics floats,
-preallocated, plus one batch of at most ``BATCH_CELLS`` count-tensor cells:
+preallocated, plus one batch of at most ``tables.BATCH_CELLS`` count-tensor cells:
 each batch writes its statistics into its slice of the table, and the
 percentiles partition the table in place.
 
@@ -35,14 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tables
 from .bounds import BOUND_STATS, EFFECT_STATS, SensitivitySpec, adjust, effects_from_sums
 from .errors import BadParameter, DegenerateResample
 from .tables import RecordTable, crossworld_sums, estimate_from_records, estimate_tables
 
 #: more than this many redraws per requested replicate raises DegenerateResample
 MAX_REDRAW_FACTOR = 10
-#: count-tensor cells drawn per batch of replicates, which bounds a batch's memory
-BATCH_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def run_bootstrap(
     shape = records.counts.shape
     total = records.total()
     probs = records.counts.ravel() / total
-    batch = max(1, BATCH_CELLS // records.counts.size)
+    batch = max(1, tables.BATCH_CELLS // records.counts.size)
     try:
         stats = np.empty((replicates, *point.shape))
     except (MemoryError, ValueError):  # ValueError: a size past the index range

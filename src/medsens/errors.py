@@ -12,7 +12,7 @@ class MedsensError(Exception):
 
 
 class BadCode(MedsensError, ValueError):
-    """A category code is negative, non-integer, or outside its declared cardinality."""
+    """Category codes need more count-tensor cells than ``tables.MAX_CELLS`` allows."""
 
 
 class BadParameter(MedsensError, ValueError):

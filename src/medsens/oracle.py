@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import tables
 from .bounds import BOUND_STATS, SensitivitySpec, adjust, bound_report, effects_from_sums
 from .errors import BadParameter, InternalCheckError, UnreachableCell, ZeroProbability
 from .tables import (ConditionalModel, OutcomeMode, _check_outcomes, c_order_sum, check_table,
@@ -43,13 +44,6 @@ VALIDITY_TOL = 1e-10
 #: two forms of the collider parameter (also the log-linear closed form) must agree within this
 EQUIV_TOL = 1e-10
 
-#: u_card * m_card cells per model, summed over the models checked at once by
-#: :func:`validity_battery`; bounds its peak memory whatever the cardinalities
-BATTERY_CELLS = 1 << 13
-#: iterations of :func:`sharpness_search` checked at once, 10 models each; bounds its peak memory
-SHARPNESS_BATCH = 1000
-#: scalar-inequality instances checked at once by :func:`validity_battery`; bounds its peak memory
-RATIO_BATCH = 384
 #: largest u_card * m_card of :func:`validity_battery`
 MAX_CARD_PRODUCT = 4096
 _SCM_TABLES = ("u_given_a", "m_given", "y_given")
@@ -522,15 +516,16 @@ def sharpness_search(seed: int, iterations: int) -> SharpnessReport:
     posterior-mass values approaching 1, plus jittered variants, and
     returns the supremum attainment of each check, by the effect it
     bounds.  Each iteration draws seven uniforms and builds 10 models: 5
-    posterior masses times the drawn and the jittered parameter pair.  Up
-    to ``SHARPNESS_BATCH`` iterations form one :class:`Scm` batch, checked
-    by one :func:`verify_bounds` call; a violation raises
-    :class:`InternalCheckError`.
+    posterior masses times the drawn and the jittered parameter pair.
+    Consecutive iterations whose models hold at most ``tables.BATCH_CELLS``
+    cells of pr(m | a, u), 8 per model, form one :class:`Scm` batch, checked
+    by one :func:`verify_bounds` call; a violation raises :class:`InternalCheckError`.
     """
     rng = np.random.default_rng(seed)
     best = dict.fromkeys((bound.rsplit("_", 1)[0] for bound in BOUND_STATS), 0.0)
-    for start in range(0, iterations, SHARPNESS_BATCH):
-        report = verify_bounds(_recipe_batch(rng, min(SHARPNESS_BATCH, iterations - start)))
+    batch = max(1, tables.BATCH_CELLS // (10 * 8))  # 10 models of 2 x 2 x 2 cells per iteration
+    for start in range(0, iterations, batch):
+        report = verify_bounds(_recipe_batch(rng, min(batch, iterations - start)))
         if not report.all_hold:
             bad = np.argwhere(~np.logical_and.reduce([c.holds for c in report.checks]))[0]
             slacks = {c.name: float(c.slack[tuple(bad)]) for c in report.checks}
@@ -585,7 +580,7 @@ def validity_battery(
     equiv_violations = 0
     compared = False  # whether any batch had exposure independent of the confounder
     # at least 8 models, or the loops over the innermost model axis grow too short to pay
-    batch = max(8, BATTERY_CELLS // (u_card * m_card))
+    batch = max(8, tables.BATCH_CELLS // (2 * u_card * m_card))
     for start in range(0, iterations, batch):
         scm = sample_scm(rng, u_card, m_card, floor=floor, mode=mode,
                          dependent_exposure=dependent_exposure,
@@ -604,9 +599,9 @@ def validity_battery(
         del scm, report, other_form, check  # before the next batch is drawn
 
     ratio_violations, ratio_max_excess = 0, -math.inf
-    for start in range(0, ratio_iterations, RATIO_BATCH):
-        count = min(RATIO_BATCH, ratio_iterations - start)
-        report = verify_bounds(sample_ratio_instances(rng, count))
+    batch = max(1, tables.BATCH_CELLS // (2 * 6))  # six confounder levels, one mediator level
+    for start in range(0, ratio_iterations, batch):
+        report = verify_bounds(sample_ratio_instances(rng, min(batch, ratio_iterations - start)))
         ratio_violations += sum(int(np.count_nonzero(~check.holds)) for check in report.checks)
         # the first check, nde_rr_lower against the truth, is the scalar inequality
         ratio_max_excess = max(ratio_max_excess, float(report.checks[0].slack.max()))

@@ -59,6 +59,10 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 #: characters of CSV lines tallied per block during ingest, about 4,096 unit records
 READ_BLOCK = 1 << 15
 
+#: cells of its items' tables one batch may hold, and at least one item: bootstrap replicates'
+#: count tensors, or synthetic models' pr(m | a, u)
+BATCH_CELLS = 1 << 14
+
 #: most cells a count tensor may have: c_card * 2 * m_card * 2, so c_card * m_card <= 65,536
 MAX_CELLS = 1 << 18
 
@@ -203,12 +207,12 @@ def _parse_record(
         raise ParseError(f"non-integer field in {raw}")
     a, m, y, c = vals[:4]
     count = vals[4] if width == 5 else 1
-    if a not in (0, 1):
-        raise ParseError(f"exposure code must be 0 or 1, got {a}")
-    if y not in (0, 1):
-        raise ParseError(f"outcome code must be 0 or 1, got {y}")
-    if m < 0 or c < 0:
-        raise ParseError("negative category code")
+    for name, code in (("exposure", a), ("outcome", y)):
+        if code not in (0, 1):
+            raise ParseError(f"{name} code must be 0 or 1, got {code}")
+    for name, code in (("mediator", m), ("stratum", c)):
+        if code < 0:
+            raise ParseError(f"{name} code must be >= 0, got {code}")
     if count <= 0:
         raise ParseError(f"count must be positive, got {count}")
     return (c, a, m, y), count

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import plain_bounds, stratum_effects, tally_records, worked_model
-from medsens import bootstrap
+from medsens import bootstrap, tables
 from medsens.bootstrap import EFFECT_STATS, run_bootstrap
 from medsens.bounds import BOUND_STATS, SensitivitySpec, bounding_factor
 from medsens.cli import main
@@ -158,12 +158,13 @@ class TestBasics:
 
 
 class TestBatches:
-    @pytest.mark.parametrize("batch_cells", [bootstrap.BATCH_CELLS, 7 * REDRAW_COUNTS.size])
+    # the budget, one that takes seven replicates, and one below a replicate's cells
+    @pytest.mark.parametrize("batch_cells", [tables.BATCH_CELLS, 7 * REDRAW_COUNTS.size, 1])
     @pytest.mark.parametrize("smoothing, spec", [
         (0.0, None), (0.0, SensitivitySpec(2.0, 3.0)), (0.5, SensitivitySpec(1.5, 4.0)),
     ])
     def test_batches_equal_one_replicate_at_a_time(self, monkeypatch, batch_cells, smoothing, spec):
-        monkeypatch.setattr(bootstrap, "BATCH_CELLS", batch_cells)
+        monkeypatch.setattr(tables, "BATCH_CELLS", batch_cells)
         records = RecordTable(REDRAW_COUNTS)
         result = run_bootstrap(records, replicates=300, seed=6, smoothing=smoothing, spec=spec)
         intervals, redraws = one_at_a_time(records, 300, 6, smoothing, spec)

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -212,6 +213,12 @@ class TestCornfieldRr:
             cornfield_rr(1.5, -1.0)
         with pytest.raises(BadTarget):
             cornfield_rr(1.5, math.nan)
+
+    @pytest.mark.parametrize("value", [np.int64(2), np.float32(1.5), Fraction(3, 2)],
+                             ids=["int64", "float32", "Fraction"])
+    def test_takes_any_real(self, value):
+        assert cornfield_rr(value) == cornfield_rr(float(value))
+        assert cornfield_rr(1.72, value) == cornfield_rr(1.72, float(value))
 
     @pytest.mark.parametrize("observed", [math.nan, 0.0, -1.5])
     def test_rejects_bad_observed_effect(self, observed):

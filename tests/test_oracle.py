@@ -20,7 +20,7 @@ from medsens.errors import (
     UnreachableCell,
     ZeroProbability,
 )
-from medsens import oracle
+from medsens import oracle, tables
 from medsens.loglinear import interaction_bound
 from medsens.oracle import (
     Scm,
@@ -366,7 +366,7 @@ class TestSharpnessSearch:
         assert sharpness_search(seed, iterations) == sharpness_reference(seed, iterations)
 
     def test_batches_continue_the_stream(self, monkeypatch):
-        monkeypatch.setattr(oracle, "SHARPNESS_BATCH", 3)
+        monkeypatch.setattr(tables, "BATCH_CELLS", 3 * 10 * 8)  # three iterations of 10 models
         assert sharpness_search(2, 7) == sharpness_reference(2, 7)
 
     def test_violation_raises(self, monkeypatch):
@@ -648,12 +648,43 @@ class TestBatches:
                 assert got.holds[b] == want.holds
 
     def test_battery_blocks_continue_the_stream(self, monkeypatch):
-        args = dict(seed=3, iterations=10, ratio_iterations=50, sharpness_iterations=5)
-        whole = oracle.validity_battery(**args)
-        monkeypatch.setattr(oracle, "BATTERY_CELLS", 12)  # three models of u=m=2 per block
-        monkeypatch.setattr(oracle, "RATIO_BATCH", 7)
-        monkeypatch.setattr(oracle, "SHARPNESS_BATCH", 2)
-        assert oracle.validity_battery(**args) == whole
+        totals = dict(iterations=50, ratio_iterations=50, sharpness_iterations=5)
+        whole = oracle.validity_battery(3, **totals)
+        real = oracle.verify_bounds
+
+        def counted(scm):
+            stage = ("sharpness" if len(scm.batch_shape) == 3 else
+                     "ratio" if scm.m_card == 1 else "random")
+            batches[stage].append(scm.batch_shape[0])
+            return real(scm)
+
+        monkeypatch.setattr(oracle, "verify_bounds", counted)
+        # items per batch of the random battery (u=m=2: 8 cells of pr(m|a,u) per model), the
+        # scalar inequality (12 cells per instance) and the sharpness search (80 cells per
+        # iteration); a budget of one cell is below any item's and still takes one (battery: 8)
+        for budget, sizes in ((160, (20, 13, 2)), (1, (8, 1, 1))):
+            batches = {"random": [], "ratio": [], "sharpness": []}
+            monkeypatch.setattr(tables, "BATCH_CELLS", budget)
+            assert oracle.validity_battery(3, **totals) == whole
+            for (stage, got), size, total in zip(batches.items(), sizes, totals.values(),
+                                                 strict=True):
+                assert got == [min(size, total - start) for start in range(0, total, size)], stage
+                assert len(got) >= 2
+
+    def test_random_battery_batch_for_every_cardinality(self, monkeypatch):
+        # the rule of one budget gives the random battery max(8, 8192 // (u_card * m_card))
+        class Drawn(Exception):
+            pass
+
+        def first_batch(*args, shape, **kwargs):
+            raise Drawn(shape[0])
+
+        monkeypatch.setattr(oracle, "sample_scm", first_batch)
+        for cells in range(1, oracle.MAX_CARD_PRODUCT + 1):
+            for u_card, m_card in ((1, cells), (cells, 1)):
+                with pytest.raises(Drawn) as drawn:
+                    oracle.validity_battery(0, 10**6, u_card, m_card)
+                assert drawn.value.args == (max(8, 8192 // cells),)
 
 
 class TestCornfieldSharpness:

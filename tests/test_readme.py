@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from medsens import bootstrap, oracle
+from medsens import oracle, tables
 from medsens.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -50,10 +50,7 @@ def test_command_line_flags_are_taken():
 #: each module constant the README quotes: its value, and a pattern of the quoting text
 #: whose group is the number
 QUOTED_CONSTANTS = {
-    "oracle.BATTERY_CELLS": (oracle.BATTERY_CELLS, r"random battery in blocks of ([\d,]+) "),
-    "oracle.SHARPNESS_BATCH": (oracle.SHARPNESS_BATCH, r"sharpness search in blocks of ([\d,]+) "),
-    "oracle.RATIO_BATCH": (oracle.RATIO_BATCH, r"scalar inequality in blocks of ([\d,]+) "),
-    "bootstrap.BATCH_CELLS": (bootstrap.BATCH_CELLS, r"`bootstrap\.BATCH_CELLS` \(([\d,]+)\)"),
+    "tables.BATCH_CELLS": (tables.BATCH_CELLS, r"`tables\.BATCH_CELLS` \(([\d,]+)\)"),
     "oracle.MAX_CARD_PRODUCT": (oracle.MAX_CARD_PRODUCT,
                                 r"exceeds ([\d,]+)\s+\(`oracle\.MAX_CARD_PRODUCT`\)"),
 }

@@ -57,8 +57,8 @@ class TestRecordTable:
                 read_csv_text(tmp_path, f"a,m,y,c,count\n{line}\n")
 
     @pytest.mark.parametrize("line, message", [
-        ("0,-3,0,0", "negative category code"),
-        ("0,1,0,-2", "negative category code"),
+        ("0,-3,0,0", "mediator code must be >= 0, got -3"),
+        ("0,1,0,-2", "stratum code must be >= 0, got -2"),
         ("2,0,0,0", "exposure code must be 0 or 1, got 2"),
         ("0,0,-1,0", "outcome code must be 0 or 1, got -1"),
     ], ids=["m", "c", "a", "y"])

@@ -47,10 +47,22 @@ def test_command_line_flags_are_taken():
     assert shown > 20
 
 
-#: each module constant the README quotes: its value, and a pattern of the quoting text
-#: whose group is the number
+#: each number the README quotes for a module constant or a batch size: its value, and a
+#: pattern of the quoting text whose group is the number. A stage's batch size, which
+#: tables.BATCH_CELLS sets, is keyed by the name of the constant that once set it alone.
 QUOTED_CONSTANTS = {
     "tables.BATCH_CELLS": (tables.BATCH_CELLS, r"`tables\.BATCH_CELLS` \(([\d,]+)\)"),
+    "bootstrap.BATCH_CELLS": (tables.BATCH_CELLS,
+                              r"at most\s+`tables\.BATCH_CELLS` \(([\d,]+)\) count-tensor cells"),
+    # pr(m | a, u) holds 2 * u * m cells per model
+    "oracle.BATTERY_CELLS": (tables.BATCH_CELLS // 2,
+                             r"random battery runs in blocks of ([\d,]+)\s+confounder-by-mediator"),
+    # 10 recipe models of 2 x 2 x 2 cells per iteration
+    "oracle.SHARPNESS_BATCH": (tables.BATCH_CELLS // (10 * 8),
+                               r"sharpness search in\s+blocks of ([\d,]+) iterations"),
+    # six confounder levels, one mediator level
+    "oracle.RATIO_BATCH": (tables.BATCH_CELLS // (2 * 6),
+                           r"scalar\s+inequality in blocks of ([\d,]+) instances"),
     "oracle.MAX_CARD_PRODUCT": (oracle.MAX_CARD_PRODUCT,
                                 r"exceeds ([\d,]+)\s+\(`oracle\.MAX_CARD_PRODUCT`\)"),
 }

@@ -57,7 +57,6 @@ the exposure first; the CLI exposes a flag for that.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Mapping
@@ -110,16 +109,16 @@ class SensitivitySpec:
 class CornfieldThresholds:
     """Minimal confounder strength needed to explain an effect down to a target.
 
-    ``both_must_exceed`` applies to each sensitivity parameter separately;
-    ``max_must_exceed`` applies to the larger of the two.  Degenerate targets
-    (nothing to explain) give (1, 1).
+    ``both_must_exceed`` applies to each sensitivity parameter separately,
+    ``max_must_exceed`` to the larger of the two; each is a float, or an array
+    over the strata.  Degenerate targets (nothing to explain) give (1, 1).
     """
 
     both_must_exceed: float
     max_must_exceed: float
 
     def __post_init__(self) -> None:
-        if self.max_must_exceed < self.both_must_exceed:
+        if np.any(self.max_must_exceed < self.both_must_exceed):
             raise BadParameter("threshold ordering violated")
 
 
@@ -142,12 +141,6 @@ def bounding_factor(spec: SensitivitySpec) -> float:
     return np.where((x == 1.0) | (y == 1.0), 1.0, np.minimum(bf, lo))[()]
 
 
-def _thresholds_from_ratio(r: float) -> CornfieldThresholds:
-    if r <= 1.0:
-        return CornfieldThresholds(1.0, 1.0)
-    return CornfieldThresholds(r, r + math.sqrt(r * (r - 1.0)))
-
-
 def cornfield_rr(nde_rr_obs: float, nde_rr_true: float = 1.0) -> CornfieldThresholds:
     """Thresholds to reduce an observed ratio-scale direct effect to a target.
 
@@ -159,10 +152,10 @@ def cornfield_rr(nde_rr_obs: float, nde_rr_true: float = 1.0) -> CornfieldThresh
         raise BadTarget(f"target effect must be a positive real, got {nde_rr_true!r}")
     if not (isinstance(nde_rr_obs, numbers.Real) and nde_rr_obs > 0):
         raise BadParameter(f"observed effect must be a positive real, got {nde_rr_obs!r}")
-    return _thresholds_from_ratio(float(nde_rr_obs) / float(nde_rr_true))
+    return cornfield_rd(nde_rr_obs, nde_rr_true, 0.0)  # obs / (0.0 + true) is obs / true
 
 
-def cornfield_rd(n10: float, n00: float, nde_rd_true: float) -> CornfieldThresholds:
+def cornfield_rd(n10, n00, nde_rd_true) -> CornfieldThresholds:
     """Thresholds to reduce the observed difference-scale direct effect.
 
     The bounding factor must exceed Delta = n10 / (target + n00), with the
@@ -171,13 +164,26 @@ def cornfield_rd(n10: float, n00: float, nde_rd_true: float) -> CornfieldThresho
     exactly as on the ratio scale.
     A target of zero recovers the ratio-scale thresholds at the null: both
     scales then demand the same confounder strength.
+    Arrays broadcast, so one call gives every stratum's thresholds; the
+    first stratum with a NaN sum or a nonpositive denominator is named.
     """
-    if math.isnan(nde_rd_true):
+    n10, n00, target = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                             for v in (n10, n00, nde_rd_true)))
+    if np.isnan(target).any():
         raise BadTarget("target effect must be a real number")
-    denom = nde_rd_true + n00
-    if denom <= 0.0:
-        raise ZeroDenominator(f"target {nde_rd_true!r} plus pr(Y=1|a=0) = {n00!r} is not positive")
-    return _thresholds_from_ratio(n10 / denom)
+    denom = target + n00
+    bad = np.isnan(n10) | ~(denom > 0.0)  # a NaN n00 makes denom NaN
+    if bad.any():
+        i = tuple(np.argwhere(bad)[0])
+        where = f"stratum {first_cell('c={}', bad)}: " if bad.ndim else ""
+        if np.isnan(n10[i]) or np.isnan(n00[i]):
+            raise BadParameter(f"{where}n10 = {float(n10[i])!r} and pr(Y=1|a=0) = "
+                               f"{float(n00[i])!r} must be real numbers")
+        raise ZeroDenominator(f"{where}target {float(target[i])!r} plus pr(Y=1|a=0) = "
+                              f"{float(n00[i])!r} is not positive")
+    with np.errstate(over="ignore"):  # n10 / tiny overflows to inf, which is kept
+        r = np.maximum(n10 / denom, 1.0)  # a ratio at or below 1 has nothing to explain: (1, 1)
+        return CornfieldThresholds(r[()], (r + np.sqrt(r * (r - 1.0)))[()])
 
 
 def required_partner(fixed, target_bf):

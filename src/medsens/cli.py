@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bootstrap as bootstrap_mod
 from . import bounds, loglinear, oracle, report, tables
-from .errors import Infeasible, InternalCheckError, MedsensError, ZeroDenominator
+from .errors import Infeasible, InternalCheckError, MedsensError
 
 
 def _parse_grid(text: str, name: str) -> np.ndarray:
@@ -163,24 +163,21 @@ def _cmd_estimate(args) -> int:
 def _bound_payload_tables(stats, strata, spec, scale):
     """Per-stratum bounds and Cornfield thresholds at the null, and the envelopes across strata."""
     stats = stats | bounds.adjust(stats, spec)
-    values = {name: v.tolist() for name, v in stats.items()}
+    # at a target of 0, n10 / (0.0 + n00) is nde_rr itself: both scales share these thresholds
+    null = asdict(bounds.cornfield_rd(stats["n10"], stats["n00"], 0.0))
+    values = {name: v.tolist() for name, v in (stats | null).items()}
+    scales = ("rr", "rd") if scale in (None, "both") else (scale,)
     rows = []
     for c in range(strata):
         row = {"c": c, "observed": {f: values[f][c] for f in _effect_fields(scale)},
                "bf": values["bf"]}
-        # at a target of 0, n10 / (0.0 + n00) is nde_rr itself: both scales share these thresholds
-        null = asdict(bounds.cornfield_rd(values["n10"][c], values["n00"][c], 0.0))
-        if scale != "rd":
-            row["nde_rr_lower"] = values["nde_rr_lower"][c]
-            row["nie_rr_upper"] = values["nie_rr_upper"][c]
-            row["cornfield_rr"] = null
-        if scale != "rr":
-            row["nde_rd_lower"] = values["nde_rd_lower"][c]
-            row["nie_rd_upper"] = values["nie_rd_upper"][c]
-            row["cornfield_rd"] = null
+        for s in scales:
+            row |= {f"nde_{s}_lower": values[f"nde_{s}_lower"][c],
+                    f"nie_{s}_upper": values[f"nie_{s}_upper"][c],
+                    f"cornfield_{s}": {name: values[name][c] for name in null}}
         rows.append(row)
     payload = {"strata": rows, "rr_au": spec.rr_au, "rr_uy": spec.rr_uy}
-    if scale != "rd":
+    if "rr" in scales:
         payload["envelopes"] = bounds.stratum_envelopes(stats)
     return payload
 
@@ -210,13 +207,9 @@ def _cmd_cornfield(args) -> int:
     effects, strata, digest, warnings = _inputs(args, "--nde-rr")
     if args.csv is not None:
         target = 0.0 if args.target is None else args.target
-        rows = []
-        for c, (n10, n00) in enumerate(zip(effects["n10"].tolist(), effects["n00"].tolist())):
-            try:
-                th = bounds.cornfield_rd(n10, n00, target)
-            except ZeroDenominator as exc:
-                raise ZeroDenominator(f"stratum c={c}: {exc}") from None
-            rows.append({"c": c, "target_nde_rd": target, **asdict(th)})
+        th = asdict(bounds.cornfield_rd(effects["n10"], effects["n00"], target))
+        rows = [{"c": c, "target_nde_rd": target, **dict(zip(th, row))}
+                for c, row in enumerate(zip(*(v.tolist() for v in th.values())))]
         payload = {"scale": "rd", "strata": rows}
     else:
         target = 1.0 if args.target is None else args.target

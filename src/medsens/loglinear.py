@@ -31,6 +31,7 @@ ratio-scale interaction of a and u, whatever the prior on u.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,10 @@ class LogLinearSpec:
     def __post_init__(self) -> None:
         for name in ("beta0", "beta1", "beta3", "beta_c"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise BadParameter(f"{name} must be a finite real, got {v!r}")
+            # a float32 coefficient would keep the closed forms in single precision
+            object.__setattr__(self, name, float(v))
 
     def marginal_intercept(self) -> float:
         return self.beta0 + _cumulant_k(self.beta3)

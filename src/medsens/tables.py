@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Literal
@@ -351,7 +352,7 @@ def estimate_tables(
     finite but meaningless.  See :func:`estimate_from_records` for the
     smoothing.
     """
-    if not (isinstance(smoothing, (int, float)) and math.isfinite(smoothing)) or smoothing < 0:
+    if not (isinstance(smoothing, numbers.Real) and math.isfinite(smoothing)) or smoothing < 0:
         raise BadParameter(f"smoothing must be a finite nonnegative real, got {smoothing!r}")
     k = float(smoothing)
     # the denominators n + k*M and n + 2k overflow exactly when k*M or 2k does, for any int64 n

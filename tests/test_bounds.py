@@ -264,6 +264,37 @@ class TestCornfieldRd:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
             cornfield_rd(*worked_sums()[:2], -0.275)
+        with pytest.raises(ZeroDenominator, match=re.escape(
+                "stratum c=1: target -0.2 plus pr(Y=1|a=0) = 0.1 is not positive")):
+            cornfield_rd(np.array([0.5, 0.5, 0.5]), np.array([0.3, 0.1, 0.2]), -0.2)
+
+    @pytest.mark.parametrize("n10, n00", [(math.nan, 0.2), (0.5, math.nan)],
+                             ids=["n10", "n00"])
+    def test_nan_sum_rejected(self, n10, n00):
+        # NaN fails both ordering comparisons, so it would pass as thresholds (nan, nan)
+        with pytest.raises(BadParameter, match="must be real numbers"):
+            cornfield_rd(n10, n00, 0.0)
+        with pytest.raises(BadParameter, match=r"^stratum c=2: n10 = .* must be real numbers"):
+            cornfield_rd(np.array([0.5, 0.4, n10]), np.array([0.2, 0.3, n00]), 0.0)
+
+    def test_arrays_equal_scalar_calls_bit_for_bit(self):
+        # ratios below 1, at 1 and above it, and 1.5 / 1e-320, which overflows to inf
+        n10 = np.array([0.2, 0.3, 0.5, 0.5, 1.5])
+        n00 = np.array([0.4, 0.3, 0.275, 0.2, 1e-320])
+        for target in (0.0, 0.125, np.array([0.0, 0.1, -0.05, 0.0, 0.0])):
+            th = cornfield_rd(n10, n00, target)
+            for c, t in enumerate(np.broadcast_to(target, n10.shape).tolist()):
+                one = cornfield_rd(float(n10[c]), float(n00[c]), t)
+                assert th.both_must_exceed[c] == one.both_must_exceed
+                assert th.max_must_exceed[c] == one.max_must_exceed
+                # the scalar form of the formula, in Python floats
+                r = float(n10[c]) / (t + float(n00[c]))
+                assert (one.both_must_exceed, one.max_must_exceed) == (
+                    (r, r + math.sqrt(r * (r - 1.0))) if r > 1.0 else (1.0, 1.0))
+        assert math.isinf(th.max_must_exceed[-1])
+        # the ratio scale is the null target of the same formula
+        for obs, true in zip(n10.tolist(), n00.tolist()):
+            assert cornfield_rr(obs, true) == cornfield_rd(obs, true, 0.0)
 
 
 class TestRequiredPartner:

@@ -272,6 +272,16 @@ class TestCornfield:
         assert re.search(r"stratum c=1: target -0\.2 plus pr\(Y=1\|a=0\) = \S+ is not positive",
                          err)
 
+    def test_negative_target_in_exponent_form_after_equals_sign(self, capsys, tmp_path):
+        # argparse reads only -digits and -digits.digits as negative numbers; with "=" the
+        # value is attached to its flag, so any form reaches the stratum check
+        csv = write_two_strata_csv(tmp_path / "d.csv")
+        assert main(["cornfield", "--csv", csv, "--target=-2e-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.search(r"stratum c=1: target -0\.2 plus pr\(Y=1\|a=0\) = \S+ is not positive",
+                         err)
+
     def test_records_partner_infeasible_in_every_stratum_exits_3(self, capsys, tmp_path):
         csv = write_two_strata_csv(tmp_path / "d.csv")
         code, doc = run_json(capsys, "cornfield", "--csv", csv, "--fixed-param", "1.5")
@@ -501,6 +511,11 @@ class TestParametric:
     def test_json_format(self, capsys):
         code, doc = run_json(capsys, "parametric", "--format", "json")
         assert len(doc["result"]["rows"]) == 42
+
+    def test_negative_offset_in_exponent_form_after_equals_sign(self, capsys):
+        code, doc = run_json(capsys, "parametric", "--beta-c=-1e-1", "--format", "json")
+        assert code == 0
+        assert doc["result"]["beta_c"] == -0.1
 
     def test_probability_above_one_exits_3_naming_the_cell(self, capsys):
         # the first cell at or above 1; e^1000 overflows a float

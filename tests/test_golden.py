@@ -101,6 +101,11 @@ GOLDEN = {
         ("cornfield", "--csv", F, "--fixed-param", "1.5"),
         0, "8a80cbb4102ca16f75f6addd1c62865f6b986727e9a2fcab7df1d31adcfb8d5b",
     ),
+    # a partner of 1.0 in the strata with nothing to explain, none in the third: exit 3
+    "cornfield-csv-fixed-infeasible": (
+        ("cornfield", "--csv", F, "--fixed-param", "1.2"),
+        3, "f5588ba2c61e3e32107546b3414485958afa81e7544982c6c90250ec556cd3d9",
+    ),
     "cornfield-rr": (
         ("cornfield", "--nde-rr", "1.72"),
         0, "687bdff47c4e665a2e6cc3b7903ed315e09799a6859da0aac5fa0589d79fd787",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ class TestCumulant:
         coeffs = {"beta0": -2.3, "beta1": 0.2, "beta3": 0.1} | {name: value}
         with pytest.raises(BadParameter, match=f"{name} must be a finite real"):
             LogLinearSpec(**coeffs)
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5), Fraction(1, 2)],
+                             ids=["int64", "float32", "Fraction"])
+    def test_spec_takes_any_real(self, value):
+        spec = LogLinearSpec(beta0=-2.3, beta1=0.2, beta3=value)
+        want = LogLinearSpec(beta0=-2.3, beta1=0.2, beta3=float(value))
+        # stored as float: a float32 would keep the closed form in single precision
+        assert type(spec.beta3) is float
+        assert spec == want and rr_au_loglinear(spec) == rr_au_loglinear(want)
 
 
 def sample_feasible_spec(rng) -> LogLinearSpec:

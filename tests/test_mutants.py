@@ -5,8 +5,6 @@ is applied by ``monkeypatch`` and must be killed, at a fixed seed and
 budget, by the check that its test names.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -29,6 +27,22 @@ WRONG_BOUND = {
     "nde_rd_lower": lambda effects, bf: effects["n10"] * bf - effects["n00"],
     "nie_rd_upper": lambda effects, bf: effects["n11"] - effects["n10"] * bf,
 }
+
+
+def rr_au_posterior_min(scm):
+    """``rr_au_posterior`` with the minimum over the live mediator levels for the maximum."""
+    ratios, live = oracle._posterior_ratios(scm)
+    return np.where(live, ratios, np.inf).min(axis=-1)
+
+
+def rr_uy_min(scm):
+    """``rr_uy`` with the minimum over m of max_u/min_u pr(Y=1|1,m,u) for the maximum."""
+    y1 = scm.y_given[..., 1, :, :]
+    return (y1.max(axis=-1) / y1.min(axis=-1)).min(axis=-1)
+
+
+#: oracle parameter -> the mutant taking the minimum over mediator levels for the maximum
+MINIMUM = {"rr_au_posterior": rr_au_posterior_min, "rr_uy": rr_uy_min}
 
 
 def stub_sharpness(monkeypatch):
@@ -85,13 +99,23 @@ def test_dependent_bound_validity_kills_unexposed_sums_over_the_exposed_arm(monk
     assert result["bound_validity"]["violations"] > 0
 
 
-def test_cornfield_sharpness_kills_the_minus_root(monkeypatch):
-    def minus_root(r):
-        if r <= 1.0:
-            return bounds.CornfieldThresholds(1.0, 1.0)
-        return bounds.CornfieldThresholds(r, r - math.sqrt(r * (r - 1.0)))
+@pytest.mark.parametrize("name", MINIMUM)
+def test_random_battery_kills_a_minimum_over_mediator_levels(name, monkeypatch):
+    # the ratio battery's models have one mediator level, where the minimum is the maximum
+    mutant = MINIMUM[name]
+    monkeypatch.setattr(oracle, name, lambda scm: np.maximum(1.0, mutant(scm))[()])
+    stub_sharpness(monkeypatch)
+    result = oracle.validity_battery(seed=1, iterations=1000, ratio_iterations=1)
+    assert result["bound_validity"]["violations"] > 0
 
-    monkeypatch.setattr(bounds, "_thresholds_from_ratio", minus_root)
+
+def test_cornfield_sharpness_kills_the_minus_root(monkeypatch):
+    def minus_root(n10, n00, nde_rd_true):
+        r = np.maximum(n10 / (nde_rd_true + n00), 1.0)
+        return bounds.CornfieldThresholds(r, r - np.sqrt(r * (r - 1.0)))
+
+    # cornfield_rr looks cornfield_rd up in its module: the one formula serves both scales
+    monkeypatch.setattr(bounds, "cornfield_rd", minus_root)
     # r - sqrt(r (r - 1)) is below r, and below 1, for every r > 1
     with pytest.raises(BadParameter, match="threshold ordering violated"):
         assert_cornfield_thresholds_attained(1.72, 1.0)

@@ -4,6 +4,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -381,6 +382,14 @@ class TestEstimate:
         records = tally_records([(0, 0, 0, 0, 1), (1, 0, 0, 0, 1)])
         with pytest.raises(BadParameter):
             estimate_from_records(records, smoothing=-1.0)
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5), Fraction(1, 2)],
+                             ids=["int64", "float32", "Fraction"])
+    def test_smoothing_takes_any_real(self, value):
+        records = RecordTable(np.ones((1, 2, 2, 2), dtype=np.int64))
+        model = estimate_from_records(records, smoothing=value)
+        want = estimate_from_records(records, smoothing=float(value))
+        assert np.array_equal(model.y, want.y) and np.array_equal(model.w, want.w)
 
 
 class TestValidate:

@@ -165,24 +165,29 @@ def cornfield_rd(n10, n00, nde_rd_true) -> CornfieldThresholds:
     A target of zero recovers the ratio-scale thresholds at the null: both
     scales then demand the same confounder strength.
     Arrays broadcast, so one call gives every stratum's thresholds; the
-    first stratum with a NaN sum or a nonpositive denominator is named.
+    first stratum with a NaN sum, a nonpositive denominator or an undefined
+    ratio (inf / inf, or a denominator of inf - inf) is named.
     """
     n10, n00, target = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                              for v in (n10, n00, nde_rd_true)))
     if np.isnan(target).any():
         raise BadTarget("target effect must be a real number")
-    denom = target + n00
-    bad = np.isnan(n10) | ~(denom > 0.0)  # a NaN n00 makes denom NaN
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below, or kept
+        denom = target + n00
+        ratio = n10 / denom  # n10 / tiny overflows to inf, which is kept
+    bad = np.isnan(ratio) | (denom <= 0.0)  # NaN sums make the ratio NaN
     if bad.any():
         i = tuple(np.argwhere(bad)[0])
         where = f"stratum {first_cell('c={}', bad)}: " if bad.ndim else ""
+        sums = f"n10 = {float(n10[i])!r} and pr(Y=1|a=0) = {float(n00[i])!r}"
         if np.isnan(n10[i]) or np.isnan(n00[i]):
-            raise BadParameter(f"{where}n10 = {float(n10[i])!r} and pr(Y=1|a=0) = "
-                               f"{float(n00[i])!r} must be real numbers")
-        raise ZeroDenominator(f"{where}target {float(target[i])!r} plus pr(Y=1|a=0) = "
-                              f"{float(n00[i])!r} is not positive")
-    with np.errstate(over="ignore"):  # n10 / tiny overflows to inf, which is kept
-        r = np.maximum(n10 / denom, 1.0)  # a ratio at or below 1 has nothing to explain: (1, 1)
+            raise BadParameter(f"{where}{sums} must be real numbers")
+        if denom[i] <= 0.0:
+            raise ZeroDenominator(f"{where}target {float(target[i])!r} plus pr(Y=1|a=0) = "
+                                  f"{float(n00[i])!r} is not positive")
+        raise BadParameter(f"{where}{sums} at target {float(target[i])!r} give no real ratio")
+    r = np.maximum(ratio, 1.0)  # a ratio at or below 1 has nothing to explain: (1, 1)
+    with np.errstate(over="ignore"):  # r * (r - 1) overflows to inf, which is kept
         return CornfieldThresholds(r[()], (r + np.sqrt(r * (r - 1.0)))[()])
 
 

@@ -99,19 +99,19 @@ def _effect_fields(scale: str) -> tuple[str, ...]:
     return {"rr": stats[:3], "rd": stats[3:]}.get(scale, stats)
 
 
-def _load_records(args) -> tuple[tables.RecordTable, list[str]]:
+def _load_records(args) -> tuple[tables.RecordTable, str, list[str]]:
+    """The records of ``--csv``, the file's digest and the load warnings."""
     records = tables.read_records_csv(args.csv)
     warnings = []
     if args.relabel_exposure:
         records = tables.swap_exposure_records(records)
         warnings.append("exposure codes relabeled (0 <-> 1)")
-    return records, warnings
+    return records, report.digest_file(args.csv), warnings
 
 
 def _load_model(args) -> tuple[tables.ConditionalModel, str, list[str]]:
-    records, warnings = _load_records(args)
-    model = tables.estimate_from_records(records, args.smoothing)
-    return model, report.digest_file(args.csv), warnings
+    records, digest, warnings = _load_records(args)
+    return tables.estimate_from_records(records, args.smoothing), digest, warnings
 
 
 def _inputs(args, *flags: str) -> tuple[dict, int, str | None, list[str]]:
@@ -150,13 +150,9 @@ def _cmd_estimate(args) -> int:
         report.write_csv(sys.stdout, list(columns), [list(columns.values())])
         return 0
     rows = [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
-    doc = report.document(
-        "estimate",
-        {"strata": rows, "smoothing": args.smoothing, "mode": model.mode},
-        input_digest=digest,
-        warnings=warnings,
-    )
-    sys.stdout.write(report.to_json(doc))
+    report.write_json(sys.stdout, args.command,
+                      {"strata": rows, "smoothing": args.smoothing, "mode": model.mode},
+                      input_digest=digest, warnings=warnings)
     return 0
 
 
@@ -196,8 +192,7 @@ def _cmd_bound(args) -> int:
         names = ("rr_au", "rr_uy", *(k for name in effects for k in (name, name + "_ci")))
         digest = report.digest_params({k: getattr(args, k) for k in names
                                        if getattr(args, k) is not None})
-    doc = report.document("bound", payload, input_digest=digest, warnings=warnings)
-    sys.stdout.write(report.to_json(doc))
+    report.write_json(sys.stdout, args.command, payload, input_digest=digest, warnings=warnings)
     return 0
 
 
@@ -226,9 +221,8 @@ def _cmd_cornfield(args) -> int:
         except Infeasible as exc:
             row["required_partner"] = None
             warnings.append(f"required partner for fixed {args.fixed_param}: {exc}")
-    doc = report.document("cornfield", payload,
-                          input_digest=digest or report.digest_params(payload), warnings=warnings)
-    sys.stdout.write(report.to_json(doc))
+    report.write_json(sys.stdout, args.command, payload,
+                      input_digest=digest or report.digest_params(payload), warnings=warnings)
     return 3 if any(row.get("required_partner", 1.0) is None for row in rows) else 0
 
 
@@ -269,9 +263,8 @@ def _cmd_sweep(args) -> int:
     )
     if args.format == "json":
         rows = [row for block in blocks for row in zip(*(column.tolist() for column in block))]
-        doc = report.document("sweep", {"header": header, "rows": rows}, input_digest=digest,
-                              warnings=warnings)
-        sys.stdout.write(report.to_json(doc))
+        report.write_json(sys.stdout, args.command, {"header": header, "rows": rows},
+                          input_digest=digest, warnings=warnings)
     else:
         report.write_csv(sys.stdout, header, blocks)
     return 0
@@ -279,15 +272,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_parametric(args) -> int:
     rows = loglinear.collider_ratio_grid(beta_c=args.beta_c)
-    header = ["beta0", "beta1", "beta3", "rr_au", "ratio_to_exp_beta3", "ratio_to_exp_beta1"]
     if args.format == "json":
-        doc = report.document(
-            "parametric",
-            {"rows": rows, "beta_c": args.beta_c},
-            input_digest=report.digest_params({"beta_c": args.beta_c}),
-        )
-        sys.stdout.write(report.to_json(doc))
+        report.write_json(sys.stdout, args.command, {"rows": rows, "beta_c": args.beta_c},
+                          input_digest=report.digest_params({"beta_c": args.beta_c}))
     else:
+        header = list(rows[0])
         report.write_csv(sys.stdout, header, [[np.array([r[h] for r in rows]) for h in header]])
     return 0
 
@@ -296,16 +285,15 @@ def _cmd_oracle(args) -> int:
     seed = _default_seed() if args.seed is None else args.seed
     params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "seed")}
     result = oracle.validity_battery(seed, **params)
-    doc = report.document("oracle", result, input_digest=report.digest_params(result["config"]),
-                          seed=seed)
-    sys.stdout.write(report.to_json(doc))
+    report.write_json(sys.stdout, args.command, result,
+                      input_digest=report.digest_params(result["config"]), seed=seed)
     checks = ("bound_validity", "ratio_bound_dominance", "definition_equivalence")
     return 4 if any(result[k] and result[k]["violations"] for k in checks) else 0
 
 
 def _cmd_bootstrap(args) -> int:
     seed = _default_seed() if args.seed is None else args.seed
-    records, warnings = _load_records(args)
+    records, digest, warnings = _load_records(args)
     spec = None
     if args.rr_au is not None or args.rr_uy is not None:
         if args.rr_au is None or args.rr_uy is None:
@@ -328,14 +316,8 @@ def _cmd_bootstrap(args) -> int:
         "degenerate_redraws": result.degenerate_redraws,
         "strata": strata,
     }
-    doc = report.document(
-        "bootstrap",
-        payload,
-        input_digest=report.digest_file(args.csv),
-        seed=seed,
-        warnings=warnings,
-    )
-    sys.stdout.write(report.to_json(doc))
+    report.write_json(sys.stdout, args.command, payload, input_digest=digest, seed=seed,
+                      warnings=warnings)
     return 0
 
 

@@ -1,11 +1,11 @@
 """Report documents: deterministic JSON and CSV serialization.
 
-Every CLI run produces one document with a versioned schema, the tool
-version, a digest of the inputs, and accumulated warnings.  Serialization
-is byte-deterministic given identical content: keys are sorted, floats use
-their shortest round-trip representation, and no timestamps are embedded.
-Infinities are written as "inf"/"-inf" (their ``repr``), in JSON as in
-CSV, so every JSON report is strict, standard JSON.
+Every JSON report is written by :func:`write_json`, the one writer of its
+envelope: a versioned schema, the tool version, a digest of the inputs, and
+accumulated warnings.  Output is byte-deterministic given identical content:
+keys are sorted, floats use their shortest round-trip representation, and no
+timestamps are embedded.  Infinities are written as "inf"/"-inf" (their
+``repr``), in JSON as in CSV, so every JSON report is strict, standard JSON.
 
 CSV is written from blocks of numpy columns, one block of about
 ``CSV_BLOCK`` rows at a time, never held whole: a command hands
@@ -56,16 +56,17 @@ def digest_params(params: Mapping[str, Any]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def document(
+def write_json(
+    out: TextIO,
     command: str,
     payload: Mapping[str, Any],
     *,
     input_digest: str | None = None,
     seed: int | None = None,
     warnings: Sequence[str] = (),
-) -> dict:
-    """Assemble the standard report envelope around a payload."""
-    return {
+) -> None:
+    """Write the standard report envelope around ``payload`` to ``out`` as :func:`to_json` text."""
+    out.write(to_json({
         "schema": SCHEMA,
         "tool_version": _tool_version(),
         "command": command,
@@ -73,7 +74,7 @@ def document(
         "seed": seed,
         "warnings": list(warnings),
         "result": dict(payload),
-    }
+    }))
 
 
 def to_json(doc: Mapping[str, Any]) -> str:

@@ -77,7 +77,8 @@ class RecordTable:
     Every estimator uses record data only through these counts, so row order
     and the grouping of records into weighted rows do not matter.  The
     tensor's rules are checked here: an integer dtype, that shape, no
-    negative count, and a positive total within the int64 range.
+    negative count or count past int64, and a positive total within the
+    int64 range.
     """
 
     counts: np.ndarray
@@ -86,9 +87,14 @@ class RecordTable:
         counts = self.counts
         if not isinstance(counts, np.ndarray) or not np.issubdtype(counts.dtype, np.integer):
             raise BadParameter("record counts must be an integer array")
-        counts = counts.astype(np.int64)
         if counts.ndim != 4 or counts.shape[1::2] != (2, 2) or 0 in counts.shape:
             raise BadParameter(f"record counts need shape (c_card, 2, m_card, 2): {counts.shape}")
+        large = counts > INT64_MAX  # an unsigned count that int64 would wrap
+        if large.any():
+            cell = first_cell("counts[{}, {}, {}, {}]", large)
+            raise BadParameter(f"record counts must be at most {INT64_MAX}: {cell} = "
+                               f"{counts[large][0]}")
+        counts = counts.astype(np.int64)
         negative = counts < 0
         if negative.any():
             cell = first_cell("counts[{}, {}, {}, {}]", negative)

@@ -1,10 +1,11 @@
 """References that several test files share.
 
 Most are a plain, independent route to a quantity the package computes
-another way, so a test can compare the two.  The last three are views of the
-oracle that only tests use: the collider parameter per mediator level, the
-two-point family that attains the scalar ratio bound, and the recipe models
-that attain the Cornfield thresholds.
+another way, so a test can compare the two, and a mutant test can show the
+comparison failing.  The last three are views of the oracle that only tests
+use: the collider parameter per mediator level, the two-point family that
+attains the scalar ratio bound, and the recipe models that attain the
+Cornfield thresholds.
 """
 
 import numpy as np
@@ -84,6 +85,24 @@ def expand_to_records(model: ConditionalModel, denominator: int) -> RecordTable:
         count = float(raw[c, a, m, y])
         raise BadParameter(f"cell a={a},m={m},y={y},c={c}: {count!r} is not an integer count")
     return RecordTable(counts.astype(np.int64))
+
+
+def enumerated_effects(scm: Scm) -> dict:
+    """The four true effects of each model of ``scm``, by contracting its joint tensor.
+
+    The reference for the oracle's true effects, model by model with
+    ``np.einsum``: n_ab = sum over u and m of pr(u) pr(m|b,u) pr(Y=1|a,m,u),
+    with the pr(u) of the unexposed arm, which is either arm's when the
+    exposure is independent of U.
+    """
+    cross = np.zeros(scm.batch_shape + (2, 2))  # [..., a of y, a of m]
+    for b in np.ndindex(scm.batch_shape):
+        # pr(u|a=0) [u], pr(m|a,u) [a][u][m] and pr(Y=1|a,m,u) [a][m][u]
+        prior, m, y = scm.u_given_a[b][0], scm.m_given[b], scm.y_given[b]
+        for ay, am in np.ndindex(2, 2):
+            cross[b + (ay, am)] = np.einsum("u,um,mu->", prior, m[am], y[ay])
+    n10, n00, n11 = cross[..., 1, 0], cross[..., 0, 0], cross[..., 1, 1]
+    return {"nde_rr": n10 / n00, "nie_rr": n11 / n10, "nde_rd": n10 - n00, "nie_rd": n11 - n10}
 
 
 def rr_au_posterior_per_mediator(scm: Scm) -> dict[int, float]:

@@ -268,14 +268,23 @@ class TestCornfieldRd:
                 "stratum c=1: target -0.2 plus pr(Y=1|a=0) = 0.1 is not positive")):
             cornfield_rd(np.array([0.5, 0.5, 0.5]), np.array([0.3, 0.1, 0.2]), -0.2)
 
-    @pytest.mark.parametrize("n10, n00", [(math.nan, 0.2), (0.5, math.nan)],
-                             ids=["n10", "n00"])
-    def test_nan_sum_rejected(self, n10, n00):
+    @pytest.mark.parametrize("n10, n00, target, match", [
+        (math.nan, 0.2, 0.0, "must be real numbers"),
+        (0.5, math.nan, 0.0, "must be real numbers"),
+        (math.inf, 0.2, math.inf, "give no real ratio"),  # inf / inf
+        (math.inf, math.inf, 0.0, "give no real ratio"),  # cornfield_rr(inf, inf)
+        (1.0, math.inf, -math.inf, "give no real ratio"),  # a denominator of inf - inf
+    ], ids=["n10", "n00", "inf-target", "inf-over-inf", "inf-minus-inf"])
+    def test_nan_sum_rejected(self, n10, n00, target, match):
         # NaN fails both ordering comparisons, so it would pass as thresholds (nan, nan)
-        with pytest.raises(BadParameter, match="must be real numbers"):
-            cornfield_rd(n10, n00, 0.0)
-        with pytest.raises(BadParameter, match=r"^stratum c=2: n10 = .* must be real numbers"):
-            cornfield_rd(np.array([0.5, 0.4, n10]), np.array([0.2, 0.3, n00]), 0.0)
+        with pytest.raises(BadParameter, match=match):
+            cornfield_rd(n10, n00, target)
+        with pytest.raises(BadParameter, match=rf"^stratum c=2: n10 = .* {match}"):
+            cornfield_rd(np.array([0.5, 0.4, n10]), np.array([0.2, 0.3, n00]),
+                         np.array([0.0, 0.0, target]))
+        if n10 == n00 == math.inf:  # the ratio scale forms the same ratio, obs / (0.0 + true)
+            with pytest.raises(BadParameter, match=match):
+                cornfield_rr(n10, n00)
 
     def test_arrays_equal_scalar_calls_bit_for_bit(self):
         # ratios below 1, at 1 and above it, and 1.5 / 1e-320, which overflows to inf

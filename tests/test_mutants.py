@@ -8,8 +8,8 @@ budget, by the check that its test names.
 import numpy as np
 import pytest
 
-from helpers import assert_cornfield_thresholds_attained
-from medsens import bounds, oracle
+from helpers import assert_cornfield_thresholds_attained, enumerated_effects
+from medsens import bounds, oracle, tables
 from medsens.errors import BadParameter, InternalCheckError
 
 #: mutant name -> (module, function) that the mutant scales by 0.99
@@ -39,6 +39,12 @@ def rr_uy_min(scm):
     """``rr_uy`` with the minimum over m of max_u/min_u pr(Y=1|1,m,u) for the maximum."""
     y1 = scm.y_given[..., 1, :, :]
     return (y1.max(axis=-1) / y1.min(axis=-1)).min(axis=-1)
+
+
+def rr_uy_level_zero(scm):
+    """``rr_uy`` with level u=0 of pr(Y=1|1,m,u) for the minimum over u."""
+    y1 = scm.y_given[..., 1, :, :]
+    return (y1.max(axis=-1) / y1[..., 0]).max(axis=-1)
 
 
 #: oracle parameter -> the mutant taking the minimum over mediator levels for the maximum
@@ -119,3 +125,43 @@ def test_cornfield_sharpness_kills_the_minus_root(monkeypatch):
     # r - sqrt(r (r - 1)) is below r, and below 1, for every r > 1
     with pytest.raises(BadParameter, match="threshold ordering violated"):
         assert_cornfield_thresholds_attained(1.72, 1.0)
+
+
+def test_both_batteries_kill_level_zero_for_the_minimum_over_u(monkeypatch):
+    monkeypatch.setattr(oracle, "rr_uy", lambda scm: np.maximum(1.0, rr_uy_level_zero(scm))[()])
+    stub_sharpness(monkeypatch)
+    result = oracle.validity_battery(seed=1, iterations=1000, ratio_iterations=1000)
+    assert result["bound_validity"]["violations"] > 0
+    assert result["ratio_bound_dominance"]["violations"] > 0
+
+
+def test_joint_enumeration_kills_the_exposed_mediator_weight(monkeypatch):
+    # n10 weighted by pr(m | a=1) is n11.  The battery's observed and true sides both form
+    # their sums with the mutant, so only a reference that does not use it can see it.
+    real = tables.crossworld_sums
+
+    def crossworld_sums(y, w):
+        _, n00, n11 = real(y, w)
+        return n11, n00, n11
+
+    for module in (tables, bounds, oracle):
+        monkeypatch.setattr(module, "crossworld_sums", crossworld_sums)
+    scm = oracle.sample_scm(np.random.default_rng(37), u_card=3, m_card=3, shape=(100,))
+    true, reference = oracle.verify_bounds(scm).true, enumerated_effects(scm)
+    assert not np.allclose(true["nde_rr"], reference["nde_rr"], rtol=1e-12, atol=0)
+
+
+def test_decomposition_identity_kills_te_rr_as_a_sum(monkeypatch):
+    # no bound reads te_rr, so every check of the battery holds under this mutant
+    real = bounds.effects_from_sums
+
+    def effects_from_sums(n10, n00, n11):
+        effects = real(n10, n00, n11)
+        return effects | {"te_rr": effects["nde_rr"] + effects["nie_rr"]}
+
+    for module in (bounds, oracle):
+        monkeypatch.setattr(module, "effects_from_sums", effects_from_sums)
+    report = oracle.verify_bounds(oracle.sample_scm(np.random.default_rng(1), shape=(100,)))
+    for effects in (report.observed, report.true):
+        assert not np.allclose(effects["te_rr"], effects["nde_rr"] * effects["nie_rr"],
+                               rtol=1e-12, atol=0)

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     assert_cornfield_thresholds_attained,
     bernoulli_instance,
+    enumerated_effects,
     rr_au_posterior_per_mediator,
 )
 from medsens import bounds
@@ -148,20 +149,11 @@ class TestTrueEffects:
         scms = [sample_scm(rng, u_card=3, m_card=3) for _ in range(300)]
         scms.append(sample_scm(rng, u_card=3, m_card=3, shape=(2, 50)))  # one batch of models
         for scm in scms:
-            true = verify_bounds(scm).true
-            for b in np.ndindex(scm.batch_shape):
-                prior = np.array(scm.u_given_a[b][0])  # pr(u), the same in both arms
-                m = np.array(scm.m_given[b])   # [a][u][m]
-                y = np.array(scm.y_given[b])   # [a][m][u]
-                cross = {
-                    (ay, am): float(np.einsum("u,um,mu->", prior, m[am], y[ay]))
-                    for ay in (0, 1)
-                    for am in (0, 1)
-                }
-                assert math.isclose(true["nde_rr"][b], cross[(1, 0)] / cross[(0, 0)], rel_tol=1e-12)
-                assert math.isclose(true["nie_rr"][b], cross[(1, 1)] / cross[(1, 0)], rel_tol=1e-12)
-                assert math.isclose(true["nde_rd"][b], cross[(1, 0)] - cross[(0, 0)], abs_tol=1e-12)
-                assert math.isclose(true["nie_rd"][b], cross[(1, 1)] - cross[(1, 0)], abs_tol=1e-12)
+            true, reference = verify_bounds(scm).true, enumerated_effects(scm)
+            for name in ("nde_rr", "nie_rr"):
+                np.testing.assert_allclose(true[name], reference[name], rtol=1e-12, atol=0)
+            for name in ("nde_rd", "nie_rd"):
+                np.testing.assert_allclose(true[name], reference[name], rtol=0, atol=1e-12)
 
     def test_loglinear_mediator_scm_agrees_across_modules(self):
         # mediator tables generated by the binary-mediator log-linear model:

@@ -1,6 +1,7 @@
-"""The CSV writer: every cell reads exactly as Python's ``repr`` of its value."""
+"""The writers: the JSON envelope, and CSV where every cell reads exactly as Python's ``repr``."""
 
 import io
+import json
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import medsens
 from medsens import report
 
 LARGEST = sys.float_info.max
@@ -45,6 +47,31 @@ def test_notation_boundaries_and_special_values():
         values += [-v for v in neighbours(anchor)]
     assert len(values) == 5 + 5 * 2 * 101
     assert cells(values) == [repr(v) for v in values]
+
+
+def test_write_json_builds_the_envelope():
+    out = io.StringIO()
+    report.write_json(out, "bound", {"bf": math.inf, "rows": (1.5, -math.inf)}, input_digest="ab",
+                      seed=3, warnings=("relabeled", "smoothed"))
+    text = out.getvalue()
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    doc = json.loads(text, parse_constant=lambda name: pytest.fail(f"non-standard {name}"))
+    assert list(doc) == sorted(doc) == ["command", "input_digest", "result", "schema", "seed",
+                                        "tool_version", "warnings"]
+    assert doc == {"command": "bound", "input_digest": "ab", "schema": report.SCHEMA, "seed": 3,
+                   "result": {"bf": "inf", "rows": [1.5, "-inf"]},
+                   "tool_version": medsens.__version__, "warnings": ["relabeled", "smoothed"]}
+    out = io.StringIO()
+    report.write_json(out, "parametric", {})
+    doc = json.loads(out.getvalue())
+    assert (doc["input_digest"], doc["seed"], doc["warnings"], doc["result"]) == (None, None, [], {})
+
+
+def test_write_json_refuses_nan_and_writes_nothing():
+    out = io.StringIO()
+    with pytest.raises(ValueError):
+        report.write_json(out, "oracle", {"rows": [0.5, math.nan]})
+    assert out.getvalue() == ""
 
 
 def test_int_cells_equal_repr():

@@ -102,6 +102,16 @@ class TestRecordTable:
         with pytest.raises(BadParameter, match="^total record count exceeds the int64 range$"):
             RecordTable(counts)
 
+    @pytest.mark.parametrize("count", [2**63, 2**64 - 1],
+                             ids=["wraps-to-min", "wraps-to-minus-one"])
+    def test_unsigned_count_beyond_int64_is_rejected_not_wrapped(self, count):
+        # an int64 cast of these counts reads -9223372036854775808 and -1
+        counts = np.ones((1, 2, 1, 2), dtype=np.uint64)
+        counts[0, 1, 0, 1] = count
+        with pytest.raises(BadParameter, match=re.escape(
+                f"record counts must be at most {tables.INT64_MAX}: counts[0, 1, 0, 1] = {count}")):
+            RecordTable(counts)
+
     def test_counts_are_checked_and_frozen(self):
         for bad in (np.zeros((1, 2, 1, 2), int), -np.ones((1, 2, 1, 2), int),
                     np.ones((1, 3, 1, 2), int), np.ones((2, 1, 2)), np.ones((1, 2, 1, 2))):

@@ -9,19 +9,21 @@ covariates and beta_c collapses the covariate contribution to a scalar
 offset.  Marginalizing u leaves another log-linear model whose intercept
 shifts by the cumulant value K(beta3) = log((1 + e^beta3)/2).
 
+Every pr(M=1 | a, c, u) must be below 1: a coefficient set that reaches 1
+in any cell is refused with :class:`~medsens.errors.Infeasible`, naming it.
 Under this model the exposure-confounder association created by
 conditioning on the mediator has a closed form: it is exactly 1 within the
 M=1 stratum (ratio-scale effects of a on M=1 do not involve u), and within
 M=0 it is a ratio of four survivor terms 1 - e^(linear predictor) evaluated
 at the worst-case u, which is u=0 when beta1*beta3 >= 0 and u=1 otherwise.
 
-:func:`rr_au_loglinear` implements the closed form;
-:func:`_rr_au_loglinear_bruteforce` builds the same two-point models as an
-oracle :class:`~medsens.oracle.Scm` batch and evaluates the defining
-posterior ratio through :func:`~medsens.oracle.rr_au_posterior`.  The two
-must agree to ~1e-10, which pins down the intercept convention: ``beta0``
-is the conditional intercept and the marginal intercept is derived from
-it.
+:func:`rr_au_loglinear` implements the closed form, one value per
+coefficient entry; :func:`_rr_au_loglinear_bruteforce` builds the same
+two-point models as an oracle :class:`~medsens.oracle.Scm` batch and
+evaluates the defining posterior ratio through
+:func:`~medsens.oracle.rr_au_posterior`.  The two must agree to ~1e-10,
+which pins down the intercept convention: ``beta0`` is the conditional
+intercept and the marginal intercept is derived from it.
 
 :func:`interaction_bound` is model-free: for any positive mediator
 probability grids p[..., a, u] it bounds the collider ratio by the worst
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -52,14 +54,17 @@ DEFAULT_INTERCEPT_EXPOSURE_PAIRS = (
 )
 DEFAULT_CONFOUNDER_COEFFS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
+#: the exposure a down, the confounder u across: linear predictors broadcast to [..., a, u]
+_A, _U = np.array([[0.0], [1.0]]), np.array([0.0, 1.0])
+#: libm's e^x elementwise, as Python floats: ``np.exp`` may differ from it in the last bit, by CPU
+_exp = np.frompyfunc(math.exp, 1, 1)
 
-def _cumulant_k(t: float) -> float:
-    """log((1 + e^t) / 2), evaluated stably for large |t|."""
-    if math.isnan(t):
+
+def _cumulant_k(t):
+    """log((1 + e^t) / 2), elementwise, evaluated stably for large |t|."""
+    if np.isnan(t).any():
         raise BadParameter(f"t must be a real number, got {t!r}")
-    if t > 0:
-        return t + math.log1p(math.exp(-t)) - math.log(2.0)
-    return math.log1p(math.exp(t)) - math.log(2.0)
+    return np.logaddexp(0.0, t) - math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,9 @@ class LogLinearSpec:
     """Coefficients of the conditional log-linear mediator model.
 
     beta0 is the conditional intercept (given u); the marginal intercept is
-    beta0 + K(beta3).  beta_c is the per-stratum covariate offset.
+    beta0 + K(beta3).  beta_c is the per-stratum covariate offset.  Each is
+    a float, or an array of values evaluated elementwise, as
+    :class:`~medsens.bounds.SensitivitySpec`'s may be; they broadcast together.
     """
 
     beta0: float
@@ -77,44 +84,41 @@ class LogLinearSpec:
 
     def __post_init__(self) -> None:
         for name in ("beta0", "beta1", "beta3", "beta_c"):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
-                raise BadParameter(f"{name} must be a finite real, got {v!r}")
+            v = np.asarray(getattr(self, name), dtype=object)
+            bad = [x for x in v.flat if not (isinstance(x, numbers.Real) and math.isfinite(x))]
+            if bad:
+                raise BadParameter(f"{name} must be a finite real, got {bad[0]!r}")
             # a float32 coefficient would keep the closed forms in single precision
-            object.__setattr__(self, name, float(v))
-
-    def marginal_intercept(self) -> float:
-        return self.beta0 + _cumulant_k(self.beta3)
+            object.__setattr__(self, name, v.astype(float) if v.ndim else float(v))
 
 
-def _checked_exp(lp: float, what: str) -> float:
-    """e^lp as a probability; the M=0 formulas need it strictly below 1.
+def _probabilities(lp: np.ndarray, cell: str) -> np.ndarray:
+    """e^lp, the mediator probabilities of the linear predictors ``lp``; each must be below 1.
 
-    A positive ``lp`` is refused without forming e^lp, which may overflow.
+    The first at or above 1 is refused with :class:`Infeasible`, named
+    through the template ``cell`` (see :func:`~medsens.tables.first_cell`).
+    A positive predictor is refused without forming e^lp, which may overflow.
     """
-    p = math.exp(min(lp, 0.0))
-    if p >= 1.0:
-        raise Infeasible(f"{what}: linear predictor {lp!r} gives a probability >= 1")
+    p = _exp(np.minimum(lp, 0.0)).astype(float)
+    bad = p >= 1.0
+    if bad.any():
+        raise Infeasible(f"{first_cell(cell, bad)}: linear predictor {float(lp[bad][0])!r} "
+                         "gives a probability >= 1")
     return p
 
 
 def rr_au_loglinear(spec: LogLinearSpec) -> float:
-    """Closed-form collider-bias parameter max{1, ratio within M=0}.
+    """Closed-form collider-bias parameter max{1, ratio within M=0}, one per coefficient entry.
 
     Within M=0 the ratio compares the conditional effect of the exposure on
     the mediator at the worst-case confounder level against the marginal
     effect; within M=1 the log-linear structure cancels it to 1.
     """
-    b0p = spec.marginal_intercept()
-    worst_u = 0.0 if spec.beta1 * spec.beta3 >= 0 else 1.0
-    lp_base = spec.beta0 + spec.beta_c + spec.beta3 * worst_u
-    num = (1.0 - _checked_exp(lp_base + spec.beta1, "conditional model, exposed")) / (
-        1.0 - _checked_exp(lp_base, "conditional model, unexposed")
-    )
-    den = (1.0 - _checked_exp(b0p + spec.beta_c + spec.beta1, "marginal model, exposed")) / (
-        1.0 - _checked_exp(b0p + spec.beta_c, "marginal model, unexposed")
-    )
-    return max(1.0, num / den)
+    b0, b1, b3, bc = (np.asarray(v)[..., None, None] for v in astuple(spec))
+    p = _probabilities(b0 + bc + b3 * _U + b1 * _A, "cell a={}, u={}")  # [..., a, u]
+    s = 1.0 - np.where((b1 * b3 >= 0)[..., 0], p[..., 0], p[..., 1])  # [..., a], at the worst u
+    m = 1.0 - _probabilities((b0 + _cumulant_k(b3) + bc + b1 * _A)[..., 0], "marginal model, a={}")
+    return np.maximum(1.0, (s[..., 1] / s[..., 0]) / (m[..., 1] / m[..., 0]))[()]
 
 
 def _rr_au_loglinear_bruteforce(beta0, beta1, beta3, beta_c=0.0):
@@ -127,12 +131,9 @@ def _rr_au_loglinear_bruteforce(beta0, beta1, beta3, beta_c=0.0):
     independent check of :func:`rr_au_loglinear`.
     """
     b0, b1, b3, bc = (v[..., None, None] for v in np.broadcast_arrays(beta0, beta1, beta3, beta_c))
-    lp = b0 + b1 * np.array([[0.0], [1.0]]) + bc + b3 * np.array([0.0, 1.0])  # [..., a, u]
-    p = np.exp(np.minimum(lp, 0.0))  # as _checked_exp forms it
-    if (p >= 1.0).any():
-        _checked_exp(float(lp[p >= 1.0][0]), first_cell("cell a={}, u={}", p >= 1.0))
-    scm = Scm(u_given_a=np.full(lp.shape, 0.5), m_given=np.stack([1.0 - p, p], axis=-1),
-              y_given=np.full((*lp.shape, 2), 0.5))
+    p = _probabilities(b0 + b1 * _A + bc + b3 * _U, "cell a={}, u={}")  # [..., a, u]
+    scm = Scm(u_given_a=np.full(p.shape, 0.5), m_given=np.stack([1.0 - p, p], axis=-1),
+              y_given=np.full((*p.shape, 2), 0.5))
     return np.maximum(1.0, rr_au_posterior(scm))[()]
 
 
@@ -168,29 +169,19 @@ def collider_ratio_grid(beta_c: float = 0.0) -> list[dict[str, float]]:
     :class:`InternalCheckError` if the closed form and the brute force
     disagree beyond ``EQUIV_TOL`` anywhere on the grid.
     """
-    specs = [
-        LogLinearSpec(beta0=beta0, beta1=beta1, beta3=beta3, beta_c=beta_c)
-        for beta0, beta1 in DEFAULT_INTERCEPT_EXPOSURE_PAIRS
-        for beta3 in DEFAULT_CONFOUNDER_COEFFS
-    ]
-    coeffs = np.array([(s.beta0, s.beta1, s.beta3) for s in specs]).reshape(-1, 3)
-    brute = _rr_au_loglinear_bruteforce(*coeffs.T, beta_c).tolist()
-    rows = []
-    for spec, check in zip(specs, brute):
-        rr = rr_au_loglinear(spec)
-        if abs(rr - check) > EQUIV_TOL * max(1.0, abs(check)):
-            raise InternalCheckError(
-                f"closed form {rr!r} and brute force {check!r} disagree at "
-                f"beta0={spec.beta0}, beta1={spec.beta1}, beta3={spec.beta3}"
-            )
-        rows.append(
-            {
-                "beta0": spec.beta0,
-                "beta1": spec.beta1,
-                "beta3": spec.beta3,
-                "rr_au": rr,
-                "ratio_to_exp_beta3": rr / math.exp(spec.beta3),
-                "ratio_to_exp_beta1": rr / math.exp(spec.beta1),
-            }
+    pairs = np.repeat(DEFAULT_INTERCEPT_EXPOSURE_PAIRS, len(DEFAULT_CONFOUNDER_COEFFS), axis=0)
+    beta3 = np.tile(DEFAULT_CONFOUNDER_COEFFS, len(DEFAULT_INTERCEPT_EXPOSURE_PAIRS))
+    spec = LogLinearSpec(*pairs.T, beta3, beta_c)
+    check = _rr_au_loglinear_bruteforce(spec.beta0, spec.beta1, spec.beta3, spec.beta_c)
+    rr = rr_au_loglinear(spec)
+    bad = np.abs(rr - check) > EQUIV_TOL * np.maximum(1.0, np.abs(check))
+    if bad.any():
+        i = np.argmax(bad)
+        raise InternalCheckError(
+            f"closed form {float(rr[i])!r} and brute force {float(check[i])!r} disagree at "
+            f"beta0={spec.beta0[i]}, beta1={spec.beta1[i]}, beta3={spec.beta3[i]}"
         )
-    return rows
+    columns = {"beta0": spec.beta0, "beta1": spec.beta1, "beta3": spec.beta3, "rr_au": rr,
+               "ratio_to_exp_beta3": rr / _exp(spec.beta3),
+               "ratio_to_exp_beta1": rr / _exp(spec.beta1)}
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]

@@ -303,6 +303,13 @@ def verify_bounds(scm: Scm) -> ValidityReport:
 # ---------------------------------------------------------------------------
 
 
+def _at_least_one(**counts: int) -> None:
+    """Refuse any count or cardinality below 1 with :class:`BadParameter`, naming it."""
+    for name, value in counts.items():
+        if value < 1:
+            raise BadParameter(f"{name} must be at least 1, got {value}")
+
+
 def sample_scm(
     rng: np.random.Generator,
     u_card: int = 2,
@@ -324,6 +331,7 @@ def sample_scm(
     generator's stream, so a batch of B models is the same B models, and
     leaves the generator in the same state, as B unbatched calls.
     """
+    _at_least_one(u_card=u_card, m_card=m_card)
     if floor < 0.0 or floor >= 1.0:
         raise BadParameter("floor must be in [0, 1)")
     nu, nm = u_card, m_card
@@ -397,6 +405,7 @@ def sample_ratio_instances(rng: np.random.Generator, count: int) -> Scm:
     normalized, and r from uniform(0.1, 10), six cells each, of which those
     past the size are padding.
     """
+    _at_least_one(count=count)
     raw = rng.random((count, 19))
     pad = np.arange(6) >= 2 + (5.0 * raw[:, :1]).astype(int)
     cells = raw[:, 1:].reshape(count, 3, 6)
@@ -521,6 +530,7 @@ def sharpness_search(seed: int, iterations: int) -> SharpnessReport:
     cells of pr(m | a, u), 8 per model, form one :class:`Scm` batch, checked
     by one :func:`verify_bounds` call; a violation raises :class:`InternalCheckError`.
     """
+    _at_least_one(iterations=iterations)
     rng = np.random.default_rng(seed)
     best = dict.fromkeys((bound.rsplit("_", 1)[0] for bound in BOUND_STATS), 0.0)
     batch = max(1, tables.BATCH_CELLS // (10 * 8))  # 10 models of 2 x 2 x 2 cells per iteration
@@ -563,9 +573,8 @@ def validity_battery(
     report's ``config`` holds every parameter, in signature order.
     """
     config = dict(locals())
-    for name in ("iterations", "u_card", "m_card", "ratio_iterations", "sharpness_iterations"):
-        if config[name] < 1:
-            raise BadParameter(f"{name} must be at least 1, got {config[name]}")
+    _at_least_one(**{name: config[name] for name in (
+        "iterations", "u_card", "m_card", "ratio_iterations", "sharpness_iterations")})
     if u_card * m_card > MAX_CARD_PRODUCT:
         raise BadParameter(
             f"u_card * m_card (--u-card times --m-card) must be at most {MAX_CARD_PRODUCT}, "

@@ -55,7 +55,8 @@ class TestCumulant:
         assert math.isclose(_cumulant_k(t), t + _cumulant_k(-t), abs_tol=1e-12)
 
     @pytest.mark.parametrize("name", ["beta0", "beta1", "beta3", "beta_c"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, "2", "x", None, [0.1, "a"],
+                                       [0.1, math.nan]])
     def test_spec_rejects_non_finite_coefficients(self, name, value):
         coeffs = {"beta0": -2.3, "beta1": 0.2, "beta3": 0.1} | {name: value}
         with pytest.raises(BadParameter, match=f"{name} must be a finite real"):
@@ -83,8 +84,8 @@ class TestClosedFormAgainstBruteForce:
     def test_ten_thousand_random_specs(self):
         rng = np.random.default_rng(23)
         specs = [sample_feasible_spec(rng) for _ in range(10_000)]
-        closed = np.array([rr_au_loglinear(spec) for spec in specs])
         coeffs = np.array([(s.beta0, s.beta1, s.beta3) for s in specs])
+        closed = rr_au_loglinear(LogLinearSpec(*coeffs.T))
         brute = _rr_au_loglinear_bruteforce(*coeffs.T)
         assert brute.shape == (10_000,)
         assert (np.abs(closed - brute) <= 1e-10 * np.maximum(1.0, brute)).all()
@@ -110,6 +111,34 @@ class TestClosedFormAgainstBruteForce:
             _rr_au_loglinear_bruteforce(-0.1, 0.5, 0.5)
         with pytest.raises(Infeasible, match="cell a=1, u=1"):
             _rr_au_loglinear_bruteforce([-2.0, -2.0, -0.1], [0.2, 0.7, 0.5], [0.1, 0.6, 0.5], 0.8)
+
+    @pytest.mark.parametrize("beta0, cell", [(-0.5, "a=0, u=1"), (-0.55, "a=1, u=1")])
+    def test_closed_form_checks_both_confounder_levels(self, beta0, cell):
+        # beta1 * beta3 > 0 puts the worst case at u=0, yet pr(M=1|a,u=1) reaches 1
+        spec = LogLinearSpec(beta0=beta0, beta1=0.1, beta3=0.5)
+        with pytest.raises(Infeasible, match=f"^cell {cell}: linear predictor .* >= 1$"):
+            rr_au_loglinear(spec)
+        with pytest.raises(Infeasible, match=f"^cell {cell}: "):
+            _rr_au_loglinear_bruteforce(beta0, 0.1, 0.5)
+
+    def test_array_spec_matches_scalar_specs_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        specs = [sample_feasible_spec(rng) for _ in range(400)]
+        coeffs = np.array([(s.beta0, s.beta1, s.beta3) for s in specs]).reshape(20, 20, 3)
+        # about half the specs have beta1 * beta3 < 0, whose worst confounder level is u=1
+        assert 0 < (coeffs[..., 1] * coeffs[..., 2] < 0).mean() < 1
+        offsets = np.array([0.0, -0.3])[:, None, None]  # beta_c broadcast against the grid
+        closed = rr_au_loglinear(LogLinearSpec(*np.moveaxis(coeffs, -1, 0), offsets))
+        assert closed.shape == (2, 20, 20)
+        scalar = [[rr_au_loglinear(LogLinearSpec(*c, beta_c=bc)) for c in coeffs.reshape(-1, 3)]
+                  for bc in (0.0, -0.3)]
+        assert closed.reshape(2, -1).tolist() == scalar
+
+    def test_array_spec_names_the_first_infeasible_cell(self):
+        spec = LogLinearSpec(beta0=[-2.0, -0.5], beta1=[0.2, -0.1], beta3=[True, 0.5])
+        assert spec.beta3.tolist() == [1.0, 0.5]
+        with pytest.raises(Infeasible, match="^cell a=0, u=1: linear predictor 0.0 gives"):
+            rr_au_loglinear(spec)
 
 
 class TestReferenceGridValues:

@@ -5,11 +5,13 @@ is applied by ``monkeypatch`` and must be killed, at a fixed seed and
 budget, by the check that its test names.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import assert_cornfield_thresholds_attained, enumerated_effects
-from medsens import bounds, oracle, tables
+from medsens import bounds, loglinear, oracle, tables
 from medsens.errors import BadParameter, InternalCheckError
 
 #: mutant name -> (module, function) that the mutant scales by 0.99
@@ -49,6 +51,15 @@ def rr_uy_level_zero(scm):
 
 #: oracle parameter -> the mutant taking the minimum over mediator levels for the maximum
 MINIMUM = {"rr_au_posterior": rr_au_posterior_min, "rr_uy": rr_uy_min}
+
+#: function of ``loglinear`` -> a mutant of the closed form it takes part in
+CLOSED_FORM = {
+    # the marginal intercept beta0 + K(beta3) drops K(beta3)
+    "_cumulant_k": lambda t: 0.0,
+    # the closed form evaluated with beta1 negated
+    "rr_au_loglinear": lambda spec, real=loglinear.rr_au_loglinear: real(
+        replace(spec, beta1=-spec.beta1)),
+}
 
 
 def stub_sharpness(monkeypatch):
@@ -165,3 +176,11 @@ def test_decomposition_identity_kills_te_rr_as_a_sum(monkeypatch):
     for effects in (report.observed, report.true):
         assert not np.allclose(effects["te_rr"], effects["nde_rr"] * effects["nie_rr"],
                                rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM)
+def test_parametric_cross_check_kills_a_closed_form_mutant(name, monkeypatch):
+    # the brute force builds its own predictors, so neither mutant reaches it
+    monkeypatch.setattr(loglinear, name, CLOSED_FORM[name])
+    with pytest.raises(InternalCheckError, match="at beta0=-2.3, beta1=0.2, beta3=0.1$"):
+        loglinear.collider_ratio_grid()

@@ -747,6 +747,20 @@ class TestTableValidation:
         with pytest.raises(BadParameter, match="floor"):
             sample_scm(np.random.default_rng(0), floor=1.0)
 
+    @pytest.mark.parametrize("sampler, args, named", [
+        (sharpness_search, (1, -5), "iterations must be at least 1, got -5"),
+        (sharpness_search, (1, 0), "iterations must be at least 1, got 0"),
+        (sample_ratio_instances, (np.random.default_rng(0), -1), "count must be at least 1, got -1"),
+        (sample_ratio_instances, (np.random.default_rng(0), 0), "count must be at least 1, got 0"),
+        (sample_scm, (np.random.default_rng(0), -1), "u_card must be at least 1, got -1"),
+        (sample_scm, (np.random.default_rng(0), 0), "u_card must be at least 1, got 0"),
+        (sample_scm, (np.random.default_rng(0), 2, 0), "m_card must be at least 1, got 0"),
+    ], ids=["sharpness-negative", "sharpness-zero", "ratio-negative", "ratio-zero",
+            "u-card-negative", "u-card-zero", "m-card-zero"])
+    def test_samplers_refuse_counts_below_one(self, sampler, args, named):
+        with pytest.raises(BadParameter, match=f"^{named}$"):
+            sampler(*args)
+
     def test_recipe_anchor_below_one(self):
         with pytest.raises(BadParameter, match="anchor"):
             recipe_scm(2.0, 2.0, 0.999, anchor=1.0)

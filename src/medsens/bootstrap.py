@@ -18,11 +18,13 @@ each batch writes its statistics into its slice of the table, and the
 percentiles partition the table in place.
 
 Intervals are percentile intervals of the replicate statistics, by numpy's
-default ("linear") method written out in :func:`_percentiles`: it gives
-``np.percentile``'s bits without the ``np.unique`` call that loads
-``numpy.ma``.  A statistic that is the same infinity in every replicate
-(``nie_rr_upper`` at ``bf = inf``) gets that infinity as both limits, where
-the lerp would give inf - inf = NaN.
+default ("linear") method written out in :func:`_limits`: it gives
+``np.percentile``'s bits, without the ``np.unique`` call that loads
+``numpy.ma``, wherever the two order statistics it blends differ by a
+finite amount.  Where they do not (an infinite ``nie_rr_upper`` at a huge
+or infinite ``bf``), numpy's lerp gives inf - inf or inf * 0 = NaN, and the
+limit is the exact interpolation instead, so an interval with an infinite
+replicate is still a pair of numbers.
 
 A replicate that empties a required table cell, or whose n10 or n00 is 0
 in some stratum, cannot be evaluated; it is redrawn, counted, and
@@ -143,38 +145,28 @@ def run_bootstrap(
 def _limits(stats: np.ndarray, level: float) -> np.ndarray:
     """The two-sided ``level`` percentile limits of ``stats[replicate, ...]``, as ``[lo, hi]``.
 
-    Partitions ``stats`` in place (see :func:`_percentiles`).  A lane that is
-    one infinity throughout gets that infinity as both limits.
-    """
-    lo_q = 100.0 * (1.0 - level) / 2.0
-    with np.errstate(invalid="ignore"):  # inf - inf, in the lanes replaced below
-        limits = _percentiles(stats, [lo_q, 100.0 - lo_q])
-    # the partition put each lane's minimum first and its maximum last
-    low, high = stats[0], stats[-1]
-    np.copyto(limits, low, where=np.isinf(low) & (low == high))
-    return limits
-
-
-def _percentiles(x: np.ndarray, q) -> np.ndarray:
-    """``np.percentile(x, q, axis=0)`` by its linear method, bit for bit.
-
     As numpy does, the order statistics next to each virtual index
     ``(n - 1) * q / 100`` are placed by one partition at the same positions
     (so equal values such as 0.0 and -0.0 land where numpy puts them),
-    blended by numpy's two-sided lerp, and a slice holding a NaN gives NaN.
-    The partition reorders ``x`` in place, with no copy: afterwards
-    ``x[0]`` is each lane's minimum and ``x[-1]`` its maximum, or a NaN.
+    blended by numpy's two-sided lerp, and a lane holding a NaN gives NaN.
+    Where the two neighbours' difference is not finite, the limit is the
+    lower neighbour at weight 0 or when it is -inf, and the upper one
+    otherwise: the exact interpolation when a neighbour is infinite.  The
+    partition reorders ``stats`` in place, with no copy.
     """
-    n = len(x)
-    index = (n - 1) * np.true_divide(q, 100)
+    n, lo_q = len(stats), 100.0 * (1.0 - level) / 2.0
+    index = (n - 1) * np.true_divide([lo_q, 100.0 - lo_q], 100)
     top = index >= n - 1  # numpy takes the last value twice here
     below = np.where(top, -1, np.floor(index)).astype(np.intp)
     above = np.where(top, -1, below + 1)
-    x.partition(sorted({0, -1, *below.tolist(), *above.tolist()}), axis=0)
-    t = (index - below).reshape(-1, *[1] * (x.ndim - 1))
-    a, b = x[below], x[above]
-    d = b - a
-    out = a + d * t
-    np.subtract(b, d * (1 - t), out=out, where=t >= 0.5)
-    np.copyto(out, x[-1], where=np.isnan(x[-1]))
+    stats.partition(sorted({0, -1, *below.tolist(), *above.tolist()}), axis=0)
+    t = (index - below).reshape(-1, *[1] * (stats.ndim - 1))
+    a, b = stats[below], stats[above]
+    with np.errstate(over="ignore", invalid="ignore"):  # replaced below: overflow, inf - inf
+        d = b - a
+        out = a + d * t
+        np.subtract(b, d * (1 - t), out=out, where=t >= 0.5)
+    np.copyto(out, np.where((t == 0) | (a == -np.inf), a, b), where=~np.isfinite(d))
+    # NaNs sort last, so a lane holding one has it last
+    np.copyto(out, stats[-1], where=np.isnan(stats[-1]))
     return out

@@ -67,7 +67,7 @@ def _cumulant_k(t):
     return np.logaddexp(0.0, t) - math.log(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogLinearSpec:
     """Coefficients of the conditional log-linear mediator model.
 

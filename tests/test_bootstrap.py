@@ -156,6 +156,19 @@ class TestBasics:
                          for name, values in intervals[0].items() if name != "nie_rr_upper"}
         assert stats["nde_rr_lower"] == {"lower": 0.0, "point": 0.0, "upper": 0.0}
 
+    def test_a_huge_bound_factor_reports_finite_json(self, capsys, tmp_path):
+        # bf = 1.77e308 takes some replicates' nie_rr_upper past the float range, and the
+        # lerp between a finite one and inf gave NaN, which strict JSON refuses
+        path = tmp_path / "d.csv"
+        path.write_text("a,m,y,c,count\n0,0,0,0,60\n0,0,1,0,40\n0,1,0,0,50\n0,1,1,0,50\n"
+                        "1,0,0,0,40\n1,0,1,0,60\n1,1,0,0,45\n1,1,1,0,55\n")
+        code = main(["bootstrap", "--csv", str(path), "--replicates", "200", "--seed", "1",
+                     "--rr-au", "1.77e308", "--rr-uy", "inf"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        upper = doc["result"]["strata"][0]["stats"]["nie_rr_upper"]
+        assert math.isfinite(upper["lower"]) and upper["upper"] == "inf"
+
 
 class TestBatches:
     # the budget, one that takes seven replicates, and one below a replicate's cells
@@ -232,22 +245,30 @@ def replicate_tables(draw):
 
 class TestPercentiles:
     @given(replicate_tables(), st.floats(0.5, 0.999))
-    def test_equal_numpy_bit_for_bit(self, x, level):
-        # equal values (0.0 and -0.0, NaNs of any payload) must land where numpy puts them;
-        # _percentiles partitions its argument, so numpy sees the untouched table
-        q = [100.0 * (1.0 - level) / 2.0, 100.0 - 100.0 * (1.0 - level) / 2.0]
-        with np.errstate(invalid="ignore"):  # inf - inf, as numpy's own lerp meets it
-            ours, theirs = bootstrap._percentiles(x.copy(), q), np.percentile(x, q, axis=0)
-        assert ours.tobytes() == theirs.tobytes()
+    def test_equal_numpy_or_the_exact_neighbour(self, x, level):
+        # numpy's bits wherever its limit is finite or its lane holds a NaN (equal values
+        # such as 0.0 and -0.0 must land where numpy puts them); elsewhere numpy's lerp met
+        # a difference that is not finite, and the limit is one neighbour from np.sort: the
+        # lower one at weight 0 or when it is -inf, else the upper, as exact interpolation
+        # gives next to an infinity
+        q = np.array([100.0 * (1.0 - level) / 2.0, 100.0 - 100.0 * (1.0 - level) / 2.0])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, as numpy's lerp meets it
+            theirs = np.percentile(x, q, axis=0)
+        ours = bootstrap._limits(x.copy(), level)  # it partitions its argument
+        n, ordered = len(x), np.sort(x, axis=0)
+        index = (n - 1) * (q / 100)
+        below = np.floor(index).astype(int)
+        low, high = ordered[below], ordered[np.minimum(below + 1, n - 1)]
+        numpy = np.isfinite(theirs) | np.isnan(x).any(axis=0)
+        assert ours[numpy].tobytes() == theirs[numpy].tobytes()
+        exact = np.where((index == below).reshape(2, 1, 1) | (low == -np.inf), low, high)
+        assert (ours[~numpy] == exact[~numpy]).all()
 
-    @given(replicate_tables(), st.floats(0.5, 0.999))
-    def test_limits_give_a_constant_infinity_as_both_limits(self, x, level):
-        # the reference compares every replicate with the first, on the untouched table
-        q = [100.0 * (1.0 - level) / 2.0, 100.0 - 100.0 * (1.0 - level) / 2.0]
-        with np.errstate(invalid="ignore"):
-            expected = np.percentile(x, q, axis=0)
-        np.copyto(expected, x[0], where=np.isinf(x[0]) & (x == x[0]).all(axis=0))
-        assert bootstrap._limits(x.copy(), level).tobytes() == expected.tobytes()
+    def test_a_finite_neighbour_of_an_infinite_replicate_is_kept(self):
+        # the upper limit of 201 replicates falls exactly on the 2.0, next to an inf:
+        # numpy's lerp gives 2.0 + 0 * inf = NaN
+        x = np.array([1.0] * 195 + [2.0] + [math.inf] * 5)
+        assert bootstrap._limits(x, 0.95).tolist() == [1.0, 2.0]
 
     def test_bootstrap_leaves_numpy_ma_unimported(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -112,6 +112,13 @@ class TestBoundingFactor:
             with pytest.raises(BadParameter):
                 SensitivitySpec(bad, 2.0)
 
+    def test_array_specs_compare_and_hash(self):
+        # compared by identity, as Scm and RecordTable are: field-wise == of arrays is no bool
+        spec = SensitivitySpec([1.5, 2.0], 3.0)
+        assert (spec == SensitivitySpec([1.5, 2.0], 3.0)) is False
+        assert (spec == spec) is True
+        assert hash(spec) == hash(spec)
+
 
 def spec_for(bf: float) -> SensitivitySpec:
     """A spec whose bounding factor is exactly ``bf``: an infinite partner gives the other."""
@@ -229,6 +236,14 @@ class TestCornfieldRr:
         with pytest.raises(BadParameter, match="ordering"):
             CornfieldThresholds(2.0, 1.0)
 
+    def test_huge_ratios_keep_a_finite_threshold(self):
+        # r * (r - 1) is not finite, but the threshold r + sqrt(r) sqrt(r - 1) is
+        assert cornfield_rr(1e200).max_must_exceed == 2e200
+        th = cornfield_rd(np.array([0.5e200, 1.5]), np.array([0.5, 1e-320]), 0.0)
+        assert th.max_must_exceed.tolist() == [2e200, math.inf]  # 1e200, and an overflowed ratio
+        # 2e308 is past the float range
+        assert cornfield_rr(1e308).max_must_exceed == math.inf
+
     @settings(max_examples=1000)
     @given(st.floats(min_value=1.0 + 1e-9, max_value=100.0))
     def test_threshold_solves_the_symmetric_equation(self, r):
@@ -322,6 +337,27 @@ class TestRequiredPartner:
 
     def test_infinite_fixed_parameter(self):
         assert required_partner(math.inf, 2.5) == 2.5
+
+    @pytest.mark.parametrize("fixed, target, expected", [
+        (1e155, 1e154, 1.1111111111111111e154),
+        (1e308, 5e307, 1e308),
+    ])
+    def test_huge_parameters_do_not_overflow(self, fixed, target, expected):
+        # target * (fixed - 1) is not finite; the warning is an error here
+        assert required_partner(fixed, target) == expected
+
+    def test_solve_is_within_a_few_ulps(self):
+        # not exact: bf(1.40, required_partner(1.40, 1.34)) is 1.3399999999999999
+        rng = np.random.default_rng(5)
+        target = rng.uniform(1.0, 1e3, 200_000)
+        fixed = target * 10.0 ** rng.uniform(1e-9, 3.0, target.size)
+        # the overflow form; a fixed parameter of at least twice the target keeps the
+        # partner, at most twice the target, in the float range
+        huge = 10.0 ** rng.uniform(155.0, 307.0, 200_000)
+        huge_fixed = huge * 10.0 ** rng.uniform(np.log10(2.0), 308.0 - np.log10(huge))
+        for fixed, target, ulps in ((fixed, target, 4), (huge_fixed, huge, 2)):
+            bf = bounding_factor(SensitivitySpec(fixed, required_partner(fixed, target)))
+            assert (np.abs(bf - target) <= ulps * np.spacing(target)).all()
 
     def test_arrays_equal_the_scalar_calls(self):
         # the unit targets, an infinite fixed parameter, then random feasible pairs

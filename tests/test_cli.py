@@ -229,6 +229,13 @@ class TestBound:
         assert row["cornfield_rr"]["max_must_exceed"] == cornfield_rr(e["nde_rr"]).max_must_exceed
         assert doc["result"]["envelopes"]["nde_rr_lower"]["heterogeneous"] == row["nde_rr_lower"]
 
+    def test_huge_parameters_bound_a_huge_effect(self, capsys):
+        # rr_au * rr_uy overflows; bf is 1e200 and divides the effect down to 1
+        code, doc = run_json(capsys, "bound", "--nde-rr", "1e200", "--rr-au", "2e200",
+                             "--rr-uy", "2e200")
+        assert code == 0
+        assert doc["result"]["nde_rr_lower"]["point"] == 1.0
+
     def test_missing_inputs_rejected(self, capsys):
         code = main(["bound", "--rr-au", "2", "--rr-uy", "2"])
         assert code == 2
@@ -316,6 +323,17 @@ class TestCornfield:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"--fixed-param must be >= 1 (or +inf), got {float(value)!r}" in err
+
+    def test_huge_observed_effect_keeps_a_finite_threshold(self, capsys):
+        code, doc = run_json(capsys, "cornfield", "--nde-rr", "1e200")
+        assert code == 0
+        assert doc["result"]["max_must_exceed"] == 2e200
+
+    def test_huge_partner_is_solved_without_a_warning(self):
+        done = run_fresh("cornfield", "--nde-rr", "5e307", "--fixed-param", "1e308")
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert json.loads(done.stdout)["result"]["required_partner"] == 1e308
 
     def test_partner_solve(self, capsys):
         code, doc = run_json(capsys, "cornfield", "--nde-rr", "1.34", "--fixed-param", "1.40")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -69,7 +70,14 @@ class TestCumulant:
         want = LogLinearSpec(beta0=-2.3, beta1=0.2, beta3=float(value))
         # stored as float: a float32 would keep the closed form in single precision
         assert type(spec.beta3) is float
-        assert spec == want and rr_au_loglinear(spec) == rr_au_loglinear(want)
+        assert astuple(spec) == astuple(want) and rr_au_loglinear(spec) == rr_au_loglinear(want)
+
+    def test_array_specs_compare_and_hash(self):
+        # compared by identity, as Scm and RecordTable are: field-wise == of arrays is no bool
+        spec = LogLinearSpec([-2.3, -2.0], 0.2, 0.1)
+        assert (spec == LogLinearSpec([-2.3, -2.0], 0.2, 0.1)) is False
+        assert (spec == spec) is True
+        assert hash(spec) == hash(spec)
 
 
 def sample_feasible_spec(rng) -> LogLinearSpec:

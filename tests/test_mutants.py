@@ -10,8 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import test_bootstrap
+import test_bounds
 from helpers import assert_cornfield_thresholds_attained, enumerated_effects
-from medsens import bounds, loglinear, oracle, tables
+from medsens import bootstrap, bounds, loglinear, oracle, tables
 from medsens.errors import BadParameter, InternalCheckError
 
 #: mutant name -> (module, function) that the mutant scales by 0.99
@@ -184,3 +186,22 @@ def test_parametric_cross_check_kills_a_closed_form_mutant(name, monkeypatch):
     monkeypatch.setattr(loglinear, name, CLOSED_FORM[name])
     with pytest.raises(InternalCheckError, match="at beta0=-2.3, beta1=0.2, beta3=0.1$"):
         loglinear.collider_ratio_grid()
+
+
+def test_finite_neighbour_example_kills_the_plain_lerp(monkeypatch):
+    # numpy's own percentiles, whose lerp gives NaN next to an infinite replicate
+    def plain_lerp(stats, level):
+        lo_q = 100.0 * (1.0 - level) / 2.0
+        with np.errstate(invalid="ignore"):
+            return np.percentile(stats, [lo_q, 100.0 - lo_q], axis=0)
+
+    monkeypatch.setattr(bootstrap, "_limits", plain_lerp)
+    with pytest.raises(AssertionError):
+        test_bootstrap.TestPercentiles().test_a_finite_neighbour_of_an_infinite_replicate_is_kept()
+
+
+def test_infinite_parameters_kill_the_nan_keeping_cap(monkeypatch):
+    # np.minimum keeps the overflow form's NaN at (inf, inf), where np.fmin drops it
+    monkeypatch.setattr(bounds.np, "fmin", np.minimum)
+    with pytest.raises(AssertionError):
+        test_bounds.TestBoundingFactor().test_infinite_parameter_gives_the_other()

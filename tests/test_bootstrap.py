@@ -243,26 +243,49 @@ def replicate_tables(draw):
     return np.stack(lanes, axis=-1).reshape(n, c_card, s_card)
 
 
+def limits_and_numpy(x, level):
+    """``(ours, theirs)`` for one table: ``_limits`` on a copy (it partitions its
+    argument) and ``np.percentile`` at the same two percentages on the untouched table."""
+    q = np.array([100.0 * (1.0 - level) / 2.0, 100.0 - 100.0 * (1.0 - level) / 2.0])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, as numpy's lerp meets it
+        theirs = np.percentile(x, q, axis=0)
+    return bootstrap._limits(x.copy(), level), theirs
+
+
 class TestPercentiles:
     @given(replicate_tables(), st.floats(0.5, 0.999))
+    def test_equal_numpy_bit_for_bit(self, x, level):
+        # numpy's bits wherever its limit is finite or its lane holds a NaN: equal values
+        # (0.0 and -0.0, NaNs of any payload) must land where numpy puts them
+        ours, theirs = limits_and_numpy(x, level)
+        numpy = np.isfinite(theirs) | np.isnan(x).any(axis=0)
+        assert ours[numpy].tobytes() == theirs[numpy].tobytes()
+
+    @given(replicate_tables(), st.floats(0.5, 0.999))
     def test_equal_numpy_or_the_exact_neighbour(self, x, level):
-        # numpy's bits wherever its limit is finite or its lane holds a NaN (equal values
-        # such as 0.0 and -0.0 must land where numpy puts them); elsewhere numpy's lerp met
-        # a difference that is not finite, and the limit is one neighbour from np.sort: the
+        # where numpy's limit is not finite and its lane holds no NaN, numpy's lerp met a
+        # difference that is not finite, and the limit is one neighbour from np.sort: the
         # lower one at weight 0 or when it is -inf, else the upper, as exact interpolation
         # gives next to an infinity
+        ours, theirs = limits_and_numpy(x, level)
         q = np.array([100.0 * (1.0 - level) / 2.0, 100.0 - 100.0 * (1.0 - level) / 2.0])
-        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, as numpy's lerp meets it
-            theirs = np.percentile(x, q, axis=0)
-        ours = bootstrap._limits(x.copy(), level)  # it partitions its argument
         n, ordered = len(x), np.sort(x, axis=0)
         index = (n - 1) * (q / 100)
         below = np.floor(index).astype(int)
         low, high = ordered[below], ordered[np.minimum(below + 1, n - 1)]
         numpy = np.isfinite(theirs) | np.isnan(x).any(axis=0)
-        assert ours[numpy].tobytes() == theirs[numpy].tobytes()
         exact = np.where((index == below).reshape(2, 1, 1) | (low == -np.inf), low, high)
         assert (ours[~numpy] == exact[~numpy]).all()
+
+    @given(replicate_tables(), st.floats(0.5, 0.999))
+    def test_limits_give_a_constant_infinity_as_both_limits(self, x, level):
+        # a lane that is one infinity throughout gives that infinity as both limits,
+        # where numpy's lerp gives inf + w * (inf - inf) = NaN
+        x[:, 0, 0] = math.inf if x[0, 0, 0] > 0 else -math.inf
+        ours = bootstrap._limits(x.copy(), level)
+        assert ours[:, 0, 0].tolist() == [x[0, 0, 0]] * 2
+        constant = np.isinf(x[0]) & (x == x[0]).all(axis=0)
+        assert (ours[:, constant] == x[0][constant]).all()
 
     def test_a_finite_neighbour_of_an_infinite_replicate_is_kept(self):
         # the upper limit of 201 replicates falls exactly on the 2.0, next to an inf:

@@ -22,9 +22,10 @@ default ("linear") method written out in :func:`_limits`: it gives
 ``np.percentile``'s bits, without the ``np.unique`` call that loads
 ``numpy.ma``, wherever the two order statistics it blends differ by a
 finite amount.  Where they do not (an infinite ``nie_rr_upper`` at a huge
-or infinite ``bf``), numpy's lerp gives inf - inf or inf * 0 = NaN, and the
-limit is the exact interpolation instead, so an interval with an infinite
-replicate is still a pair of numbers.
+or infinite ``bf``, or two finite values of opposite sign near the float
+range), numpy's lerp gives inf - inf or inf * 0 = NaN, or an infinity, and
+the limit is the exact interpolation instead, so an interval with an
+infinite replicate is still a pair of numbers, in order.
 
 A replicate that empties a required table cell, or whose n10 or n00 is 0
 in some stratum, cannot be evaluated; it is redrawn, counted, and
@@ -150,9 +151,10 @@ def _limits(stats: np.ndarray, level: float) -> np.ndarray:
     (so equal values such as 0.0 and -0.0 land where numpy puts them),
     blended by numpy's two-sided lerp, and a lane holding a NaN gives NaN.
     Where the two neighbours' difference is not finite, the limit is the
-    lower neighbour at weight 0 or when it is -inf, and the upper one
-    otherwise: the exact interpolation when a neighbour is infinite.  The
-    partition reorders ``stats`` in place, with no copy.
+    exact interpolation: ``a * (1 - t) + b * t`` where both are finite (their
+    difference overflowed), else the lower neighbour at weight 0 or when it
+    is -inf, and the upper one otherwise.  The partition reorders ``stats``
+    in place, with no copy.
     """
     n, lo_q = len(stats), 100.0 * (1.0 - level) / 2.0
     index = (n - 1) * np.true_divide([lo_q, 100.0 - lo_q], 100)
@@ -166,7 +168,9 @@ def _limits(stats: np.ndarray, level: float) -> np.ndarray:
         d = b - a
         out = a + d * t
         np.subtract(b, d * (1 - t), out=out, where=t >= 0.5)
-    np.copyto(out, np.where((t == 0) | (a == -np.inf), a, b), where=~np.isfinite(d))
+        exact = np.where(np.isfinite(a) & np.isfinite(b), a * (1 - t) + b * t,
+                         np.where((t == 0) | (a == -np.inf), a, b))
+    np.copyto(out, exact, where=~np.isfinite(d))
     # NaNs sort last, so a lane holding one has it last
     np.copyto(out, stats[-1], where=np.isnan(stats[-1]))
     return out

@@ -1,15 +1,13 @@
 """Command-line surface.
 
 Subcommands: estimate | bound | cornfield | sweep | parametric | oracle |
-bootstrap.  Each takes only the flags it reads.  --csv, --relabel-exposure
-and --smoothing: all but parametric and oracle; --scale {rr,rd,both}:
-estimate, bound with --csv; --format {json,csv}: estimate, sweep,
-parametric; --seed: oracle, bootstrap, defaulting to the MEDSENS_SEED
-environment variable.
+bootstrap.  Each takes only the flags it reads, in full.  The flag groups
+they share (records, observed estimates, sensitivity parameters, --scale,
+--seed and --format) are declared once, by ``command()`` in
+:func:`_build_parser`, which says which groups each subcommand takes.
 
-bound, cornfield and sweep read records (--csv) or observed ratio-scale
-estimates (--nde-rr; bound and sweep also --nie-rr, bound their -ci
-limits), never both; with neither they exit 2.
+A subcommand that takes both records (--csv) and observed ratio-scale
+estimates reads one or the other, never both; with neither it exits 2.
 
 Exit codes: 0 success, 2 input error, 3 infeasibility of a requested
 solve, 4 internal assertion (a verification battery found a violation;
@@ -46,14 +44,18 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
     return values
 
 
+def _dest(flag: str) -> str:
+    """The namespace attribute of ``flag``, as argparse names it."""
+    return flag[2:].replace("-", "_")
+
+
 def _check_observed(args, flag: str) -> np.ndarray | None:
     """The observed effect ``flag`` and its ``flag-ci`` limits, where given, as ``[point, *ci]``.
 
     Each must be a finite positive real, and the limits must enclose the
     point estimate in ascending order.
     """
-    dest = flag[2:].replace("-", "_")
-    point, ci = getattr(args, dest), getattr(args, dest + "_ci", None)
+    point, ci = getattr(args, _dest(flag)), getattr(args, _dest(flag) + "_ci", None)
     for name, value in ((flag, point), *((f"{flag}-ci", v) for v in ci or ())):
         if value is not None and not (math.isfinite(value) and value > 0.0):
             raise MedsensError(f"{name} must be a finite positive real, got {value!r}")
@@ -66,20 +68,6 @@ def _check_observed(args, flag: str) -> np.ndarray | None:
     return None if point is None else np.array([point, *(ci or ())])
 
 
-def _reject_with_records(args, *flags: str) -> None:
-    """Refuse the flags of the input mode not in use, which nothing would read.
-
-    With ``--csv`` these are the observed-effect ``flags``, which a records
-    report has no place for; without it, the record flags and ``--scale``.
-    A flag that is unset, off or 0 passes.
-    """
-    records = args.csv is not None
-    for flag in flags if records else ("--relabel-exposure", "--smoothing", "--scale"):
-        if getattr(args, flag[2:].replace("-", "_"), None):
-            use = "not used with --csv; give one or the other" if records else "only used with --csv"
-            raise MedsensError(f"{args.command}: {flag} is {use}")
-
-
 def _seed(text: str) -> int:
     """``text``, decimal digits alone, as a seed: numpy's generator takes non-negative integers."""
     if text.strip().isdecimal():
@@ -87,9 +75,10 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
-def _default_seed() -> int:
+def _run_seed(args) -> int:
+    """``--seed``, else the MEDSENS_SEED environment variable, else 0."""
     try:
-        return _seed(os.environ.get("MEDSENS_SEED", "0"))
+        return _seed(os.environ.get("MEDSENS_SEED", "0")) if args.seed is None else args.seed
     except argparse.ArgumentTypeError as exc:
         raise MedsensError(f"MEDSENS_SEED {exc}") from None
 
@@ -114,26 +103,38 @@ def _load_model(args) -> tuple[tables.ConditionalModel, str, list[str]]:
     return tables.estimate_from_records(records, args.smoothing), digest, warnings
 
 
-def _inputs(args, *flags: str) -> tuple[dict, int, str | None, list[str]]:
-    """Effects, strata, digest and warnings of the records of ``--csv`` or the estimates ``flags``.
+def _inputs(args) -> tuple[dict, int, str | None, list[str]]:
+    """Effects, strata, digest and warnings of the records of ``--csv`` or the estimates given.
 
     With ``--csv``: the :func:`~medsens.bounds.bound_report` of every
     stratum, their count, the file's digest and the load warnings.  Without
-    it: each given estimate as the array ``[point, *ci]`` of its point and
-    ``-ci`` limits, so that one :func:`~medsens.bounds.adjust` call bounds
-    them all, as one stratum with no digest or warnings.  The flags of the
-    mode not in use, each of ``flags`` and its ``-ci`` limits with ``--csv``,
-    are refused first.
+    it: each flag of ``args.estimates`` given, as the array ``[point, *ci]``
+    that one :func:`~medsens.bounds.adjust` call bounds, as one stratum with
+    no digest or warnings.  First the flags of the mode not in use (with
+    ``--csv`` the estimates and their ``-ci`` limits, else the record flags
+    and ``--scale``) are refused where set, on or nonzero: nothing reads them.
     """
-    _reject_with_records(args, *(f for flag in flags for f in (flag, flag + "-ci")))
-    if args.csv is not None:
+    records = args.csv is not None
+    for flag in [f + ci for f in args.estimates for ci in ("", "-ci")] if records else (
+            "--relabel-exposure", "--smoothing", "--scale"):
+        if getattr(args, _dest(flag), None):
+            use = "not used with --csv; give one or the other" if records else "only used with --csv"
+            raise MedsensError(f"{args.command}: {flag} is {use}")
+    if records:
         model, digest, warnings = _load_model(args)
         return bounds.bound_report(model.y, model.w), model.c_card, digest, warnings
-    effects = {flag[2:].replace("-", "_"): v for flag in flags
+    effects = {_dest(flag): v for flag in args.estimates
                if (v := _check_observed(args, flag)) is not None}
     if not effects:
-        raise MedsensError(f"{args.command} needs {' or '.join(('--csv', *flags))}")
+        raise MedsensError(f"{args.command} needs {' or '.join(('--csv', *args.estimates))}")
     return effects, 1, None, []
+
+
+def _spec(args) -> bounds.SensitivitySpec | None:
+    """The sensitivity parameters ``--rr-au`` and ``--rr-uy``: both, or None for neither."""
+    if (args.rr_au is None) != (args.rr_uy is None):
+        raise MedsensError(f"{args.command} needs both --rr-au and --rr-uy or neither")
+    return None if args.rr_au is None else bounds.SensitivitySpec(args.rr_au, args.rr_uy)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +180,8 @@ def _bound_payload_tables(stats, strata, spec, scale):
 
 
 def _cmd_bound(args) -> int:
-    spec = bounds.SensitivitySpec(rr_au=args.rr_au, rr_uy=args.rr_uy)
-    effects, strata, digest, warnings = _inputs(args, "--nde-rr", "--nie-rr")
+    spec = _spec(args)
+    effects, strata, digest, warnings = _inputs(args)
     if args.csv is not None:
         payload = _bound_payload_tables(effects, strata, spec, args.scale)
     else:
@@ -199,7 +200,7 @@ def _cmd_bound(args) -> int:
 def _cmd_cornfield(args) -> int:
     if args.fixed_param is not None:
         bounds._check_param(args.fixed_param, "--fixed-param")
-    effects, strata, digest, warnings = _inputs(args, "--nde-rr")
+    effects, strata, digest, warnings = _inputs(args)
     if args.csv is not None:
         target = 0.0 if args.target is None else args.target
         th = asdict(bounds.cornfield_rd(effects["n10"], effects["n00"], target))
@@ -238,7 +239,7 @@ def _sweep_table(
     is drawn here, so any error of the model is raised before a row is
     written, and the header follows from the bounds it holds.
     """
-    effects, strata, digest, warnings = _inputs(args, "--nde-rr", "--nie-rr")
+    effects, strata, digest, warnings = _inputs(args)
     size, step = au_values.size * uy_values.size, max(1, report.CSV_BLOCK // strata)
 
     def block(start: int) -> dict:
@@ -282,7 +283,7 @@ def _cmd_parametric(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    seed = _default_seed() if args.seed is None else args.seed
+    seed = _run_seed(args)
     params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "seed")}
     result = oracle.validity_battery(seed, **params)
     report.write_json(sys.stdout, args.command, result,
@@ -292,30 +293,17 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
-    seed = _default_seed() if args.seed is None else args.seed
+    seed = _run_seed(args)
     records, digest, warnings = _load_records(args)
-    spec = None
-    if args.rr_au is not None or args.rr_uy is not None:
-        if args.rr_au is None or args.rr_uy is None:
-            raise MedsensError("bootstrap needs both --rr-au and --rr-uy or neither")
-        spec = bounds.SensitivitySpec(rr_au=args.rr_au, rr_uy=args.rr_uy)
+    spec = _spec(args)
     # an absent --level is None and takes run_bootstrap's default
     params = {name: getattr(args, name) for name in ("replicates", "level", "smoothing")
               if getattr(args, name) is not None}
     result = bootstrap_mod.run_bootstrap(records, seed=seed, spec=spec, **params)
-    strata = []
-    for c in sorted(result.intervals):
-        stats = {
-            name: {"lower": v[0], "point": v[1], "upper": v[2]}
-            for name, v in sorted(result.intervals[c].items())
-        }
-        strata.append({"c": c, "stats": stats})
-    payload = {
-        "replicates": result.replicates,
-        "level": result.level,
-        "degenerate_redraws": result.degenerate_redraws,
-        "strata": strata,
-    }
+    strata = [{"c": c, "stats": {k: dict(zip(("lower", "point", "upper"), v)) for k, v in s.items()}}
+              for c, s in result.intervals.items()]
+    payload = {"replicates": result.replicates, "level": result.level,
+               "degenerate_redraws": result.degenerate_redraws, "strata": strata}
     report.write_json(sys.stdout, args.command, payload, input_digest=digest, seed=seed,
                       warnings=warnings)
     return 0
@@ -328,16 +316,23 @@ def _cmd_bootstrap(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="medsens",
+        prog="medsens", allow_abbrev=False,
         description="Sensitivity bounds for natural direct and indirect effects "
         "under unmeasured mediator-outcome confounding.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, *, records=False, scale=False, seed=False, formats=()):
-        p = sub.add_parser(name, help=help)
+    def command(name, func, help, *, records=None, estimates=(), ci=False, params=None,
+                scale=False, seed=False, formats=()):
+        """The subcommand ``name``, taking the shared flag groups asked for and no other.
+
+        ``records`` (``--csv``) and ``params`` (``--rr-au`` and ``--rr-uy``) are
+        None to leave out the group, else "required" or "optional".  ``estimates``
+        (with ``-ci`` limits where ``ci``) are stored as ``args.estimates``.
+        """
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
-        if records:
+        if records is not None:
             p.add_argument("--relabel-exposure", action="store_true",
                            help="swap exposure codes 0 and 1 before any computation")
             p.add_argument("--smoothing", type=float, default=0.0,
@@ -350,42 +345,40 @@ def _build_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0],
                            help=f"output format (default {formats[0]})")
+        if records is not None:
+            p.add_argument("--csv", required=records == "required", help="records a,m,y,c[,count]")
+        if params is not None:
+            p.add_argument("--rr-au", type=float, required=params == "required",
+                           help="exposure-confounder parameter (>= 1, 'inf' allowed)")
+            p.add_argument("--rr-uy", type=float, required=params == "required",
+                           help="confounder-outcome parameter (>= 1, 'inf' allowed)")
+        if estimates:
+            p.set_defaults(estimates=estimates)
+        for flag in estimates:
+            p.add_argument(flag, type=float, help=f"observed {flag[2:5].upper()} on the ratio scale")
+            if ci:
+                p.add_argument(f"{flag}-ci", type=float, nargs=2, metavar=("LO", "HI"),
+                               help=f"confidence limits of {flag}")
         return p
 
-    p = command("estimate", _cmd_estimate, "observed effects per stratum from record data",
-                records=True, scale=True, formats=("json", "csv"))
-    p.add_argument("--csv", required=True, help="records file a,m,y,c[,count]")
+    command("estimate", _cmd_estimate, "observed effects per stratum from record data",
+            records="required", scale=True, formats=("json", "csv"))
 
-    p = command("bound", _cmd_bound, "bounding factor and adjusted effect bounds",
-                records=True, scale=True)
-    p.add_argument("--csv", help="records file; enables difference-scale bounds")
-    p.add_argument("--rr-au", type=float, required=True,
-                   help="exposure-confounder parameter (>= 1, 'inf' allowed)")
-    p.add_argument("--rr-uy", type=float, required=True,
-                   help="confounder-outcome parameter (>= 1, 'inf' allowed)")
-    p.add_argument("--nde-rr", type=float, help="observed ratio-scale direct effect")
-    p.add_argument("--nde-rr-ci", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--nie-rr", type=float, help="observed ratio-scale indirect effect")
-    p.add_argument("--nie-rr-ci", type=float, nargs=2, metavar=("LO", "HI"))
+    command("bound", _cmd_bound, "bounding factor and adjusted effect bounds", records="optional",
+            estimates=("--nde-rr", "--nie-rr"), ci=True, params="required", scale=True)
 
     p = command("cornfield", _cmd_cornfield,
-                "confounder-strength thresholds to reach a target effect", records=True)
-    p.add_argument("--csv", help="records file; switches to the difference scale")
-    p.add_argument("--nde-rr", type=float, help="observed ratio-scale direct effect")
+                "confounder-strength thresholds to reach a target effect", records="optional",
+                estimates=("--nde-rr",))
     p.add_argument("--target", type=float,
                    help="target true effect (default 1 on rr scale, 0 on rd scale)")
     p.add_argument("--fixed-param", type=float,
                    help="solve for the partner of this fixed sensitivity parameter")
 
     p = command("sweep", _cmd_sweep, "bounds over a grid of sensitivity parameters",
-                records=True, formats=("csv", "json"))
-    p.add_argument("--csv", help="records file")
-    p.add_argument("--nde-rr", type=float)
-    p.add_argument("--nie-rr", type=float)
-    p.add_argument("--rr-au-grid", required=True,
-                   help="comma-separated strictly ascending values >= 1")
-    p.add_argument("--rr-uy-grid", required=True,
-                   help="comma-separated strictly ascending values >= 1")
+                records="optional", estimates=("--nde-rr", "--nie-rr"), formats=("csv", "json"))
+    for flag in ("--rr-au-grid", "--rr-uy-grid"):
+        p.add_argument(flag, required=True, help="comma-separated strictly ascending values >= 1")
 
     p = command("parametric", _cmd_parametric,
                 "log-linear collider-ratio reference grid, brute-force checked",
@@ -406,12 +399,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sharpness-iterations", type=int)
 
     p = command("bootstrap", _cmd_bootstrap, "percentile bootstrap intervals over records",
-                records=True, seed=True)
-    p.add_argument("--csv", required=True)
+                records="required", params="optional", seed=True)
     p.add_argument("--replicates", type=int, required=True)
     p.add_argument("--level", type=float)
-    p.add_argument("--rr-au", type=float, help="include adjusted bounds")
-    p.add_argument("--rr-uy", type=float)
 
     return parser
 

@@ -264,17 +264,22 @@ class TestPercentiles:
     @given(replicate_tables(), st.floats(0.5, 0.999))
     def test_equal_numpy_or_the_exact_neighbour(self, x, level):
         # where numpy's limit is not finite and its lane holds no NaN, numpy's lerp met a
-        # difference that is not finite, and the limit is one neighbour from np.sort: the
-        # lower one at weight 0 or when it is -inf, else the upper, as exact interpolation
-        # gives next to an infinity
+        # difference that is not finite, and the limit is the exact interpolation of the
+        # neighbours from np.sort: low * (1 - w) + high * w where both are finite (their
+        # difference overflowed), else the lower one at weight 0 or when it is -inf, and
+        # the upper one otherwise, as exact interpolation gives next to an infinity
         ours, theirs = limits_and_numpy(x, level)
         q = np.array([100.0 * (1.0 - level) / 2.0, 100.0 - 100.0 * (1.0 - level) / 2.0])
         n, ordered = len(x), np.sort(x, axis=0)
         index = (n - 1) * (q / 100)
         below = np.floor(index).astype(int)
         low, high = ordered[below], ordered[np.minimum(below + 1, n - 1)]
+        w = (index - below).reshape(2, 1, 1)
         numpy = np.isfinite(theirs) | np.isnan(x).any(axis=0)
-        exact = np.where((index == below).reshape(2, 1, 1) | (low == -np.inf), low, high)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the lanes next to an infinity
+            interpolated = low * (1 - w) + high * w
+        exact = np.where(np.isfinite(low) & np.isfinite(high), interpolated,
+                         np.where((w == 0) | (low == -np.inf), low, high))
         assert (ours[~numpy] == exact[~numpy]).all()
 
     @given(replicate_tables(), st.floats(0.5, 0.999))
@@ -292,6 +297,10 @@ class TestPercentiles:
         # numpy's lerp gives 2.0 + 0 * inf = NaN
         x = np.array([1.0] * 195 + [2.0] + [math.inf] * 5)
         assert bootstrap._limits(x, 0.95).tolist() == [1.0, 2.0]
+
+    def test_finite_neighbours_whose_difference_overflows_are_interpolated(self):
+        # 1e308 - (-1e308) passes the float range: numpy gives [inf, -inf], out of order
+        assert bootstrap._limits(np.array([-1e308, 1e308]), 0.5).tolist() == [-5e307, 5e307]
 
     def test_bootstrap_leaves_numpy_ma_unimported(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import itertools
 import json
@@ -654,8 +655,10 @@ class TestBootstrapCommand:
 
     def test_requires_both_parameters(self, capsys, tmp_path):
         csv = write_worked_csv(tmp_path / "d.csv", denominator=200)
-        code = main(["bootstrap", "--csv", csv, "--replicates", "120", "--rr-au", "2"])
-        assert code == 2
+        for flag in ("--rr-au", "--rr-uy"):
+            code = main(["bootstrap", "--csv", csv, "--replicates", "100", flag, "2"])
+            assert (code, *capsys.readouterr()) == (
+                2, "", "error: bootstrap needs both --rr-au and --rr-uy or neither\n")
 
     def test_level_outside_the_unit_interval_exits_2(self, capsys, tmp_path):
         csv = write_worked_csv(tmp_path / "d.csv", denominator=200)
@@ -768,7 +771,47 @@ def valid_argv(command, tmp_path):
     }[command]]
 
 
+#: each subcommand's flags, apart from -h and --help, and which of them it requires
+COMMAND_FLAGS = {
+    "estimate": ("--csv --relabel-exposure --smoothing --scale --format", "--csv"),
+    "bound": ("--csv --relabel-exposure --smoothing --scale --nde-rr --nde-rr-ci --nie-rr "
+              "--nie-rr-ci --rr-au --rr-uy", "--rr-au --rr-uy"),
+    "cornfield": ("--csv --relabel-exposure --smoothing --nde-rr --target --fixed-param", ""),
+    "sweep": ("--csv --relabel-exposure --smoothing --nde-rr --nie-rr --rr-au-grid --rr-uy-grid "
+              "--format", "--rr-au-grid --rr-uy-grid"),
+    "parametric": ("--beta-c --format", ""),
+    "oracle": ("--seed --iterations --u-card --m-card --extreme --outcome --dependent-exposure "
+               "--ratio-iterations --sharpness-iterations", ""),
+    "bootstrap": ("--csv --relabel-exposure --smoothing --seed --replicates --level --rr-au "
+                  "--rr-uy", "--csv --replicates"),
+}
+
+
 class TestFlagSurface:
+    def test_each_command_takes_exactly_its_flags(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(COMMAND_FLAGS)
+        for command, parser in sub.choices.items():
+            actions = [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
+            taken = {flag for a in actions for flag in a.option_strings}
+            required = {flag for a in actions if a.required for flag in a.option_strings}
+            flags, needed = COMMAND_FLAGS[command]
+            assert (taken, required) == (set(flags.split()), set(needed.split())), command
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sweep", "--nde-rr", "1.5", "--rr-au", "2", "--rr-uy", "3"),
+         "the following arguments are required: --rr-au-grid, --rr-uy-grid"),
+        (("oracle", "--iter", "3"), "unrecognized arguments: --iter 3"),
+    ], ids=["sweep", "oracle"])
+    def test_abbreviated_flag_exits_2(self, capsys, argv, message):
+        # a unique prefix of a flag is not that flag: --rr-au is not --rr-au-grid
+        with pytest.raises(SystemExit) as exit:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert (exit.value.code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
+
     @pytest.mark.parametrize("command, flag", [
         ("estimate", "--seed"),
         ("bound", "--seed"), ("bound", "--format"),

@@ -10,8 +10,8 @@ A subcommand that takes both records (--csv) and observed ratio-scale
 estimates reads one or the other, never both; with neither it exits 2.
 
 Exit codes: 0 success, 2 input error, 3 infeasibility of a requested
-solve, 4 internal assertion (a verification battery found a violation;
-must never occur).
+solve, 4 internal assertion (any stage of the ``oracle`` battery's report
+counts a violation; must never occur).
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ def _run_seed(args) -> int:
         raise MedsensError(f"MEDSENS_SEED {exc}") from None
 
 
-def _effect_fields(scale: str) -> tuple[str, ...]:
-    stats = bounds.EFFECT_STATS
-    return {"rr": stats[:3], "rd": stats[3:]}.get(scale, stats)
+def _of_scale(names, scale: str | None) -> list[str]:
+    """The ``names`` that hold ``_rr`` or ``_rd``, for ``scale`` "rr" or "rd"; all for "both"."""
+    return [name for name in names if scale in (None, "both") or f"_{scale}" in name]
 
 
 def _load_records(args) -> tuple[tables.RecordTable, str, list[str]]:
@@ -146,7 +146,7 @@ def _cmd_estimate(args) -> int:
     model, digest, warnings = _load_model(args)
     stats = bounds.bound_report(model.y, model.w)
     columns = {"c": np.arange(model.c_card)}
-    columns.update((f, stats[f]) for f in _effect_fields(args.scale))
+    columns.update((f, stats[f]) for f in _of_scale(bounds.EFFECT_STATS, args.scale))
     if args.format == "csv":
         report.write_csv(sys.stdout, list(columns), [list(columns.values())])
         return 0
@@ -164,14 +164,12 @@ def _bound_payload_tables(stats, strata, spec, scale):
     null = asdict(bounds.cornfield_rd(stats["n10"], stats["n00"], 0.0))
     values = {name: v.tolist() for name, v in (stats | null).items()}
     scales = ("rr", "rd") if scale in (None, "both") else (scale,)
+    observed, bounded = _of_scale(bounds.EFFECT_STATS, scale), _of_scale(bounds.BOUND_STATS, scale)
     rows = []
     for c in range(strata):
-        row = {"c": c, "observed": {f: values[f][c] for f in _effect_fields(scale)},
-               "bf": values["bf"]}
-        for s in scales:
-            row |= {f"nde_{s}_lower": values[f"nde_{s}_lower"][c],
-                    f"nie_{s}_upper": values[f"nie_{s}_upper"][c],
-                    f"cornfield_{s}": {name: values[name][c] for name in null}}
+        row = {"c": c, "observed": {f: values[f][c] for f in observed}, "bf": values["bf"]}
+        row |= {f: values[f][c] for f in bounded}
+        row |= {f"cornfield_{s}": {name: values[name][c] for name in null} for s in scales}
         rows.append(row)
     payload = {"strata": rows, "rr_au": spec.rr_au, "rr_uy": spec.rr_uy}
     if "rr" in scales:
@@ -288,14 +286,14 @@ def _cmd_oracle(args) -> int:
     result = oracle.validity_battery(seed, **params)
     report.write_json(sys.stdout, args.command, result,
                       input_digest=report.digest_params(result["config"]), seed=seed)
-    checks = ("bound_validity", "ratio_bound_dominance", "definition_equivalence")
-    return 4 if any(result[k] and result[k]["violations"] for k in checks) else 0
+    # config counts nothing, a skipped stage is None, and sharpness_search raises on its own
+    return 4 if any(isinstance(s, dict) and s.get("violations") for s in result.values()) else 0
 
 
 def _cmd_bootstrap(args) -> int:
     seed = _run_seed(args)
-    records, digest, warnings = _load_records(args)
     spec = _spec(args)
+    records, digest, warnings = _load_records(args)
     # an absent --level is None and takes run_bootstrap's default
     params = {name: getattr(args, name) for name in ("replicates", "level", "smoothing")
               if getattr(args, name) is not None}

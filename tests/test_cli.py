@@ -14,7 +14,7 @@ import pytest
 
 from helpers import expand_to_records, plain_bounds, stratum_effects, worked_model
 from medsens.bounds import SensitivitySpec, bounding_factor, cornfield_rr
-from medsens import report
+from medsens import oracle, report
 from medsens.bootstrap import run_bootstrap
 from medsens.cli import _build_parser, main
 from medsens.loglinear import collider_ratio_grid
@@ -637,6 +637,17 @@ class TestOracle:
                      "--ratio-iterations", "1", "--sharpness-iterations", "1"])
         assert code == 0
 
+    @pytest.mark.parametrize("violations, expected", [(1, 4), (0, 0)], ids=["one", "none"])
+    def test_any_stage_that_counts_a_violation_exits_4(self, capsys, monkeypatch, violations,
+                                                        expected):
+        # a stage added to the battery gates the exit code without the command naming it
+        monkeypatch.setattr(oracle, "validity_battery", lambda seed, **params: validity_battery(
+            seed, **params) | {"added_stage": {"violations": violations}})
+        code, doc = run_json(capsys, "oracle", "--iterations", "8", "--ratio-iterations", "1",
+                             "--sharpness-iterations", "1")
+        assert (code, doc["result"]["added_stage"]) == (expected, {"violations": violations})
+        assert doc["result"]["bound_validity"]["violations"] == 0
+
 
 class TestBootstrapCommand:
     def test_intervals_and_determinism(self, capsys, tmp_path):
@@ -659,6 +670,16 @@ class TestBootstrapCommand:
             code = main(["bootstrap", "--csv", csv, "--replicates", "100", flag, "2"])
             assert (code, *capsys.readouterr()) == (
                 2, "", "error: bootstrap needs both --rr-au and --rr-uy or neither\n")
+
+    @pytest.mark.parametrize("params, message", [
+        (("--rr-au", "0.5", "--rr-uy", "2"), "rr_au must be >= 1 (or +inf), got 0.5"),
+        (("--rr-au", "2"), "bootstrap needs both --rr-au and --rr-uy or neither"),
+    ], ids=["rr-au-below-1", "rr-au-alone"])
+    def test_parameters_are_checked_before_the_file_is_read(self, capsys, tmp_path, params,
+                                                            message):
+        missing = str(tmp_path / "missing.csv")
+        code = main(["bootstrap", "--csv", missing, "--replicates", "100", *params])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
     def test_level_outside_the_unit_interval_exits_2(self, capsys, tmp_path):
         csv = write_worked_csv(tmp_path / "d.csv", denominator=200)

@@ -12,6 +12,7 @@ import pytest
 
 import test_bootstrap
 import test_bounds
+import test_oracle
 from helpers import assert_cornfield_thresholds_attained, enumerated_effects
 from medsens import bootstrap, bounds, loglinear, oracle, tables
 from medsens.errors import BadParameter, InternalCheckError
@@ -54,6 +55,22 @@ def rr_uy_level_zero(scm):
 #: oracle parameter -> the mutant taking the minimum over mediator levels for the maximum
 MINIMUM = {"rr_au_posterior": rr_au_posterior_min, "rr_uy": rr_uy_min}
 
+
+def overflows(rr_au, rr_uy):
+    """Where ``bounding_factor`` takes its overflow form: the product or the sum is not finite."""
+    with np.errstate(over="ignore"):
+        return ~(np.isfinite(rr_au * rr_uy) & np.isfinite(rr_au + rr_uy - 1.0))
+
+
+#: mutant name -> (factor, where): ``bounding_factor`` scaled by factor where(rr_au, rr_uy) holds
+PARTIAL = {
+    "rr_uy_above_rr_au": (0.999, lambda rr_au, rr_uy: rr_uy > rr_au),
+    "rr_au_above_5": (0.9999, lambda rr_au, rr_uy: rr_au > 5.0),
+    "overflow_form": (0.99, overflows),
+    "too_large": (1.00001, lambda rr_au, rr_uy: True),
+}
+
+
 #: function of ``loglinear`` -> a mutant of the closed form it takes part in
 CLOSED_FORM = {
     # the marginal intercept beta0 + K(beta3) drops K(beta3)
@@ -68,6 +85,19 @@ def stub_sharpness(monkeypatch):
     """Stub sharpness_search, which raises on every mutant here, to see the other checks' kills."""
     monkeypatch.setattr(oracle, "sharpness_search",
                         lambda seed, iterations: oracle.SharpnessReport(seed, iterations, 0, {}))
+
+
+def partial_bf(monkeypatch, name, *modules):
+    """``bounding_factor`` in ``bounds`` and ``modules`` as its ``PARTIAL`` mutant, floored at 1."""
+    factor, where = PARTIAL[name]
+    real = bounds.bounding_factor
+
+    def bounding_factor(spec):
+        bf = real(spec)
+        return np.where(where(spec.rr_au, spec.rr_uy), np.maximum(1.0, factor * bf), bf)[()]
+
+    for module in (bounds, *modules):
+        monkeypatch.setattr(module, "bounding_factor", bounding_factor)
 
 
 def wrong_adjust(monkeypatch, bound):
@@ -205,3 +235,39 @@ def test_infinite_parameters_kill_the_nan_keeping_cap(monkeypatch):
     monkeypatch.setattr(bounds.np, "fmin", np.minimum)
     with pytest.raises(AssertionError):
         test_bounds.TestBoundingFactor().test_infinite_parameter_gives_the_other()
+
+
+def test_sharpness_and_two_batteries_kill_bf_too_small_where_rr_uy_is_larger(monkeypatch):
+    # the independent 2 x 2 and the 6 x 8 extreme batteries count 0 violations here
+    partial_bf(monkeypatch, "rr_uy_above_rr_au")
+    with pytest.raises(InternalCheckError, match="sharpness construction violated"):
+        oracle.sharpness_search(seed=2, iterations=50)
+    stub_sharpness(monkeypatch)
+    result = oracle.validity_battery(seed=1, iterations=1000, dependent_exposure=True,
+                                     ratio_iterations=1000)
+    assert result["bound_validity"]["violations"] > 0
+    assert result["ratio_bound_dominance"]["violations"] > 0
+
+
+def test_sharpness_alone_kills_bf_too_small_above_rr_au_5(monkeypatch):
+    # every battery counts 0 violations here
+    partial_bf(monkeypatch, "rr_au_above_5")
+    with pytest.raises(InternalCheckError, match="sharpness construction violated"):
+        oracle.sharpness_search(seed=2, iterations=50)
+
+
+def test_bounding_factor_tests_kill_bf_too_small_in_its_overflow_form(monkeypatch):
+    # no oracle check draws parameters whose product overflows; an infinite one takes that form too
+    partial_bf(monkeypatch, "overflow_form", test_bounds)
+    tests = test_bounds.TestBoundingFactor()
+    with pytest.raises(AssertionError):
+        tests.test_huge_parameters_do_not_overflow(1e300, 1e300, 5e299)
+    with pytest.raises(AssertionError):
+        tests.test_infinite_parameter_gives_the_other()
+
+
+def test_two_sided_sharpness_kills_bf_too_large(monkeypatch):
+    # a looser bound holds wherever a tighter one does: every one-sided check stays green
+    partial_bf(monkeypatch, "too_large")
+    with pytest.raises(AssertionError):
+        test_oracle.TestSharpnessSearch().test_every_bound_is_attained_within_1e_6()

@@ -352,6 +352,11 @@ class TestSharpnessSearch:
         for value in report.best_attainment.values():
             assert 0.999 <= value <= 1.0 + 1e-10
 
+    def test_every_bound_is_attained_within_1e_6(self):
+        # two-sided: a bounding factor too large by 1e-5 passes every one-sided check
+        report = sharpness_search(seed=2, iterations=50)
+        assert min(report.best_attainment.values()) >= 1.0 - 1e-6, report.best_attainment
+
     @pytest.mark.parametrize("iterations", [1, 7, 50])
     @pytest.mark.parametrize("seed", range(5))
     def test_batch_matches_per_model_reference(self, seed, iterations):

@@ -43,7 +43,6 @@ from .errors import (
     ZeroProbability,
 )
 from .tables import (
-    ConditionalModel,
     RecordTable,
     crossworld_sums,
     estimate_from_records,
@@ -72,8 +71,8 @@ __all__ = [
     "BadCode", "BadParameter", "BadTarget", "DegenerateResample", "EmptyCell", "Infeasible",
     "InternalCheckError", "MedsensError", "NotNormalized", "OutOfRangeProbability",
     "ParseError", "UnreachableCell", "ZeroDenominator", "ZeroProbability",
-    "ConditionalModel", "RecordTable", "crossworld_sums", "estimate_from_records",
-    "read_records_csv", "swap_exposure_records",
+    "RecordTable", "crossworld_sums", "estimate_from_records", "read_records_csv",
+    "swap_exposure_records",
     *_OWNER,
 ]
 

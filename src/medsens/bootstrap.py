@@ -62,6 +62,14 @@ class BootstrapResult:
     intervals: dict[int, dict[str, tuple[float, float, float]]]
 
 
+def check_plan(replicates: int, level: float) -> None:
+    """Refuse fewer than 100 ``replicates`` or a ``level`` outside (0, 1); needs no data."""
+    if replicates < 100:
+        raise BadParameter("need at least 100 replicates for percentile intervals")
+    if not 0.0 < level < 1.0:
+        raise BadParameter(f"level must be in (0, 1), got {level!r}")
+
+
 def run_bootstrap(
     records: RecordTable,
     replicates: int,
@@ -80,10 +88,7 @@ def run_bootstrap(
     :class:`DegenerateResample`.  So many replicates that their table of
     statistics cannot be allocated raise :class:`BadParameter`.
     """
-    if replicates < 100:
-        raise BadParameter("need at least 100 replicates for percentile intervals")
-    if not 0.0 < level < 1.0:
-        raise BadParameter(f"level must be in (0, 1), got {level!r}")
+    check_plan(replicates, level)
     names = EFFECT_STATS + (BOUND_STATS if spec is not None else ())
 
     def statistics(n10: np.ndarray, n00: np.ndarray, n11: np.ndarray) -> np.ndarray:
@@ -93,8 +98,7 @@ def run_bootstrap(
             report.update(adjust(report, spec))
         return np.stack([report[name] for name in names], axis=-1)
 
-    model = estimate_from_records(records, smoothing)
-    point = statistics(*crossworld_sums(model.y, model.w))
+    point = statistics(*crossworld_sums(*estimate_from_records(records, smoothing)))
     rng = np.random.default_rng(seed)
     shape = records.counts.shape
     total = records.total()

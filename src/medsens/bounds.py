@@ -64,7 +64,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BadParameter, BadTarget, Infeasible, ZeroDenominator
-from .tables import crossworld_sums, first_cell
+from .tables import OutcomeMode, _check_outcomes, check_table, crossworld_sums, first_cell
 
 #: effects of :func:`effects_from_sums` and bounds of :func:`adjust`, in output order
 EFFECT_STATS = ("nde_rr", "nie_rr", "te_rr", "nde_rd", "nie_rd", "te_rd")
@@ -154,6 +154,14 @@ def cornfield_rr(nde_rr_obs: float, nde_rr_true: float = 1.0) -> CornfieldThresh
     return cornfield_rd(nde_rr_obs, nde_rr_true, 0.0)  # obs / (0.0 + true) is obs / true
 
 
+def check_target(value) -> np.ndarray:
+    """``value`` as a float array, refused with :class:`BadTarget` where NaN; needs no data."""
+    value = np.asarray(value, dtype=float)
+    if np.isnan(value).any():
+        raise BadTarget("target effect must be a real number")
+    return value
+
+
 def cornfield_rd(n10, n00, nde_rd_true) -> CornfieldThresholds:
     """Thresholds to reduce the observed difference-scale direct effect.
 
@@ -168,10 +176,8 @@ def cornfield_rd(n10, n00, nde_rd_true) -> CornfieldThresholds:
     first stratum with a NaN sum, a nonpositive denominator or an undefined
     ratio (inf / inf, or a denominator of inf - inf) is named.
     """
-    n10, n00, target = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                             for v in (n10, n00, nde_rd_true)))
-    if np.isnan(target).any():
-        raise BadTarget("target effect must be a real number")
+    n10, n00, target = np.broadcast_arrays(np.asarray(n10, dtype=float),
+                                           np.asarray(n00, dtype=float), check_target(nde_rd_true))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below, or kept
         denom = target + n00
         ratio = n10 / denom  # n10 / tiny overflows to inf, which is kept
@@ -229,13 +235,12 @@ def effects_from_sums(n10, n00, n11) -> dict:
 
     The sums are floats or arrays of one shape, exact ``Fraction`` objects
     included.  A zero denominator is reported once, for the first entry
-    that has one, naming its stratum: its index on the last axis.
+    that has one, naming its stratum: its index with every axis in C order.
     """
-    zero = np.atleast_1d((n00 == 0.0) | (n10 == 0.0))
+    zero = np.ravel((n00 == 0.0) | (n10 == 0.0))
     if zero.any():
-        first = np.unravel_index(np.argmax(zero), zero.shape)
-        c = first[-1]
-        if np.atleast_1d(n00)[first] == 0.0:
+        c = int(np.argmax(zero))
+        if np.ravel(n00)[c] == 0.0:
             raise ZeroDenominator(f"outcome marginal pr(Y=1|a=0) is 0 in stratum c={c}")
         raise ZeroDenominator(f"cross-world outcome term for a=1, mediator under a=0, c={c} is 0")
     nde_rr, nie_rr = n10 / n00, n11 / n10
@@ -244,13 +249,24 @@ def effects_from_sums(n10, n00, n11) -> dict:
             "te_rr": nde_rr * nie_rr, "nde_rd": nde_rd, "nie_rd": nie_rd, "te_rd": nde_rd + nie_rd}
 
 
-def bound_report(y: np.ndarray, w: np.ndarray) -> dict:
+def bound_report(y, w, mode: OutcomeMode = "probability") -> dict:
     """Observed effects of every stratum of tables ``y``, ``w``: the first of the two steps.
 
-    The tables are ``y[..., c, a, m]`` and ``w[..., c, a, m]``.  The result
-    is :func:`effects_from_sums` of their sums, each an array ``[..., c]``,
-    ready for :func:`adjust`.
+    The tables are ``y[..., a, m]`` and ``w[..., a, m]`` of one shape, whose
+    leading axes, in C order, are the strata ``c``: a 2-d pair is one
+    stratum.  They are checked first: each row pr(m|a,c) must sum to 1
+    within ``tables.SUM_TOL``, and ``y`` holds outcomes of ``mode`` (see
+    :func:`~medsens.tables.check_table`).  The result is
+    :func:`effects_from_sums` of their sums, each an array over the leading
+    axes, ready for :func:`adjust`; the sums are formed in the tables' own
+    dtype, so ``Fraction`` tables give exact effects.
     """
+    y, w = np.asarray(y), np.asarray(w)
+    if y.ndim < 2 or y.shape != w.shape or y.shape[-2] != 2 or 0 in y.shape:
+        raise BadParameter(f"tables need one shape (c_card, 2, m_card): y {y.shape}, w {w.shape}")
+    strata = (-1, *y.shape[-2:])  # the leading axes as one, so c counts them in C order
+    check_table(w.reshape(strata), "pr(m={2}|a={1},c={0})", rows="pr(m|a={1},c={0})")
+    _check_outcomes(y.reshape(strata), mode, "a={1},m={2},c={0}")
     return effects_from_sums(*crossworld_sums(y, w))
 
 

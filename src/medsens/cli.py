@@ -89,18 +89,14 @@ def _of_scale(names, scale: str | None) -> list[str]:
 
 
 def _load_records(args) -> tuple[tables.RecordTable, str, list[str]]:
-    """The records of ``--csv``, the file's digest and the load warnings."""
+    """The records of ``--csv``, the file's digest and the load warnings; ``--smoothing`` first."""
+    tables.check_smoothing(args.smoothing)  # before the read; its overflow rule needs M
     records = tables.read_records_csv(args.csv)
     warnings = []
     if args.relabel_exposure:
         records = tables.swap_exposure_records(records)
         warnings.append("exposure codes relabeled (0 <-> 1)")
     return records, report.digest_file(args.csv), warnings
-
-
-def _load_model(args) -> tuple[tables.ConditionalModel, str, list[str]]:
-    records, digest, warnings = _load_records(args)
-    return tables.estimate_from_records(records, args.smoothing), digest, warnings
 
 
 def _inputs(args) -> tuple[dict, int, str | None, list[str]]:
@@ -121,8 +117,9 @@ def _inputs(args) -> tuple[dict, int, str | None, list[str]]:
             use = "not used with --csv; give one or the other" if records else "only used with --csv"
             raise MedsensError(f"{args.command}: {flag} is {use}")
     if records:
-        model, digest, warnings = _load_model(args)
-        return bounds.bound_report(model.y, model.w), model.c_card, digest, warnings
+        table, digest, warnings = _load_records(args)
+        y, w = tables.estimate_from_records(table, args.smoothing)
+        return bounds.bound_report(y, w), len(y), digest, warnings
     effects = {_dest(flag): v for flag in args.estimates
                if (v := _check_observed(args, flag)) is not None}
     if not effects:
@@ -143,16 +140,15 @@ def _spec(args) -> bounds.SensitivitySpec | None:
 
 
 def _cmd_estimate(args) -> int:
-    model, digest, warnings = _load_model(args)
-    stats = bounds.bound_report(model.y, model.w)
-    columns = {"c": np.arange(model.c_card)}
+    stats, strata, digest, warnings = _inputs(args)
+    columns = {"c": np.arange(strata)}
     columns.update((f, stats[f]) for f in _of_scale(bounds.EFFECT_STATS, args.scale))
     if args.format == "csv":
         report.write_csv(sys.stdout, list(columns), [list(columns.values())])
         return 0
     rows = [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
     report.write_json(sys.stdout, args.command,
-                      {"strata": rows, "smoothing": args.smoothing, "mode": model.mode},
+                      {"strata": rows, "smoothing": args.smoothing, "mode": "probability"},
                       input_digest=digest, warnings=warnings)
     return 0
 
@@ -198,6 +194,8 @@ def _cmd_bound(args) -> int:
 def _cmd_cornfield(args) -> int:
     if args.fixed_param is not None:
         bounds._check_param(args.fixed_param, "--fixed-param")
+    if args.csv is not None and args.target is not None:
+        bounds.check_target(args.target)  # before the records are read
     effects, strata, digest, warnings = _inputs(args)
     if args.csv is not None:
         target = 0.0 if args.target is None else args.target
@@ -293,11 +291,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_bootstrap(args) -> int:
     seed = _run_seed(args)
     spec = _spec(args)
+    bootstrap_mod.check_plan(args.replicates, args.level)
     records, digest, warnings = _load_records(args)
-    # an absent --level is None and takes run_bootstrap's default
-    params = {name: getattr(args, name) for name in ("replicates", "level", "smoothing")
-              if getattr(args, name) is not None}
-    result = bootstrap_mod.run_bootstrap(records, seed=seed, spec=spec, **params)
+    result = bootstrap_mod.run_bootstrap(records, args.replicates, args.level, seed,
+                                         smoothing=args.smoothing, spec=spec)
     strata = [{"c": c, "stats": {k: dict(zip(("lower", "point", "upper"), v)) for k, v in s.items()}}
               for c, s in result.intervals.items()]
     payload = {"replicates": result.replicates, "level": result.level,
@@ -326,7 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
         ``records`` (``--csv``) and ``params`` (``--rr-au`` and ``--rr-uy``) are
         None to leave out the group, else "required" or "optional".  ``estimates``
-        (with ``-ci`` limits where ``ci``) are stored as ``args.estimates``.
+        (with ``-ci`` limits where ``ci``) are stored as ``args.estimates`` where
+        ``records`` is given, empty for a command with records alone.
         """
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
@@ -350,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="exposure-confounder parameter (>= 1, 'inf' allowed)")
             p.add_argument("--rr-uy", type=float, required=params == "required",
                            help="confounder-outcome parameter (>= 1, 'inf' allowed)")
-        if estimates:
+        if records is not None:
             p.set_defaults(estimates=estimates)
         for flag in estimates:
             p.add_argument(flag, type=float, help=f"observed {flag[2:5].upper()} on the ratio scale")
@@ -399,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("bootstrap", _cmd_bootstrap, "percentile bootstrap intervals over records",
                 records="required", params="optional", seed=True)
     p.add_argument("--replicates", type=int, required=True)
-    p.add_argument("--level", type=float)
+    p.add_argument("--level", type=float, default=0.95)
 
     return parser
 

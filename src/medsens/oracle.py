@@ -36,8 +36,8 @@ import numpy as np
 from . import tables
 from .bounds import BOUND_STATS, SensitivitySpec, adjust, bound_report, effects_from_sums
 from .errors import BadParameter, InternalCheckError, UnreachableCell, ZeroProbability
-from .tables import (ConditionalModel, OutcomeMode, _check_outcomes, c_order_sum, check_table,
-                     crossworld_sums, first_cell)
+from .tables import (OutcomeMode, _check_outcomes, c_order_sum, check_table, crossworld_sums,
+                     first_cell)
 
 #: inequality checks allow this much relative slack for float rounding
 VALIDITY_TOL = 1e-10
@@ -123,13 +123,13 @@ class Scm:
         return joint, w
 
 
-def observed_model(scm: Scm) -> ConditionalModel:
-    """Exact marginal tables pr(Y=1|a,m) and pr(m|a), one stratum per model.
+def observed_model(scm: Scm) -> tuple[np.ndarray, np.ndarray]:
+    """Exact marginal tables ``(y, w)`` of pr(Y=1|a,m) and pr(m|a), each ``[..., a, m]``.
 
-    Outcome cells for (a, m) pairs that no downstream formula weights are
-    filled with 0.0.  A mediator level reachable under a=0 but not under
-    a=1 makes the direct-effect formulas undefined and raises
-    :class:`UnreachableCell`.
+    The leading axes are the batch's own, one stratum per model.  Outcome
+    cells for (a, m) pairs that no downstream formula weights are filled
+    with 0.0.  A mediator level reachable under a=0 but not under a=1 makes
+    the direct-effect formulas undefined and raises :class:`UnreachableCell`.
     """
     joint, w = scm._mediator_joint
     unreachable = (w[..., 0, :] > 0.0) & (w[..., 1, :] == 0.0)
@@ -139,8 +139,7 @@ def observed_model(scm: Scm) -> ConditionalModel:
     y_joint = c_order_sum(joint * np.swapaxes(scm.y_given, -1, -2), axis=-2)
     y = np.zeros_like(w)
     np.divide(y_joint, w, out=y, where=w > 0.0)
-    shape = (-1, 2, scm.m_card)
-    return ConditionalModel(y.reshape(shape), w.reshape(shape), mode=scm.mode)
+    return y, w
 
 
 def _unexposed_sums(scm: Scm) -> tuple:
@@ -270,8 +269,8 @@ def verify_bounds(scm: Scm) -> ValidityReport:
     """Check the bounds against the exact truth of a synthetic model or batch.
 
     The observed side is the code path users run, ``bounds.bound_report``
-    then ``bounds.adjust`` on the marginal tables, with the models on the
-    stratum axis; only the sensitivity parameters and the true effects come
+    then ``bounds.adjust`` on the marginal tables, each model a stratum of
+    its own; only the sensitivity parameters and the true effects come
     from the synthetic model.  Each bound of ``bounds.BOUND_STATS``, in that
     order, is one check: a ``*_lower`` bound must not exceed the true effect
     of its name, and the true effect must not exceed a ``*_upper`` bound.
@@ -281,11 +280,10 @@ def verify_bounds(scm: Scm) -> ValidityReport:
     the indirect-effect bounds are checked only when it does not.  Any
     failed check indicates a bug, not an unlucky draw.
     """
-    model = observed_model(scm)
+    y, w = observed_model(scm)
     rau, ruy = rr_au_posterior(scm), rr_uy(scm)
-    report = bound_report(model.y, model.w)  # one "stratum" per model
-    report.update(adjust(report, SensitivitySpec(rr_au=np.ravel(rau), rr_uy=np.ravel(ruy))))
-    obs = {name: value.reshape(scm.batch_shape)[()] for name, value in report.items()}
+    obs = bound_report(y, w, mode=scm.mode)  # one stratum per model
+    obs.update(adjust(obs, SensitivitySpec(rr_au=rau, rr_uy=ruy)))
     true = effects_from_sums(*_unexposed_sums(scm))
     prefix = "" if scm.a_independent_u else "unexposed_"
     checks = []

@@ -7,12 +7,17 @@ m : categorical mediator, coded 0..m_card-1
 y : binary outcome, coded 0/1 (record data); table entries are pr(Y=1|...)
 c : categorical covariate stratum, coded 0..c_card-1
 
-A :class:`ConditionalModel` stores the two conditional tables that every
-downstream effect formula consumes, as float arrays of shape
-(c_card, 2, m_card):
+Every downstream effect formula consumes two conditional tables, as
+arrays of one shape (..., 2, m_card), the a axis and then the m axis
+trailing:
 
-    y[c, a, m] = pr(Y=1 | a, m, c)      (or E[Y | a, m, c] in mean mode)
-    w[c, a, m] = pr(m | a, c)
+    y[..., a, m] = pr(Y=1 | a, m, c)      (or E[Y | a, m, c] in mean mode)
+    w[..., a, m] = pr(m | a, c)
+
+Estimation from records returns them as a pair ``(y, w)`` of float arrays
+of shape (c_card, 2, m_card), the stratum code ``c`` the index of the
+leading axis; :func:`~medsens.bounds.bound_report` checks any pair it is
+given before it forms effects from it, whatever their dtype.
 
 :func:`crossworld_sums` reduces such tables over their trailing (a, m)
 axes to the three sums every effect and bound is built from, keeping any
@@ -27,7 +32,7 @@ pr(Y=1|1,m,c) is weighted by both pr(m|0,c) and pr(m|1,c).  Estimation fills
 never-weighted cells with 0.0 and raises :class:`~medsens.errors.EmptyCell`
 for weighted cells it cannot estimate.
 
-All probabilities are 64-bit floats; tolerance constants are module level.
+Estimated probabilities are 64-bit floats; tolerance constants are module level.
 Every type is immutable after construction and every function is pure.
 """
 
@@ -230,42 +235,6 @@ def swap_exposure_records(records: RecordTable) -> RecordTable:
     return RecordTable(records.counts[:, ::-1])
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalModel:
-    """Observed conditional tables ``y[c, a, m]`` and ``w[c, a, m]``.
-
-    Both are read-only float arrays of shape (c_card, 2, m_card), checked
-    once at construction; the stratum code ``c`` is the index of the
-    leading axis.  Each row pr(m|a,c) must sum to 1 within ``SUM_TOL``, and
-    ``y`` holds outcomes of ``mode`` (see :func:`_check_outcomes`).
-    """
-
-    y: np.ndarray
-    w: np.ndarray
-    mode: OutcomeMode = "probability"
-
-    def __post_init__(self) -> None:
-        y = np.array(self.y, dtype=float)
-        w = np.array(self.w, dtype=float)
-        if y.ndim != 3 or y.shape != w.shape or y.shape[1] != 2 or 0 in y.shape:
-            raise BadParameter(
-                f"tables need one shape (c_card, 2, m_card): y {y.shape}, w {w.shape}"
-            )
-        check_table(w, "pr(m={2}|a={1},c={0})", rows="pr(m|a={1},c={0})")
-        _check_outcomes(y, self.mode, "a={1},m={2},c={0}")
-        for name, table in (("y", y), ("w", w)):
-            table.setflags(write=False)
-            object.__setattr__(self, name, table)
-
-    @property
-    def c_card(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def m_card(self) -> int:
-        return self.y.shape[2]
-
-
 def first_cell(what: str, mask: np.ndarray) -> str:
     """``what`` filled with the trailing indices of the first True entry of ``mask``.
 
@@ -344,6 +313,13 @@ def crossworld_sums(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return n10, n00, n11
 
 
+def check_smoothing(smoothing) -> float:
+    """``smoothing`` as the k of add-k smoothing, refused unless finite and >= 0; needs no data."""
+    if not (isinstance(smoothing, numbers.Real) and math.isfinite(smoothing)) or smoothing < 0:
+        raise BadParameter(f"smoothing must be a finite nonnegative real, got {smoothing!r}")
+    return float(smoothing)
+
+
 def estimate_tables(
     counts: np.ndarray, smoothing: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -358,9 +334,7 @@ def estimate_tables(
     finite but meaningless.  See :func:`estimate_from_records` for the
     smoothing.
     """
-    if not (isinstance(smoothing, numbers.Real) and math.isfinite(smoothing)) or smoothing < 0:
-        raise BadParameter(f"smoothing must be a finite nonnegative real, got {smoothing!r}")
-    k = float(smoothing)
+    k = check_smoothing(smoothing)
     # the denominators n + k*M and n + 2k overflow exactly when k*M or 2k does, for any int64 n
     if not math.isfinite(k * max(counts.shape[-2], 2)):
         raise BadParameter(f"smoothing {smoothing!r} is so large that the smoothed counts overflow")
@@ -379,8 +353,10 @@ def estimate_tables(
     return y, w, empty
 
 
-def estimate_from_records(records: RecordTable, smoothing: float = 0.0) -> ConditionalModel:
-    """Empirical conditional tables with optional add-k smoothing.
+def estimate_from_records(
+    records: RecordTable, smoothing: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical conditional tables ``(y, w)``, each (c_card, 2, m_card), with add-k smoothing.
 
     Smoothing adds ``k`` to every cell count of each conditional table
     before normalizing, so k -> infinity shrinks every conditional toward
@@ -399,5 +375,5 @@ def estimate_from_records(records: RecordTable, smoothing: float = 0.0) -> Condi
     ):
         if mask.any():
             raise EmptyCell(first_cell(what, mask))
-    return ConditionalModel(y, w)
+    return y, w
 

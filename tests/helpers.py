@@ -13,18 +13,23 @@ import numpy as np
 from medsens.bounds import cornfield_rr, required_partner
 from medsens.errors import BadParameter, ZeroDenominator
 from medsens.oracle import Scm, _posterior_ratios, _ratio_scm, recipe_scm, verify_bounds
-from medsens.tables import ConditionalModel, RecordTable
+from medsens.tables import RecordTable
 
 
-def stratum_effects(model: ConditionalModel, c: int) -> dict:
-    """The sums and six effects of stratum ``c`` alone, by the paper's formulas, in Python floats.
+def observed_tables(y, w) -> tuple[np.ndarray, np.ndarray]:
+    """Observed tables ``y[c, a, m]`` and ``w[c, a, m]`` as the float arrays estimation returns."""
+    return np.array(y, dtype=float), np.array(w, dtype=float)
 
-    The reference for :func:`medsens.bounds.bound_report`, with its keys and
-    its two zero-denominator messages.  Each sum adds its terms in order of
-    m, as numpy adds an axis of fewer than 8 entries, so the values are the
-    library's to the bit there.
+
+def stratum_effects(tables, c: int) -> dict:
+    """The sums and six effects of stratum ``c`` of ``tables = (y, w)``, in Python floats.
+
+    The reference for :func:`medsens.bounds.bound_report`, by the paper's
+    formulas, with its keys and its two zero-denominator messages.  Each sum
+    adds its terms in order of m, as numpy adds an axis of fewer than 8
+    entries, so the values are the library's to the bit there.
     """
-    (y0, y1), (w0, w1) = model.y[c].tolist(), model.w[c].tolist()
+    (y0, y1), (w0, w1) = (np.asarray(table)[c].tolist() for table in tables)
     n10 = n00 = n11 = 0.0
     for m in range(len(w0)):
         n10 += y1[m] * w0[m]
@@ -48,9 +53,9 @@ def plain_bounds(e: dict, bf) -> dict:
             "nde_rd_lower": e["n10"] / bf - e["n00"], "nie_rd_upper": e["n11"] - e["n10"] / bf}
 
 
-def worked_model() -> ConditionalModel:
+def worked_model() -> tuple[np.ndarray, np.ndarray]:
     """The one-stratum worked example: pr(Y=1|a=0) = 0.275 and pr(Y=1|a=1) = 0.7."""
-    return ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[0.75, 0.25], [0.25, 0.75]]])
+    return observed_tables(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[0.75, 0.25], [0.25, 0.75]]])
 
 
 def tally_records(rows) -> RecordTable:
@@ -65,19 +70,19 @@ def tally_records(rows) -> RecordTable:
     return RecordTable(counts)
 
 
-def expand_to_records(model: ConditionalModel, denominator: int) -> RecordTable:
+def expand_to_records(tables, denominator: int) -> RecordTable:
     """Exact inverse of :func:`medsens.tables.estimate_from_records` for rational tables.
 
-    Fills cell counts ``denominator * pr(m|a,c) * pr(y|a,m,c)``; every
-    such product must be an integer (within 1e-6), otherwise the model
-    cannot be represented by weighted records and :class:`BadParameter`
-    is raised.  Only meaningful in probability mode.
+    Fills cell counts ``denominator * pr(m|a,c) * pr(y|a,m,c)`` from
+    ``tables = (y, w)``; every such product must be an integer (within
+    1e-6), otherwise the tables cannot be represented by weighted records
+    and :class:`BadParameter` is raised.  Only probability-mode tables
+    expand: an outcome mean above 1 gives a negative count.
     """
-    if model.mode != "probability":
-        raise BadParameter("only probability-mode models expand to binary-outcome records")
+    y, w = tables
     if denominator < 1:
         raise BadParameter("denominator must be a positive integer")
-    raw = denominator * model.w[..., None] * np.stack([1.0 - model.y, model.y], axis=-1)
+    raw = denominator * w[..., None] * np.stack([1.0 - y, y], axis=-1)
     counts = np.round(raw)
     bad = np.abs(raw - counts) > 1e-6
     if bad.any():

@@ -45,7 +45,7 @@ def one_at_a_time(records, replicates, seed, smoothing=0.0, spec=None, level=0.9
 
     def statistics(model):
         out = {}
-        for c in range(model.c_card):
+        for c in range(records.c_card):
             eff = stratum_effects(model, c)
             out[c] = {name: eff[name] for name in EFFECT_STATS}
             if spec is not None:
@@ -132,8 +132,7 @@ class TestBasics:
         spec = SensitivitySpec(2.0, 3.0)
         result = run_bootstrap(records, replicates=100, seed=3, spec=spec)
         stats = result.intervals[0]
-        model = estimate_from_records(records)
-        obs = stratum_effects(model, 0)
+        obs = stratum_effects(estimate_from_records(records), 0)
         assert math.isclose(stats["nde_rr_lower"][1], obs["nde_rr"] / 1.5, rel_tol=1e-12)
         assert math.isclose(stats["nie_rr_upper"][1], obs["nie_rr"] * 1.5, rel_tol=1e-12)
         assert stats["nde_rr_lower"][0] <= stats["nde_rr_lower"][1] <= stats["nde_rr_lower"][2]
@@ -349,7 +348,7 @@ class TestCoverage:
         # the 95% interval for the ratio-scale direct effect should cover
         # the model's own value in roughly 95% of the meta-replications
         model = worked_model()
-        y_tab, w_tab = model.y[0], model.w[0]
+        y_tab, w_tab = (table[0] for table in model)
         truth = stratum_effects(model, 0)["nde_rr"]
         cells = []
         probs = []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import plain_bounds, stratum_effects
+from helpers import observed_tables, plain_bounds, stratum_effects
 from medsens.bounds import (
     BOUND_STATS,
     EFFECT_STATS,
@@ -22,13 +22,13 @@ from medsens.bounds import (
     stratum_envelopes,
 )
 from medsens.errors import BadParameter, BadTarget, Infeasible, ZeroDenominator
-from medsens.tables import ConditionalModel, crossworld_sums
+from medsens.tables import crossworld_sums
 
 params = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
 
 
 def worked_model():
-    return ConditionalModel(
+    return observed_tables(
         y=[[[0.2, 0.5], [0.4, 0.8]], [[0.1, 0.3], [0.2, 0.6]]],
         w=[[[0.75, 0.25], [0.25, 0.75]], [[0.5, 0.5], [0.4, 0.6]]],
     )
@@ -36,7 +36,7 @@ def worked_model():
 
 def worked_sums():
     """(n10, n00, n11) of stratum 0 of the worked model."""
-    return [float(s) for s in crossworld_sums(worked_model().y[0], worked_model().w[0])]
+    return [float(s) for s in crossworld_sums(*(table[0] for table in worked_model()))]
 
 
 class TestBoundingFactor:
@@ -150,8 +150,7 @@ class TestAdjust:
         spec = SensitivitySpec(2.0, 3.0)
         assert list(adjust({"nie_rr": 1.3}, spec)) == ["bf", "nie_rr_upper"]
         assert list(adjust(worked_effects(), spec)) == ["bf", "nde_rd_lower", "nie_rd_upper"]
-        model = worked_model()
-        assert list(adjust(bound_report(model.y, model.w), spec)) == ["bf", *BOUND_STATS]
+        assert list(adjust(bound_report(*worked_model()), spec)) == ["bf", *BOUND_STATS]
 
     def test_overflowing_indirect_upper_bound_is_inf(self):
         # nie_rr * bf passes the float range; +inf is still an upper bound, and no warning
@@ -166,8 +165,7 @@ class TestAdjust:
                            match=r"^observed nde_rr must be positive, got 0\.0 in stratum c=1$"):
             adjust({"nde_rr": np.array([1.2, 0.0, 1.5])}, SensitivitySpec(2.0, 3.0))
         # n11 = 0, so nie_rr = 0, and at bf = inf its bound would be 0 * inf = NaN
-        model = ConditionalModel(y=[[[0.2, 0.4], [0.0, 0.5]]], w=[[[0.5, 0.5], [1.0, 0.0]]])
-        effects = bound_report(model.y, model.w)
+        effects = bound_report(y=[[[0.2, 0.4], [0.0, 0.5]]], w=[[[0.5, 0.5], [1.0, 0.0]]])
         assert effects["n11"] == 0.0
         with pytest.raises(BadParameter,
                            match=r"^observed nie_rr must be positive, got 0\.0 in stratum c=0$"):
@@ -407,28 +405,26 @@ class TestRequiredPartner:
 class TestReportAndEnvelopes:
     def test_report_fields_are_consistent(self):
         model = worked_model()
-        rep = bound_report(model.y, model.w)
+        rep = bound_report(*model)
         rep.update(adjust(rep, SensitivitySpec(2.0, 3.0)))
         assert rep["bf"] == 1.5
-        for c in range(model.c_card):
+        for c in range(len(model[0])):
             obs = stratum_effects(model, c)
             assert [rep[name][c] for name in ("n10", "n00", "n11", *EFFECT_STATS)] == [
                 obs[name] for name in ("n10", "n00", "n11", *EFFECT_STATS)]
             assert [rep[name][c] for name in BOUND_STATS] == list(plain_bounds(obs, 1.5).values())
 
     def test_without_spec_only_effects(self):
-        model = worked_model()
-        assert set(bound_report(model.y, model.w)) == {"n10", "n00", "n11", *EFFECT_STATS}
+        assert set(bound_report(*worked_model())) == {"n10", "n00", "n11", *EFFECT_STATS}
 
     def test_grid_by_strata_equals_scalar_path_bit_for_bit(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
             strata, m_card = (int(v) for v in rng.integers(1, 5, size=2))
             w = rng.uniform(0.05, 1.0, (strata, 2, m_card))
-            model = ConditionalModel(y=rng.uniform(0.05, 1.0, (strata, 2, m_card)),
-                                     w=w / w.sum(axis=-1, keepdims=True))
+            model = (rng.uniform(0.05, 1.0, (strata, 2, m_card)), w / w.sum(axis=-1, keepdims=True))
             au, uy = rng.uniform(1.0, 30.0, (2, 12, 1))
-            effects = bound_report(model.y, model.w)
+            effects = bound_report(*model)
             rep = adjust(effects, SensitivitySpec(au, uy))
             assert rep["nde_rr_lower"].shape == (12, strata)
             for g in range(12):
@@ -444,14 +440,13 @@ class TestReportAndEnvelopes:
                 assert th.max_must_exceed == expected
 
     def test_zero_denominator_names_the_stratum(self):
-        model = ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]], [[0.0, 0.0], [0.2, 0.6]]],
-                                 w=[[[0.75, 0.25], [0.25, 0.75]], [[0.5, 0.5], [0.4, 0.6]]])
+        model = observed_tables(y=[[[0.2, 0.5], [0.4, 0.8]], [[0.0, 0.0], [0.2, 0.6]]],
+                                w=[[[0.75, 0.25], [0.25, 0.75]], [[0.5, 0.5], [0.4, 0.6]]])
         with pytest.raises(ZeroDenominator, match="c=1"):
-            bound_report(model.y, model.w)
+            bound_report(*model)
 
     def test_envelopes_order_min_and_max(self):
-        model = worked_model()
-        rep = adjust(bound_report(model.y, model.w), SensitivitySpec(2.0, 2.0))
+        rep = adjust(bound_report(*worked_model()), SensitivitySpec(2.0, 2.0))
         env = stratum_envelopes(rep)
         lows, ups = rep["nde_rr_lower"].tolist(), rep["nie_rr_upper"].tolist()
         assert env["nde_rr_lower"] == {"heterogeneous": min(lows), "homogeneous": max(lows)}

@@ -12,7 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import expand_to_records, plain_bounds, stratum_effects, worked_model
+from helpers import (
+    expand_to_records,
+    observed_tables,
+    plain_bounds,
+    stratum_effects,
+    worked_model,
+)
 from medsens.bounds import SensitivitySpec, bounding_factor, cornfield_rr
 from medsens import oracle, report
 from medsens.bootstrap import run_bootstrap
@@ -20,7 +26,6 @@ from medsens.cli import _build_parser, main
 from medsens.loglinear import collider_ratio_grid
 from medsens.oracle import validity_battery
 from medsens.tables import (
-    ConditionalModel,
     estimate_from_records,
     read_records_csv,
     swap_exposure_records,
@@ -45,8 +50,8 @@ def write_strata_csv(path, strata=3, m_card=3, seed=5):
 
 def write_two_strata_csv(path):
     """Two strata with pr(Y=1|a=0) of 0.45 and 0.1, and direct-effect ratios 0.85/0.45 and 3.5."""
-    model = ConditionalModel(y=[[[0.4, 0.5], [0.8, 0.9]], [[0.1, 0.1], [0.3, 0.4]]],
-                             w=[[[0.5, 0.5], [0.5, 0.5]]] * 2)
+    model = observed_tables(y=[[[0.4, 0.5], [0.8, 0.9]], [[0.1, 0.1], [0.3, 0.4]]],
+                            w=[[[0.5, 0.5], [0.5, 0.5]]] * 2)
     records = expand_to_records(model, 100)
     lines = ["a,m,y,c,count"]
     lines += [f"{a},{m},{y},{c},{n}" for (c, a, m, y), n in np.ndenumerate(records.counts) if n]
@@ -77,7 +82,7 @@ def reference_sweep_csv(au_text, uy_text, csv=None, relabel=False, smoothing=0.0
         if relabel:
             records = swap_exposure_records(records)
         model = estimate_from_records(records, smoothing)
-        effects = [stratum_effects(model, c) for c in range(model.c_card)]
+        effects = [stratum_effects(model, c) for c in range(records.c_card)]
         rows = [(au_i, uy_i, bf_i, c, *plain_bounds(e, bf_i).values())
                 for (au_i, uy_i), bf_i in zip(cells, bf.tolist()) for c, e in enumerate(effects)]
     return "".join(line + "\n" for line in [",".join(header), *(",".join(map(repr, r)) for r in rows)])
@@ -902,3 +907,25 @@ class TestFlagSurface:
         monkeypatch.setenv("MEDSENS_SEED", "abc")
         assert main(valid_argv("estimate", tmp_path)) == 0
 
+
+
+class TestFlagsBeforeRecords:
+    """A flag whose rule needs no data is refused before the records file is read."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bootstrap", "--replicates", "5"),
+         "need at least 100 replicates for percentile intervals"),
+        (("bootstrap", "--replicates", "200", "--level", "1.5"),
+         "level must be in (0, 1), got 1.5"),
+        (("estimate", "--smoothing", "-1"), "smoothing must be a finite nonnegative real, got -1.0"),
+        (("bootstrap", "--replicates", "200", "--smoothing", "inf"),
+         "smoothing must be a finite nonnegative real, got inf"),
+        (("sweep", "--rr-au-grid", "1", "--rr-uy-grid", "1", "--smoothing", "nan"),
+         "smoothing must be a finite nonnegative real, got nan"),
+        (("cornfield", "--target", "nan"), "target effect must be a real number"),
+    ], ids=["replicates", "level", "smoothing", "bootstrap-smoothing", "sweep-smoothing",
+            "target"])
+    def test_flag_is_checked_before_the_file_is_read(self, capsys, tmp_path, argv, message):
+        missing = str(tmp_path / "missing.csv")
+        code = main([*argv, "--csv", missing])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")

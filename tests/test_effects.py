@@ -5,25 +5,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import stratum_effects
+from helpers import observed_tables, stratum_effects
 from medsens.bounds import bound_report, effects_from_sums
 from medsens.errors import ZeroDenominator
-from medsens.tables import ConditionalModel
 
 
-def model_from(y0, y1, m0, m1, mode="probability"):
-    return ConditionalModel(y=[[y0, y1]], w=[[m0, m1]], mode=mode)
+def model_from(y0, y1, m0, m1):
+    return observed_tables(y=[[y0, y1]], w=[[m0, m1]])
 
 
-def effects(model):
+def effects(model, mode="probability"):
     """The library's effects of every stratum of ``model``, checked bit for bit against the reference.
 
     The stratum of a one-stratum model is taken out, so each value is a float.
     """
-    got = bound_report(model.y, model.w)
-    for c in range(model.c_card):
+    got = bound_report(*model, mode=mode)
+    strata = len(model[0])
+    for c in range(strata):
         assert {name: float(value[c]) for name, value in got.items()} == stratum_effects(model, c)
-    return {name: value[0] for name, value in got.items()} if model.c_card == 1 else got
+    return {name: value[0] for name, value in got.items()} if strata == 1 else got
 
 
 def brute_effects(y0, y1, m0, m1):
@@ -94,7 +94,7 @@ class TestDegenerateAndNullCases:
         with pytest.raises(ZeroDenominator) as reference:
             stratum_effects(model, 0)
         with pytest.raises(ZeroDenominator, match=f"^{re.escape(str(reference.value))}$"):
-            bound_report(model.y, model.w)
+            bound_report(*model)
 
     @pytest.mark.parametrize("y0, y1, w0, message", [
         ((0.0, 0.0), (0.4, 0.8), (0.75, 0.25),
@@ -105,9 +105,9 @@ class TestDegenerateAndNullCases:
     def test_zero_denominator_names_the_one_stratum_that_has_it(self, y0, y1, w0, message):
         y = [[(0.2, 0.5), (0.4, 0.8)], [(0.3, 0.1), (0.6, 0.2)], [y0, y1]]
         w = [[(0.75, 0.25), (0.25, 0.75)], [(0.5, 0.5), (0.1, 0.9)], [w0, (0.25, 0.75)]]
-        model = ConditionalModel(y=y, w=w)
+        model = observed_tables(y=y, w=w)
         with pytest.raises(ZeroDenominator, match=f"^{re.escape(message)}$"):
-            bound_report(model.y, model.w)
+            bound_report(*model)
         with pytest.raises(ZeroDenominator, match=f"^{re.escape(message)}$"):
             stratum_effects(model, 2)
         for c in (0, 1):
@@ -128,19 +128,31 @@ def test_fraction_sums_give_exact_fractions():
             assert type(got[name][c]) is Fraction and got[name][c] == value, name
 
 
-def random_model(rng, m_card=2, mode="probability", y_max=1.0):
+def test_fraction_tables_give_exact_fraction_effects():
+    f = Fraction
+    y = np.array([[[f(1, 5), f(1, 2)], [f(2, 5), f(4, 5)]]], dtype=object)
+    w = np.array([[[f(3, 4), f(1, 4)], [f(1, 4), f(3, 4)]]], dtype=object)
+    got = bound_report(y, w)
+    n10, n00, n11 = f(1, 2), f(11, 40), f(7, 10)  # sum_m y(a,m) w(b,m) by hand
+    want = {"n10": n10, "n00": n00, "n11": n11, "nde_rr": f(20, 11), "nie_rr": f(7, 5),
+            "te_rr": f(28, 11), "nde_rd": f(9, 40), "nie_rd": f(1, 5), "te_rd": f(17, 40)}
+    assert list(got) == list(want)
+    for name, value in want.items():
+        assert type(got[name][0]) is Fraction and got[name][0] == value, name
+
+
+def random_model(rng, m_card=2, y_max=1.0):
     def dist(n):
         raw = rng.uniform(1e-4, 1.0, n)
         return tuple(float(v / raw.sum()) for v in raw)
 
     y = tuple(tuple(float(v) for v in rng.uniform(1e-4, y_max, m_card)) for _ in (0, 1))
-    return model_from(y[0], y[1], dist(m_card), dist(m_card), mode=mode)
+    return model_from(y[0], y[1], dist(m_card), dist(m_card))
 
 
-def stacked(models, mode="probability"):
+def stacked(models):
     """The one-stratum ``models``, all of one mediator cardinality, as the strata of one model."""
-    return ConditionalModel(y=np.concatenate([m.y for m in models]),
-                            w=np.concatenate([m.w for m in models]), mode=mode)
+    return tuple(np.concatenate(tables) for tables in zip(*models))
 
 
 def assert_decomposes(e, rd_tol):
@@ -153,12 +165,13 @@ class TestDecompositionProperty:
         rng = np.random.default_rng(11)
         models = [random_model(rng, m_card=2 if i % 2 else 3) for i in range(10_000)]
         for m_card in (2, 3):  # all strata of one cardinality through one bound_report
-            assert_decomposes(effects(stacked([m for m in models if m.m_card == m_card])), 1e-12)
+            assert_decomposes(effects(stacked([m for m in models if m[0].shape[-1] == m_card])),
+                              1e-12)
 
     def test_mean_mode_identities(self):
         rng = np.random.default_rng(12)
-        models = [random_model(rng, mode="mean", y_max=5.0) for _ in range(500)]
-        assert_decomposes(effects(stacked(models, mode="mean")), 5e-12)
+        models = [random_model(rng, y_max=5.0) for _ in range(500)]
+        assert_decomposes(effects(stacked(models), mode="mean"), 5e-12)
 
 
 class TestRelabelingDuality:
@@ -166,8 +179,8 @@ class TestRelabelingDuality:
         rng = np.random.default_rng(13)
         for _ in range(200):
             model = random_model(rng)
-            y, w = model.y[0], model.w[0]
-            swapped = ConditionalModel(model.y[:, ::-1], model.w[:, ::-1])
+            y, w = (table[0] for table in model)
+            swapped = tuple(table[:, ::-1] for table in model)
             # direct-effect formula with the roles of the arms exchanged
             num = sum(a * b for a, b in zip(y[0], w[1]))
             den = sum(a * b for a, b in zip(y[1], w[1]))

@@ -5,20 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import expand_to_records, worked_model
+from helpers import expand_to_records, observed_tables, worked_model
 from medsens.errors import BadParameter
-from medsens.tables import ConditionalModel, estimate_from_records
+from medsens.tables import estimate_from_records
 
 
 class TestExpandRoundtrip:
     def test_worked_model_roundtrips_exactly(self):
-        model = worked_model()
-        records = expand_to_records(model, 400)
-        back = estimate_from_records(records)
+        (y, w), (y_back, w_back) = worked_model(), estimate_from_records(
+            expand_to_records(worked_model(), 400))
         for a in (0, 1):
             for m in (0, 1):
-                assert math.isclose(model.w[0, a, m], back.w[0, a, m], abs_tol=1e-12)
-                assert math.isclose(model.y[0, a, m], back.y[0, a, m], abs_tol=1e-12)
+                assert math.isclose(w[0, a, m], w_back[0, a, m], abs_tol=1e-12)
+                assert math.isclose(y[0, a, m], y_back[0, a, m], abs_tol=1e-12)
 
     def test_random_dyadic_models_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -31,12 +30,12 @@ class TestExpandRoundtrip:
                 cell = int(rng.integers(1, grid))
                 m_prob.append((cell / grid, 1 - cell / grid))
                 y_prob.append(tuple(int(rng.integers(1, grid)) / grid for _ in (0, 1)))
-            model = ConditionalModel(y=[y_prob], w=[m_prob])
-            back = estimate_from_records(expand_to_records(model, denom))
+            y, w = observed_tables(y=[y_prob], w=[m_prob])
+            y_back, w_back = estimate_from_records(expand_to_records((y, w), denom))
             for a in (0, 1):
                 for m in (0, 1):
-                    assert math.isclose(model.y[0, a, m], back.y[0, a, m], abs_tol=1e-12)
-                    assert math.isclose(model.w[0, a, m], back.w[0, a, m], abs_tol=1e-12)
+                    assert math.isclose(y[0, a, m], y_back[0, a, m], abs_tol=1e-12)
+                    assert math.isclose(w[0, a, m], w_back[0, a, m], abs_tol=1e-12)
 
     def test_non_integral_cells_rejected(self):
         with pytest.raises(BadParameter):

@@ -70,8 +70,7 @@ def assert_tables_close(got, want, tol=1e-15):
 
 class TestObservedModel:
     def test_u_irrelevant_matches_flat_tables(self):
-        model = observed_model(u_irrelevant_scm())
-        y, w = model.y[0], model.w[0]
+        y, w = observed_model(u_irrelevant_scm())
         assert_tables_close(w, ((0.75, 0.25), (0.25, 0.75)))
         assert_tables_close(y, ((0.2, 0.5), (0.4, 0.8)))
 
@@ -81,16 +80,14 @@ class TestObservedModel:
             m_given=(((0.5, 0.5), (0.7, 0.3)), ((0.5, 0.5), (0.2, 0.8))),
             y_given=(((0.1, 0.3), (0.2, 0.4)), ((0.3, 0.5), (0.4, 0.9))),
         )
-        model = observed_model(scm)
-        y, w = model.y[0], model.w[0]
+        y, w = observed_model(scm)
         assert_tables_close(w, ((0.7, 0.3), (0.2, 0.8)))
         assert_tables_close(y, ((0.3, 0.4), (0.5, 0.9)))
 
     def test_uniform_everything_gives_uniform_tables(self):
         half = ((0.5, 0.5), (0.5, 0.5))
         scm = flat_scm(u_given_a=half, m_given=(half, half), y_given=(half, half))
-        model = observed_model(scm)
-        y, w = model.y[0], model.w[0]
+        y, w = observed_model(scm)
         assert w.tolist() == [list(row) for row in half]
         assert y.tolist() == [list(row) for row in half]
 
@@ -104,12 +101,20 @@ class TestObservedModel:
         other = sample_scm(np.random.default_rng(4), 3, 2, dependent_exposure=dependent, shape=(5,))
         assert other._mediator_joint[0] is not joint
 
+    def test_a_batch_gives_tables_with_its_own_leading_axes(self):
+        scm = sample_scm(np.random.default_rng(5), 3, 4, shape=(6,))
+        y, w = observed_model(scm)
+        assert y.shape == w.shape == (6, 2, 4)
+        for b in range(6):
+            single = Scm(scm.u_given_a[b], scm.m_given[b], scm.y_given[b])
+            for got, want in zip((y[b], w[b]), observed_model(single), strict=True):
+                assert np.array_equal(got, want)
+
     def test_two_summation_orders_agree(self):
         rng = np.random.default_rng(31)
         for i in range(2000):
             scm = sample_scm(rng, u_card=2 + i % 2, m_card=2 + i % 2)
-            model = observed_model(scm)
-            _, n00, n11 = crossworld_sums(model.y[0], model.w[0])
+            _, n00, n11 = crossworld_sums(*observed_model(scm))
             y_marg = (n00, n11)  # pr(Y=1|a) from the conditional tables
             for a in (0, 1):
                 assert math.isclose(y_marg[a], outcome_marginal(scm, a), abs_tol=1e-12)
@@ -128,10 +133,9 @@ class TestTrueEffects:
     def test_no_confounder_means_true_equals_observed(self):
         scm = u_irrelevant_scm()
         true = verify_bounds(scm).true
-        model = observed_model(scm)
-        obs = bound_report(model.y, model.w)
+        obs = bound_report(*observed_model(scm))
         for field in ("nde_rr", "nie_rr", "te_rr", "nde_rd", "nie_rd", "te_rd"):
-            assert math.isclose(true[field], obs[field][0], rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(true[field], obs[field], rel_tol=1e-12, abs_tol=1e-12)
 
     def test_null_scm(self):
         same_m = ((0.6, 0.4), (0.3, 0.7))
@@ -290,9 +294,9 @@ class TestVerifyBounds:
         rng = np.random.default_rng(71)
         scm = sample_scm(rng)
         report = verify_bounds(scm)
-        model = observed_model(scm)
+        y, w = observed_model(scm)  # as a table of one stratum, the shape estimation returns
         spec = SensitivitySpec(rr_au=[rr_au_posterior(scm)], rr_uy=[rr_uy(scm)])
-        want = bound_report(model.y, model.w)
+        want = bound_report(y[None], w[None])
         want.update(adjust(want, spec))
         assert report.observed.keys() == want.keys()
         for name, value in want.items():
@@ -643,6 +647,29 @@ class TestBatches:
                 assert got.name == want.name
                 assert got.lhs[b] == want.lhs and got.rhs[b] == want.rhs
                 assert got.holds[b] == want.holds
+
+    @pytest.mark.parametrize("build", [
+        lambda: sample_scm(np.random.default_rng(105), 3, 9, floor=0.0, shape=(4, 5)),
+        lambda: sample_scm(np.random.default_rng(105), 3, 2, dependent_exposure=True,
+                           shape=(4, 5)),
+        lambda: sample_scm(np.random.default_rng(105), 2, 3, mode="mean", shape=(4, 5)),
+        lambda: oracle._recipe_batch(np.random.default_rng(107), 2),  # [iteration, mass, pair]
+    ], ids=["independent", "dependent", "mean", "recipe"])
+    def test_a_batch_of_any_shape_matches_the_flat_batch(self, build):
+        scm = build()
+        shape = scm.batch_shape
+        flat = Scm(*(table.reshape(-1, *table.shape[len(shape):])
+                     for table in (scm.u_given_a, scm.m_given, scm.y_given)), mode=scm.mode)
+        got, want = verify_bounds(scm), verify_bounds(flat)
+        for side in ("observed", "true"):
+            assert getattr(got, side).keys() == getattr(want, side).keys()
+            for name, value in getattr(want, side).items():
+                assert np.array_equal(getattr(got, side)[name], value.reshape(shape)), name
+        assert np.array_equal(got.rr_au, want.rr_au.reshape(shape))
+        for g, w in zip(got.checks, want.checks, strict=True):
+            assert g.name == w.name
+            assert np.array_equal(g.slack, w.slack.reshape(shape))
+            assert np.array_equal(g.holds, w.holds.reshape(shape))
 
     def test_battery_blocks_continue_the_stream(self, monkeypatch):
         totals = dict(iterations=50, ratio_iterations=50, sharpness_iterations=5)

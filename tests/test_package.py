@@ -37,8 +37,8 @@ PUBLIC = {
         "verify_bounds",
     ],
     "tables": [
-        "ConditionalModel", "RecordTable", "crossworld_sums", "estimate_from_records",
-        "read_records_csv", "swap_exposure_records",
+        "RecordTable", "crossworld_sums", "estimate_from_records", "read_records_csv",
+        "swap_exposure_records",
     ],
 }
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import tally_records, worked_model
 from medsens import tables
+from medsens.bounds import bound_report
 from medsens.cli import main
 from medsens.errors import (
     BadCode,
@@ -22,13 +23,12 @@ from medsens.errors import (
     NotNormalized,
     OutOfRangeProbability,
     ParseError,
+    ZeroDenominator,
 )
 from medsens.loglinear import interaction_bound
 from medsens.oracle import Scm, sample_scm, validity_battery
 from medsens.tables import (
-    ConditionalModel,
     RecordTable,
-    crossworld_sums,
     estimate_from_records,
     read_records_csv,
     swap_exposure_records,
@@ -311,8 +311,7 @@ class TestEstimate:
             (0, 0, 1, 0, 2),
             (0, 1, 0, 0, 2),
         ]
-        model = estimate_from_records(tally_records(rows))
-        y, w = model.y[0], model.w[0]
+        y, w = (table[0] for table in estimate_from_records(tally_records(rows)))
         assert y[1][1] == 3 / 4
         assert tuple(w[1]) == (2 / 6, 4 / 6)
 
@@ -321,7 +320,7 @@ class TestEstimate:
         split = [(1, 0, 1, 0, 1), (1, 0, 1, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 0, 1)]
         a = estimate_from_records(tally_records(rows))
         b = estimate_from_records(tally_records(split))
-        assert np.array_equal(a.y, b.y) and np.array_equal(a.w, b.w)
+        assert all(np.array_equal(x, z) for x, z in zip(a, b, strict=True))
 
     def test_matches_independent_tally(self):
         # second, independently coded counting pass over a random table
@@ -332,9 +331,9 @@ class TestEstimate:
             for _ in range(200)
         ]
         records = tally_records(rows)
-        model = estimate_from_records(records)
-        for code in range(model.c_card):
-            y_tab, w_tab = model.y[code], model.w[code]
+        y, w = estimate_from_records(records)
+        for code in range(len(y)):
+            y_tab, w_tab = y[code], w[code]
             for a in (0, 1):
                 assert math.isclose(sum(w_tab[a]), 1.0, abs_tol=1e-12)
                 arm = [(m, y, n) for (aa, m, y, c, n) in rows if aa == a and c == code]
@@ -360,21 +359,19 @@ class TestEstimate:
     def test_unweighted_cell_is_filled_not_raised(self):
         # m=1 never occurs under a=0: pr(Y=1|a=0,m=1) carries no weight
         rows = [(0, 0, 1, 0, 2), (1, 0, 1, 0, 1), (1, 1, 0, 0, 1)]
-        model = estimate_from_records(tally_records(rows))
-        assert model.y[0, 0, 1] == 0.0
+        y, _ = estimate_from_records(tally_records(rows))
+        assert y[0, 0, 1] == 0.0
 
     def test_smoothing_rescues_empty_cells(self):
         # no records under a=0; the second row makes m_card 2
         records = tally_records([(1, 0, 1, 0, 1), (1, 1, 0, 0, 1)])
-        model = estimate_from_records(records, smoothing=1.0)
-        y, w = model.y[0], model.w[0]
+        y, w = (table[0] for table in estimate_from_records(records, smoothing=1.0))
         assert tuple(w[0]) == (0.5, 0.5)
         assert tuple(y[0]) == (0.5, 0.5)
 
     def test_large_smoothing_tends_uniform(self):
         rows = [(a, m, y, 0, 1 + a + m + y) for a in (0, 1) for m in (0, 1, 2) for y in (0, 1)]
-        model = estimate_from_records(tally_records(rows), smoothing=1e9)
-        y, w = model.y[0], model.w[0]
+        y, w = (table[0] for table in estimate_from_records(tally_records(rows), smoothing=1e9))
         for a in (0, 1):
             for m in range(3):
                 assert math.isclose(w[a][m], 1 / 3, abs_tol=1e-6)
@@ -397,55 +394,75 @@ class TestEstimate:
                              ids=["int64", "float32", "Fraction"])
     def test_smoothing_takes_any_real(self, value):
         records = RecordTable(np.ones((1, 2, 2, 2), dtype=np.int64))
-        model = estimate_from_records(records, smoothing=value)
+        got = estimate_from_records(records, smoothing=value)
         want = estimate_from_records(records, smoothing=float(value))
-        assert np.array_equal(model.y, want.y) and np.array_equal(model.w, want.w)
+        assert all(np.array_equal(x, z) for x, z in zip(got, want, strict=True))
 
 
 class TestValidate:
+    """``bound_report`` checks the observed tables it is given before it forms effects."""
+
     def test_accepts_normalized(self):
-        _, n00, n11 = crossworld_sums(worked_model().y[0], worked_model().w[0])
-        marg = (n00, n11)  # the outcome marginals pr(Y=1|a), a = 0, 1
+        report = bound_report(*worked_model())
+        marg = (report["n00"][0], report["n11"][0])  # the outcome marginals pr(Y=1|a), a = 0, 1
         assert math.isclose(marg[0], 0.275, abs_tol=1e-15)
         assert math.isclose(marg[1], 0.7, abs_tol=1e-15)
 
     def test_rejects_unnormalized_mediator(self):
         with pytest.raises(NotNormalized, match="a=0"):
-            ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[0.3, 0.8], [0.5, 0.5]]])
+            bound_report(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[0.3, 0.8], [0.5, 0.5]]])
 
     def test_out_of_range_probability_mode(self):
         with pytest.raises(OutOfRangeProbability, match="a=1,m=0"):
-            ConditionalModel(y=[[[0.2, 0.5], [1.2, 0.8]]], w=[[[0.5, 0.5], [0.5, 0.5]]])
+            bound_report(y=[[[0.2, 0.5], [1.2, 0.8]]], w=[[[0.5, 0.5], [0.5, 0.5]]])
 
     def test_mediator_probability_may_round_above_one(self):
-        model = ConditionalModel(y=[[[0.2], [0.4]]], w=[[[1.0000000000000002], [1.0]]])
-        assert model.w[0, 0, 0] > 1.0
+        report = bound_report(y=[[[0.2], [0.4]]], w=[[[1.0000000000000002], [1.0]]])
+        assert report["n10"][0] == 0.4 * 1.0000000000000002
 
     def test_mediator_probability_above_one_rejected(self):
         with pytest.raises(OutOfRangeProbability, match="m=0"):
-            ConditionalModel(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[1.0 + 1e-9, -1e-9], [0.5, 0.5]]])
+            bound_report(y=[[[0.2, 0.5], [0.4, 0.8]]], w=[[[1.0 + 1e-9, -1e-9], [0.5, 0.5]]])
 
     @pytest.mark.parametrize("y, w", [
         ([[[0.2, 0.5], [0.4, 0.8]]], [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]),
         ([[[0.2], [0.4], [0.6]]], [[[1.0], [1.0], [1.0]]]),
-        ([[0.2, 0.5], [0.4, 0.8]], [[0.5, 0.5], [0.5, 0.5]]),
-    ], ids=["mismatched", "three-arms", "no-strata"])
+        ([0.2, 0.5], [0.5, 0.5]),
+    ], ids=["mismatched", "three-arms", "no-arms"])
     def test_rejects_bad_shapes(self, y, w):
         with pytest.raises(BadParameter, match="one shape"):
-            ConditionalModel(y=y, w=w)
+            bound_report(y=y, w=w)
+
+    def test_a_two_d_table_is_one_stratum(self):
+        y, w = worked_model()
+        report = bound_report(y, w)
+        for name, value in bound_report(y[0], w[0]).items():
+            assert value == report[name][0], name
+        with pytest.raises(NotNormalized, match=r"^pr\(m\|a=0,c=0\) sums to 1\.1, not 1$"):
+            bound_report(y=[[0.2, 0.5], [0.4, 0.8]], w=[[0.3, 0.8], [0.5, 0.5]])
+
+    def test_leading_axes_are_strata_in_c_order(self):
+        y, w = (np.broadcast_to(table, (2, 3, 2, 2)).copy() for table in worked_model())
+        bad = w.copy()
+        bad[1, 2, 0, 0] += 1e-6
+        with pytest.raises(NotNormalized, match=r"^pr\(m\|a=0,c=5\) sums to"):
+            bound_report(y, bad)
+        y[1, 2, 0] = 0.0
+        with pytest.raises(ZeroDenominator, match=r"^outcome marginal pr\(Y=1\|a=0\) is 0 in "
+                                                  r"stratum c=5$"):
+            bound_report(y, w)
 
     def test_mean_mode_allows_values_above_one(self):
-        model = ConditionalModel(
-            y=[[[0.2, 0.5], [1.2, 0.8]]], w=[[[0.5, 0.5], [0.5, 0.5]]], mode="mean"
-        )
-        assert math.isfinite(crossworld_sums(model.y[0], model.w[0])[2])
+        report = bound_report(y=[[[0.2, 0.5], [1.2, 0.8]]], w=[[[0.5, 0.5], [0.5, 0.5]]],
+                              mode="mean")
+        assert math.isfinite(report["n11"][0])
 
 
-#: each type that validates a table: how it is built from its tables, valid tables, and
+#: each caller that validates a table: how it is built from its tables, valid tables, and
 #: per table the entry a test makes NaN with its name, and the row it puts off by 1e-6
 #: with its name (None for a table without rows)
 TABLE_OWNERS = [
-    ("ConditionalModel", ConditionalModel,
+    ("bound_report", bound_report,
      {"y": [[[0.2, 0.5], [0.4, 0.8]]] * 2, "w": [[[0.5, 0.5], [0.25, 0.75]]] * 2},
      {"y": ((1, 0, 1), "pr(Y=1|a=0,m=1,c=1)", None, None),
       "w": ((1, 0, 1), "pr(m=1|a=0,c=1)", (1, 0), "pr(m|a=0,c=1)")}),
@@ -491,9 +508,9 @@ class TestOneTableCheck:
 
 
 #: each caller that takes an outcome mode, building from the mode it is given; the
-#: ConditionalModel's y holds 1.5, a mean but not a probability, so no mode may be guessed
+#: y of bound_report holds 1.5, a mean but not a probability, so no mode may be guessed
 MODE_TAKERS = {
-    "ConditionalModel": lambda mode: ConditionalModel(
+    "bound_report": lambda mode: bound_report(
         y=[[[0.2, 0.5], [1.5, 0.8]]], w=[[[0.5, 0.5], [0.5, 0.5]]], mode=mode),
     "Scm": lambda mode: Scm(**TABLE_OWNERS[1][2], mode=mode),
     "sample_scm": lambda mode: sample_scm(np.random.default_rng(0), mode=mode),

@@ -6,54 +6,36 @@ unmeasured mediator-outcome confounder, and Cornfield-type thresholds for
 explaining effects away; every bound is verified against a brute-force
 distributional oracle.
 
-The oracle, log-linear and bootstrap layers are loaded on first use: their
-modules are in ``sys.modules`` from the start, and their code runs on the
-first attribute access, through the module or the package's re-exports.
+One table, ``_PUBLIC``, names the whole public surface, each name under the
+module that owns it, and ``__getattr__`` resolves every name from there.  The
+oracle, log-linear and bootstrap layers are loaded on first use: their modules
+are in ``sys.modules`` from the start, and their code runs on the first
+attribute access, through the module or the package.
 """
 
 import importlib.util
 import sys
 
-from .bounds import (
-    CornfieldThresholds,
-    SensitivitySpec,
-    adjust,
-    bound_report,
-    bounding_factor,
-    cornfield_rd,
-    cornfield_rr,
-    effects_from_sums,
-    required_partner,
-    stratum_envelopes,
-)
-from .errors import (
-    BadCode,
-    BadParameter,
-    BadTarget,
-    DegenerateResample,
-    EmptyCell,
-    Infeasible,
-    InternalCheckError,
-    MedsensError,
-    NotNormalized,
-    OutOfRangeProbability,
-    ParseError,
-    UnreachableCell,
-    ZeroDenominator,
-    ZeroProbability,
-)
-from .tables import (
-    RecordTable,
-    crossworld_sums,
-    estimate_from_records,
-    read_records_csv,
-    swap_exposure_records,
-)
+from . import bounds, errors, tables
 
 __version__ = "0.1.0"
 
-#: public names of the modules loaded on first use, by module
-_LAZY = {
+#: every public name, by the module that owns it, in the order of ``__all__``
+_PUBLIC = {
+    "bounds": (
+        "CornfieldThresholds", "SensitivitySpec", "adjust", "bound_report", "bounding_factor",
+        "cornfield_rd", "cornfield_rr", "effects_from_sums", "required_partner",
+        "stratum_envelopes",
+    ),
+    "errors": (
+        "BadCode", "BadParameter", "BadTarget", "DegenerateResample", "EmptyCell", "Infeasible",
+        "InternalCheckError", "MedsensError", "NotNormalized", "OutOfRangeProbability",
+        "ParseError", "UnreachableCell", "ZeroDenominator", "ZeroProbability",
+    ),
+    "tables": (
+        "RecordTable", "crossworld_sums", "estimate_from_records", "read_records_csv",
+        "swap_exposure_records",
+    ),
     "bootstrap": ("BootstrapResult", "run_bootstrap"),
     "loglinear": ("LogLinearSpec", "collider_ratio_grid", "interaction_bound", "rr_au_loglinear"),
     "oracle": (
@@ -63,18 +45,8 @@ _LAZY = {
         "verify_bounds",
     ),
 }
-_OWNER = {name: module for module, names in _LAZY.items() for name in names}
-
-__all__ = [
-    "CornfieldThresholds", "SensitivitySpec", "adjust", "bound_report", "bounding_factor",
-    "cornfield_rd", "cornfield_rr", "effects_from_sums", "required_partner", "stratum_envelopes",
-    "BadCode", "BadParameter", "BadTarget", "DegenerateResample", "EmptyCell", "Infeasible",
-    "InternalCheckError", "MedsensError", "NotNormalized", "OutOfRangeProbability",
-    "ParseError", "UnreachableCell", "ZeroDenominator", "ZeroProbability",
-    "RecordTable", "crossworld_sums", "estimate_from_records", "read_records_csv",
-    "swap_exposure_records",
-    *_OWNER,
-]
+_OWNER = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = list(_OWNER)
 
 
 def _lazy_module(name: str):

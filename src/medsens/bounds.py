@@ -263,7 +263,7 @@ def bound_report(y, w, mode: OutcomeMode = "probability") -> dict:
     """
     y, w = np.asarray(y), np.asarray(w)
     if y.ndim < 2 or y.shape != w.shape or y.shape[-2] != 2 or 0 in y.shape:
-        raise BadParameter(f"tables need one shape (c_card, 2, m_card): y {y.shape}, w {w.shape}")
+        raise BadParameter(f"tables need one shape (..., 2, M): y {y.shape}, w {w.shape}")
     strata = (-1, *y.shape[-2:])  # the leading axes as one, so c counts them in C order
     check_table(w.reshape(strata), "pr(m={2}|a={1},c={0})", rows="pr(m|a={1},c={0})")
     _check_outcomes(y.reshape(strata), mode, "a={1},m={2},c={0}")

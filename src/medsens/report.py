@@ -29,16 +29,12 @@ from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
+from . import __version__
+
 SCHEMA = "medsens-report/1"
 
 #: rows per block of a table that is formed and written a block at a time
 CSV_BLOCK = 1 << 10
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 def digest_file(path: str) -> str:
@@ -68,7 +64,7 @@ def write_json(
     """Write the standard report envelope around ``payload`` to ``out`` as :func:`to_json` text."""
     out.write(to_json({
         "schema": SCHEMA,
-        "tool_version": _tool_version(),
+        "tool_version": __version__,
         "command": command,
         "input_digest": input_digest,
         "seed": seed,

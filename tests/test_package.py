@@ -1,9 +1,11 @@
-"""The package surface, and which layers each command loads.
+"""The package surface, and which layers each command and name loads.
 
-``bootstrap``, ``loglinear`` and ``oracle`` are in ``sys.modules`` from the
-first import of ``medsens``, and their code runs on first attribute access.
-The load checks run in a fresh interpreter, so that the imports of this
-test session cannot hide an eager import.
+One table in ``medsens/__init__.py`` names the whole public surface, each
+name under the module that owns it, and the package resolves every name
+through that table. ``bootstrap``, ``loglinear`` and ``oracle`` are in
+``sys.modules`` from the first import of ``medsens``, and their code runs on
+first attribute access. The load checks run in a fresh interpreter, so that
+the imports of this test session cannot hide an eager import.
 """
 
 import json
@@ -42,15 +44,21 @@ PUBLIC = {
     ],
 }
 
-#: runs each argv list through ``medsens.cli.main`` and prints, as JSON, the lazy
-#: layers executed after the import and after each command, with its exit code
-SCRIPT = """
-import contextlib, io, json, sys, types
-import medsens.cli
+#: the lazy layers whose code has run: a ``LazyLoader`` module changes its type when it runs
+EXECUTED = """
+import json, sys, types
+import medsens
 
 def executed():
     return [n for n in ("bootstrap", "loglinear", "oracle")
             if type(sys.modules["medsens." + n]) is types.ModuleType]
+"""
+
+#: runs each argv list through ``medsens.cli.main`` and prints, as JSON, the lazy
+#: layers executed after the import and after each command, with its exit code
+SCRIPT = EXECUTED + """
+import contextlib, io
+import medsens.cli
 
 seen = [executed()]
 for argv in json.loads(sys.argv[1]):
@@ -67,8 +75,13 @@ def layers_executed(tmp_path, *commands):
         f"{a},{m},{y},{c},{1 + a + 2 * m + 3 * y + c}\n"
         for a in range(2) for m in range(2) for y in range(2) for c in range(2)))
     commands = [[arg.format(csv=csv) for arg in argv] for argv in commands]
+    return run_fresh(SCRIPT, json.dumps(commands))
+
+
+def run_fresh(script, arg):
+    """The JSON that ``script`` prints, run with ``arg`` in a fresh interpreter on this checkout."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    done = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)],
+    done = subprocess.run([sys.executable, "-c", script, arg],
                           capture_output=True, text=True, env=env)
     assert done.stderr == ""
     return json.loads(done.stdout)
@@ -93,6 +106,19 @@ def test_closed_form_commands_execute_no_lazy_layer(tmp_path):
 ], ids=["oracle", "parametric", "bootstrap"])
 def test_each_command_executes_only_the_layers_it_uses(tmp_path, argv, executed):
     assert layers_executed(tmp_path, argv) == [[], [0, executed]]
+
+
+@pytest.mark.parametrize("name, executed", [
+    ("adjust", []),
+    ("RecordTable", []),
+    ("BadParameter", []),
+    ("sample_scm", ["oracle"]),
+    ("run_bootstrap", ["bootstrap"]),
+    ("rr_au_loglinear", ["loglinear", "oracle"]),
+])
+def test_each_name_executes_only_the_layers_its_module_uses(name, executed):
+    script = EXECUTED + "getattr(medsens, sys.argv[1])\nprint(json.dumps(executed()))\n"
+    assert run_fresh(script, name) == executed
 
 
 def test_all_names_the_public_surface():

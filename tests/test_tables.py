@@ -433,6 +433,11 @@ class TestValidate:
         with pytest.raises(BadParameter, match="one shape"):
             bound_report(y=y, w=w)
 
+    def test_shape_error_names_the_shape_it_accepts(self):
+        with pytest.raises(BadParameter, match=r"^tables need one shape \(\.\.\., 2, M\): "
+                                               r"y \(2, 2\), w \(2, 3\)$"):
+            bound_report(y=[[0.2, 0.5], [0.4, 0.8]], w=[[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]])
+
     def test_a_two_d_table_is_one_stratum(self):
         y, w = worked_model()
         report = bound_report(y, w)

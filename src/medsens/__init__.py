@@ -34,7 +34,6 @@ _PUBLIC = {
     ),
     "tables": (
         "RecordTable", "crossworld_sums", "estimate_from_records", "read_records_csv",
-        "swap_exposure_records",
     ),
     "bootstrap": ("BootstrapResult", "run_bootstrap"),
     "loglinear": ("LogLinearSpec", "collider_ratio_grid", "interaction_bound", "rr_au_loglinear"),

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import sys
 from dataclasses import asdict
 from typing import Iterator
@@ -75,14 +74,6 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
-def _run_seed(args) -> int:
-    """``--seed``, else the MEDSENS_SEED environment variable, else 0."""
-    try:
-        return _seed(os.environ.get("MEDSENS_SEED", "0")) if args.seed is None else args.seed
-    except argparse.ArgumentTypeError as exc:
-        raise MedsensError(f"MEDSENS_SEED {exc}") from None
-
-
 def _of_scale(names, scale: str | None) -> list[str]:
     """The ``names`` that hold ``_rr`` or ``_rd``, for ``scale`` "rr" or "rd"; all for "both"."""
     return [name for name in names if scale in (None, "both") or f"_{scale}" in name]
@@ -91,12 +82,12 @@ def _of_scale(names, scale: str | None) -> list[str]:
 def _load_records(args) -> tuple[tables.RecordTable, str, list[str]]:
     """The records of ``--csv``, the file's digest and the load warnings; ``--smoothing`` first."""
     tables.check_smoothing(args.smoothing)  # before the read; its overflow rule needs M
-    records = tables.read_records_csv(args.csv)
+    records, digest = tables.read_records_csv(args.csv)
     warnings = []
     if args.relabel_exposure:
-        records = tables.swap_exposure_records(records)
+        records = tables.RecordTable(records.counts[:, ::-1])
         warnings.append("exposure codes relabeled (0 <-> 1)")
-    return records, report.digest_file(args.csv), warnings
+    return records, digest, warnings
 
 
 def _inputs(args) -> tuple[dict, int, str | None, list[str]]:
@@ -279,27 +270,25 @@ def _cmd_parametric(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    seed = _run_seed(args)
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "seed")}
-    result = oracle.validity_battery(seed, **params)
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    result = oracle.validity_battery(**params)
     report.write_json(sys.stdout, args.command, result,
-                      input_digest=report.digest_params(result["config"]), seed=seed)
+                      input_digest=report.digest_params(result["config"]), seed=args.seed)
     # config counts nothing, a skipped stage is None, and sharpness_search raises on its own
     return 4 if any(isinstance(s, dict) and s.get("violations") for s in result.values()) else 0
 
 
 def _cmd_bootstrap(args) -> int:
-    seed = _run_seed(args)
     spec = _spec(args)
     bootstrap_mod.check_plan(args.replicates, args.level)
     records, digest, warnings = _load_records(args)
-    result = bootstrap_mod.run_bootstrap(records, args.replicates, args.level, seed,
+    result = bootstrap_mod.run_bootstrap(records, args.replicates, args.level, args.seed,
                                          smoothing=args.smoothing, spec=spec)
     strata = [{"c": c, "stats": {k: dict(zip(("lower", "point", "upper"), v)) for k, v in s.items()}}
               for c, s in result.intervals.items()]
     payload = {"replicates": result.replicates, "level": result.level,
                "degenerate_redraws": result.degenerate_redraws, "strata": strata}
-    report.write_json(sys.stdout, args.command, payload, input_digest=digest, seed=seed,
+    report.write_json(sys.stdout, args.command, payload, input_digest=digest, seed=args.seed,
                       warnings=warnings)
     return 0
 
@@ -337,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scale", choices=("rr", "rd", "both"),
                            help="which effect scale to report (default both)")
         if seed:
-            p.add_argument("--seed", type=_seed, help="random seed >= 0 (default: MEDSENS_SEED or 0)")
+            p.add_argument("--seed", type=_seed, default=0, help="random seed >= 0 (default 0)")
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0],
                            help=f"output format (default {formats[0]})")

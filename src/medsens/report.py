@@ -37,15 +37,6 @@ SCHEMA = "medsens-report/1"
 CSV_BLOCK = 1 << 10
 
 
-def digest_file(path: str) -> str:
-    """sha256 of a file's bytes."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def digest_params(params: Mapping[str, Any]) -> str:
     """sha256 of a canonical encoding of scalar parameters."""
     canon = json.dumps(params, sort_keys=True, separators=(",", ":"))

@@ -39,6 +39,7 @@ Every type is immutable after construction and every function is pure.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import numbers
 from collections import Counter
@@ -125,8 +126,8 @@ class RecordTable:
         return int(self.counts.sum())
 
 
-def read_records_csv(path: str) -> RecordTable:
-    """Read records from a CSV file with header ``a,m,y,c`` or ``a,m,y,c,count``.
+def read_records_csv(path: str) -> tuple[RecordTable, str]:
+    """The records of a CSV file with header ``a,m,y,c`` or ``a,m,y,c,count``, and its sha256.
 
     Integer-coded (ASCII digits, an optional ``-``, optional whitespace
     around), comma-separated, UTF-8, one record per line; a line ends at
@@ -146,11 +147,20 @@ def read_records_csv(path: str) -> RecordTable:
     time, and each distinct line of a block is parsed once, so the cost
     scales with the distinct lines rather than the rows; memory stays
     bounded by the block plus the cells.
+
+    The file is opened once, so a pipe such as ``/dev/stdin`` reads like a
+    regular file.  The digest, a hex sha256, is of the bytes read: each
+    block is hashed as read, re-encoded exactly (``newline=""`` translates
+    no line end, and bytes that are not UTF-8 are kept as escapes), and a
+    leading byte order mark is hashed before it is dropped from the header.
     """
     cells: Counter[tuple[int, int, int, int]] = Counter()  # keyed by (c, a, m, y)
     width = 0  # fields per record, set by the header
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        if not (first := fh.readline()):
+    digest = hashlib.sha256()
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        first = fh.readline()
+        digest.update(first.encode("utf-8", "surrogateescape"))
+        if not (first := first.removeprefix("\ufeff")):
             raise ParseError(f"{path}: empty file")
         start, lines = 1, [first]  # the header is a block of its own
         while lines:
@@ -180,6 +190,7 @@ def read_records_csv(path: str) -> RecordTable:
                     cells[cell] += count * times
             start += len(lines)
             lines = fh.readlines(READ_BLOCK)
+            digest.update("".join(lines).encode("utf-8", "surrogateescape"))
     if not cells:
         raise ParseError(f"{path}: no data rows")
     c_card = 1 + max(c for c, _, _, _ in cells)
@@ -194,7 +205,7 @@ def read_records_csv(path: str) -> RecordTable:
     counts = np.zeros((c_card, 2, m_card, 2), dtype=np.int64)
     for cell, count in cells.items():
         counts[cell] = count
-    return RecordTable(counts)
+    return RecordTable(counts), digest.hexdigest()
 
 
 def _parse_record(
@@ -228,11 +239,6 @@ def _parse_record(
     if count <= 0:
         raise ParseError(f"count must be positive, got {count}")
     return (c, a, m, y), count
-
-
-def swap_exposure_records(records: RecordTable) -> RecordTable:
-    """Relabel exposure codes 0 <-> 1."""
-    return RecordTable(records.counts[:, ::-1])
 
 
 def first_cell(what: str, mask: np.ndarray) -> str:

@@ -40,7 +40,6 @@ PUBLIC = {
     ],
     "tables": [
         "RecordTable", "crossworld_sums", "estimate_from_records", "read_records_csv",
-        "swap_exposure_records",
     ],
 }
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import os
 import re
@@ -27,19 +28,14 @@ from medsens.errors import (
 )
 from medsens.loglinear import interaction_bound
 from medsens.oracle import Scm, sample_scm, validity_battery
-from medsens.tables import (
-    RecordTable,
-    estimate_from_records,
-    read_records_csv,
-    swap_exposure_records,
-)
+from medsens.tables import RecordTable, estimate_from_records, read_records_csv
 
 
 def read_csv_text(tmp_path, text: str) -> RecordTable:
     """:func:`read_records_csv` of a file that holds ``text``."""
     path = tmp_path / "d.csv"
     path.write_text(text)
-    return read_records_csv(str(path))
+    return read_records_csv(str(path))[0]
 
 
 class TestRecordTable:
@@ -129,14 +125,14 @@ class TestCsv:
     def test_roundtrip(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,m,y,c,count\n1,0,1,0,3\n0,1,0,0,2\n")
-        t = read_records_csv(str(p))
+        t, _ = read_records_csv(str(p))
         expected = tally_records([(1, 0, 1, 0, 3), (0, 1, 0, 0, 2)])
         assert np.array_equal(t.counts, expected.counts)
 
     def test_count_defaults_to_one(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,m,y,c\n1,0,1,0\n1,0,1,0\n")
-        t = read_records_csv(str(p))
+        t, _ = read_records_csv(str(p))
         assert t.total() == 2
 
     def test_bad_code_names_line(self, tmp_path):
@@ -174,8 +170,10 @@ class TestCsv:
             "\ufeffa, m ,y,c,count\r\n1, 0,1 ,0,3\r\n\r\n   \r 0,1,0,0 , 2\r"
             ' , ,\t, \r\n"1",0,"1",0,1\r\n\r0 ,1, 0,1,4\r'.encode("utf-8")
         )
-        counts = read_records_csv(str(plain)).counts
-        assert np.array_equal(read_records_csv(str(messy)).counts, counts)
+        counts = read_records_csv(str(plain))[0].counts
+        messy_records, digest = read_records_csv(str(messy))
+        assert np.array_equal(messy_records.counts, counts)
+        assert digest == hashlib.sha256(messy.read_bytes()).hexdigest()  # BOM and CRs included
         assert np.array_equal(counts, tally_records(
             [(1, 0, 1, 0, 4), (0, 1, 0, 0, 2), (0, 1, 0, 1, 4)]).counts)
 
@@ -216,7 +214,7 @@ class TestCsv:
         p.write_text("\n".join(["a,m,y,c,count", *rows]) + "\n")
         tracemalloc.start()
         try:
-            assert read_records_csv(str(p)).total() == 20_000 * 20_001 // 2
+            assert read_records_csv(str(p))[0].total() == 20_000 * 20_001 // 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -287,8 +285,10 @@ def test_csv_ingest_matches_independent_tally(rows, data):
         path = os.path.join(tmp, "d.csv")
         with open(path, "w") as fh:
             fh.write("\n".join([header, *lines]) + "\n")
-        counts = read_records_csv(path).counts
-        assert np.array_equal(counts, tally)
+        records, digest = read_records_csv(path)
+        assert np.array_equal(records.counts, tally)
+        with open(path, "rb") as fh:
+            assert digest == hashlib.sha256(fh.read()).hexdigest()
 
         # the bad line is written twice; the first one is named
         bad_lines = list(BAD_FIELDS) if unit else [f + ",1" for f in BAD_FIELDS] + ["0,0,0,0,0"]
@@ -533,16 +533,3 @@ class TestOneOutcomeModeRule:
         named = f"outcome mode must be 'probability' or 'mean', got {mode!r}"
         with pytest.raises(BadParameter, match=f"^{re.escape(named)}$"):
             build(mode)
-
-
-class TestSwapExposure:
-    def test_involution(self):
-        records = tally_records([(1, 0, 1, 0, 2), (0, 1, 0, 0, 1), (1, 1, 1, 1, 3)])
-        twice = swap_exposure_records(swap_exposure_records(records))
-        assert np.array_equal(twice.counts, records.counts)
-
-    def test_records_swap(self):
-        records = tally_records([(1, 0, 1, 0, 2), (0, 0, 0, 0, 1)])
-        swapped = swap_exposure_records(records)
-        expected = tally_records([(0, 0, 1, 0, 2), (1, 0, 0, 0, 1)])
-        assert np.array_equal(swapped.counts, expected.counts)
